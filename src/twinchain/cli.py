@@ -39,11 +39,13 @@ from .wells import boundary_gradient, build_wells
 G17 = "%.17g"
 
 
-def _default_workers():
+def _default_workers(parser):
     env = os.environ.get("TWINCHAIN_WORKERS", "").strip()
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    if not env.isdecimal():
+        parser.error(f"TWINCHAIN_WORKERS must be a worker count, got {env!r}")
+    return max(1, int(env))
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,6 @@ class ExperimentConfig:
     n_list: tuple = (40, 100, 200)
     alpha: float = 0.4
     delta: float = 0.1
-    seed: int = 0
     variable_tau: bool = False
     quick: bool = False
     svg: bool = False
@@ -64,7 +65,7 @@ class ExperimentConfig:
         ns = " ".join(str(n) for n in self.n_list)
         return (f"config a={G17 % self.a} lambda={G17 % self.lam} n=[{ns}] "
                 f"alpha={G17 % self.alpha} delta={G17 % self.delta} "
-                f"seed={self.seed} variable_tau={int(self.variable_tau)} "
+                f"variable_tau={int(self.variable_tau)} "
                 f"quick={int(self.quick)}")
 
 
@@ -300,7 +301,6 @@ def _build_parser():
                         help="chain half-width; repeatable")
     shared.add_argument("--alpha", type=float, default=None)
     shared.add_argument("--delta", type=float, default=None)
-    shared.add_argument("--seed", type=int, default=None)
     shared.add_argument("--variable-tau", action="store_true", default=None)
     shared.add_argument("--quick", action="store_true", default=None,
                         help="small sizes for smoke runs")
@@ -327,12 +327,12 @@ def _build_parser():
 
 
 _CONFIG_KEYS = {"a": "a", "lambda": "lam", "n": "n_list", "alpha": "alpha",
-                "delta": "delta", "seed": "seed", "variable_tau": "variable_tau",
+                "delta": "delta", "variable_tau": "variable_tau",
                 "quick": "quick", "svg": "svg", "out": "out"}
 
 
 def _resolve_config(args, parser) -> ExperimentConfig:
-    cfg = ExperimentConfig(workers=_default_workers())
+    cfg = ExperimentConfig(workers=_default_workers(parser))
     raw = {}
     if args.config is not None:
         try:
@@ -354,9 +354,8 @@ def _resolve_config(args, parser) -> ExperimentConfig:
 
     overrides = {}
     for flag, name in (("a", "a"), ("lam", "lam"), ("alpha", "alpha"),
-                       ("delta", "delta"), ("seed", "seed"),
-                       ("variable_tau", "variable_tau"), ("quick", "quick"),
-                       ("svg", "svg"), ("out", "out")):
+                       ("delta", "delta"), ("variable_tau", "variable_tau"),
+                       ("quick", "quick"), ("svg", "svg"), ("out", "out")):
         value = getattr(args, flag)
         if value is not None:
             overrides[name] = value

@@ -15,7 +15,9 @@ all four sign pairs.
 Two evaluation routes exist on purpose: `lattice_energy` differences the
 reconstructed 2D positions, while `chain_energy` works directly in chain
 variables (du, per-column tau vectors, row index j) without materializing the
-lattice.  They agree to rounding and cross-validate each other.
+lattice.  They agree to rounding and cross-validate each other.  Both feed
+their differences to one bracket kernel (`brackets`), and the chain-variable
+stencil (`chain_stencil`) is the one the Newton derivatives differentiate.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ from .lattice import GHOST, ChainState, LatticeField
 
 __all__ = [
     "EnergyBreakdown",
+    "brackets",
     "density",
+    "chain_stencil",
     "chain_energy",
     "lattice_energy",
     "chain_local_grid",
@@ -41,6 +45,25 @@ __all__ = [
 ]
 
 
+def brackets(v, h, wells):
+    """Per-site parts of the density, shared by every evaluation route.
+
+    v and h carry the +/- difference vectors on axis -2 (order [plus,
+    minus]); leading axes broadcast.  Returns q_s = |v_s|^2 and r_t = |h_t|^2
+    (shape (..., 2)), the v.h block X[s, t] = v_s . h_t (shape (..., 2, 2))
+    and the brackets B1 = bracket(a^2, b^2), B2 = bracket(b^2, a^2).
+    """
+    a2 = wells.a * wells.a
+    b2 = wells.b * wells.b
+    q = (v * v).sum(axis=-1)
+    r = (h * h).sum(axis=-1)
+    X = np.einsum("...si,...ti->...st", v, h)
+    cross2 = (X * X).sum(axis=(-2, -1))
+    B1 = ((q - a2) ** 2).sum(axis=-1) + ((r - b2) ** 2).sum(axis=-1) + cross2
+    B2 = ((q - b2) ** 2).sum(axis=-1) + ((r - a2) ** 2).sum(axis=-1) + cross2
+    return q, r, X, B1, B2
+
+
 def density(vdiffs, hdiffs, wells):
     """Two-well density from signed neighbor differences.
 
@@ -49,58 +72,42 @@ def density(vdiffs, hdiffs, wells):
     """
     v = np.asarray(vdiffs, dtype=float)
     h = np.asarray(hdiffs, dtype=float)
-    a2 = wells.a * wells.a
-    b2 = wells.b * wells.b
-    q = (v * v).sum(axis=-1)
-    r = (h * h).sum(axis=-1)
-    cross = np.einsum("...si,...ti->...st", v, h)
-    cross2 = (cross * cross).sum(axis=(-2, -1))
-    b1 = ((q - a2) ** 2).sum(axis=-1) + ((r - b2) ** 2).sum(axis=-1) + cross2
-    b2_ = ((q - b2) ** 2).sum(axis=-1) + ((r - a2) ** 2).sum(axis=-1) + cross2
-    out = b1 * b2_
+    *_, B1, B2 = brackets(v, h, wells)
+    out = B1 * B2
     return float(out) if out.ndim == 0 else out
 
 
-def chain_pair_vectors(chain: ChainState, ids, j_rows):
-    """Difference vectors (v_plus, v_minus, h_plus, h_minus) in chain variables.
+def chain_stencil(chain: ChainState, ids, j_rows):
+    """Difference vectors W = [v+, v-, h+, h-] in chain variables, plus per-slot t.
 
     ids: chain indices of the summand centers (1D).  j_rows: row indices (1D).
-    Each returned array has shape (len(ids), len(j_rows), 2).
+    W has shape (len(ids), len(j_rows), 4, 2).  The second value maps each
+    slot of the stencil (m = atom i-1, c = atom i, p = atom i+1) to its
+    extension vectors t = R(theta) tau, shape (len(ids), 2).
     """
     lam = chain.lam
     ids = np.asarray(ids)
-    u_c, th_c = chain.atoms_at(ids)
-    u_p, th_p = chain.atoms_at(ids + 1)
-    u_m, th_m = chain.atoms_at(ids - 1)
-    t_c = _tau_of(chain, th_c)
-    t_p = _tau_of(chain, th_p)
-    t_m = _tau_of(chain, th_m)
+    (u_m, u_c, u_p), theta = chain.atoms_at(ids + np.array([[-1], [0], [1]]))
+    t_m, t_c, t_p = chain.wells.tau_at(theta)
 
-    du_p = (u_p - u_c) / lam
-    du_m = (u_m - u_c) / lam
-    dt_p = t_p - t_c
-    dt_m = t_m - t_c
+    du_p = ((u_p - u_c) / lam)[:, None, :]
+    du_m = ((u_m - u_c) / lam)[:, None, :]
+    dt_p = (t_p - t_c)[:, None, :]
+    dt_m = (t_m - t_c)[:, None, :]
 
     j = np.asarray(j_rows, dtype=float)[None, :, None]
-    v_p = du_p[:, None, :] + t_p[:, None, :] + j * dt_p[:, None, :]
-    v_m = du_m[:, None, :] - t_m[:, None, :] + j * dt_m[:, None, :]
-    h_p = du_p[:, None, :] + j * dt_p[:, None, :]
-    h_m = du_m[:, None, :] + j * dt_m[:, None, :]
-    return v_p, v_m, h_p, h_m
-
-
-def _tau_of(chain: ChainState, theta):
-    c, s = np.cos(theta), np.sin(theta)
-    tx, ty = chain.wells.tau
-    return np.stack([c * tx - s * ty, s * tx + c * ty], axis=-1)
+    W = np.empty((ids.size, j.shape[1], 4, 2))
+    W[..., 0, :] = du_p + t_p[:, None, :] + j * dt_p
+    W[..., 1, :] = du_m - t_m[:, None, :] + j * dt_m
+    W[..., 2, :] = du_p + j * dt_p
+    W[..., 3, :] = du_m + j * dt_m
+    return W, {"m": t_m, "c": t_c, "p": t_p}
 
 
 def chain_local_grid(chain: ChainState, ids, j_rows):
     """Per-site densities evaluated in chain variables; shape (len(ids), len(j_rows))."""
-    v_p, v_m, h_p, h_m = chain_pair_vectors(chain, ids, j_rows)
-    v = np.stack([v_p, v_m], axis=-2)
-    h = np.stack([h_p, h_m], axis=-2)
-    return density(v, h, chain.wells)
+    W, _ = chain_stencil(chain, ids, j_rows)
+    return density(W[..., :2, :], W[..., 2:, :], chain.wells)
 
 
 def field_local_grid(field: LatticeField):

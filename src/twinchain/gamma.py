@@ -81,10 +81,7 @@ class TranslatedChain:
         ids = np.asarray(ids, dtype=int)
         chain = self.chain
         u, theta = chain.atoms_at(ids + self.j0)
-        c, s = np.cos(theta), np.sin(theta)
-        tx, ty = chain.wells.tau
-        t = np.stack([c * tx - s * ty, s * tx + c * ty], axis=-1)
-        return u + self.j0 * chain.lam * t
+        return u + self.j0 * chain.lam * chain.wells.tau_at(theta)
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .wells import WellPair, build_wells, rotation
+from .wells import WellPair, build_wells
 
 __all__ = [
     "GHOST",
@@ -108,13 +108,6 @@ class BoundaryClamp:
         return cls(V_left=F, r_left=r, V_right=F, r_right=r)
 
     @classmethod
-    def twin(cls, wells: WellPair):
-        """Pure-variant data: primary stretch on the left, rotated secondary on the right."""
-        zero = _locked(np.zeros(2))
-        return cls(V_left=_locked(wells.U0), r_left=zero,
-                   V_right=_locked(wells.QU1), r_right=zero)
-
-    @classmethod
     def pieces(cls, V_left, r_left, V_right, r_right):
         return cls(V_left=_locked(V_left), r_left=_locked(r_left),
                    V_right=_locked(V_right), r_right=_locked(r_right))
@@ -173,7 +166,7 @@ class ChainState:
     @property
     def tau_vectors(self) -> np.ndarray:
         """Per-column extension vectors R(theta_i) tau, all of length |tau|."""
-        return rotation(self.theta) @ self.wells.tau
+        return self.wells.tau_at(self.theta)
 
     def atoms_at(self, ids):
         """(u, theta) for arbitrary chain indices; out-of-range falls back to the clamp."""

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 
+from .energy import brackets, chain_stencil
 from .lattice import (
     BoundaryClamp,
     ChainState,
@@ -48,24 +49,30 @@ __all__ = [
     "hessian",
 ]
 
-# W-vector order used throughout: [v+, v-, h+, h-]
-_TARGET_SWAP = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
+# W-vector order used throughout: [v+, v-, h+, h-]; only v-h pairs enter the
+# cross terms
 _VH_MASK = np.array([[0.0, 0.0, 1.0, 1.0],
                      [0.0, 0.0, 1.0, 1.0],
                      [1.0, 1.0, 0.0, 0.0],
                      [1.0, 1.0, 0.0, 0.0]])
 
 # per-slot contraction weights over the W vectors; slots are
-# p = atom i+1, m = atom i-1, c = atom i
+# p = atom i+1, m = atom i-1, c = atom i.  _OMEGA weighs the u Jacobian and
+# the j-proportional part of the theta Jacobian, _PI its j-independent part
 _OMEGA = {"p": np.array([1.0, 0.0, 1.0, 0.0]),
           "m": np.array([0.0, 1.0, 0.0, 1.0]),
           "c": np.array([-1.0, -1.0, -1.0, -1.0])}
 _PI = {"p": np.array([1.0, 0.0, 0.0, 0.0]),
        "m": np.array([0.0, -1.0, 0.0, 0.0]),
        "c": np.zeros(4)}
-_KAPPA = {"p": np.array([1.0, 0.0, 1.0, 0.0]),
-          "m": np.array([0.0, 1.0, 0.0, 1.0]),
-          "c": np.array([-1.0, -1.0, -1.0, -1.0])}
+
+# first Levenberg shift, Armijo constant and backtracking factor
+_REGULARIZATION = 1e-8
+_ARMIJO_C = 1e-4
+_BACKTRACK = 0.5
+# a trial energy this close (relative) to the current one is rounding noise;
+# near the minimum the predicted Armijo decrease falls below one ulp of E
+_ENERGY_RTOL = 16.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -73,15 +80,10 @@ class MinimizeOptions:
     variable_tau: bool = False
     grad_tol: float = 1e-10
     max_iters: int = 500
-    hessian_regularization: float = 1e-8
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
 
     def __post_init__(self):
-        if self.grad_tol <= 0 or self.hessian_regularization <= 0:
-            raise ValueError("tolerances must be positive")
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValueError("backtrack factor must lie in (0, 1)")
+        if self.grad_tol <= 0:
+            raise ValueError("gradient tolerance must be positive")
 
 
 @dataclass
@@ -96,15 +98,6 @@ class MinimizationReport:
     stop_reason: str = ""
 
 
-def _tau_and_turn(wells: WellPair, theta):
-    """t_k = R(theta) tau and its angle derivative t'_k (a quarter turn of t_k)."""
-    c, s = np.cos(theta), np.sin(theta)
-    tx, ty = wells.tau
-    t = np.stack([c * tx - s * ty, s * tx + c * ty], axis=-1)
-    turn = np.stack([-t[..., 1], t[..., 0]], axis=-1)
-    return t, turn
-
-
 class ChainProblem:
     """Energy, gradient and banded Hessian over a chosen set of free atoms.
 
@@ -113,8 +106,6 @@ class ChainProblem:
     average like 1/n for rescaled layer problems).  Admissibility rejection
     can be restricted to cells near the counted window via admissible_cells.
     """
-
-    vh_mask = _VH_MASK  # which (v, h) pairs enter the cross terms
 
     def __init__(self, chain: ChainState, *, variable_tau=False, free_ids=None,
                  i_window=None, j_window=None, scale=None, admissible_cells=None):
@@ -134,10 +125,17 @@ class ChainProblem:
         self.admissible_cells = admissible_cells
         self.centers = np.arange(self.i_lo, self.i_hi + 1)
         self.rows = np.arange(self.j_lo, self.j_hi + 1, dtype=float)
-        # map atom id -> free slot (or -1)
-        self._slot = {int(i): s for s, i in enumerate(self.free_ids)}
-        # fixed tau and identically zero angles make every row identical
+        # fixed tau and identically zero angles make every row identical, so
+        # the stencil is evaluated on row 0 alone and weighted by the row count
         self._uniform_rows = (not variable_tau) and np.abs(chain.theta).max() == 0.0
+        self._stencil_rows = np.zeros(1) if self._uniform_rows else self.rows
+        self._row_weight = float(self.rows.size) if self._uniform_rows else 1.0
+        # per slot and center: the free-variable row of the slot's atom, or -1
+        self._slot_rows = {}
+        for slot, offset in zip("mcp", (-1, 0, 1)):
+            atoms = self.centers + offset
+            self._slot_rows[slot] = np.where(np.isin(atoms, self.free_ids),
+                                             np.searchsorted(self.free_ids, atoms), -1)
 
     # -- state plumbing ----------------------------------------------------
 
@@ -169,92 +167,61 @@ class ChainProblem:
 
     # -- per-summand derivative kernels ------------------------------------
 
-    def _vectors(self, chain: ChainState):
-        """W vectors plus per-slot t and t' arrays on the centers x rows grid."""
-        lam = chain.lam
-        ids = self.centers
-        u_c, th_c = chain.atoms_at(ids)
-        u_p, th_p = chain.atoms_at(ids + 1)
-        u_m, th_m = chain.atoms_at(ids - 1)
-        t_c, turn_c = _tau_and_turn(chain.wells, th_c)
-        t_p, turn_p = _tau_and_turn(chain.wells, th_p)
-        t_m, turn_m = _tau_and_turn(chain.wells, th_m)
-
-        du_p = (u_p - u_c) / lam
-        du_m = (u_m - u_c) / lam
-        dt_p = t_p - t_c
-        dt_m = t_m - t_c
-
-        j = self.rows[None, :, None] if not self._uniform_rows else np.zeros((1, 1, 1))
-        v_p = du_p[:, None, :] + t_p[:, None, :] + j * dt_p[:, None, :]
-        v_m = du_m[:, None, :] - t_m[:, None, :] + j * dt_m[:, None, :]
-        h_p = du_p[:, None, :] + j * dt_p[:, None, :]
-        h_m = du_m[:, None, :] + j * dt_m[:, None, :]
-        W = np.stack([v_p, v_m, h_p, h_m], axis=-2)  # (I, J, 4, 2)
-        slots = {"p": (t_p, turn_p), "m": (t_m, turn_m), "c": (t_c, turn_c)}
-        return W, slots
-
-    def _density_parts(self, chain: ChainState, W, order):
+    def _density_parts(self, W, order):
         """Density D plus dD/dW (order>=1) and d2D/dW2 (order>=2), per summand."""
-        a2 = chain.wells.a ** 2
-        b2 = chain.wells.b ** 2
-        targets = (a2 * _TARGET_SWAP[0] + b2 * _TARGET_SWAP[1],
-                   b2 * _TARGET_SWAP[0] + a2 * _TARGET_SWAP[1])
-        Q = (W * W).sum(axis=-1)                       # (..., 4)
-        C = np.einsum("...ak,...bk->...ab", W, W)      # (..., 4, 4)
-        Cvh = C * self.vh_mask
-        cross_sq = 0.5 * (Cvh * Cvh).sum(axis=(-2, -1))
-        dev = [Q - t for t in targets]
-        B = [(d * d).sum(axis=-1) + cross_sq for d in dev]
-        D = B[0] * B[1]
-        out = [D]
-        if order >= 1:
-            g = [4.0 * dev[k][..., :, None] * W + 2.0 * np.einsum("...ab,...bk->...ak", Cvh, W)
-                 for k in range(2)]
-            G = B[1][..., None, None] * g[0] + B[0][..., None, None] * g[1]
-            out.append(G)
-        if order >= 2:
-            eye = np.eye(2)
-            WW = np.einsum("...ak,...al->...akl", W, W)
-            # diagonal blocks of each bracket Hessian
-            opp = np.einsum("ab,...bkl->...akl", self.vh_mask, WW)
-            diag = [4.0 * dev[k][..., :, None, None] * eye + 8.0 * WW + 2.0 * opp
-                    for k in range(2)]
-            # off-diagonal v-h blocks: 2 C_ab I + 2 W_b (x) W_a
-            cross_blk = (2.0 * Cvh[..., :, :, None, None] * eye
-                         + 2.0 * self.vh_mask[:, :, None, None]
-                         * np.einsum("...bk,...al->...abkl", W, W))
-            H = []
-            for k in range(2):
-                Hk = cross_blk.copy()
-                di = np.arange(4)
-                Hk[..., di, di, :, :] = diag[k]
-                H.append(Hk)
-            M = (B[1][..., None, None, None, None] * H[0]
-                 + B[0][..., None, None, None, None] * H[1]
-                 + np.einsum("...ak,...bl->...abkl", g[0], g[1])
-                 + np.einsum("...ak,...bl->...abkl", g[1], g[0]))
-            out.append(M)
+        wells = self.template.wells
+        q, r, X, B1, B2 = brackets(W[..., :2, :], W[..., 2:, :], wells)
+        out = [B1 * B2]
+        if order == 0:
+            return out
+        a2 = wells.a * wells.a
+        b2 = wells.b * wells.b
+        dev = [np.concatenate([q - a2, r - b2], axis=-1),
+               np.concatenate([q - b2, r - a2], axis=-1)]
+        Cvh = np.zeros(W.shape[:-2] + (4, 4))  # v-h entries of the Gram matrix
+        Cvh[..., :2, 2:] = X
+        Cvh[..., 2:, :2] = np.swapaxes(X, -1, -2)
+        g = [4.0 * dev[k][..., :, None] * W + 2.0 * np.einsum("...ab,...bk->...ak", Cvh, W)
+             for k in range(2)]
+        out.append(B2[..., None, None] * g[0] + B1[..., None, None] * g[1])
+        if order == 1:
+            return out
+        eye = np.eye(2)
+        WW = np.einsum("...ak,...al->...akl", W, W)
+        # diagonal blocks of each bracket Hessian
+        opp = np.einsum("ab,...bkl->...akl", _VH_MASK, WW)
+        diag = [4.0 * dev[k][..., :, None, None] * eye + 8.0 * WW + 2.0 * opp
+                for k in range(2)]
+        # off-diagonal v-h blocks: 2 C_ab I + 2 W_b (x) W_a
+        cross_blk = (2.0 * Cvh[..., :, :, None, None] * eye
+                     + 2.0 * _VH_MASK[:, :, None, None]
+                     * np.einsum("...bk,...al->...abkl", W, W))
+        H = []
+        for k in range(2):
+            Hk = cross_blk.copy()
+            di = np.arange(4)
+            Hk[..., di, di, :, :] = diag[k]
+            H.append(Hk)
+        M = (B2[..., None, None, None, None] * H[0]
+             + B1[..., None, None, None, None] * H[1]
+             + np.einsum("...ak,...bl->...abkl", g[0], g[1])
+             + np.einsum("...ak,...bl->...abkl", g[1], g[0]))
+        out.append(M)
         return out
-
-    def _row_weight(self):
-        return float(self.rows.size) if self._uniform_rows else 1.0
 
     # -- public evaluations -------------------------------------------------
 
     def energy(self, x) -> float:
-        chain = self.apply(x)
-        W, _ = self._vectors(chain)
-        (D,) = self._density_parts(chain, W, order=0)
-        return self.scale * self._row_weight() * math.fsum(D.ravel(order="C"))
+        W, _ = chain_stencil(self.apply(x), self.centers, self._stencil_rows)
+        (D,) = self._density_parts(W, order=0)
+        return self.scale * self._row_weight * math.fsum(D.ravel(order="C"))
 
     def _moments(self, arr, top):
         """List of sum_j j^k * arr for k = 0..top (j axis = 1)."""
+        j = self.rows
         if self._uniform_rows:
-            j = self.rows
             sums = [float((j ** k).sum()) for k in range(top + 1)]
             return [arr[:, 0] * s for s in sums]
-        j = self.rows
         out = []
         for k in range(top + 1):
             out.append(np.einsum("j,ij...->i...", j ** k, arr))
@@ -262,84 +229,74 @@ class ChainProblem:
 
     def gradient(self, x):
         chain = self.apply(x)
-        W, slots = self._vectors(chain)
-        _, G = self._density_parts(chain, W, order=1)
+        W, t = chain_stencil(chain, self.centers, self._stencil_rows)
+        _, G = self._density_parts(W, order=1)
         A0, A1 = self._moments(G, 1)
         lam = chain.lam
         g = np.zeros((self.free_ids.size, self.nd))
-        for slot, datom in (("m", -1), ("c", 0), ("p", 1)):
+        for slot, rows in self._slot_rows.items():
             gu = np.einsum("a,iak->ik", _OMEGA[slot], A0) / lam
             if self.variable_tau:
-                _, turn = slots[slot]
+                turn = t[slot][:, ::-1] * (-1.0, 1.0)  # dt/dtheta, a quarter turn
                 gth = (np.einsum("a,iak,ik->i", _PI[slot], A0, turn)
-                       + np.einsum("a,iak,ik->i", _KAPPA[slot], A1, turn))
+                       + np.einsum("a,iak,ik->i", _OMEGA[slot], A1, turn))
                 block = np.concatenate([gu, gth[:, None]], axis=1)
             else:
                 block = gu
-            atoms = self.centers + datom
-            keep = np.isin(atoms, self.free_ids)
-            rows = np.searchsorted(self.free_ids, atoms[keep])
-            np.add.at(g, rows, block[keep])
+            keep = rows >= 0
+            np.add.at(g, rows[keep], block[keep])
         # moments already carry the full row sum, so only `scale` remains
         return self.scale * g.ravel()
 
     def hessian_dense(self, x):
         chain = self.apply(x)
-        W, slots = self._vectors(chain)
-        _, G, M = self._density_parts(chain, W, order=2)
+        W, t = chain_stencil(chain, self.centers, self._stencil_rows)
+        _, G, M = self._density_parts(W, order=2)
         top = 2 if self.variable_tau else 0
         N = self._moments(M, top)
         if self.variable_tau:
             A0, A1 = self._moments(G, 1)
+            turns = {slot: ts[:, ::-1] * (-1.0, 1.0) for slot, ts in t.items()}
         lam = chain.lam
         nfree, nd = self.free_ids.size, self.nd
         H = np.zeros((nfree * nd, nfree * nd))
-        slot_list = (("m", -1), ("c", 0), ("p", 1))
-        for sa, da in slot_list:
-            atoms_a = self.centers + da
-            keep_a = np.isin(atoms_a, self.free_ids)
-            rows_a = np.searchsorted(self.free_ids, atoms_a[keep_a])
-            for sb, db in slot_list:
-                atoms_b = self.centers + db
-                keep = keep_a & np.isin(atoms_b, self.free_ids)
+        for sa, rows_a in self._slot_rows.items():
+            for sb, rows_b in self._slot_rows.items():
+                keep = (rows_a >= 0) & (rows_b >= 0)
                 if not keep.any():
                     continue
-                ra = np.searchsorted(self.free_ids, atoms_a[keep])
-                rb = np.searchsorted(self.free_ids, atoms_b[keep])
+                ra = rows_a[keep]
+                rb = rows_b[keep]
                 blk = np.zeros((keep.sum(), nd, nd))
                 uu = np.einsum("a,b,iabkl->ikl", _OMEGA[sa], _OMEGA[sb], N[0][keep])
                 blk[:, :2, :2] = uu / (lam * lam)
                 if self.variable_tau:
-                    _, turn_b = slots[sb]
-                    _, turn_a = slots[sa]
-                    tb = turn_b[keep]
-                    ta = turn_a[keep]
+                    tb = turns[sb][keep]
+                    ta = turns[sa][keep]
                     uth = (np.einsum("a,b,iabkl,il->ik", _OMEGA[sa], _PI[sb], N[0][keep], tb)
-                           + np.einsum("a,b,iabkl,il->ik", _OMEGA[sa], _KAPPA[sb], N[1][keep], tb))
+                           + np.einsum("a,b,iabkl,il->ik", _OMEGA[sa], _OMEGA[sb], N[1][keep], tb))
                     blk[:, :2, 2] = uth / lam
                     thu = (np.einsum("a,b,iabkl,ik->il", _PI[sa], _OMEGA[sb], N[0][keep], ta)
-                           + np.einsum("a,b,iabkl,ik->il", _KAPPA[sa], _OMEGA[sb], N[1][keep], ta))
+                           + np.einsum("a,b,iabkl,ik->il", _OMEGA[sa], _OMEGA[sb], N[1][keep], ta))
                     blk[:, 2, :2] = thu / lam
                     thth = (np.einsum("a,b,iabkl,ik,il->i", _PI[sa], _PI[sb], N[0][keep], ta, tb)
-                            + np.einsum("a,b,iabkl,ik,il->i", _PI[sa], _KAPPA[sb], N[1][keep], ta, tb)
-                            + np.einsum("a,b,iabkl,ik,il->i", _KAPPA[sa], _PI[sb], N[1][keep], ta, tb)
-                            + np.einsum("a,b,iabkl,ik,il->i", _KAPPA[sa], _KAPPA[sb], N[2][keep], ta, tb))
+                            + np.einsum("a,b,iabkl,ik,il->i", _PI[sa], _OMEGA[sb], N[1][keep], ta, tb)
+                            + np.einsum("a,b,iabkl,ik,il->i", _OMEGA[sa], _PI[sb], N[1][keep], ta, tb)
+                            + np.einsum("a,b,iabkl,ik,il->i", _OMEGA[sa], _OMEGA[sb], N[2][keep], ta, tb))
                     blk[:, 2, 2] = thth
                 dof_a = (ra[:, None] * nd + np.arange(nd)[None, :])
                 dof_b = (rb[:, None] * nd + np.arange(nd)[None, :])
                 np.add.at(H, (dof_a[:, :, None], dof_b[:, None, :]), blk)
         if self.variable_tau:
             # curvature of the rotating frame: d2 t / dtheta2 = -t
-            AG0, AG1 = A0, A1
-            for sb, db in slot_list:
-                atoms_b = self.centers + db
-                keep = np.isin(atoms_b, self.free_ids)
+            for sb, rows_b in self._slot_rows.items():
+                keep = rows_b >= 0
                 if not keep.any():
                     continue
-                rb = np.searchsorted(self.free_ids, atoms_b[keep])
-                t_b, _ = slots[sb]
-                extra = -(np.einsum("a,iak,ik->i", _PI[sb], AG0[keep], t_b[keep])
-                          + np.einsum("a,iak,ik->i", _KAPPA[sb], AG1[keep], t_b[keep]))
+                rb = rows_b[keep]
+                t_b = t[sb][keep]
+                extra = -(np.einsum("a,iak,ik->i", _PI[sb], A0[keep], t_b)
+                          + np.einsum("a,iak,ik->i", _OMEGA[sb], A1[keep], t_b))
                 np.add.at(H, (rb * nd + 2, rb * nd + 2), extra)
         return self.scale * H
 
@@ -391,7 +348,7 @@ def newton_minimize(chain: ChainState, opts: MinimizeOptions = None, *,
                 step = scipy.linalg.solveh_banded(shifted, -grad, lower=False)
                 break
             except np.linalg.LinAlgError:
-                mu = opts.hessian_regularization if mu == 0.0 else mu * 10.0
+                mu = _REGULARIZATION if mu == 0.0 else mu * 10.0
                 if mu > 1e12:
                     return _finish(problem, x, energies, grads, violations, False,
                                    opts, "regularization overflow")
@@ -405,10 +362,10 @@ def newton_minimize(chain: ChainState, opts: MinimizeOptions = None, *,
                 t *= 0.5
                 continue
             e_try = problem.energy(x_try)
-            if e_try <= energy + opts.armijo_c * t * slope:
+            if e_try <= energy + _ARMIJO_C * t * slope + _ENERGY_RTOL * abs(energy):
                 accepted = True
                 break
-            t *= opts.backtrack
+            t *= _BACKTRACK
         if not accepted:
             return _finish(problem, x, energies, grads, violations, False, opts,
                            "step collapse")

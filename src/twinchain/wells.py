@@ -72,6 +72,12 @@ class WellPair:
     def QU1(self) -> np.ndarray:
         return self.Q @ self.U1
 
+    def tau_at(self, theta):
+        """Extension vectors R(theta) tau, stacked on a trailing axis of length 2."""
+        c, s = np.cos(theta), np.sin(theta)
+        tx, ty = self.tau
+        return np.stack([c * tx - s * ty, s * tx + c * ty], axis=-1)
+
 
 def build_wells(a: float) -> WellPair:
     """Construct the well pair for horizontal stretch a (vertical is 1/a)."""

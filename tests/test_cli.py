@@ -118,11 +118,19 @@ class TestArguments:
         ("minimize", "--n", "4"),
         ("scan", "--alpha", "1.5"),
         ("scan", "--delta", "0.3"),
+        ("minimize", "--seed", "1"),
     ])
     def test_usage_errors_exit_2(self, argv, tmp_path):
         with pytest.raises(SystemExit) as err:
             run(*argv, "--out", tmp_path)
         assert err.value.code == 2
+
+    def test_invalid_worker_count(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("TWINCHAIN_WORKERS", "abc")
+        with pytest.raises(SystemExit) as err:
+            run("scan", "--quick", "--out", tmp_path)
+        assert err.value.code == 2
+        assert "TWINCHAIN_WORKERS" in capsys.readouterr().err
 
     def test_empty_n_list_from_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"

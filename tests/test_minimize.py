@@ -10,6 +10,7 @@ import scipy.sparse
 
 from chaingen import random_chain
 from twinchain.energy import chain_energy
+from twinchain.gamma import _layer_problem
 from twinchain.lattice import affine_chain, check_admissible, reconstruct
 from twinchain.minimize import (
     ChainProblem,
@@ -21,7 +22,7 @@ from twinchain.minimize import (
     preoptimize_middle,
     twin_chain,
 )
-from twinchain.wells import build_wells
+from twinchain.wells import boundary_gradient, build_wells
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +85,26 @@ class TestDerivatives:
             for d in range(bw + 1):
                 assert np.array_equal(ab[bw - d, d:], np.diag(h, k=d))
 
+    def test_layer_problem_matches_fd(self, rng, wells):
+        # windowed B_plus problem: free ids [-1, 1..L-1], centres 0..L+1,
+        # rows -n_v..n_v, scale 1/n_v, variable tau
+        F = boundary_gradient(wells, 0.5).F
+        chain, problem = _layer_problem("B_plus", F, wells.U0, (0.1, -0.05),
+                                        6, 3, wells)
+        assert list(problem.free_ids) == [-1, 1, 2, 3, 4, 5]
+        amplitude = np.tile([0.05, 0.05, 0.02], problem.free_ids.size)
+        for _ in range(20):
+            x = problem.pack(chain) + amplitude * rng.standard_normal(problem.ndof)
+            if problem.admissible(problem.apply(x)):
+                break
+            amplitude = 0.5 * amplitude
+        else:
+            pytest.fail("no admissible perturbation")
+        g = problem.gradient(x)
+        assert np.abs(g - fd_gradient(problem, x)).max() <= 1e-5 * (1.0 + np.abs(g).max())
+        h = problem.hessian_dense(x)
+        assert np.abs(h - fd_hessian(problem, x)).max() <= 1e-4 * (1.0 + np.abs(h).max())
+
     def test_energy_matches_breakdown(self, rng):
         chain = random_chain(rng, n=7, dtheta=0.05)
         problem = ChainProblem(chain, variable_tau=True)
@@ -138,6 +159,16 @@ class TestNewton:
         report = newton_minimize(twin_chain(8, wells))
         assert len(report.energy_history) == report.iterations + 1
         assert len(report.grad_norm_history) == report.iterations + 1
+
+    @pytest.mark.parametrize("n, warm", [(10, True), (15, True), (25, False), (40, False)])
+    def test_converges_below_the_rounding_of_the_energy(self, wells, n, warm):
+        # near the minimum the predicted Armijo decrease drops below one ulp
+        # of E; full Newton steps must still be accepted there.  warm is the
+        # CLI start (middle atom preoptimized), otherwise the raw twin
+        chain = twin_chain(n, wells)
+        report = newton_minimize(preoptimize_middle(chain) if warm else chain)
+        assert report.converged, report.stop_reason
+        assert report.iterations <= 10
 
     def test_max_iters_stops_honestly(self, wells):
         opts = MinimizeOptions(max_iters=1, grad_tol=1e-16)
@@ -202,7 +233,3 @@ class TestOptions:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             MinimizeOptions(grad_tol=0.0)
-        with pytest.raises(ValueError):
-            MinimizeOptions(backtrack=1.0)
-        with pytest.raises(ValueError):
-            MinimizeOptions(hessian_regularization=-1.0)
