@@ -277,10 +277,12 @@ def cmd_diagnose(cfg: ExperimentConfig) -> int:
 
 
 def cmd_fit_decay(cfg: ExperimentConfig, chain_path, reference_path, lo, hi) -> int:
-    chain = load_chain(chain_path)
-    reference = load_chain(reference_path)
-    profile = deviation_profile(chain, reference)
-    fit = fit_exponential(profile, window=(lo, hi))
+    try:
+        profile = deviation_profile(load_chain(chain_path), load_chain(reference_path))
+        fit = fit_exponential(profile, window=(lo, hi))
+    except (OSError, ValueError) as exc:  # bad inputs are usage errors
+        print(f"twinchain fit-decay: error: {exc}", file=sys.stderr)
+        return 2
     save_profile(fit, cfg.out / "fit-decay.csv", header=cfg.header())
     print(f"rate={G17 % fit.rate} amplitude={G17 % fit.amplitude} "
           f"r_squared={G17 % fit.r_squared}")
@@ -326,9 +328,12 @@ def _build_parser():
     return parser
 
 
-_CONFIG_KEYS = {"a": "a", "lambda": "lam", "n": "n_list", "alpha": "alpha",
-                "delta": "delta", "variable_tau": "variable_tau",
-                "quick": "quick", "svg": "svg", "out": "out"}
+# config key -> (config field, accepted JSON types); "n" must list integers.
+# Booleans pass as numbers here but fail every numeric range check below
+_CONFIG_KEYS = {"a": ("a", (int, float)), "lambda": ("lam", (int, float)),
+                "n": ("n_list", list), "alpha": ("alpha", (int, float)),
+                "delta": ("delta", (int, float)), "variable_tau": ("variable_tau", bool),
+                "quick": ("quick", bool), "svg": ("svg", bool), "out": ("out", str)}
 
 
 def _resolve_config(args, parser) -> ExperimentConfig:
@@ -339,14 +344,19 @@ def _resolve_config(args, parser) -> ExperimentConfig:
             raw = json.loads(Path(args.config).read_text())
         except (OSError, ValueError) as exc:
             parser.error(f"cannot read config file: {exc}")
+        if not isinstance(raw, dict):
+            parser.error("config file must hold a JSON object")
         unknown = set(raw) - set(_CONFIG_KEYS)
         if unknown:
             parser.error(f"unknown config keys: {sorted(unknown)}")
         fields = {}
         for key, value in raw.items():
-            name = _CONFIG_KEYS[key]
+            name, types = _CONFIG_KEYS[key]
+            if not isinstance(value, types) or (
+                    name == "n_list" and not all(isinstance(v, int) for v in value)):
+                parser.error(f"config key {key!r} has the wrong JSON type: {value!r}")
             if name == "n_list":
-                value = tuple(int(v) for v in value)
+                value = tuple(value)
             if name == "out":
                 value = Path(value)
             fields[name] = value

@@ -81,9 +81,9 @@ def chain_stencil(chain: ChainState, ids, j_rows):
     """Difference vectors W = [v+, v-, h+, h-] in chain variables, plus per-slot t.
 
     ids: chain indices of the summand centers (1D).  j_rows: row indices (1D).
-    W has shape (len(ids), len(j_rows), 4, 2).  The second value maps each
-    slot of the stencil (m = atom i-1, c = atom i, p = atom i+1) to its
-    extension vectors t = R(theta) tau, shape (len(ids), 2).
+    W has shape (len(ids), len(j_rows), 4, 2).  The second value holds the
+    extension vectors t = R(theta) tau of the stencil's slots (m = atom i-1,
+    c = atom i, p = atom i+1, in that order), shape (len(ids), 3, 2).
     """
     lam = chain.lam
     ids = np.asarray(ids)
@@ -101,7 +101,7 @@ def chain_stencil(chain: ChainState, ids, j_rows):
     W[..., 1, :] = du_m - t_m[:, None, :] + j * dt_m
     W[..., 2, :] = du_p + j * dt_p
     W[..., 3, :] = du_m + j * dt_m
-    return W, {"m": t_m, "c": t_c, "p": t_p}
+    return W, np.stack([t_m, t_c, t_p], axis=1)
 
 
 def chain_local_grid(chain: ChainState, ids, j_rows):

@@ -3,18 +3,17 @@
 The density at a summand depends on four difference vectors (v+, v-, h+, h-),
 each affine in the three atom positions (u^{i-1}, u^i, u^{i+1}) and, through
 the per-column extension vectors t_k = R(theta_k) tau, affine in j times the
-column angles.  Gradients and Hessians are assembled from per-summand
-derivatives of the density with respect to those vectors, contracted against
-the constant (u) and j-affine (theta) Jacobians.  Row sums therefore reduce
-to j-moments of the per-summand quantities: moment 0 for u-u coupling,
-moments 0..1 for u-theta, 0..2 for theta-theta.
+column angles.  One Jacobian dW/dx = J0 + j*J1 over each center's stencil
+variables (J1 only with variable tau) serves both derivatives: with A_k, N_k
+the j-moments of dD/dW and d2D/dW2, a center adds sum_k A_k J_k to the
+gradient and sum_{k,l} J_k^T N_{k+l} J_l to the Hessian.
 
 Atoms couple only within distance 2 along the chain, so the Hessian on the
 interleaved free variables (ux, uy[, theta]) is banded with bandwidth
-3*stride - 1; solves use a banded Cholesky with a Levenberg shift that grows
-tenfold until the factorization succeeds.  Steps are Armijo-backtracked on
-the energy and rejected (halved) whenever the trial configuration loses
-admissibility.
+3*stride - 1 and is scattered straight into scipy's upper banded storage.
+Solves use a banded Cholesky with a Levenberg shift that grows tenfold until
+the factorization succeeds.  Steps are Armijo-backtracked on the energy and
+rejected (halved) whenever the trial configuration loses admissibility.
 """
 
 from __future__ import annotations
@@ -56,15 +55,15 @@ _VH_MASK = np.array([[0.0, 0.0, 1.0, 1.0],
                      [1.0, 1.0, 0.0, 0.0],
                      [1.0, 1.0, 0.0, 0.0]])
 
-# per-slot contraction weights over the W vectors; slots are
-# p = atom i+1, m = atom i-1, c = atom i.  _OMEGA weighs the u Jacobian and
-# the j-proportional part of the theta Jacobian, _PI its j-independent part
-_OMEGA = {"p": np.array([1.0, 0.0, 1.0, 0.0]),
-          "m": np.array([0.0, 1.0, 0.0, 1.0]),
-          "c": np.array([-1.0, -1.0, -1.0, -1.0])}
-_PI = {"p": np.array([1.0, 0.0, 0.0, 0.0]),
-       "m": np.array([0.0, -1.0, 0.0, 0.0]),
-       "c": np.zeros(4)}
+# per-slot contraction weights over the W vectors; rows are the slots m = atom
+# i-1, c = atom i, p = atom i+1.  _OMEGA weighs the u Jacobian and the
+# j-proportional part of the theta Jacobian, _PI its j-independent part
+_OMEGA = np.array([[0.0, 1.0, 0.0, 1.0],
+                   [-1.0, -1.0, -1.0, -1.0],
+                   [1.0, 0.0, 1.0, 0.0]])
+_PI = np.array([[0.0, -1.0, 0.0, 0.0],
+                [0.0, 0.0, 0.0, 0.0],
+                [1.0, 0.0, 0.0, 0.0]])
 
 # first Levenberg shift, Armijo constant and backtracking factor
 _REGULARIZATION = 1e-8
@@ -130,12 +129,12 @@ class ChainProblem:
         self._uniform_rows = (not variable_tau) and np.abs(chain.theta).max() == 0.0
         self._stencil_rows = np.zeros(1) if self._uniform_rows else self.rows
         self._row_weight = float(self.rows.size) if self._uniform_rows else 1.0
-        # per slot and center: the free-variable row of the slot's atom, or -1
-        self._slot_rows = {}
-        for slot, offset in zip("mcp", (-1, 0, 1)):
-            atoms = self.centers + offset
-            self._slot_rows[slot] = np.where(np.isin(atoms, self.free_ids),
-                                             np.searchsorted(self.free_ids, atoms), -1)
+        # per center and stencil variable (slot-major, as in _jacobian): the
+        # global dof, or -1 for a clamped or frozen atom
+        atoms = self.centers[:, None] + np.array([-1, 0, 1])
+        first = np.searchsorted(self.free_ids, atoms)[..., None] * self.nd
+        self._dofs = np.where(np.isin(atoms, self.free_ids)[..., None],
+                              first + np.arange(self.nd), -1).reshape(self.centers.size, -1)
 
     # -- state plumbing ----------------------------------------------------
 
@@ -168,7 +167,7 @@ class ChainProblem:
     # -- per-summand derivative kernels ------------------------------------
 
     def _density_parts(self, W, order):
-        """Density D plus dD/dW (order>=1) and d2D/dW2 (order>=2), per summand."""
+        """Density D plus dD/dW (order>=1) and d2D/dW2 (order>=2) over W's 8 components."""
         wells = self.template.wells
         q, r, X, B1, B2 = brackets(W[..., :2, :], W[..., 2:, :], wells)
         out = [B1 * B2]
@@ -183,30 +182,26 @@ class ChainProblem:
         Cvh[..., 2:, :2] = np.swapaxes(X, -1, -2)
         g = [4.0 * dev[k][..., :, None] * W + 2.0 * np.einsum("...ab,...bk->...ak", Cvh, W)
              for k in range(2)]
-        out.append(B2[..., None, None] * g[0] + B1[..., None, None] * g[1])
+        out.append((B2[..., None, None] * g[0] + B1[..., None, None] * g[1]
+                    ).reshape(W.shape[:-2] + (8,)))
         if order == 1:
             return out
+        # the two bracket Hessians differ only in the 4 dev I of their diagonal
+        # blocks.  Shared part: v-h blocks 2 C_ab I + 2 W_b (x) W_a, diagonal
+        # blocks 8 W_a (x) W_a + 2 sum of W_b (x) W_b over the opposite kind
         eye = np.eye(2)
-        WW = np.einsum("...ak,...al->...akl", W, W)
-        # diagonal blocks of each bracket Hessian
-        opp = np.einsum("ab,...bkl->...akl", _VH_MASK, WW)
-        diag = [4.0 * dev[k][..., :, None, None] * eye + 8.0 * WW + 2.0 * opp
-                for k in range(2)]
-        # off-diagonal v-h blocks: 2 C_ab I + 2 W_b (x) W_a
-        cross_blk = (2.0 * Cvh[..., :, :, None, None] * eye
-                     + 2.0 * _VH_MASK[:, :, None, None]
-                     * np.einsum("...bk,...al->...abkl", W, W))
-        H = []
-        for k in range(2):
-            Hk = cross_blk.copy()
-            di = np.arange(4)
-            Hk[..., di, di, :, :] = diag[k]
-            H.append(Hk)
-        M = (B2[..., None, None, None, None] * H[0]
-             + B1[..., None, None, None, None] * H[1]
+        WW = np.einsum("...ak,...bl->...abkl", W, W)
+        H = 2.0 * (Cvh[..., None, None] * eye
+                   + _VH_MASK[:, :, None, None] * np.swapaxes(WW, -4, -3))
+        di = np.arange(4)
+        H[..., di, di, :, :] = (8.0 * WW[..., di, di, :, :]
+                                + 2.0 * np.einsum("ab,...bbkl->...akl", _VH_MASK, WW))
+        M = ((B1 + B2)[..., None, None, None, None] * H
              + np.einsum("...ak,...bl->...abkl", g[0], g[1])
              + np.einsum("...ak,...bl->...abkl", g[1], g[0]))
-        out.append(M)
+        M[..., di, di, :, :] += (4.0 * (B2[..., None] * dev[0] + B1[..., None] * dev[1])
+                                 )[..., None, None] * eye
+        out.append(np.swapaxes(M, -3, -2).reshape(W.shape[:-2] + (8, 8)))
         return out
 
     # -- public evaluations -------------------------------------------------
@@ -227,92 +222,63 @@ class ChainProblem:
             out.append(np.einsum("j,ij...->i...", j ** k, arr))
         return out
 
-    def gradient(self, x):
-        chain = self.apply(x)
-        W, t = chain_stencil(chain, self.centers, self._stencil_rows)
-        _, G = self._density_parts(W, order=1)
-        A0, A1 = self._moments(G, 1)
-        lam = chain.lam
-        g = np.zeros((self.free_ids.size, self.nd))
-        for slot, rows in self._slot_rows.items():
-            gu = np.einsum("a,iak->ik", _OMEGA[slot], A0) / lam
-            if self.variable_tau:
-                turn = t[slot][:, ::-1] * (-1.0, 1.0)  # dt/dtheta, a quarter turn
-                gth = (np.einsum("a,iak,ik->i", _PI[slot], A0, turn)
-                       + np.einsum("a,iak,ik->i", _OMEGA[slot], A1, turn))
-                block = np.concatenate([gu, gth[:, None]], axis=1)
-            else:
-                block = gu
-            keep = rows >= 0
-            np.add.at(g, rows[keep], block[keep])
-        # moments already carry the full row sum, so only `scale` remains
-        return self.scale * g.ravel()
+    def _jacobian(self, t):
+        """dW/dx = J0 + j*J1 as [J0] (fixed tau) or [J0, J1], each (centers, 8, 3*nd).
 
-    def hessian_dense(self, x):
-        chain = self.apply(x)
-        W, t = chain_stencil(chain, self.centers, self._stencil_rows)
-        _, G, M = self._density_parts(W, order=2)
-        top = 2 if self.variable_tau else 0
-        N = self._moments(M, top)
+        Columns are the stencil variables (ux, uy[, theta]) slot by slot.  The
+        u columns are Omega/lam, the theta columns Pi t' (J0) and Omega t' (J1).
+        """
+        nc = t.shape[0]
+        J = np.zeros((1 + self.variable_tau, nc, 4, 2, 3, self.nd))
+        J[0, ..., :2] = _OMEGA.T[:, None, :, None] * np.eye(2)[:, None, :] / self.template.lam
         if self.variable_tau:
-            A0, A1 = self._moments(G, 1)
-            turns = {slot: ts[:, ::-1] * (-1.0, 1.0) for slot, ts in t.items()}
-        lam = chain.lam
-        nfree, nd = self.free_ids.size, self.nd
-        H = np.zeros((nfree * nd, nfree * nd))
-        for sa, rows_a in self._slot_rows.items():
-            for sb, rows_b in self._slot_rows.items():
-                keep = (rows_a >= 0) & (rows_b >= 0)
-                if not keep.any():
-                    continue
-                ra = rows_a[keep]
-                rb = rows_b[keep]
-                blk = np.zeros((keep.sum(), nd, nd))
-                uu = np.einsum("a,b,iabkl->ikl", _OMEGA[sa], _OMEGA[sb], N[0][keep])
-                blk[:, :2, :2] = uu / (lam * lam)
-                if self.variable_tau:
-                    tb = turns[sb][keep]
-                    ta = turns[sa][keep]
-                    uth = (np.einsum("a,b,iabkl,il->ik", _OMEGA[sa], _PI[sb], N[0][keep], tb)
-                           + np.einsum("a,b,iabkl,il->ik", _OMEGA[sa], _OMEGA[sb], N[1][keep], tb))
-                    blk[:, :2, 2] = uth / lam
-                    thu = (np.einsum("a,b,iabkl,ik->il", _PI[sa], _OMEGA[sb], N[0][keep], ta)
-                           + np.einsum("a,b,iabkl,ik->il", _OMEGA[sa], _OMEGA[sb], N[1][keep], ta))
-                    blk[:, 2, :2] = thu / lam
-                    thth = (np.einsum("a,b,iabkl,ik,il->i", _PI[sa], _PI[sb], N[0][keep], ta, tb)
-                            + np.einsum("a,b,iabkl,ik,il->i", _PI[sa], _OMEGA[sb], N[1][keep], ta, tb)
-                            + np.einsum("a,b,iabkl,ik,il->i", _OMEGA[sa], _PI[sb], N[1][keep], ta, tb)
-                            + np.einsum("a,b,iabkl,ik,il->i", _OMEGA[sa], _OMEGA[sb], N[2][keep], ta, tb))
-                    blk[:, 2, 2] = thth
-                dof_a = (ra[:, None] * nd + np.arange(nd)[None, :])
-                dof_b = (rb[:, None] * nd + np.arange(nd)[None, :])
-                np.add.at(H, (dof_a[:, :, None], dof_b[:, None, :]), blk)
-        if self.variable_tau:
-            # curvature of the rotating frame: d2 t / dtheta2 = -t
-            for sb, rows_b in self._slot_rows.items():
-                keep = rows_b >= 0
-                if not keep.any():
-                    continue
-                rb = rows_b[keep]
-                t_b = t[sb][keep]
-                extra = -(np.einsum("a,iak,ik->i", _PI[sb], A0[keep], t_b)
-                          + np.einsum("a,iak,ik->i", _OMEGA[sb], A1[keep], t_b))
-                np.add.at(H, (rb * nd + 2, rb * nd + 2), extra)
-        return self.scale * H
+            turn = np.swapaxes(_quarter_turn(t), 1, 2)[:, None]
+            J[0, ..., 2] = _PI.T[:, None, :] * turn
+            J[1, ..., 2] = _OMEGA.T[:, None, :] * turn
+        return list(J.reshape(len(J), nc, 8, -1))
+
+    def gradient(self, x):
+        W, t = chain_stencil(self.apply(x), self.centers, self._stencil_rows)
+        _, G = self._density_parts(W, order=1)
+        J = self._jacobian(t)
+        g = _contract(self._moments(G, len(J) - 1), J)
+        keep = self._dofs >= 0
+        # moments already carry the full row sum, so only `scale` remains
+        return self.scale * np.bincount(self._dofs[keep], weights=g[keep],
+                                        minlength=self.ndof)
 
     def hessian_banded(self, x):
         """Upper banded form (scipy layout) of the free-variable Hessian."""
-        H = self.hessian_dense(x)
-        ndof = H.shape[0]
+        W, t = chain_stencil(self.apply(x), self.centers, self._stencil_rows)
+        _, G, M = self._density_parts(W, order=2)
+        J = self._jacobian(t)
+        N = self._moments(M, 2 * len(J) - 2)
+        H = sum(np.swapaxes(Jk, 1, 2) @ N[k + l] @ Jl
+                for k, Jk in enumerate(J) for l, Jl in enumerate(J))
+        if self.variable_tau:
+            # curvature of the rotating frame: d2t/dtheta2 = -t is the quarter
+            # turn of t', so the theta columns of the Jacobian at t' are d2W/dtheta2
+            th = np.arange(2, 3 * self.nd, self.nd)
+            H[:, th, th] += _contract(self._moments(G, 1),
+                                      self._jacobian(_quarter_turn(t)))[:, th]
+        # scatter the upper triangle of each stencil block into the band
+        ndof = self.ndof
         bw = min(3 * self.nd - 1, ndof - 1)
-        ab = np.zeros((bw + 1, ndof))
-        for r in range(bw + 1):
-            d = bw - r  # superdiagonal offset
-            if d == 0:
-                ab[bw, :] = np.diag(H)
-            else:
-                ab[r, d:] = np.diag(H, k=d)
-        return ab, bw
+        row, col = self._dofs[:, :, None], self._dofs[:, None, :]
+        keep = (row >= 0) & (col >= row)
+        band_index = np.broadcast_to((bw + row - col) * ndof + col, H.shape)
+        ab = np.bincount(band_index[keep], weights=H[keep], minlength=(bw + 1) * ndof)
+        return self.scale * ab.reshape(bw + 1, ndof), bw
+
+
+def _quarter_turn(t):
+    """dt/dtheta of t = R(theta) tau, per vector on the last axis."""
+    return t[..., ::-1] * (-1.0, 1.0)
+
+
+def _contract(A, J):
+    """sum_k A_k . J_k per center: row moments of dD/dW times the Jacobian."""
+    return sum(np.einsum("ie,iev->iv", a, jac) for a, jac in zip(A, J))
 
 
 def _finish(problem, x, energies, grads, violations, converged, opts, reason):
@@ -390,8 +356,10 @@ def hessian(chain: ChainState, opts: MinimizeOptions = None):
     """Analytic energy Hessian (sparse CSR) over the standard free variables."""
     opts = opts or MinimizeOptions()
     problem = ChainProblem(chain, variable_tau=opts.variable_tau)
-    dense = problem.hessian_dense(problem.pack(chain))
-    return scipy.sparse.csr_matrix(dense)
+    ab, bw = problem.hessian_banded(problem.pack(chain))
+    # scipy's upper banded storage is the DIA layout with offsets bw..0
+    upper = scipy.sparse.dia_matrix((ab, range(bw, -1, -1)), shape=(ab.shape[1],) * 2)
+    return (upper + scipy.sparse.triu(upper, k=1).T).tocsr()
 
 
 def twin_chain(n, wells: WellPair, interface_column: int = 0,

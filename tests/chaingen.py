@@ -1,4 +1,4 @@
-"""Random admissible chain construction shared by the test modules."""
+"""Random admissible chains and band expansion shared by the test modules."""
 
 import numpy as np
 
@@ -38,3 +38,14 @@ def random_chain(rng, n=8, a=None, base="twin", du=0.05, dtheta=None, wells=None
         du *= 0.5
         dtheta *= 0.5
     raise RuntimeError("could not generate an admissible perturbation")
+
+
+def banded_to_dense(ab, bw):
+    """Full symmetric matrix from scipy's upper banded storage (bw superdiagonals)."""
+    ndof = ab.shape[1]
+    h = np.zeros((ndof, ndof))
+    for d in range(bw + 1):
+        h += np.diag(ab[bw - d, d:], k=d)
+        if d:
+            h += np.diag(ab[bw - d, d:], k=-d)
+    return h

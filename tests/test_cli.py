@@ -109,6 +109,26 @@ class TestFitDecay:
         rate = float(stored.split(",")[0].split("=")[1])
         assert f"rate={rate:.17g}" in printed
 
+    @pytest.mark.parametrize("case, message", [
+        ("missing-chain", "absent.txt"),
+        ("other-n", "chains must share the same lattice geometry"),
+        ("short-window", "window holds 3 points"),
+    ], ids=["missing-chain", "other-n", "short-window"])
+    def test_input_errors_exit_2(self, quick_run, tmp_path, capsys, case, message):
+        chain, lo, hi = quick_run / "chain-n8.txt", 2, 6
+        reference = quick_run / "reference-n8.txt"
+        if case == "missing-chain":
+            chain = tmp_path / "absent.txt"
+        elif case == "other-n":
+            assert run("minimize", "--n", 9, "--out", tmp_path / "n9") == 0
+            reference = tmp_path / "n9" / "reference-n9.txt"
+        else:
+            lo, hi = 2, 4
+        code = run("fit-decay", "--chain", chain, "--reference", reference,
+                   "--lo", lo, "--hi", hi, "--out", tmp_path)
+        assert code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestArguments:
     @pytest.mark.parametrize("argv", [
@@ -132,12 +152,23 @@ class TestArguments:
         assert err.value.code == 2
         assert "TWINCHAIN_WORKERS" in capsys.readouterr().err
 
-    def test_empty_n_list_from_config(self, tmp_path):
+    @pytest.mark.parametrize("text, named", [
+        ('{"n": []}', "--n"),
+        ('{"n": 5}', "'n'"),
+        ('{"n": ["x"]}', "'n'"),
+        ('{"quick": "no"}', "'quick'"),
+        ('{"a": "x"}', "'a'"),
+        ('{"lambda": null}', "'lambda'"),
+        ("5", "JSON object"),
+    ], ids=["empty-n", "n-scalar", "n-strings", "quick-string", "a-string",
+            "lambda-null", "top-level-number"])
+    def test_malformed_config_values(self, tmp_path, capsys, text, named):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"n": []}')
+        cfg.write_text(text)
         with pytest.raises(SystemExit) as err:
             run("scan", "--config", cfg, "--out", tmp_path)
         assert err.value.code == 2
+        assert named in capsys.readouterr().err
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"

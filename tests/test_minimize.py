@@ -6,9 +6,10 @@ scalar energy; the twin relaxation values are frozen from converged runs.
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
-from chaingen import random_chain
+from chaingen import banded_to_dense, random_chain
 from twinchain.energy import chain_energy
 from twinchain.gamma import _layer_problem
 from twinchain.lattice import affine_chain, check_admissible, reconstruct
@@ -63,35 +64,46 @@ class TestDerivatives:
         chain = random_chain(rng, n=8, dtheta=0.05 if variable_tau else 0.0)
         problem = ChainProblem(chain, variable_tau=variable_tau)
         x = problem.pack(chain)
-        h = problem.hessian_dense(x)
+        h = banded_to_dense(*problem.hessian_banded(x))
         h_fd = fd_hessian(problem, x)
         assert np.abs(h - h_fd).max() <= 1e-4 * (1.0 + np.abs(h).max())
 
     def test_hessian_symmetric(self, rng):
         chain = random_chain(rng, n=8, dtheta=0.05)
         problem = ChainProblem(chain, variable_tau=True)
-        h = problem.hessian_dense(problem.pack(chain))
+        h = banded_to_dense(*problem.hessian_banded(problem.pack(chain)))
         assert np.abs(h - h.T).max() < 1e-9 * (1.0 + np.abs(h).max())
 
     def test_banded_matches_dense(self, rng):
         for variable_tau in (False, True):
             chain = random_chain(rng, n=6, dtheta=0.05)
+            opts = MinimizeOptions(variable_tau=variable_tau)
             problem = ChainProblem(chain, variable_tau=variable_tau)
             x = problem.pack(chain)
-            h = problem.hessian_dense(x)
             ab, bw = problem.hessian_banded(x)
             assert ab.shape == (bw + 1, x.size)
-            assert np.abs(np.diag(h, k=bw + 1)).max() == 0.0  # band is tight
-            for d in range(bw + 1):
-                assert np.array_equal(ab[bw - d, d:], np.diag(h, k=d))
+            assert bw == 3 * problem.nd - 1
+            # the band and the CSR of the full matrix solve one shifted system
+            shift = 1.0 + np.abs(ab).max()
+            ab[bw] += shift
+            h = hessian(chain, opts).toarray() + shift * np.eye(x.size)
+            rhs = np.linspace(-1.0, 1.0, x.size)
+            assert np.allclose(scipy.linalg.solveh_banded(ab, rhs),
+                               np.linalg.solve(h, rhs), rtol=1e-10, atol=0.0)
 
-    def test_layer_problem_matches_fd(self, rng, wells):
-        # windowed B_plus problem: free ids [-1, 1..L-1], centres 0..L+1,
-        # rows -n_v..n_v, scale 1/n_v, variable tau
+    @pytest.mark.parametrize("kind, free_ids", [
+        ("B_plus", [-1, 1, 2, 3, 4, 5]),
+        ("B_minus", [-5, -4, -3, -2, -1, 1]),
+        ("C", list(range(-5, 6))),
+    ], ids=["B_plus", "B_minus", "C"])
+    def test_layer_problem_matches_fd(self, rng, wells, kind, free_ids):
+        # windowed layer problems at L=6: rows -n_v..n_v, scale 1/n_v,
+        # variable tau.  The B kinds skip atom 0, next to the first free id
+        # for B_plus and the last for B_minus; C frees the whole interior
         F = boundary_gradient(wells, 0.5).F
-        chain, problem = _layer_problem("B_plus", F, wells.U0, (0.1, -0.05),
+        chain, problem = _layer_problem(kind, F, wells.U0, (0.1, -0.05),
                                         6, 3, wells)
-        assert list(problem.free_ids) == [-1, 1, 2, 3, 4, 5]
+        assert list(problem.free_ids) == free_ids
         amplitude = np.tile([0.05, 0.05, 0.02], problem.free_ids.size)
         for _ in range(20):
             x = problem.pack(chain) + amplitude * rng.standard_normal(problem.ndof)
@@ -102,7 +114,7 @@ class TestDerivatives:
             pytest.fail("no admissible perturbation")
         g = problem.gradient(x)
         assert np.abs(g - fd_gradient(problem, x)).max() <= 1e-5 * (1.0 + np.abs(g).max())
-        h = problem.hessian_dense(x)
+        h = banded_to_dense(*problem.hessian_banded(x))
         assert np.abs(h - fd_hessian(problem, x)).max() <= 1e-4 * (1.0 + np.abs(h).max())
 
     def test_energy_matches_breakdown(self, rng):
