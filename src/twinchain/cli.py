@@ -17,9 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -39,15 +37,6 @@ from .wells import boundary_gradient, build_wells
 G17 = "%.17g"
 
 
-def _default_workers(parser):
-    env = os.environ.get("TWINCHAIN_WORKERS", "").strip()
-    if not env:
-        return os.cpu_count() or 1
-    if not env.isdecimal():
-        parser.error(f"TWINCHAIN_WORKERS must be a worker count, got {env!r}")
-    return max(1, int(env))
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     a: float = math.sqrt(2.0)
@@ -59,7 +48,6 @@ class ExperimentConfig:
     quick: bool = False
     svg: bool = False
     out: Path = Path("runs")
-    workers: int = 1
 
     def header(self):
         ns = " ".join(str(n) for n in self.n_list)
@@ -123,10 +111,7 @@ def _relax(cfg: ExperimentConfig, n: int):
 
 
 def _map_runs(cfg: ExperimentConfig, fn):
-    """Per-n dispatch; results come back in n_list order regardless of pool."""
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            return list(pool.map(fn, cfg.n_list))
+    """Per-n dispatch; results come back in n_list order."""
     return [fn(n) for n in cfg.n_list]
 
 
@@ -337,7 +322,7 @@ _CONFIG_KEYS = {"a": ("a", (int, float)), "lambda": ("lam", (int, float)),
 
 
 def _resolve_config(args, parser) -> ExperimentConfig:
-    cfg = ExperimentConfig(workers=_default_workers(parser))
+    cfg = ExperimentConfig()
     raw = {}
     if args.config is not None:
         try:

@@ -90,18 +90,16 @@ def chain_stencil(chain: ChainState, ids, j_rows):
     (u_m, u_c, u_p), theta = chain.atoms_at(ids + np.array([[-1], [0], [1]]))
     t_m, t_c, t_p = chain.wells.tau_at(theta)
 
-    du_p = ((u_p - u_c) / lam)[:, None, :]
-    du_m = ((u_m - u_c) / lam)[:, None, :]
-    dt_p = (t_p - t_c)[:, None, :]
-    dt_m = (t_m - t_c)[:, None, :]
+    du_p = (u_p - u_c) / lam
+    du_m = (u_m - u_c) / lam
+    dt_p = t_p - t_c
+    dt_m = t_m - t_c
 
-    j = np.asarray(j_rows, dtype=float)[None, :, None]
-    W = np.empty((ids.size, j.shape[1], 4, 2))
-    W[..., 0, :] = du_p + t_p[:, None, :] + j * dt_p
-    W[..., 1, :] = du_m - t_m[:, None, :] + j * dt_m
-    W[..., 2, :] = du_p + j * dt_p
-    W[..., 3, :] = du_m + j * dt_m
-    return W, np.stack([t_m, t_c, t_p], axis=1)
+    # each vector is affine in the row: W = base + j * slope
+    base = np.stack([du_p + t_p, du_m - t_m, du_p, du_m], axis=1)[:, None]
+    slope = np.stack([dt_p, dt_m, dt_p, dt_m], axis=1)[:, None]
+    j = np.asarray(j_rows, dtype=float)[None, :, None, None]
+    return base + j * slope, np.stack([t_m, t_c, t_p], axis=1)
 
 
 def chain_local_grid(chain: ChainState, ids, j_rows):

@@ -313,7 +313,6 @@ def _layer_problem(kind, V_left, V_right, r, L, n_v, wells, variable_tau=True):
         bc = BoundaryClamp.pieces(V_left, (0.0, 0.0), V_right, r)
         free = np.arange(-L + 1, L)
         i_window = (-L - 1, L + 1)
-        adm = (-L - 1, L + 1)
     elif kind == "B_plus":
         ramp = np.clip(ids / L, 0.0, 1.0)[:, None]
         u = np.where((ids <= 0)[:, None], x @ V_left.T, x @ V_right.T + ramp * r)
@@ -321,20 +320,18 @@ def _layer_problem(kind, V_left, V_right, r, L, n_v, wells, variable_tau=True):
         # atom -1 is free because the counted centre column reaches it
         free = np.concatenate([[-1], np.arange(1, L)])
         i_window = (0, L + 1)
-        adm = (-2, L + 1)
     else:
         ramp = np.clip(-ids / L, 0.0, 1.0)[:, None]
         u = np.where((ids >= 0)[:, None], x @ V_right.T, x @ V_left.T + ramp * r)
         bc = BoundaryClamp.pieces(V_left, r, V_right, (0.0, 0.0))
         free = np.concatenate([np.arange(-L + 1, 0), [1]])
         i_window = (-L - 1, 0)
-        adm = (-L - 1, 2)
 
     chain = ChainState(geometry=geom, wells=wells, bc=bc, u=u,
                        theta=np.zeros(geom.atom_count))
     problem = ChainProblem(chain, variable_tau=variable_tau, free_ids=free,
                            i_window=i_window, j_window=(-n_v, n_v),
-                           scale=1.0 / n_v, admissible_cells=adm)
+                           scale=1.0 / n_v)
     return chain, problem
 
 

@@ -271,13 +271,12 @@ class AdmissibilityViolation:
     det: float
 
 
-def check_admissible(field: LatticeField, i_lo=None, i_hi=None):
+def check_admissible(field: LatticeField):
     """Orientation check on every stored lattice cell.
 
     Each unit cell contributes its four diameter-sqrt(2) corner triangles; a
     violation is an image determinant below -1e-12.  Returns the empty list
-    for admissible fields.  Optional [i_lo, i_hi] restricts to cells whose
-    base chain index lies in that range.
+    for admissible fields.
     """
     n = field.n
     pos = field.positions
@@ -294,21 +293,10 @@ def check_admissible(field: LatticeField, i_lo=None, i_hi=None):
         cross2(db, dcb),
     ], axis=-1)
 
-    base_i = np.arange(-n - GHOST, n + GHOST - 1)
-    keep = np.ones_like(base_i, dtype=bool)
-    if i_lo is not None:
-        keep &= base_i >= i_lo
-    if i_hi is not None:
-        keep &= base_i <= i_hi
-    dets = dets[keep]
-    base_i = base_i[keep]
-
-    bad = np.argwhere(dets < ORIENTATION_TOL)
-    out = []
-    for ii, jj, t in bad:
-        out.append(AdmissibilityViolation(i=int(base_i[ii]), j=int(jj - n - 1),
-                                          triangle=int(t), det=float(dets[ii, jj, t])))
-    return out
+    # storage index ii holds cells with base chain index ii - n - GHOST
+    return [AdmissibilityViolation(i=int(ii) - n - GHOST, j=int(jj) - n - 1,
+                                   triangle=int(t), det=float(dets[ii, jj, t]))
+            for ii, jj, t in np.argwhere(dets < ORIENTATION_TOL)]
 
 
 def save_chain(chain: ChainState, path, header=None):

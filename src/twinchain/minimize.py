@@ -28,11 +28,11 @@ import scipy.sparse
 
 from .energy import brackets, chain_stencil
 from .lattice import (
+    ORIENTATION_TOL,
     BoundaryClamp,
     ChainState,
     LatticeGeometry,
-    check_admissible,
-    reconstruct,
+    cross2,
 )
 from .wells import WellPair
 
@@ -102,12 +102,12 @@ class ChainProblem:
 
     The window (i_lo..i_hi) x (j_lo..j_hi) selects which summands count;
     `scale` multiplies the raw density sum (lam^2 for physical chains, a row
-    average like 1/n for rescaled layer problems).  Admissibility rejection
-    can be restricted to cells near the counted window via admissible_cells.
+    average like 1/n for rescaled layer problems).  Admissibility checks the
+    lattice triangles that touch a free atom, on the same stencil.
     """
 
     def __init__(self, chain: ChainState, *, variable_tau=False, free_ids=None,
-                 i_window=None, j_window=None, scale=None, admissible_cells=None):
+                 i_window=None, j_window=None, scale=None):
         n = chain.n
         self.template = chain
         self.variable_tau = bool(variable_tau)
@@ -121,7 +121,6 @@ class ChainProblem:
         self.i_lo, self.i_hi = i_window if i_window is not None else (-n, n)
         self.j_lo, self.j_hi = j_window if j_window is not None else (-n, n)
         self.scale = float(chain.lam ** 2 if scale is None else scale)
-        self.admissible_cells = admissible_cells
         self.centers = np.arange(self.i_lo, self.i_hi + 1)
         self.rows = np.arange(self.j_lo, self.j_hi + 1, dtype=float)
         # fixed tau and identically zero angles make every row identical, so
@@ -135,6 +134,13 @@ class ChainProblem:
         first = np.searchsorted(self.free_ids, atoms)[..., None] * self.nd
         self._dofs = np.where(np.isin(atoms, self.free_ids)[..., None],
                               first + np.arange(self.nd), -1).reshape(self.centers.size, -1)
+        # lattice cell (c, j) spans atoms c..c+2 in rows j, j+1: the stencil of
+        # center c+1.  Only cells with a free atom can change during a solve
+        mid = np.arange(-n - 1, n + 2)
+        touches = np.isin(mid[:, None] + np.array([-1, 0, 1]), self.free_ids).any(axis=1)
+        self._adm_centers = mid[touches]
+        self._adm_rows = (np.zeros(1) if self._uniform_rows
+                          else np.arange(-n - 1, n + 1, dtype=float))
 
     # -- state plumbing ----------------------------------------------------
 
@@ -161,8 +167,17 @@ class ChainProblem:
         return chain.with_arrays(u=u, theta=theta)
 
     def admissible(self, chain: ChainState) -> bool:
-        window = self.admissible_cells or (None, None)
-        return not check_admissible(reconstruct(chain), *window)
+        """Orientation of every lattice triangle that touches a free atom.
+
+        At center i, row j the cell's corner differences are lam h-, lam v+
+        and lam t (slot c), so its four triangle determinants are those of
+        `lattice.check_admissible` in the same units.
+        """
+        W, slots = chain_stencil(chain, self._adm_centers, self._adm_rows)
+        v, h, t = W[..., 0, :], W[..., 3, :], slots[:, None, 1, :]
+        dets = np.stack([cross2(v, h), cross2(v - h, t - h),
+                         cross2(t, h), cross2(v, t)])
+        return not (chain.lam ** 2 * dets < ORIENTATION_TOL).any()
 
     # -- per-summand derivative kernels ------------------------------------
 

@@ -145,13 +145,6 @@ class TestArguments:
             run(*argv, "--out", tmp_path)
         assert err.value.code == 2
 
-    def test_invalid_worker_count(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("TWINCHAIN_WORKERS", "abc")
-        with pytest.raises(SystemExit) as err:
-            run("scan", "--quick", "--out", tmp_path)
-        assert err.value.code == 2
-        assert "TWINCHAIN_WORKERS" in capsys.readouterr().err
-
     @pytest.mark.parametrize("text, named", [
         ('{"n": []}', "--n"),
         ('{"n": 5}', "'n'"),

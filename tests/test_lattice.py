@@ -133,14 +133,6 @@ class TestAdmissibility:
         assert any(v.det < 0 for v in bad)
         assert all(abs(v.i) <= 2 for v in bad)
 
-    def test_window_restriction(self, wells):
-        chain = affine_chain(6, wells, wells.U0)
-        u = chain.u.copy()
-        u[chain.geometry.atom_index(0)] += (3.0 * chain.lam * wells.a, 0.0)
-        field = reconstruct(chain.with_arrays(u=u))
-        assert check_admissible(field, 4, 6) == []
-        assert check_admissible(field, -2, 2)
-
 
 class TestSnapshot:
     def test_round_trip_bit_exact(self, rng, tmp_path):

@@ -46,7 +46,7 @@ def fd_hessian(problem, x, step=1e-6):
         e = np.zeros_like(x)
         e[k] = step
         h[k] = (problem.gradient(x + e) - problem.gradient(x - e)) / (2 * step)
-    return 0.5 * (h + h.T)
+    return h
 
 
 class TestDerivatives:
@@ -67,12 +67,6 @@ class TestDerivatives:
         h = banded_to_dense(*problem.hessian_banded(x))
         h_fd = fd_hessian(problem, x)
         assert np.abs(h - h_fd).max() <= 1e-4 * (1.0 + np.abs(h).max())
-
-    def test_hessian_symmetric(self, rng):
-        chain = random_chain(rng, n=8, dtheta=0.05)
-        problem = ChainProblem(chain, variable_tau=True)
-        h = banded_to_dense(*problem.hessian_banded(problem.pack(chain)))
-        assert np.abs(h - h.T).max() < 1e-9 * (1.0 + np.abs(h).max())
 
     def test_banded_matches_dense(self, rng):
         for variable_tau in (False, True):
@@ -138,6 +132,55 @@ class TestDerivatives:
         assert scipy.sparse.issparse(H)
         d = H - H.T
         assert abs(d).max() < 1e-9 if d.nnz else True
+
+
+def _admissibility_shape(shape, rng, wells):
+    """(start chain, problem) for one free-atom layout of the solver."""
+    F = boundary_gradient(wells, 0.5).F
+    if shape == "fixed_tau":
+        chain = random_chain(rng, n=8, dtheta=0.0, wells=wells)
+        return chain, ChainProblem(chain)
+    if shape == "variable_tau":
+        chain = random_chain(rng, n=8, dtheta=0.05, wells=wells)
+        return chain, ChainProblem(chain, variable_tau=True)
+    if shape == "middle_atom":
+        chain = twin_chain(8, wells)
+        return chain, ChainProblem(chain, free_ids=[0])
+    return _layer_problem(shape, F, wells.U0, (0.1, -0.05), 6, 3, wells)
+
+
+class TestAdmissibility:
+    @pytest.mark.parametrize("shape", ["fixed_tau", "variable_tau", "middle_atom",
+                                       "B_plus", "B_minus", "C"])
+    def test_stencil_check_matches_the_lattice(self, rng, wells, shape):
+        # oracle: the orientation check on the reconstructed lattice
+        chain, problem = _admissibility_shape(shape, rng, wells)
+        assert check_admissible(reconstruct(chain)) == []
+        seen = set()
+        for amplitude in (0.02, 0.05, 0.1, 0.2, 0.4, 0.8):
+            for _ in range(6):
+                step = amplitude * chain.lam * rng.standard_normal(problem.ndof)
+                trial = problem.apply(problem.pack(chain) + step)
+                ok = problem.admissible(trial)
+                assert ok == (check_admissible(reconstruct(trial)) == [])
+                seen.add(ok)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("kind, atom, shift, cell", [
+        ("B_plus", -1, (-0.28, -0.047, 0.046), -3),
+        ("B_minus", 1, (0.233, -0.091, 0.057), 1),
+    ], ids=["B_plus", "B_minus"])
+    def test_lone_free_atom_guards_its_outer_cell(self, wells, kind, atom, shift, cell):
+        # the B kinds free one atom across the clamped centre column; moving
+        # it flips only the cell on its far side (atoms -3..-1, or 1..3)
+        F = boundary_gradient(wells, 0.5).F
+        chain, problem = _layer_problem(kind, F, wells.U0, (0.0, 0.0), 6, 3, wells)
+        k = 3 * list(problem.free_ids).index(atom)
+        x = problem.pack(chain)
+        x[k:k + 3] += shift
+        trial = problem.apply(x)
+        assert {v.i for v in check_admissible(reconstruct(trial))} == {cell}
+        assert not problem.admissible(trial)
 
 
 class TestNewton:
