@@ -208,10 +208,11 @@ def cmd_layers(cfg: ExperimentConfig) -> int:
                for spec in specs]
     save_layer_estimates(entries, cfg.out / "layers.csv", header=head)
 
-    first = estimate_EK([F, wells.U0, wells.QU1, F], wells,
-                        n=height, n_sequence=seq, search_offset=False)
-    second = estimate_EK([F, wells.QU1, wells.U0, F], wells,
-                         n=height, n_sequence=seq, search_offset=False)
+    # the first ordering's three layers are table rows 2-4, solved above
+    first = estimate_EK([F, wells.U0, wells.QU1, F], wells, n=height,
+                        n_sequence=seq, search_offset=False, known=entries)
+    second = estimate_EK([F, wells.QU1, wells.U0, F], wells, n=height,
+                         n_sequence=seq, search_offset=False, known=entries)
     n_ref = 20 if cfg.quick else 40
     ref = newton_minimize(twin_chain(n_ref, wells,
                                      interface_column=_interface_column(cfg, n_ref)))

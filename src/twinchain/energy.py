@@ -33,6 +33,7 @@ __all__ = [
     "EnergyBreakdown",
     "brackets",
     "density",
+    "affine_stencil",
     "chain_stencil",
     "chain_energy",
     "lattice_energy",
@@ -77,11 +78,11 @@ def density(vdiffs, hdiffs, wells):
     return float(out) if out.ndim == 0 else out
 
 
-def chain_stencil(chain: ChainState, ids, j_rows):
-    """Difference vectors W = [v+, v-, h+, h-] in chain variables, plus per-slot t.
+def affine_stencil(chain: ChainState, ids):
+    """The stencil W = base + j * slope as (base, slope, t), each row-independent.
 
-    ids: chain indices of the summand centers (1D).  j_rows: row indices (1D).
-    W has shape (len(ids), len(j_rows), 4, 2).  The second value holds the
+    ids: chain indices of the summand centers (1D).  base and slope hold the
+    difference vectors [v+, v-, h+, h-], shape (len(ids), 4, 2); t holds the
     extension vectors t = R(theta) tau of the stencil's slots (m = atom i-1,
     c = atom i, p = atom i+1, in that order), shape (len(ids), 3, 2).
     """
@@ -95,11 +96,19 @@ def chain_stencil(chain: ChainState, ids, j_rows):
     dt_p = t_p - t_c
     dt_m = t_m - t_c
 
-    # each vector is affine in the row: W = base + j * slope
-    base = np.stack([du_p + t_p, du_m - t_m, du_p, du_m], axis=1)[:, None]
-    slope = np.stack([dt_p, dt_m, dt_p, dt_m], axis=1)[:, None]
+    base = np.stack([du_p + t_p, du_m - t_m, du_p, du_m], axis=1)
+    slope = np.stack([dt_p, dt_m, dt_p, dt_m], axis=1)
+    return base, slope, np.stack([t_m, t_c, t_p], axis=1)
+
+
+def chain_stencil(chain: ChainState, ids, j_rows):
+    """Difference vectors W = [v+, v-, h+, h-] on rows j_rows, plus per-slot t.
+
+    W has shape (len(ids), len(j_rows), 4, 2); t is as in `affine_stencil`.
+    """
+    base, slope, t = affine_stencil(chain, ids)
     j = np.asarray(j_rows, dtype=float)[None, :, None, None]
-    return base + j * slope, np.stack([t_m, t_c, t_p], axis=1)
+    return base[:, None] + j * slope[:, None], t
 
 
 def chain_local_grid(chain: ChainState, ids, j_rows):
@@ -153,11 +162,19 @@ def _breakdown(local, n, lam, a):
                            total=total, rescaled=total / lam, n=n, lam=lam, a=a)
 
 
+# sites per chain_energy block: bounds the stencil and bracket temporaries
+# (a few hundred bytes per site) while the output grid takes 8 bytes per site
+_GRID_BLOCK = 1 << 15
+
+
 def chain_energy(chain: ChainState) -> EnergyBreakdown:
     """Total energy evaluated directly in chain variables."""
     n = chain.n
     ids = np.arange(-n, n + 1)
-    local = chain_local_grid(chain, ids, ids)
+    local = np.empty((ids.size, ids.size))
+    step = max(1, _GRID_BLOCK // ids.size)
+    for k in range(0, ids.size, step):
+        local[k:k + step] = chain_local_grid(chain, ids[k:k + step], ids)
     return _breakdown(local, n, chain.lam, chain.wells.a)
 
 

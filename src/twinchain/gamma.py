@@ -440,15 +440,25 @@ def _is_well(M, wells, tol=1e-9):
             or np.abs(M - wells.QU1).max() <= tol)
 
 
+def _same_spec(a: LayerSpec, b: LayerSpec) -> bool:
+    return (a.kind == b.kind and a.L == b.L and a.n == b.n
+            and all(np.array_equal(getattr(a, name), getattr(b, name))
+                    for name in ("V_left", "V_right", "r_star")))
+
+
 def estimate_EK(V_sequence, wells: WellPair, opts: MinimizeOptions = None, *,
                 n: int = 16, L_ratio: int = 3, n_sequence=None,
-                search_offset: bool = True, return_parts: bool = False):
+                search_offset: bool = True, return_parts: bool = False,
+                known=()):
     """Total layer energy of a gradient sequence V_0 .. V_K.
 
     The sequence must start and end at the same boundary gradient and pass
     through wells in between.  The total splits exactly into one right
     boundary layer, K-2 internal layers and one left boundary layer, each
-    minimized over its own offset independently.
+    minimized over its own offset independently.  `known` holds (spec,
+    estimate) pairs that `estimate_layer` produced with the same opts,
+    n_sequence and search_offset; a layer whose spec matches one of them
+    takes that estimate instead of being solved again.
     """
     V = [np.asarray(M, dtype=float).reshape(2, 2) for M in V_sequence]
     if len(V) < 3:
@@ -465,8 +475,12 @@ def estimate_EK(V_sequence, wells: WellPair, opts: MinimizeOptions = None, *,
         specs.append(LayerSpec("C", V[s], V[s + 1], (0.0, 0.0), L, n))
     specs.append(LayerSpec("B_minus", V[-2], V[-1], (0.0, 0.0), L, n))
 
-    parts = [estimate_layer(spec, wells, opts, n_sequence=n_sequence,
-                            search_offset=search_offset) for spec in specs]
+    parts = []
+    for spec in specs:
+        reused = [est for done, est in known if _same_spec(done, spec)]
+        parts.append(reused[0] if reused else
+                     estimate_layer(spec, wells, opts, n_sequence=n_sequence,
+                                    search_offset=search_offset))
     total = float(sum(p.value for p in parts))
     if return_parts:
         return total, tuple(zip(specs, parts))

@@ -8,6 +8,15 @@ variables (J1 only with variable tau) serves both derivatives: with A_k, N_k
 the j-moments of dD/dW and d2D/dW2, a center adds sum_k A_k J_k to the
 gradient and sum_{k,l} J_k^T N_{k+l} J_l to the Hessian.
 
+Since W is affine in the row j, every row sum above (the energy, A_k for
+k <= 1, N_k for k <= 2) is a polynomial of degree <= 8 in j.  A 5-node Gauss
+rule for the uniform measure on the rows (`row_rule`) is exact to degree 9,
+so the stencil is evaluated at five nodes per center instead of on every
+row, and energy, gradient and Hessian cost O(n) for an n-row window.  Fixed
+tau with zero angles makes the sums constant in j: one node, weight N.
+Each triangle determinant of the orientation check is quadratic in j, so it
+is evaluated only at the end rows and next to its vertex.
+
 Atoms couple only within distance 2 along the chain, so the Hessian on the
 interleaved free variables (ux, uy[, theta]) is banded with bandwidth
 3*stride - 1 and is scattered straight into scipy's upper banded storage.
@@ -26,7 +35,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .energy import brackets, chain_stencil
+from .energy import affine_stencil, brackets, chain_stencil
 from .lattice import (
     ORIENTATION_TOL,
     BoundaryClamp,
@@ -46,6 +55,7 @@ __all__ = [
     "newton_minimize",
     "gradient",
     "hessian",
+    "row_rule",
 ]
 
 # W-vector order used throughout: [v+, v-, h+, h-]; only v-h pairs enter the
@@ -64,6 +74,10 @@ _OMEGA = np.array([[0.0, 1.0, 0.0, 1.0],
 _PI = np.array([[0.0, -1.0, 0.0, 0.0],
                 [0.0, 0.0, 0.0, 0.0],
                 [1.0, 0.0, 0.0, 0.0]])
+
+# Gauss nodes per row rule: exact to degree 9 in j, above the degree 8 of every
+# row sum the solver takes
+_RULE_NODES = 5
 
 # first Levenberg shift, Armijo constant and backtracking factor
 _REGULARIZATION = 1e-8
@@ -122,12 +136,13 @@ class ChainProblem:
         self.j_lo, self.j_hi = j_window if j_window is not None else (-n, n)
         self.scale = float(chain.lam ** 2 if scale is None else scale)
         self.centers = np.arange(self.i_lo, self.i_hi + 1)
-        self.rows = np.arange(self.j_lo, self.j_hi + 1, dtype=float)
-        # fixed tau and identically zero angles make every row identical, so
-        # the stencil is evaluated on row 0 alone and weighted by the row count
-        self._uniform_rows = (not variable_tau) and np.abs(chain.theta).max() == 0.0
-        self._stencil_rows = np.zeros(1) if self._uniform_rows else self.rows
-        self._row_weight = float(self.rows.size) if self._uniform_rows else 1.0
+        # every row sum is a polynomial of degree <= 8 in j; fixed tau and
+        # identically zero angles make it constant, so row 0 carries them all
+        if not variable_tau and np.abs(chain.theta).max() == 0.0:
+            self.nodes = np.zeros(1)
+            self.weights = np.array([self.j_hi - self.j_lo + 1.0])
+        else:
+            self.nodes, self.weights = row_rule(self.j_lo, self.j_hi)
         # per center and stencil variable (slot-major, as in _jacobian): the
         # global dof, or -1 for a clamped or frozen atom
         atoms = self.centers[:, None] + np.array([-1, 0, 1])
@@ -139,8 +154,7 @@ class ChainProblem:
         mid = np.arange(-n - 1, n + 2)
         touches = np.isin(mid[:, None] + np.array([-1, 0, 1]), self.free_ids).any(axis=1)
         self._adm_centers = mid[touches]
-        self._adm_rows = (np.zeros(1) if self._uniform_rows
-                          else np.arange(-n - 1, n + 1, dtype=float))
+        self._adm_rows = (-n - 1, n)
 
     # -- state plumbing ----------------------------------------------------
 
@@ -171,12 +185,26 @@ class ChainProblem:
 
         At center i, row j the cell's corner differences are lam h-, lam v+
         and lam t (slot c), so its four triangle determinants are those of
-        `lattice.check_admissible` in the same units.
+        `lattice.check_admissible` in the same units.  v+ and h- are affine in
+        j and t is not, so each determinant is a quadratic c0 + c1 j + c2 j^2
+        whose minimum over the stored rows lies at an end row or at the floor
+        or ceiling of its vertex; only those rows are evaluated.
         """
-        W, slots = chain_stencil(chain, self._adm_centers, self._adm_rows)
-        v, h, t = W[..., 0, :], W[..., 3, :], slots[:, None, 1, :]
-        dets = np.stack([cross2(v, h), cross2(v - h, t - h),
-                         cross2(t, h), cross2(v, t)])
+        base, slope, t = affine_stencil(chain, self._adm_centers)
+        # (constant, slope) pairs of each vector, stacked on a leading axis
+        v = np.stack([base[:, 0], slope[:, 0]])
+        h = np.stack([base[:, 3], slope[:, 3]])
+        t = np.stack([t[:, 1], np.zeros_like(t[:, 1])])
+        c0, c1, c2 = np.stack([_cross_quadratic(v, h), _cross_quadratic(v - h, t - h),
+                               _cross_quadratic(t, h), _cross_quadratic(v, t)], axis=1)
+        lo, hi = self._adm_rows
+        # a determinant with c2 <= 0 takes its minimum at an end row; its
+        # vertex slot then just evaluates row 0
+        vertex = np.clip(np.divide(-c1, 2.0 * c2, out=np.zeros_like(c1), where=c2 > 0),
+                         lo, hi)
+        j = np.stack([np.full_like(vertex, lo), np.floor(vertex), np.ceil(vertex),
+                      np.full_like(vertex, hi)])
+        dets = c0 + j * (c1 + j * c2)
         return not (chain.lam ** 2 * dets < ORIENTATION_TOL).any()
 
     # -- per-summand derivative kernels ------------------------------------
@@ -192,28 +220,35 @@ class ChainProblem:
         b2 = wells.b * wells.b
         dev = [np.concatenate([q - a2, r - b2], axis=-1),
                np.concatenate([q - b2, r - a2], axis=-1)]
-        Cvh = np.zeros(W.shape[:-2] + (4, 4))  # v-h entries of the Gram matrix
-        Cvh[..., :2, 2:] = X
-        Cvh[..., 2:, :2] = np.swapaxes(X, -1, -2)
-        g = [4.0 * dev[k][..., :, None] * W + 2.0 * np.einsum("...ab,...bk->...ak", Cvh, W)
-             for k in range(2)]
+        # Cvh @ W for the v-h entries Cvh of the Gram matrix, each entry formed
+        # as the sum of its two nonzero products; the matmul rounds some
+        # entries differently and moves fixed-tau output
+        v, h = W[..., :2, :], W[..., 2:, :]
+        cross_term = 2.0 * np.concatenate([
+            X[..., :, 0, None] * h[..., 0, None, :] + X[..., :, 1, None] * h[..., 1, None, :],
+            X[..., 0, :, None] * v[..., 0, None, :] + X[..., 1, :, None] * v[..., 1, None, :]],
+            axis=-2)
+        g = [4.0 * dev[k][..., :, None] * W + cross_term for k in range(2)]
         out.append((B2[..., None, None] * g[0] + B1[..., None, None] * g[1]
                     ).reshape(W.shape[:-2] + (8,)))
         if order == 1:
             return out
+        Cvh = np.zeros(W.shape[:-2] + (4, 4))
+        Cvh[..., :2, 2:] = X
+        Cvh[..., 2:, :2] = np.swapaxes(X, -1, -2)
         # the two bracket Hessians differ only in the 4 dev I of their diagonal
         # blocks.  Shared part: v-h blocks 2 C_ab I + 2 W_b (x) W_a, diagonal
         # blocks 8 W_a (x) W_a + 2 sum of W_b (x) W_b over the opposite kind
         eye = np.eye(2)
-        WW = np.einsum("...ak,...bl->...abkl", W, W)
+        WW = _outer(W, W)
         H = 2.0 * (Cvh[..., None, None] * eye
                    + _VH_MASK[:, :, None, None] * np.swapaxes(WW, -4, -3))
         di = np.arange(4)
-        H[..., di, di, :, :] = (8.0 * WW[..., di, di, :, :]
-                                + 2.0 * np.einsum("ab,...bbkl->...akl", _VH_MASK, WW))
+        same = WW[..., di, di, :, :]  # W_a (x) W_a
+        opposite = (_VH_MASK @ same.reshape(same.shape[:-2] + (4,))).reshape(same.shape)
+        H[..., di, di, :, :] = 8.0 * same + 2.0 * opposite
         M = ((B1 + B2)[..., None, None, None, None] * H
-             + np.einsum("...ak,...bl->...abkl", g[0], g[1])
-             + np.einsum("...ak,...bl->...abkl", g[1], g[0]))
+             + _outer(g[0], g[1]) + _outer(g[1], g[0]))
         M[..., di, di, :, :] += (4.0 * (B2[..., None] * dev[0] + B1[..., None] * dev[1])
                                  )[..., None, None] * eye
         out.append(np.swapaxes(M, -3, -2).reshape(W.shape[:-2] + (8, 8)))
@@ -222,20 +257,15 @@ class ChainProblem:
     # -- public evaluations -------------------------------------------------
 
     def energy(self, x) -> float:
-        W, _ = chain_stencil(self.apply(x), self.centers, self._stencil_rows)
+        W, _ = chain_stencil(self.apply(x), self.centers, self.nodes)
         (D,) = self._density_parts(W, order=0)
-        return self.scale * self._row_weight * math.fsum(D.ravel(order="C"))
+        return math.fsum(self.scale * w * math.fsum(D[:, k])
+                         for k, w in enumerate(self.weights))
 
     def _moments(self, arr, top):
-        """List of sum_j j^k * arr for k = 0..top (j axis = 1)."""
-        j = self.rows
-        if self._uniform_rows:
-            sums = [float((j ** k).sum()) for k in range(top + 1)]
-            return [arr[:, 0] * s for s in sums]
-        out = []
-        for k in range(top + 1):
-            out.append(np.einsum("j,ij...->i...", j ** k, arr))
-        return out
+        """Row sums sum_j j^k * arr for k = 0..top, by the row rule (nodes on axis 1)."""
+        return [np.einsum("j,ij...->i...", self.weights * self.nodes ** k, arr)
+                for k in range(top + 1)]
 
     def _jacobian(self, t):
         """dW/dx = J0 + j*J1 as [J0] (fixed tau) or [J0, J1], each (centers, 8, 3*nd).
@@ -253,7 +283,7 @@ class ChainProblem:
         return list(J.reshape(len(J), nc, 8, -1))
 
     def gradient(self, x):
-        W, t = chain_stencil(self.apply(x), self.centers, self._stencil_rows)
+        W, t = chain_stencil(self.apply(x), self.centers, self.nodes)
         _, G = self._density_parts(W, order=1)
         J = self._jacobian(t)
         g = _contract(self._moments(G, len(J) - 1), J)
@@ -264,7 +294,7 @@ class ChainProblem:
 
     def hessian_banded(self, x):
         """Upper banded form (scipy layout) of the free-variable Hessian."""
-        W, t = chain_stencil(self.apply(x), self.centers, self._stencil_rows)
+        W, t = chain_stencil(self.apply(x), self.centers, self.nodes)
         _, G, M = self._density_parts(W, order=2)
         J = self._jacobian(t)
         N = self._moments(M, 2 * len(J) - 2)
@@ -284,6 +314,32 @@ class ChainProblem:
         band_index = np.broadcast_to((bw + row - col) * ndof + col, H.shape)
         ab = np.bincount(band_index[keep], weights=H[keep], minlength=(bw + 1) * ndof)
         return self.scale * ab.reshape(bw + 1, ndof), bw
+
+
+def row_rule(j_lo, j_hi):
+    """Gauss nodes and weights of the uniform measure on the rows j_lo..j_hi.
+
+    Golub-Welsch on the recurrence of the discrete Chebyshev (Gram)
+    polynomials: alpha = (j_lo + j_hi)/2 and beta_k = k^2 (N^2 - k^2) /
+    (4 (4k^2 - 1)) for N rows.  The min(5, N) nodes sum every polynomial of
+    degree <= 9 in j exactly; with N <= 5 they are the rows themselves.
+    """
+    rows = j_hi - j_lo + 1
+    k = np.arange(1.0, min(_RULE_NODES, rows))
+    off = np.sqrt(k * k * (rows * rows - k * k) / (4.0 * (4.0 * k * k - 1.0)))
+    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return 0.5 * (j_lo + j_hi) + nodes, rows * vectors[0] ** 2
+
+
+def _outer(p, q):
+    """Per-vector outer products p_a (x) q_b of two (..., 4, 2) stacks, as (..., 4, 4, 2, 2)."""
+    return p[..., :, None, :, None] * q[..., None, :, None, :]
+
+
+def _cross_quadratic(p, q):
+    """Coefficients (c0, c1, c2) of cross(p0 + j p1, q0 + j q1) in j."""
+    return np.stack([cross2(p[0], q[0]), cross2(p[0], q[1]) + cross2(p[1], q[0]),
+                     cross2(p[1], q[1])])
 
 
 def _quarter_turn(t):

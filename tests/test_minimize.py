@@ -4,6 +4,8 @@ Gradients and Hessians are compared against central finite differences of the
 scalar energy; the twin relaxation values are frozen from converged runs.
 """
 
+import copy
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -21,6 +23,7 @@ from twinchain.minimize import (
     laminate_chain,
     newton_minimize,
     preoptimize_middle,
+    row_rule,
     twin_chain,
 )
 from twinchain.wells import boundary_gradient, build_wells
@@ -134,6 +137,53 @@ class TestDerivatives:
         assert abs(d).max() < 1e-9 if d.nnz else True
 
 
+def _per_row(problem):
+    """The same problem summed row by row: every row a node of weight 1."""
+    ref = copy.copy(problem)
+    ref.nodes = np.arange(problem.j_lo, problem.j_hi + 1, dtype=float)
+    ref.weights = np.ones(ref.nodes.size)
+    return ref
+
+
+class TestRowRule:
+    @pytest.mark.parametrize("shape", ["variable_tau", "turned_fixed_tau",
+                                       "B_plus", "B_minus", "C"])
+    def test_rule_matches_the_row_sums(self, rng, wells, shape):
+        # every row sum the solver takes is a polynomial of degree <= 8 in j,
+        # so five Gauss nodes reproduce the per-row sums up to rounding
+        if shape in ("variable_tau", "turned_fixed_tau"):
+            chain = random_chain(rng, n=10, dtheta=0.05, wells=wells)
+            problem = ChainProblem(chain, variable_tau=shape == "variable_tau")
+            amplitude = np.tile([0.05 * chain.lam] * 2 + [0.02] * problem.variable_tau,
+                                problem.free_ids.size)
+        else:
+            F = boundary_gradient(wells, 0.5).F
+            chain, problem = _layer_problem(shape, F, wells.U0, (0.1, -0.05), 12, 6, wells)
+            amplitude = np.tile([0.05, 0.05, 0.02], problem.free_ids.size)
+        assert problem.nodes.size == 5
+        ref = _per_row(problem)
+        start = problem.pack(chain)
+        for x in (start, start + amplitude * rng.standard_normal(problem.ndof)):
+            e, e_ref = problem.energy(x), ref.energy(x)
+            assert abs(e - e_ref) <= 1e-13 * abs(e_ref)
+            for got, want in ((problem.gradient(x), ref.gradient(x)),
+                              (problem.hessian_banded(x)[0], ref.hessian_banded(x)[0])):
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_rule_is_exact_to_degree_nine(self):
+        nodes, weights = row_rule(-7, 12)
+        j = np.arange(-7, 13, dtype=float)
+        for k in range(10):
+            assert weights @ nodes ** k == pytest.approx((j ** k).sum(), rel=1e-12)
+        assert weights @ nodes ** 10 != pytest.approx((j ** 10).sum(), rel=1e-6)
+
+    @pytest.mark.parametrize("j_lo, j_hi", [(0, 0), (-1, 1), (-2, 2), (3, 6)])
+    def test_short_window_uses_the_rows(self, j_lo, j_hi):
+        nodes, weights = row_rule(j_lo, j_hi)
+        assert np.allclose(nodes, np.arange(j_lo, j_hi + 1), rtol=0.0, atol=1e-12)
+        assert np.allclose(weights, 1.0, rtol=0.0, atol=1e-12)
+
+
 def _admissibility_shape(shape, rng, wells):
     """(start chain, problem) for one free-atom layout of the solver."""
     F = boundary_gradient(wells, 0.5).F
@@ -180,6 +230,35 @@ class TestAdmissibility:
         x[k:k + 3] += shift
         trial = problem.apply(x)
         assert {v.i for v in check_admissible(reconstruct(trial))} == {cell}
+        assert not problem.admissible(trial)
+
+
+    @pytest.mark.parametrize("u_left, scale, row", [
+        ((0.17, -0.14), 0.978, -1),
+        ((0.15, -0.14), 0.944, -1),
+        ((0.12, -0.14), 0.897, -2),
+    ], ids=["vertex_floor", "vertex_ceiling", "lower_row"])
+    def test_violation_between_the_end_rows(self, wells, u_left, scale, row):
+        # twin n=3, variable tau: turning atoms -1 and 1 opposite ways makes
+        # triangle 1 of cell -1 convex in the row index, and the atom shifts
+        # pull its minimum below zero at one row strictly inside -4..3.  The
+        # vertex of that quadratic sits at -0.97, -1.29 and -1.83, so the
+        # violating row is its floor, its ceiling and its floor again
+        chain = twin_chain(3, wells)
+        problem = ChainProblem(chain, variable_tau=True)
+        lam = chain.lam
+        step = np.zeros((problem.free_ids.size, 3))
+        at = list(problem.free_ids).index
+        step[at(-1)] = (lam * u_left[0], lam * u_left[1], 0.09)
+        step[at(0)] = (lam * 0.37, lam * -0.19, 0.0)
+        step[at(1)] = (lam * -0.02, lam * 0.1, -0.08)
+        x = problem.pack(chain)
+        below = problem.apply(x + 0.99 * scale * step.ravel())
+        assert check_admissible(reconstruct(below)) == []
+        assert problem.admissible(below)
+        trial = problem.apply(x + scale * step.ravel())
+        assert {(v.i, v.j, v.triangle) for v in check_admissible(reconstruct(trial))} == {
+            (-1, row, 1)}
         assert not problem.admissible(trial)
 
 
