@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from twinchain.gamma import LayerSpec, estimate_layer, save_layer_estimates
+from twinchain.gamma import (CLAMP_RATIO, LayerSpec, estimate_layer,
+                             save_layer_estimates)
 from twinchain.wells import boundary_gradient, build_wells
 
 
@@ -35,12 +36,13 @@ def main():
     h = args.height
     seq = tuple(sorted({max(4, h // 4), max(6, h // 2), h}))
 
+    L = CLAMP_RATIO * h
     entries = []
-    spec = LayerSpec("C", wells.U0, wells.QU1, (0.0, 0.0), 3 * h, h)
+    spec = LayerSpec("C", wells.U0, wells.QU1, (0.0, 0.0), L, h)
     entries.append((spec, estimate_layer(spec, wells, n_sequence=seq)))
     for r in args.offsets:
-        for spec in (LayerSpec("B_plus", F, wells.U0, (r, 0.0), 3 * h, h),
-                     LayerSpec("B_minus", wells.QU1, F, (r, 0.0), 3 * h, h)):
+        for spec in (LayerSpec("B_plus", F, wells.U0, (r, 0.0), L, h),
+                     LayerSpec("B_minus", wells.QU1, F, (r, 0.0), L, h)):
             entries.append((spec, estimate_layer(spec, wells, n_sequence=seq)))
 
     args.out.parent.mkdir(parents=True, exist_ok=True)

@@ -28,7 +28,8 @@ from .analysis import (GoodLines, classify, deviation_profile, find_good_lines,
                        save_classification, save_profile)
 from .energy import (chain_energy, default_jump_threshold,
                      local_energy_threshold_census, save_breakdown)
-from .gamma import LayerSpec, estimate_EK, estimate_layer, save_layer_estimates
+from .gamma import (CLAMP_RATIO, LayerSpec, estimate_EK, estimate_layer,
+                    save_layer_estimates)
 from .lattice import load_chain, reconstruct, save_chain
 from .minimize import (MinimizeOptions, newton_minimize, preoptimize_middle,
                        twin_chain)
@@ -195,7 +196,7 @@ def cmd_layers(cfg: ExperimentConfig) -> int:
     wells = build_wells(cfg.a)
     F = boundary_gradient(wells, cfg.lam).F
     height = 6 if cfg.quick else 16
-    L = 3 * height
+    L = CLAMP_RATIO * height
     seq = (4, 6) if cfg.quick else (8, 12, 16)
 
     specs = [

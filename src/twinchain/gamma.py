@@ -5,8 +5,9 @@ chain for a thin horizontal strip at a small premium, by scanning vertical
 translations.  `cut_and_extend` replaces everything beyond a well-shaped
 column with an exact affine tail.  `estimate_layer` / `estimate_EK` compute
 boundary-layer and internal-layer energies on rescaled half-open geometries
-by Newton descent with relaxed row directions, including an offset search
-over the relative shift between the two far fields.
+by Newton descent with relaxed row directions, one solve per height with the
+clamp CLAMP_RATIO heights out, including an offset search over the relative
+shift between the two far fields.
 """
 
 from __future__ import annotations
@@ -41,8 +42,10 @@ _E1 = np.array([1.0, 0.0])
 
 LAYER_KINDS = ("B_plus", "B_minus", "C")
 
-# a column counts as decayed when its averaged local energy drops below this
-TAIL_TOL = 1e-8
+# clamp distance of a layer solve in units of its height, L = CLAMP_RATIO * n;
+# interface forces keep the far columns warm (averaged tail energy 2.6e-5 to
+# 8.9e-3 at this clamp), so estimates are compared at one fixed L/n
+CLAMP_RATIO = 12
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +293,9 @@ class LayerEnergyEstimate:
     n_sequence: tuple        # (n, estimate) pairs, nan where the solve failed
     offsets_tried: tuple     # offsets visited by the search, in order
     converged: bool          # final two estimates within 2 percent
-    L_final: int
 
 
-def _layer_problem(kind, V_left, V_right, r, L, n_v, wells, variable_tau=True):
+def _layer_problem(kind, V_left, V_right, r, L, n_v, wells):
     """Build the clamped chain and windowed problem for one layer solve."""
     geom = LatticeGeometry(n=L, rescaled=True)
     ids = geom.atom_ids()
@@ -329,33 +331,20 @@ def _layer_problem(kind, V_left, V_right, r, L, n_v, wells, variable_tau=True):
 
     chain = ChainState(geometry=geom, wells=wells, bc=bc, u=u,
                        theta=np.zeros(geom.atom_count))
-    problem = ChainProblem(chain, variable_tau=variable_tau, free_ids=free,
+    problem = ChainProblem(chain, variable_tau=True, free_ids=free,
                            i_window=i_window, j_window=(-n_v, n_v),
                            scale=1.0 / n_v)
     return chain, problem
 
 
-def _tail_columns(kind, L):
-    if kind == "B_plus":
-        return (L,)
-    if kind == "B_minus":
-        return (-L,)
-    return (-L, L)
-
-
 def _solve_layer(kind, V_left, V_right, r, L, n_v, wells, opts):
-    """One Newton solve; returns (estimate, converged, tail, final_chain)."""
+    """One Newton solve; returns (estimate, converged)."""
     chain, problem = _layer_problem(kind, V_left, V_right, r, L, n_v, wells)
     if not problem.admissible(chain):
-        return math.nan, False, math.inf, None
+        return math.nan, False
     report = newton_minimize(chain, opts, problem=problem)
-    final = report.final_chain
-    estimate = problem.energy(problem.pack(final))
-    rows = np.arange(-n_v, n_v + 1, dtype=float)
-    tail = max(
-        float(chain_local_grid(final, np.array([col]), rows).sum()) / n_v
-        for col in _tail_columns(kind, L))
-    return float(estimate), bool(report.converged), tail, final
+    estimate = problem.energy(problem.pack(report.final_chain))
+    return float(estimate), bool(report.converged)
 
 
 def estimate_layer(spec: LayerSpec, wells: WellPair,
@@ -364,12 +353,11 @@ def estimate_layer(spec: LayerSpec, wells: WellPair,
                    ) -> LayerEnergyEstimate:
     """Layer energy by Newton descent over a refining sequence of heights.
 
-    Solves the requested clamped problem at each height in n_sequence (clamp
-    distance scaled to keep L/n fixed), optionally searching the far-field
-    offset by Nelder-Mead at the coarsest height first.  Heights whose solve
-    fails to converge are recorded as nan and excluded from the value.  If
-    the outermost counted column keeps averaged energy above 1e-8 the clamp
-    distance is doubled (at most twice) before accepting the solve.
+    Solves the requested clamped problem once at each height n_v in
+    n_sequence, with the clamp at ceil(L/n) * n_v so that every height sees
+    the same L/n, optionally searching the far-field offset by Nelder-Mead
+    at the coarsest height first.  Heights whose solve fails to converge are
+    recorded as nan and excluded from the value.
     """
     if opts is None:
         # the kink position is a nearly flat mode: the regularized Newton
@@ -382,7 +370,7 @@ def estimate_layer(spec: LayerSpec, wells: WellPair,
     n_sequence = [int(v) for v in n_sequence]
     if any(v < 2 for v in n_sequence):
         raise ValueError("heights must be at least 2")
-    ratio = max(1, math.ceil(spec.L / spec.n))
+    ratio = math.ceil(spec.L / spec.n)  # LayerSpec ensures L >= n
 
     offsets_tried = []
     r_best = np.asarray(spec.r_star, dtype=float).reshape(2)
@@ -392,8 +380,8 @@ def estimate_layer(spec: LayerSpec, wells: WellPair,
         L0 = ratio * n0
 
         def objective(rv):
-            est, ok, _, _ = _solve_layer(spec.kind, spec.V_left, spec.V_right,
-                                         rv, L0, n0, wells, opts)
+            est, ok = _solve_layer(spec.kind, spec.V_left, spec.V_right,
+                                   rv, L0, n0, wells, opts)
             offsets_tried.append((np.array(rv, dtype=float), est if ok else math.nan))
             return est if ok and math.isfinite(est) else 1e6
 
@@ -403,22 +391,10 @@ def estimate_layer(spec: LayerSpec, wells: WellPair,
         r_best = np.asarray(result.x, dtype=float)
 
     records = []
-    L_final = ratio * n_sequence[-1]
     for n_v in n_sequence:
-        L = ratio * n_v
-        estimate = math.nan
-        for attempt in range(3):
-            est, ok, tail, _ = _solve_layer(spec.kind, spec.V_left, spec.V_right,
-                                            r_best, L, n_v, wells, opts)
-            if not ok:
-                break
-            estimate = est
-            if tail < TAIL_TOL or attempt == 2:
-                break
-            L *= 2  # layer has not decayed by the clamp: push it out
-        records.append((n_v, estimate))
-        if n_v == n_sequence[-1]:
-            L_final = L
+        est, ok = _solve_layer(spec.kind, spec.V_left, spec.V_right,
+                               r_best, ratio * n_v, n_v, wells, opts)
+        records.append((n_v, est if ok else math.nan))
     offsets_tried.append((r_best.copy(), records[-1][1]))
 
     valid = [(n_v, e) for n_v, e in records if math.isfinite(e)]
@@ -431,8 +407,7 @@ def estimate_layer(spec: LayerSpec, wells: WellPair,
     return LayerEnergyEstimate(value=float(value),
                                n_sequence=tuple(records),
                                offsets_tried=tuple(offsets_tried),
-                               converged=converged,
-                               L_final=int(L_final))
+                               converged=converged)
 
 
 def _is_well(M, wells, tol=1e-9):
@@ -447,18 +422,18 @@ def _same_spec(a: LayerSpec, b: LayerSpec) -> bool:
 
 
 def estimate_EK(V_sequence, wells: WellPair, opts: MinimizeOptions = None, *,
-                n: int = 16, L_ratio: int = 3, n_sequence=None,
-                search_offset: bool = True, return_parts: bool = False,
-                known=()):
+                n: int = 16, n_sequence=None, search_offset: bool = True,
+                return_parts: bool = False, known=()):
     """Total layer energy of a gradient sequence V_0 .. V_K.
 
     The sequence must start and end at the same boundary gradient and pass
     through wells in between.  The total splits exactly into one right
     boundary layer, K-2 internal layers and one left boundary layer, each
-    minimized over its own offset independently.  `known` holds (spec,
-    estimate) pairs that `estimate_layer` produced with the same opts,
-    n_sequence and search_offset; a layer whose spec matches one of them
-    takes that estimate instead of being solved again.
+    minimized over its own offset independently, with the clamp
+    CLAMP_RATIO * n out.  `known` holds (spec, estimate) pairs that
+    `estimate_layer` produced with the same opts, n_sequence and
+    search_offset; a layer whose spec matches one of them takes that
+    estimate instead of being solved again.
     """
     V = [np.asarray(M, dtype=float).reshape(2, 2) for M in V_sequence]
     if len(V) < 3:
@@ -469,7 +444,7 @@ def estimate_EK(V_sequence, wells: WellPair, opts: MinimizeOptions = None, *,
         if not _is_well(M, wells):
             raise ValueError("interior gradients must sit on the wells")
 
-    L = L_ratio * n
+    L = CLAMP_RATIO * n
     specs = [LayerSpec("B_plus", V[0], V[1], (0.0, 0.0), L, n)]
     for s in range(1, len(V) - 2):
         specs.append(LayerSpec("C", V[s], V[s + 1], (0.0, 0.0), L, n))

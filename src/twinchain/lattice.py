@@ -204,13 +204,11 @@ class LatticeField:
     positions[ii, jj]: site with chain index i = ii - n - 2, row j = jj - n - 1.
     gradients[k, l]: cell matrix [h | v] / lam at (i, j) = (k - n, l - n), where
     h and v are the horizontal and vertical forward differences.
-    deltas[k]: tau^i - tau^{i-1} for i = k - n - 1.
     """
 
     chain: ChainState
     positions: np.ndarray
     gradients: np.ndarray
-    deltas: np.ndarray
 
     @property
     def n(self) -> int:
@@ -241,10 +239,8 @@ def reconstruct(chain: ChainState) -> LatticeField:
     horiz = positions[lo + 1:hi + 1, 1:-1] - base
     vert = positions[lo + 1:hi + 1, 2:] - base
     gradients = np.stack([horiz, vert], axis=-1) / lam
-
-    deltas = tau_cols[lo - 1:hi + 1] - tau_cols[lo - 2:hi]
     return LatticeField(chain=chain, positions=_locked(positions),
-                        gradients=_locked(gradients), deltas=_locked(deltas))
+                        gradients=_locked(gradients))
 
 
 def extract_chain(field: LatticeField) -> ChainState:

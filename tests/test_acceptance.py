@@ -329,7 +329,7 @@ def test_criterion_08_averaging_contract(wells, rng):
 
 def test_criterion_09_layer_consistency(wells, minimizer100):
     h1 = chain_energy(minimizer100).rescaled
-    est = estimate_layer(LayerSpec("C", wells.U0, wells.QU1, (0.0, 0.0), 120, 40),
+    est = estimate_layer(LayerSpec("C", wells.U0, wells.QU1, (0.0, 0.0), 480, 40),
                          wells, n_sequence=(10, 20, 40))
     rel = abs(est.value - h1) / h1
     zero = estimate_layer(LayerSpec("C", wells.U0, wells.U0, (0.0, 0.0), 18, 6),

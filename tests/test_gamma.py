@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from chaingen import random_chain
+from twinchain import gamma
 from twinchain.energy import chain_energy, field_local_grid
-from twinchain.gamma import (LayerSpec, TranslatedChain, average_down,
-                             cut_and_extend, estimate_EK, estimate_layer,
-                             save_layer_estimates, thin_strip_energy)
+from twinchain.gamma import (CLAMP_RATIO, LayerSpec, TranslatedChain,
+                             average_down, cut_and_extend, estimate_EK,
+                             estimate_layer, save_layer_estimates,
+                             thin_strip_energy)
 from twinchain.lattice import affine_chain, check_admissible, reconstruct
 from twinchain.minimize import MinimizeOptions, newton_minimize, twin_chain
 from twinchain.wells import boundary_gradient, build_wells
@@ -215,7 +217,7 @@ class TestLayerEstimates:
     def test_offset_boundary_layer_decays_elastically(self, wells, f_half):
         # a far-field offset is absorbed by an O(r/n) drift inside one well,
         # so the estimate is positive at finite n but falls off like 1/n
-        spec = LayerSpec("B_plus", f_half, wells.U0, (0.3, 0.0), L=24, n=8)
+        spec = LayerSpec("B_plus", f_half, wells.U0, (0.3, 0.0), L=96, n=8)
         est = estimate_layer(spec, wells, n_sequence=(4, 6, 8))
         values = [e for _, e in est.n_sequence]
         assert all(v > 0.1 for v in values)
@@ -225,16 +227,13 @@ class TestLayerEstimates:
         assert not est.converged
 
     def test_internal_twin_layer_matches_the_relaxed_state(self, wells):
-        spec = LayerSpec("C", wells.U0, wells.QU1, (0.0, 0.0), L=120, n=40)
+        spec = LayerSpec("C", wells.U0, wells.QU1, (0.0, 0.0), L=480, n=40)
         est = estimate_layer(spec, wells, n_sequence=(10, 20, 40))
         assert est.value == pytest.approx(28.794652, abs=1e-3)
         assert abs(est.value - MINIMIZER_H1_100) / MINIMIZER_H1_100 < 0.10
         assert est.converged
         values = [e for _, e in est.n_sequence]
         assert values[0] > values[1] > values[2] > 0
-        # interface forces keep the far columns warm; the tail monitor
-        # pushes the clamp out
-        assert est.L_final > 120
 
     def test_offset_search_returns_to_the_compatible_offset(self, wells, f_half):
         spec = LayerSpec("B_plus", f_half, wells.U0, (0.25, 0.1), L=18, n=6)
@@ -247,9 +246,9 @@ class TestLayerEstimates:
 
     def test_mirrored_internal_layers_agree(self, wells):
         a = estimate_layer(
-            LayerSpec("C", wells.U0, wells.QU1, (0.0, 0.0), L=18, n=6), wells)
+            LayerSpec("C", wells.U0, wells.QU1, (0.0, 0.0), L=72, n=6), wells)
         b = estimate_layer(
-            LayerSpec("C", wells.QU1, wells.U0, (0.0, 0.0), L=18, n=6), wells)
+            LayerSpec("C", wells.QU1, wells.U0, (0.0, 0.0), L=72, n=6), wells)
         assert a.value > 1.0
         assert a.value == pytest.approx(b.value, rel=1e-3)
         # degenerate-triple comparison: going there and back costs at least
@@ -261,6 +260,25 @@ class TestLayerEstimates:
         starved = MinimizeOptions(variable_tau=True, grad_tol=1e-16, max_iters=1)
         with pytest.raises(RuntimeError, match="no height"):
             estimate_layer(spec, wells, starved, n_sequence=(4,))
+
+    def test_one_solve_per_height_at_the_clamp_ratio(self, wells, f_half,
+                                                     monkeypatch):
+        calls = []
+        solve = gamma._solve_layer
+
+        def counted(kind, V_left, V_right, r, L, n_v, *args):
+            calls.append((kind, L, n_v))
+            return solve(kind, V_left, V_right, r, L, n_v, *args)
+
+        monkeypatch.setattr(gamma, "_solve_layer", counted)
+        _, parts = estimate_EK([f_half, wells.U0, wells.QU1, f_half], wells,
+                               n=6, n_sequence=(4, 6), search_offset=False,
+                               return_parts=True)
+        # the internal layer carries energy and still takes one solve a height
+        assert parts[1][1].value > 1.0
+        assert calls == [(kind, CLAMP_RATIO * n_v, n_v)
+                         for kind in ("B_plus", "C", "B_minus")
+                         for n_v in (4, 6)]
 
 
 class TestEstimateEK:

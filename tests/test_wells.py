@@ -1,5 +1,7 @@
 """Oracle and property tests for the two-well geometry."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,14 +48,26 @@ def rank_one_angles(a, grid=20000, tol=1e-13):
     return sorted(roots)
 
 
+@lru_cache(maxsize=None)
+def _theta_grid(grid):
+    """theta grid on [-pi, pi] with its cosines and sines, built once per size."""
+    thetas = np.linspace(-np.pi, np.pi, grid)
+    return thetas, np.cos(thetas), np.sin(thetas)
+
+
+@lru_cache(maxsize=None)
+def _rotation_grid(grid):
+    return rotation(np.linspace(-np.pi, np.pi, grid))
+
+
 def dist_scan_oracle(M, U, grid=2_000_001):
     """Brute-force distance to SO(2)U: minimize |M - R(theta)U| over a theta grid."""
-    thetas = np.linspace(-np.pi, np.pi, grid)
+    thetas, cos, sin = _theta_grid(grid)
     # |M - RU|^2 = |M|^2 + |U|^2 - 2(tr S cos + (S21-S12) sin), S = M U^T
     S = M @ U.T
     tr = S[0, 0] + S[1, 1]
     anti = S[1, 0] - S[0, 1]
-    proj = tr * np.cos(thetas) + anti * np.sin(thetas)
+    proj = tr * cos + anti * sin
     k = int(np.argmax(proj))
     d2 = (M * M).sum() + (U * U).sum() - 2.0 * proj[k]
     return np.sqrt(max(d2, 0.0)), thetas[k]
@@ -61,7 +75,7 @@ def dist_scan_oracle(M, U, grid=2_000_001):
 
 def dist_matrix_oracle(M, U, grid=400_001):
     """Second-layer oracle: explicit matrix norms, no trig identity at all."""
-    R = rotation(np.linspace(-np.pi, np.pi, grid))
+    R = _rotation_grid(grid)
     diffs = M - R @ U
     return float(np.sqrt((diffs * diffs).sum(axis=(1, 2))).min())
 
