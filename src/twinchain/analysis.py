@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergyBreakdown, default_jump_threshold
+from .energy import _GRID_BLOCK, EnergyBreakdown, default_jump_threshold
 from .lattice import ChainState, LatticeField
 from .wells import WellPair, build_wells, dist_to_well
 
@@ -58,20 +58,29 @@ class WellClassification:
 
 
 def classify(field: LatticeField, wells: WellPair) -> WellClassification:
-    """Assign every gradient cell to its nearest energy well."""
-    d0, a0 = dist_to_well(field.gradients, wells.U0)
-    d1, a1 = dist_to_well(field.gradients, wells.U1)
-    tie = np.abs(d0 - d1) <= TIE_TOL
-    well = np.where(tie, 0, (d1 < d0).astype(int))
-    pick0 = well == 0
-    return WellClassification(
-        well_id=well,
-        distance=np.where(pick0, d0, d1),
-        angle=np.where(pick0, a0, a1),
-        tie=tie,
-        n=field.n,
-        lam=field.lam,
-    )
+    """Assign every gradient cell to its nearest energy well.
+
+    Columns are classified in blocks of about _GRID_BLOCK cells, which bounds
+    the distance temporaries; each cell depends on its own gradient only.
+    """
+    grads = field.gradients
+    shape = grads.shape[:2]
+    well = np.empty(shape, dtype=int)
+    distance = np.empty(shape)
+    angle = np.empty(shape)
+    tie = np.empty(shape, dtype=bool)
+    step = max(1, _GRID_BLOCK // shape[1])
+    for k in range(0, shape[0], step):
+        blk = slice(k, k + step)
+        d0, a0 = dist_to_well(grads[blk], wells.U0)
+        d1, a1 = dist_to_well(grads[blk], wells.U1)
+        tie[blk] = np.abs(d0 - d1) <= TIE_TOL
+        well[blk] = np.where(tie[blk], 0, (d1 < d0).astype(int))
+        pick0 = well[blk] == 0
+        distance[blk] = np.where(pick0, d0, d1)
+        angle[blk] = np.where(pick0, a0, a1)
+    return WellClassification(well_id=well, distance=distance, angle=angle,
+                              tie=tie, n=field.n, lam=field.lam)
 
 
 @dataclass(frozen=True)
@@ -289,18 +298,22 @@ def find_good_lines(bd: EnergyBreakdown, alpha: float = 0.4, delta: float = 0.1,
 
 
 def save_classification(cls: WellClassification, path, header=None):
-    """Integer matrix export of the per-cell well ids."""
-    lines = []
-    if header:
-        lines.append("# " + header)
-    lines.append("# well-classification v1")
-    lines.append(f"n={cls.n},lambda={'%.17g' % cls.lam}")
-    lines.append("i\\j," + ",".join(str(l - cls.n) for l in range(2 * cls.n + 1)))
-    for k in range(2 * cls.n + 1):
-        row = cls.well_id[k]
-        lines.append(f"{k - cls.n}," + ",".join(str(int(w)) for w in row))
+    """Integer matrix export of the per-cell well ids, written row by row."""
+    ids = np.asarray(cls.well_id, dtype=np.int64)
+    width = 2 * cls.n + 1
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        if header:
+            fh.write("# " + header + "\n")
+        fh.write("# well-classification v1\n")
+        fh.write(f"n={cls.n},lambda={'%.17g' % cls.lam}\n")
+        fh.write("i\\j," + ",".join(str(l - cls.n) for l in range(width)) + "\n")
+        for k in range(width):
+            row = ids[k]
+            if (row == row[0]).all():
+                body = ",".join([str(row[0])] * width)
+            else:
+                body = ",".join(map(str, row.tolist()))
+            fh.write(f"{k - cls.n},{body}\n")
 
 
 def save_profile(fit: DecayFit, path, header=None):

@@ -22,6 +22,7 @@ stencil (`chain_stencil`) is the one the Newton derivatives differentiate.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -155,9 +156,13 @@ class EnergyBreakdown:
 
 
 def _breakdown(local, n, lam, a):
-    row_sums = np.array([math.fsum(local[:, l]) for l in range(local.shape[1])])
-    col_sums = np.array([math.fsum(local[k, :]) for k in range(local.shape[0])])
-    total = lam * lam * math.fsum(local.ravel(order="C"))
+    # fsum over Python floats, one row or column list at a time: fsum rounds
+    # exactly whatever the order, and a whole-grid tolist() would hold 32
+    # bytes per site
+    row_sums = np.array([math.fsum(col.tolist()) for col in local.T])
+    col_sums = np.array([math.fsum(row.tolist()) for row in local])
+    total = lam * lam * math.fsum(
+        itertools.chain.from_iterable(row.tolist() for row in local))
     return EnergyBreakdown(local=local, row_sums=row_sums, col_sums=col_sums,
                            total=total, rescaled=total / lam, n=n, lam=lam, a=a)
 
@@ -168,14 +173,26 @@ _GRID_BLOCK = 1 << 15
 
 
 def chain_energy(chain: ChainState) -> EnergyBreakdown:
-    """Total energy evaluated directly in chain variables."""
-    n = chain.n
+    """Total energy evaluated directly in chain variables.
+
+    A center whose stencil slope is exactly zero (fixed tau and theta = 0 on
+    its three columns) has the same density on every row, so it is evaluated
+    once and broadcast; the other centers fill their rows in blocks.
+    """
+    n, wells = chain.n, chain.wells
     ids = np.arange(-n, n + 1)
+    base, slope, _ = affine_stencil(chain, ids)
     local = np.empty((ids.size, ids.size))
+    flat = ~slope.any(axis=(1, 2))
+    local[flat] = density(base[flat, :2], base[flat, 2:], wells)[:, None]
+    rest = np.flatnonzero(~flat)
+    j = ids.astype(float)[None, :, None, None]
     step = max(1, _GRID_BLOCK // ids.size)
-    for k in range(0, ids.size, step):
-        local[k:k + step] = chain_local_grid(chain, ids[k:k + step], ids)
-    return _breakdown(local, n, chain.lam, chain.wells.a)
+    for k in range(0, rest.size, step):
+        blk = rest[k:k + step]
+        W = base[blk, None] + j * slope[blk, None]
+        local[blk] = density(W[..., :2, :], W[..., 2:, :], wells)
+    return _breakdown(local, n, chain.lam, wells.a)
 
 
 def lattice_energy(field: LatticeField) -> EnergyBreakdown:
@@ -221,16 +238,24 @@ def local_energy_threshold_census(bd: EnergyBreakdown, threshold) -> ThresholdCe
 
 
 def save_breakdown(bd: EnergyBreakdown, path, header=None):
-    """Delimited-text export: summary record, then the local(i, j) matrix."""
+    """Delimited-text export: summary record, then the local(i, j) matrix.
+
+    Rows are written as they are formatted.  A row whose values are bitwise
+    equal (so -0.0 and +0.0 differ) is formatted once.
+    """
     g17 = "%.17g"
-    lines = []
-    if header:
-        lines.append("# " + header)
-    lines.append("# energy-breakdown v1")
-    lines.append(f"n={bd.n},a={g17 % bd.a},lambda={g17 % bd.lam},"
-                 f"total={g17 % bd.total},rescaled={g17 % bd.rescaled}")
-    lines.append("i\\j," + ",".join(str(j - bd.n) for j in range(bd.local.shape[1])))
-    for k in range(bd.local.shape[0]):
-        lines.append(f"{k - bd.n}," + ",".join(g17 % v for v in bd.local[k]))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        if header:
+            fh.write("# " + header + "\n")
+        fh.write("# energy-breakdown v1\n")
+        fh.write(f"n={bd.n},a={g17 % bd.a},lambda={g17 % bd.lam},"
+                 f"total={g17 % bd.total},rescaled={g17 % bd.rescaled}\n")
+        width = bd.local.shape[1]
+        fh.write("i\\j," + ",".join(str(j - bd.n) for j in range(width)) + "\n")
+        for k, row in enumerate(bd.local):
+            bits = row.view(np.int64)
+            if (bits == bits[0]).all():
+                body = ",".join([g17 % row[0]] * width)
+            else:
+                body = ",".join(map(g17.__mod__, row.tolist()))
+            fh.write(f"{k - bd.n},{body}\n")

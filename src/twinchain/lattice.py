@@ -236,9 +236,10 @@ def reconstruct(chain: ChainState) -> LatticeField:
     lo = GHOST  # array offset of atom -n
     hi = lo + 2 * n + 1
     base = positions[lo:hi, 1:-1]
-    horiz = positions[lo + 1:hi + 1, 1:-1] - base
-    vert = positions[lo + 1:hi + 1, 2:] - base
-    gradients = np.stack([horiz, vert], axis=-1) / lam
+    gradients = np.empty(base.shape + (2,))
+    np.subtract(positions[lo + 1:hi + 1, 1:-1], base, out=gradients[..., 0])
+    np.subtract(positions[lo + 1:hi + 1, 2:], base, out=gradients[..., 1])
+    gradients /= lam
     return LatticeField(chain=chain, positions=_locked(positions),
                         gradients=_locked(gradients))
 

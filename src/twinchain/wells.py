@@ -128,16 +128,22 @@ def dist_to_well(M, U):
     The optimum is attained at R(theta*) with theta* = atan2(S21 - S12,
     S11 + S22), S = M U^T.  The distance is evaluated as the residual norm
     |M - R(theta*)U| rather than via the expanded square, which would lose
-    half the digits near the well.  M may be a stack (..., 2, 2).
+    half the digits near the well.  M may be a stack (..., 2, 2); the 2x2
+    products are written out per component, so no stacked temporaries form.
     """
     M = np.asarray(M, dtype=float)
-    U = np.asarray(U, dtype=float)
-    S = M @ U.T
-    tr = S[..., 0, 0] + S[..., 1, 1]
-    anti = S[..., 1, 0] - S[..., 0, 1]
+    (u00, u01), (u10, u11) = np.asarray(U, dtype=float).tolist()
+    m00, m01 = M[..., 0, 0], M[..., 0, 1]
+    m10, m11 = M[..., 1, 0], M[..., 1, 1]
+    tr = (m00 * u00 + m01 * u01) + (m10 * u10 + m11 * u11)
+    anti = (m10 * u00 + m11 * u01) - (m00 * u10 + m01 * u11)
     angle = np.arctan2(anti, tr)
-    resid = M - rotation(angle) @ U
-    dist = np.sqrt((resid * resid).sum(axis=(-2, -1)))
+    c, s = np.cos(angle), np.sin(angle)
+    r00 = m00 - (c * u00 - s * u10)
+    r01 = m01 - (c * u01 - s * u11)
+    r10 = m10 - (s * u00 + c * u10)
+    r11 = m11 - (s * u01 + c * u11)
+    dist = np.sqrt(((r00 * r00 + r01 * r01) + r10 * r10) + r11 * r11)
     if dist.ndim == 0:
         return float(dist), float(angle)
     return dist, angle

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import twinchain.analysis as analysis_mod
 from chaingen import random_chain
 from twinchain.analysis import (
+    TIE_TOL,
     GoodLineFailure,
     GoodLines,
+    WellClassification,
     classify,
     deviation_profile,
     find_good_lines,
@@ -86,6 +89,23 @@ class TestClassify:
             d1, _ = dist_to_well(g, wells.U1)
             assert d == pytest.approx((d0, d1)[w], abs=1e-14)
             assert d <= (d1, d0)[w] + 1e-14
+
+    def test_blocks_match_one_whole_array_pass(self, wells, rng, monkeypatch):
+        field = reconstruct(random_chain(rng, n=8, dtheta=0.1))
+        d0, a0 = dist_to_well(field.gradients, wells.U0)
+        d1, a1 = dist_to_well(field.gradients, wells.U1)
+        tie = np.abs(d0 - d1) <= TIE_TOL
+        well = np.where(tie, 0, (d1 < d0).astype(int))
+        pick0 = well == 0
+        assert 0 < well.sum() < well.size
+        # 17 columns in blocks of 3: five full blocks and a ragged one of 2
+        monkeypatch.setattr(analysis_mod, "_GRID_BLOCK", 3 * 17)
+        cls = classify(field, wells)
+        assert cls.well_id.dtype == well.dtype
+        assert np.array_equal(cls.well_id, well)
+        assert np.array_equal(cls.tie, tie)
+        assert np.array_equal(cls.distance, np.where(pick0, d0, d1))
+        assert np.array_equal(cls.angle, np.where(pick0, a0, a1))
 
 
 @settings(max_examples=30, derandomize=True)
@@ -255,6 +275,34 @@ class TestExports:
         assert len(lines) == 3 + 1 + 13
         row0 = lines[4].split(",")
         assert row0[0] == "-6" and set(row0[1:]) == {"0"}
+
+    def test_classification_matches_per_value_formatter(self, tmp_path):
+        def save_per_value(cls, path, header=None):
+            # the former writer: one str(int(w)) per numpy value, joined at the end
+            lines = []
+            if header:
+                lines.append("# " + header)
+            lines.append("# well-classification v1")
+            lines.append(f"n={cls.n},lambda={'%.17g' % cls.lam}")
+            lines.append("i\\j," + ",".join(str(l - cls.n) for l in range(2 * cls.n + 1)))
+            for k in range(2 * cls.n + 1):
+                row = cls.well_id[k]
+                lines.append(f"{k - cls.n}," + ",".join(str(int(w)) for w in row))
+            with open(path, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+
+        well = np.zeros((9, 9), dtype=int)
+        well[1] = 1                              # constant rows of either well
+        well[3, 4:] = 1                          # mixed rows
+        well[5, ::3] = 1
+        well[8] = [1, 0, 1, 0, 0, 1, 1, 0, 1]
+        cls = WellClassification(well_id=well, distance=np.zeros((9, 9)),
+                                 angle=np.zeros((9, 9)), tie=np.zeros((9, 9), dtype=bool),
+                                 n=4, lam=0.25)
+        for header in ("twin", None):
+            save_classification(cls, tmp_path / "new.csv", header=header)
+            save_per_value(cls, tmp_path / "old.csv", header=header)
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_profile_export(self, tmp_path):
         i = np.arange(0, 12, dtype=float)

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import twinchain.energy as energy_mod
 from chaingen import random_chain
 from twinchain.energy import (
     EnergyBreakdown,
+    affine_stencil,
     chain_energy,
     chain_local_grid,
     default_jump_threshold,
@@ -20,7 +22,7 @@ from twinchain.energy import (
     window_sum,
 )
 from twinchain.lattice import affine_chain, reconstruct
-from twinchain.minimize import twin_chain
+from twinchain.minimize import MinimizeOptions, newton_minimize, twin_chain
 from twinchain.wells import build_wells, dist_to_well
 
 
@@ -177,6 +179,49 @@ class TestBreakdown:
         assert left + right == pytest.approx(whole, rel=1e-12)
 
 
+class TestFlatColumns:
+    """chain_energy evaluates zero-slope centers once; the grid must not move."""
+
+    @staticmethod
+    def _flat_count(chain):
+        _, slope, _ = affine_stencil(chain, np.arange(-chain.n, chain.n + 1))
+        return int((~slope.any(axis=(1, 2))).sum())
+
+    def _assert_matches_row_grid(self, chain, monkeypatch):
+        n = chain.n
+        ids = np.arange(-n, n + 1)
+        ref = chain_local_grid(chain, ids, ids)
+        # 4 centers per block: the non-flat centers run in several ragged blocks
+        monkeypatch.setattr(energy_mod, "_GRID_BLOCK", 4 * ids.size)
+        bd = chain_energy(chain)
+        assert np.array_equal(bd.local, ref)
+        want_rows = [math.fsum(ref[:, l]) for l in range(ids.size)]
+        want_cols = [math.fsum(ref[k]) for k in range(ids.size)]
+        assert bd.row_sums.tolist() == want_rows
+        assert bd.col_sums.tolist() == want_cols
+        assert bd.total == chain.lam ** 2 * math.fsum(ref.ravel())
+
+    def test_fixed_tau_twin_is_all_flat(self, rng, monkeypatch):
+        chain = random_chain(rng, n=8, dtheta=0.0)
+        assert self._flat_count(chain) == 17
+        self._assert_matches_row_grid(chain, monkeypatch)
+
+    def test_three_rotated_columns_mix_both_paths(self, rng, monkeypatch):
+        chain = random_chain(rng, n=8, dtheta=0.0)
+        theta = chain.theta.copy()
+        theta[chain.geometry.atom_index([-5, 0, 3])] = (0.01, -0.02, 0.015)
+        chain = chain.with_arrays(theta=theta)
+        # each rotated column tilts the stencils of its three centers
+        assert self._flat_count(chain) == 17 - 9
+        self._assert_matches_row_grid(chain, monkeypatch)
+
+    def test_relaxed_variable_tau_chain_has_no_flat_center(self, wells, monkeypatch):
+        report = newton_minimize(twin_chain(8, wells), MinimizeOptions(variable_tau=True))
+        assert report.converged
+        assert self._flat_count(report.final_chain) == 0
+        self._assert_matches_row_grid(report.final_chain, monkeypatch)
+
+
 class TestCensus:
     def test_threshold_value_frozen(self, wells):
         # ((b^2 - a^2) / (100 (a^2 + b^2)))^4 at a^2 = 2
@@ -213,3 +258,40 @@ class TestExport:
         assert len(lines) == 3 + 1 + 13  # headers, axis row, matrix rows
         first = float(lines[4].split(",")[1])
         assert first == bd.local[0, 0]  # %.17g round-trips exactly
+
+    def test_save_breakdown_matches_per_value_formatter(self, tmp_path, rng):
+        def save_per_value(bd, path, header=None):
+            # the former writer: one "%.17g" per numpy value, joined at the end
+            g17 = "%.17g"
+            lines = []
+            if header:
+                lines.append("# " + header)
+            lines.append("# energy-breakdown v1")
+            lines.append(f"n={bd.n},a={g17 % bd.a},lambda={g17 % bd.lam},"
+                         f"total={g17 % bd.total},rescaled={g17 % bd.rescaled}")
+            lines.append("i\\j," + ",".join(str(j - bd.n)
+                                            for j in range(bd.local.shape[1])))
+            for k in range(bd.local.shape[0]):
+                lines.append(f"{k - bd.n}," + ",".join(g17 % v for v in bd.local[k]))
+            with open(path, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+
+        n = 3
+        local = rng.uniform(0.0, 2.0, size=(7, 7)) ** 9
+        local[0] = 1.5                      # constant row
+        local[2] = 0.0                      # all +0.0
+        local[3, ::2] = -0.0                # +0.0 mixed with -0.0
+        local[3, 1::2] = 0.0
+        local[4] = -0.0                     # all -0.0
+        local[5, 4] = np.nan                # NaN in a mixed row
+        local[6] = np.nan                   # constant NaN row
+        bd = EnergyBreakdown(local=local, row_sums=np.zeros(7), col_sums=np.zeros(7),
+                             total=0.125, rescaled=0.375, n=n, lam=1.0 / 3.0, a=np.sqrt(2.0))
+        for header in ("twin run", None):
+            save_breakdown(bd, tmp_path / "new.csv", header=header)
+            save_per_value(bd, tmp_path / "old.csv", header=header)
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        text = (tmp_path / "new.csv").read_text().splitlines()
+        # without a header, row k = i + n is line 3 + k
+        assert text[6] == "0," + ",".join(["-0", "0"] * 3 + ["-0"])
+        assert text[7] == "1," + ",".join(["-0"] * 7)

@@ -195,6 +195,44 @@ class TestDistToWell:
                 assert ang[i, j] == pytest.approx(ai, abs=0.0)
 
 
+def dist_to_well_stacked(M, U):
+    """The stacked-matmul form of dist_to_well, kept as a rounding reference."""
+    S = M @ U.T
+    tr = S[..., 0, 0] + S[..., 1, 1]
+    anti = S[..., 1, 0] - S[..., 0, 1]
+    angle = np.arctan2(anti, tr)
+    resid = M - rotation(angle) @ U
+    return np.sqrt((resid * resid).sum(axis=(-2, -1))), angle
+
+
+class TestClosedFormDistance:
+    """dist_to_well writes the 2x2 products out; it must round like the matmuls."""
+
+    def test_diagonal_wells_match_bit_for_bit(self, rng):
+        wells = build_wells(np.sqrt(2.0))
+        stack = rng.normal(size=(40, 30, 2, 2)) * rng.uniform(0.2, 3.0, size=(40, 30, 1, 1))
+        for U in (wells.U0, wells.U1):
+            d, ang = dist_to_well(stack, U)
+            d_ref, ang_ref = dist_to_well_stacked(stack, U)
+            assert np.array_equal(d, d_ref)
+            assert np.array_equal(ang, ang_ref)
+
+    def test_rotated_wells_match_to_rounding(self, rng):
+        wells = build_wells(np.sqrt(2.0))
+        stack = rng.normal(size=(40, 30, 2, 2))
+        for U in (wells.QU1, wells.Q):
+            d, ang = dist_to_well(stack, U)
+            d_ref, ang_ref = dist_to_well_stacked(stack, U)
+            assert np.abs(d - d_ref).max() <= 1e-14
+            # atan2 amplifies a rounding change in (tr, anti) by |M||U| / |(tr, anti)|,
+            # so the angle bound scales with that condition number where it exceeds 1
+            S = stack @ U.T
+            rho = np.hypot(S[..., 0, 0] + S[..., 1, 1], S[..., 1, 0] - S[..., 0, 1])
+            cond = np.maximum(1.0, np.linalg.norm(stack, axis=(-2, -1))
+                              * np.linalg.norm(U) / rho)
+            assert (np.abs(ang - ang_ref) <= 1e-13 * cond).all()
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     a=st.floats(min_value=1.05, max_value=4.0),
