@@ -34,16 +34,14 @@ def main():
     wells = build_wells(args.a)
     F = boundary_gradient(wells, 0.5).F
     h = args.height
-    seq = tuple(sorted({max(4, h // 4), max(6, h // 2), h}))
-
     L = CLAMP_RATIO * h
     entries = []
     spec = LayerSpec("C", wells.U0, wells.QU1, (0.0, 0.0), L, h)
-    entries.append((spec, estimate_layer(spec, wells, n_sequence=seq)))
+    entries.append((spec, estimate_layer(spec, wells)))
     for r in args.offsets:
         for spec in (LayerSpec("B_plus", F, wells.U0, (r, 0.0), L, h),
                      LayerSpec("B_minus", wells.QU1, F, (r, 0.0), L, h)):
-            entries.append((spec, estimate_layer(spec, wells, n_sequence=seq)))
+            entries.append((spec, estimate_layer(spec, wells)))
 
     args.out.parent.mkdir(parents=True, exist_ok=True)
     save_layer_estimates(entries, args.out,

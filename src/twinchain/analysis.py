@@ -200,24 +200,23 @@ class GoodLineFailure:
     best: dict
 
 
-def _row_diagnostics(bd: EnergyBreakdown, alpha, c_tilde):
+def _row_diagnostics(bd: EnergyBreakdown, alpha):
     soft = float(bd.n) ** (-alpha)
     weighted = bd.lam * bd.row_sums
     soft_counts = (bd.local >= soft).sum(axis=0)
-    hard_counts = (bd.local >= c_tilde).sum(axis=0)
+    hard_counts = (bd.local >= default_jump_threshold(build_wells(bd.a))).sum(axis=0)
     return weighted, soft_counts, hard_counts
 
 
 def find_good_lines(bd: EnergyBreakdown, alpha: float = 0.4, delta: float = 0.1,
-                    c_tilde: float = None, cap: float = 1.0,
                     max_hard_sites: int = 50):
     """Pick rows j_minus < j_zero < j_plus that are quiet in three senses.
 
-    A row j qualifies when its lam-weighted energy sum is <= cap * n^-alpha,
-    at most cap * n^alpha / delta of its sites reach n^-alpha, and at most
-    max_hard_sites of its sites reach the jump threshold c_tilde.  The rows
-    must be equally spaced with j_minus in [-n, -n+2*delta*n], j_zero in
-    [-delta*n, delta*n], j_plus mirrored.  Returns GoodLines, or a
+    A row j qualifies when its lam-weighted energy sum is <= n^-alpha, at
+    most n^alpha / delta of its sites reach n^-alpha, and at most
+    max_hard_sites of its sites reach the wells' `default_jump_threshold`.
+    The rows must be equally spaced with j_minus in [-n, -n+2*delta*n],
+    j_zero in [-delta*n, delta*n], j_plus mirrored.  Returns GoodLines, or a
     GoodLineFailure naming the binding condition.
 
     The jump-count cap has no principled finite value (the underlying bound
@@ -229,11 +228,9 @@ def find_good_lines(bd: EnergyBreakdown, alpha: float = 0.4, delta: float = 0.1,
     if not 0.0 < delta < 0.25:
         raise ValueError("delta must lie in (0, 1/4)")
     n = bd.n
-    if c_tilde is None:
-        c_tilde = default_jump_threshold(build_wells(bd.a))
-    weighted, soft_counts, hard_counts = _row_diagnostics(bd, alpha, c_tilde)
-    sum_cap = cap * float(n) ** (-alpha)
-    soft_cap = cap * float(n) ** alpha / delta
+    weighted, soft_counts, hard_counts = _row_diagnostics(bd, alpha)
+    sum_cap = float(n) ** (-alpha)
+    soft_cap = float(n) ** alpha / delta
     hard_cap = np.inf if max_hard_sites is None else max_hard_sites
     ok = (weighted <= sum_cap) & (soft_counts <= soft_cap) \
         & (hard_counts <= hard_cap)

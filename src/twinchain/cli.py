@@ -116,14 +116,25 @@ def _map_runs(cfg: ExperimentConfig, fn):
     return [fn(n) for n in cfg.n_list]
 
 
+def _exit_status(command, cfg: ExperimentConfig, runs) -> int:
+    """1 with a stderr line naming every n whose relaxation did not converge, else 0."""
+    failures = [str(n) for n, (_, _, report) in zip(cfg.n_list, runs)
+                if not report.converged]
+    if failures:
+        print(f"{command} failed to converge for n = " + ", ".join(failures),
+              file=sys.stderr)
+        return 1
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_minimize(cfg: ExperimentConfig) -> int:
     head = cfg.header()
-    failures = []
-    for n, (wells, warm, report) in zip(cfg.n_list, _map_runs(cfg, lambda n: _relax(cfg, n))):
+    runs = _map_runs(cfg, lambda n: _relax(cfg, n))
+    for n, (wells, warm, report) in zip(cfg.n_list, runs):
         final = report.final_chain
         bd = chain_energy(final)
         out = cfg.out
@@ -151,25 +162,17 @@ def cmd_minimize(cfg: ExperimentConfig) -> int:
             f"interfaces={len(interfaces)}",
         ]
         _write(out / f"report-n{n}.txt", lines)
-        if not report.converged:
-            failures.append(n)
-    if failures:
-        print("minimize failed to converge for n = "
-              + ", ".join(map(str, failures)), file=sys.stderr)
-        return 1
-    return 0
+    return _exit_status("minimize", cfg, runs)
 
 
 def cmd_scan(cfg: ExperimentConfig) -> int:
     head = cfg.header()
     rows = []
-    failures = []
-    for n, (wells, warm, report) in zip(cfg.n_list, _map_runs(cfg, lambda n: _relax(cfg, n))):
+    runs = _map_runs(cfg, lambda n: _relax(cfg, n))
+    for n, (wells, warm, report) in zip(cfg.n_list, runs):
         bd = chain_energy(report.final_chain)
         rows.append((n, report.final_chain.lam, bd.total, bd.rescaled,
                      report.iterations, int(report.converged)))
-        if not report.converged:
-            failures.append(n)
     lines = [f"# {head}", "# scan v1",
              "n,lambda_n,total_energy,rescaled_energy,iterations,converged"]
     for n, lam, total, resc, iters, conv in rows:
@@ -184,11 +187,7 @@ def cmd_scan(cfg: ExperimentConfig) -> int:
         write_svg_polyline(cfg.out / "scan.svg",
                            [r[0] for r in rows], [r[3] for r in rows],
                            title="rescaled energy vs n")
-    if failures:
-        print("scan failed to converge for n = "
-              + ", ".join(map(str, failures)), file=sys.stderr)
-        return 1
-    return 0
+    return _exit_status("scan", cfg, runs)
 
 
 def cmd_layers(cfg: ExperimentConfig) -> int:
@@ -210,10 +209,10 @@ def cmd_layers(cfg: ExperimentConfig) -> int:
     save_layer_estimates(entries, cfg.out / "layers.csv", header=head)
 
     # the first ordering's three layers are table rows 2-4, solved above
-    first = estimate_EK([F, wells.U0, wells.QU1, F], wells, n=height,
-                        n_sequence=seq, search_offset=False, known=entries)
-    second = estimate_EK([F, wells.QU1, wells.U0, F], wells, n=height,
-                         n_sequence=seq, search_offset=False, known=entries)
+    first, _ = estimate_EK([F, wells.U0, wells.QU1, F], wells, n=height,
+                           n_sequence=seq, known=entries)
+    second, _ = estimate_EK([F, wells.QU1, wells.U0, F], wells, n=height,
+                            n_sequence=seq, known=entries)
     n_ref = 20 if cfg.quick else 40
     ref = newton_minimize(twin_chain(n_ref, wells,
                                      interface_column=_interface_column(cfg, n_ref)))
@@ -236,8 +235,8 @@ def cmd_layers(cfg: ExperimentConfig) -> int:
 def cmd_diagnose(cfg: ExperimentConfig) -> int:
     head = cfg.header()
     rows = []
-    failures = []
-    for n, (wells, warm, report) in zip(cfg.n_list, _map_runs(cfg, lambda n: _relax(cfg, n))):
+    runs = _map_runs(cfg, lambda n: _relax(cfg, n))
+    for n, (wells, warm, report) in zip(cfg.n_list, runs):
         bd = chain_energy(report.final_chain)
         census = local_energy_threshold_census(bd, default_jump_threshold(wells))
         found = find_good_lines(bd, alpha=cfg.alpha, delta=cfg.delta,
@@ -249,18 +248,12 @@ def cmd_diagnose(cfg: ExperimentConfig) -> int:
             status = found.reason.replace(",", ";")
         rows.append((n, census.threshold, census.site_count, census.row_count,
                      jm, j0, jp, status))
-        if not report.converged:
-            failures.append(n)
     lines = [f"# {head}", "# diagnose v1",
              "n,threshold,sites_above,rows_above,j_minus,j_zero,j_plus,status"]
     for n, thr, sites, nrows, jm, j0, jp, status in rows:
         lines.append(f"{n},{G17 % thr},{sites},{nrows},{jm},{j0},{jp},{status}")
     _write(cfg.out / "diagnose.csv", lines)
-    if failures:
-        print("diagnose: relaxation did not converge for n = "
-              + ", ".join(map(str, failures)), file=sys.stderr)
-        return 1
-    return 0
+    return _exit_status("diagnose", cfg, runs)
 
 
 def cmd_fit_decay(cfg: ExperimentConfig, chain_path, reference_path, lo, hi) -> int:
@@ -286,7 +279,8 @@ def _build_parser():
                         help="primary stretch (default sqrt 2)")
     shared.add_argument("--lambda", dest="lam", type=float, default=None,
                         help="volume fraction in (0, 1)")
-    shared.add_argument("--n", type=int, action="append", default=None,
+    shared.add_argument("--n", dest="n_list", metavar="N", type=int,
+                        action="append", default=None,
                         help="chain half-width; repeatable")
     shared.add_argument("--alpha", type=float, default=None)
     shared.add_argument("--delta", type=float, default=None)
@@ -316,7 +310,8 @@ def _build_parser():
 
 
 # config key -> (config field, accepted JSON types); "n" must list integers.
-# Booleans pass as numbers here but fail every numeric range check below
+# Booleans pass as numbers here but fail every numeric range check below.
+# Each flag's argparse dest is its config field
 _CONFIG_KEYS = {"a": ("a", (int, float)), "lambda": ("lam", (int, float)),
                 "n": ("n_list", list), "alpha": ("alpha", (int, float)),
                 "delta": ("delta", (int, float)), "variable_tau": ("variable_tau", bool),
@@ -336,30 +331,21 @@ def _resolve_config(args, parser) -> ExperimentConfig:
         unknown = set(raw) - set(_CONFIG_KEYS)
         if unknown:
             parser.error(f"unknown config keys: {sorted(unknown)}")
-        fields = {}
         for key, value in raw.items():
             name, types = _CONFIG_KEYS[key]
             if not isinstance(value, types) or (
                     name == "n_list" and not all(isinstance(v, int) for v in value)):
                 parser.error(f"config key {key!r} has the wrong JSON type: {value!r}")
-            if name == "n_list":
-                value = tuple(value)
-            if name == "out":
-                value = Path(value)
-            fields[name] = value
-        cfg = replace(cfg, **fields)
-
-    overrides = {}
-    for flag, name in (("a", "a"), ("lam", "lam"), ("alpha", "alpha"),
-                       ("delta", "delta"), ("variable_tau", "variable_tau"),
-                       ("quick", "quick"), ("svg", "svg"), ("out", "out")):
-        value = getattr(args, flag)
-        if value is not None:
-            overrides[name] = value
-    if args.n is not None:
-        overrides["n_list"] = tuple(args.n)
-    cfg = replace(cfg, **overrides)
-    if cfg.quick and args.n is None and "n" not in raw:
+    fields = {_CONFIG_KEYS[key][0]: value for key, value in raw.items()}
+    for name, _ in _CONFIG_KEYS.values():  # flags override the config file
+        if getattr(args, name) is not None:
+            fields[name] = getattr(args, name)
+    if "n_list" in fields:
+        fields["n_list"] = tuple(fields["n_list"])
+    if "out" in fields:
+        fields["out"] = Path(fields["out"])
+    cfg = replace(cfg, **fields)
+    if cfg.quick and "n_list" not in fields:
         cfg = replace(cfg, n_list=(8,))
 
     if not (cfg.a > 0 and math.isfinite(cfg.a)) or cfg.a == 1.0:

@@ -6,7 +6,7 @@ translations.  `cut_and_extend` replaces everything beyond a well-shaped
 column with an exact affine tail.  `estimate_layer` / `estimate_EK` compute
 boundary-layer and internal-layer energies on rescaled half-open geometries
 by Newton descent with relaxed row directions, one solve per height with the
-clamp CLAMP_RATIO heights out, including an offset search over the relative
+clamp CLAMP_RATIO heights out; `estimate_layer` can also search the relative
 shift between the two far fields.
 """
 
@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize as _nm_minimize
 
 from .energy import chain_energy, chain_local_grid, window_sum
 from .lattice import (GHOST, BoundaryClamp, ChainState, LatticeField,
@@ -172,13 +171,13 @@ def _nearest_well_column(field, r, wells):
     return best
 
 
-def cut_and_extend(chain: ChainState, side: str = "right", alpha: float = 0.4,
-                   cap: float = 1.0) -> CutResult:
+def cut_and_extend(chain: ChainState, side: str = "right",
+                   alpha: float = 0.4) -> CutResult:
     """Replace the chain beyond a near-well column with an exact affine tail.
 
     Searches the ceil(n^alpha) columns nearest the chosen boundary for the
     one whose cell gradients sit closest to a well, requires that distance
-    to be below cap * n^(-alpha/4), and splices in the well's affine map
+    to be below n^(-alpha/4), and splices in the well's affine map
     from that column outward (angles reset to zero, clamp retargeted so the
     result validates).  Raises if no column qualifies or if the splice
     breaks orientation admissibility.  energy_change reports the rescaled
@@ -200,7 +199,7 @@ def cut_and_extend(chain: ChainState, side: str = "right", alpha: float = 0.4,
         geom = work.geometry
         field = reconstruct(work)
         reach = max(1, math.ceil(n ** alpha))
-        threshold = cap * n ** (-alpha / 4.0)
+        threshold = n ** (-alpha / 4.0)
 
         if s == "right":
             candidates = range(n - 1, n - 1 - reach, -1)
@@ -368,6 +367,8 @@ def estimate_layer(spec: LayerSpec, wells: WellPair,
     if n_sequence is None:
         n_sequence = sorted({max(4, spec.n // 4), max(6, spec.n // 2), spec.n})
     n_sequence = [int(v) for v in n_sequence]
+    if not n_sequence:
+        raise ValueError("the height sequence is empty")
     if any(v < 2 for v in n_sequence):
         raise ValueError("heights must be at least 2")
     ratio = math.ceil(spec.L / spec.n)  # LayerSpec ensures L >= n
@@ -376,6 +377,8 @@ def estimate_layer(spec: LayerSpec, wells: WellPair,
     r_best = np.asarray(spec.r_star, dtype=float).reshape(2)
 
     if search_offset:
+        from scipy.optimize import minimize as _nm_minimize
+
         n0 = n_sequence[0]
         L0 = ratio * n0
 
@@ -410,9 +413,9 @@ def estimate_layer(spec: LayerSpec, wells: WellPair,
                                converged=converged)
 
 
-def _is_well(M, wells, tol=1e-9):
-    return (np.abs(M - wells.U0).max() <= tol
-            or np.abs(M - wells.QU1).max() <= tol)
+def _is_well(M, wells):
+    return (np.abs(M - wells.U0).max() <= 1e-9
+            or np.abs(M - wells.QU1).max() <= 1e-9)
 
 
 def _same_spec(a: LayerSpec, b: LayerSpec) -> bool:
@@ -421,19 +424,18 @@ def _same_spec(a: LayerSpec, b: LayerSpec) -> bool:
                     for name in ("V_left", "V_right", "r_star")))
 
 
-def estimate_EK(V_sequence, wells: WellPair, opts: MinimizeOptions = None, *,
-                n: int = 16, n_sequence=None, search_offset: bool = True,
-                return_parts: bool = False, known=()):
-    """Total layer energy of a gradient sequence V_0 .. V_K.
+def estimate_EK(V_sequence, wells: WellPair, *, n: int = 16, n_sequence=None,
+                known=()):
+    """Total layer energy of a gradient sequence V_0 .. V_K, and its parts.
 
     The sequence must start and end at the same boundary gradient and pass
     through wells in between.  The total splits exactly into one right
     boundary layer, K-2 internal layers and one left boundary layer, each
-    minimized over its own offset independently, with the clamp
-    CLAMP_RATIO * n out.  `known` holds (spec, estimate) pairs that
-    `estimate_layer` produced with the same opts, n_sequence and
-    search_offset; a layer whose spec matches one of them takes that
-    estimate instead of being solved again.
+    solved at zero offset with the clamp CLAMP_RATIO * n out.  `known` holds
+    (spec, estimate) pairs that `estimate_layer` produced with its default
+    options and the same n_sequence; a layer whose spec matches one of them
+    takes that estimate instead of being solved again.  Returns (total,
+    parts) with parts the (spec, estimate) pair of every layer in order.
     """
     V = [np.asarray(M, dtype=float).reshape(2, 2) for M in V_sequence]
     if len(V) < 3:
@@ -454,12 +456,8 @@ def estimate_EK(V_sequence, wells: WellPair, opts: MinimizeOptions = None, *,
     for spec in specs:
         reused = [est for done, est in known if _same_spec(done, spec)]
         parts.append(reused[0] if reused else
-                     estimate_layer(spec, wells, opts, n_sequence=n_sequence,
-                                    search_offset=search_offset))
-    total = float(sum(p.value for p in parts))
-    if return_parts:
-        return total, tuple(zip(specs, parts))
-    return total
+                     estimate_layer(spec, wells, n_sequence=n_sequence))
+    return float(sum(p.value for p in parts)), tuple(zip(specs, parts))
 
 
 def save_layer_estimates(entries, path, header=None):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .wells import WellPair, build_wells
+from .wells import WellPair, _locked, build_wells
 
 __all__ = [
     "GHOST",
@@ -44,12 +44,6 @@ GHOST = 2
 
 # image determinants below this count as orientation violations
 ORIENTATION_TOL = -1e-12
-
-
-def _locked(arr):
-    arr = np.ascontiguousarray(arr, dtype=float)
-    arr.flags.writeable = False
-    return arr
 
 
 def cross2(p, q):
@@ -183,13 +177,12 @@ class ChainState:
                        theta=self.theta if theta is None else np.asarray(theta, dtype=float))
 
 
-def affine_chain(n, wells, V, offset=(0.0, 0.0), rescaled=False, bc=None):
-    """Chain sampling the affine map V*x + offset; clamps default to the same map."""
-    geom = LatticeGeometry(n=n, rescaled=rescaled)
+def affine_chain(n, wells, V, offset=(0.0, 0.0)):
+    """Chain sampling the affine map V*x + offset, clamped to the same map."""
+    geom = LatticeGeometry(n=n)
     V = np.asarray(V, dtype=float)
     offset = np.asarray(offset, dtype=float)
-    if bc is None:
-        bc = BoundaryClamp.affine(V, offset)
+    bc = BoundaryClamp.affine(V, offset)
     ids = geom.atom_ids()
     x = np.stack([ids * geom.lambda_n, np.zeros_like(ids, dtype=float)], axis=-1)
     u = x @ V.T + offset
@@ -325,25 +318,30 @@ def save_chain(chain: ChainState, path, header=None):
 
 
 def load_chain(path) -> ChainState:
+    """Read a `save_chain` snapshot; malformed content raises ValueError naming path."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != "# chain-snapshot v1":
         raise ValueError(f"{path}: not a chain snapshot")
-    head = json.loads(lines[1][2:])
-    geom = LatticeGeometry(n=int(head["n"]), rescaled=bool(head["rescaled"]))
-    wells = build_wells(float(head["a"]))
-    bc = BoundaryClamp.pieces(
-        np.reshape(head["V_left"], (2, 2)), head["r_left"],
-        np.reshape(head["V_right"], (2, 2)), head["r_right"])
-    body = lines[3:]
-    if len(body) != geom.atom_count:
-        raise ValueError(f"{path}: expected {geom.atom_count} atom rows, got {len(body)}")
-    u = np.empty((geom.atom_count, 2))
-    theta = np.empty(geom.atom_count)
-    for row, line in zip(range(geom.atom_count), body):
-        fields = line.split(",")
-        if int(fields[0]) != geom.atom_lo + row:
-            raise ValueError(f"{path}: atom rows out of order at {fields[0]}")
-        u[row] = (float(fields[1]), float(fields[2]))
-        theta[row] = float(fields[3])
-    return ChainState(geometry=geom, wells=wells, bc=bc, u=u, theta=theta)
+    try:
+        head = json.loads(lines[1][2:])
+        geom = LatticeGeometry(n=int(head["n"]), rescaled=bool(head["rescaled"]))
+        wells = build_wells(float(head["a"]))
+        bc = BoundaryClamp.pieces(
+            np.reshape(head["V_left"], (2, 2)), head["r_left"],
+            np.reshape(head["V_right"], (2, 2)), head["r_right"])
+        body = lines[3:]
+        if len(body) != geom.atom_count:
+            raise ValueError(f"expected {geom.atom_count} atom rows, got {len(body)}")
+        u = np.empty((geom.atom_count, 2))
+        theta = np.empty(geom.atom_count)
+        for row, line in zip(range(geom.atom_count), body):
+            fields = line.split(",")
+            if int(fields[0]) != geom.atom_lo + row:
+                raise ValueError(f"atom rows out of order at {fields[0]}")
+            u[row] = (float(fields[1]), float(fields[2]))
+            theta[row] = float(fields[3])
+        return ChainState(geometry=geom, wells=wells, bc=bc, u=u, theta=theta)
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad chain snapshot "
+                         f"({type(exc).__name__}: {exc})") from exc

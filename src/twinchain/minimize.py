@@ -33,9 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
-from .energy import affine_stencil, brackets, chain_stencil
+from .energy import affine_stencil, brackets, chain_stencil, density
 from .lattice import (
     ORIENTATION_TOL,
     BoundaryClamp,
@@ -53,8 +52,6 @@ __all__ = [
     "laminate_chain",
     "preoptimize_middle",
     "newton_minimize",
-    "gradient",
-    "hessian",
     "row_rule",
 ]
 
@@ -210,12 +207,10 @@ class ChainProblem:
     # -- per-summand derivative kernels ------------------------------------
 
     def _density_parts(self, W, order):
-        """Density D plus dD/dW (order>=1) and d2D/dW2 (order>=2) over W's 8 components."""
+        """Density D, dD/dW and (order 2) d2D/dW2 over W's 8 components."""
         wells = self.template.wells
         q, r, X, B1, B2 = brackets(W[..., :2, :], W[..., 2:, :], wells)
         out = [B1 * B2]
-        if order == 0:
-            return out
         a2 = wells.a * wells.a
         b2 = wells.b * wells.b
         dev = [np.concatenate([q - a2, r - b2], axis=-1),
@@ -258,7 +253,7 @@ class ChainProblem:
 
     def energy(self, x) -> float:
         W, _ = chain_stencil(self.apply(x), self.centers, self.nodes)
-        (D,) = self._density_parts(W, order=0)
+        D = density(W[..., :2, :], W[..., 2:, :], self.template.wells)
         return math.fsum(self.scale * w * math.fsum(D[:, k])
                          for k, w in enumerate(self.weights))
 
@@ -416,25 +411,7 @@ def newton_minimize(chain: ChainState, opts: MinimizeOptions = None, *,
                    "max iterations" if not converged else "gradient")
 
 
-def gradient(chain: ChainState, opts: MinimizeOptions = None):
-    """Analytic energy gradient over the standard free variables."""
-    opts = opts or MinimizeOptions()
-    problem = ChainProblem(chain, variable_tau=opts.variable_tau)
-    return problem.gradient(problem.pack(chain))
-
-
-def hessian(chain: ChainState, opts: MinimizeOptions = None):
-    """Analytic energy Hessian (sparse CSR) over the standard free variables."""
-    opts = opts or MinimizeOptions()
-    problem = ChainProblem(chain, variable_tau=opts.variable_tau)
-    ab, bw = problem.hessian_banded(problem.pack(chain))
-    # scipy's upper banded storage is the DIA layout with offsets bw..0
-    upper = scipy.sparse.dia_matrix((ab, range(bw, -1, -1)), shape=(ab.shape[1],) * 2)
-    return (upper + scipy.sparse.triu(upper, k=1).T).tocsr()
-
-
-def twin_chain(n, wells: WellPair, interface_column: int = 0,
-               rescaled: bool = False) -> ChainState:
+def twin_chain(n, wells: WellPair, interface_column: int = 0) -> ChainState:
     """Laminate of the two variants meeting at one column, clamped to itself.
 
     Left branch samples U0 x, right branch Q U1 x + c with c chosen so both
@@ -442,7 +419,7 @@ def twin_chain(n, wells: WellPair, interface_column: int = 0,
     """
     if abs(interface_column) >= n:
         raise ValueError(f"interface column {interface_column} outside (-{n}, {n})")
-    geom = LatticeGeometry(n=n, rescaled=rescaled)
+    geom = LatticeGeometry(n=n)
     lam = geom.lambda_n
     A, B = wells.U0, wells.QU1
     offset = (A - B) @ np.array([interface_column * lam, 0.0])
@@ -454,8 +431,8 @@ def twin_chain(n, wells: WellPair, interface_column: int = 0,
                       u=u, theta=np.zeros(geom.atom_count))
 
 
-def laminate_chain(n, wells: WellPair, lam_fraction: float, variant: int = 0,
-                   rescaled: bool = False) -> ChainState:
+def laminate_chain(n, wells: WellPair, lam_fraction: float,
+                   variant: int = 0) -> ChainState:
     """Two-phase chain compatible with the mixed boundary gradient F.
 
     The interior splits into a U0 piece and a Q U1 piece whose widths carry
@@ -469,7 +446,7 @@ def laminate_chain(n, wells: WellPair, lam_fraction: float, variant: int = 0,
     if not 0.0 < lam_fraction < 1.0:
         raise ValueError("volume fraction must lie strictly inside (0, 1)")
     bg = boundary_gradient(wells, lam_fraction)
-    geom = LatticeGeometry(n=n, rescaled=rescaled)
+    geom = LatticeGeometry(n=n)
     lam = geom.lambda_n
     width = n * lam
     A, B = (wells.U0, wells.QU1) if variant == 0 else (wells.QU1, wells.U0)
@@ -493,12 +470,10 @@ def laminate_chain(n, wells: WellPair, lam_fraction: float, variant: int = 0,
                       u=u, theta=np.zeros(geom.atom_count))
 
 
-def preoptimize_middle(chain: ChainState, atom: int = 0,
-                       opts: MinimizeOptions = None) -> ChainState:
-    """Relax a single atom with everything else frozen (2-dof Newton)."""
-    opts = opts or MinimizeOptions()
-    sub = ChainProblem(chain, variable_tau=False, free_ids=[atom])
-    report = newton_minimize(chain, opts, problem=sub)
+def preoptimize_middle(chain: ChainState) -> ChainState:
+    """Relax the middle atom with everything else frozen (2-dof Newton)."""
+    sub = ChainProblem(chain, variable_tau=False, free_ids=[0])
+    report = newton_minimize(chain, problem=sub)
     if not report.converged:
         warnings.warn(f"middle-atom preoptimization did not converge "
                       f"({report.stop_reason}); returning input unchanged")

@@ -46,7 +46,8 @@ def rotation(theta):
 
 
 def _locked(arr):
-    arr = np.asarray(arr, dtype=float)
+    """Contiguous read-only float array (the input itself when it already is one)."""
+    arr = np.ascontiguousarray(arr, dtype=float)
     arr.flags.writeable = False
     return arr
 

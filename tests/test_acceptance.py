@@ -336,8 +336,7 @@ def test_criterion_09_layer_consistency(wells, minimizer100):
                           wells, n_sequence=(4, 6))
     F = boundary_gradient(wells, 0.5).F
     total, parts = estimate_EK([F, wells.U0, wells.QU1, F], wells, n=6,
-                               n_sequence=(4, 6), search_offset=False,
-                               return_parts=True)
+                               n_sequence=(4, 6))
     kinds = [spec.kind for spec, _ in parts]
     b_vals = [part.value for spec, part in parts if spec.kind != "C"]
     c_vals = [part.value for spec, part in parts if spec.kind == "C"]

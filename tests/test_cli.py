@@ -1,12 +1,20 @@
 """End-to-end checks of the experiment driver."""
 
+import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twinchain
+from twinchain import cli
 from twinchain.cli import ExperimentConfig, main, write_svg_polyline
 from twinchain.lattice import load_chain
+from twinchain.minimize import MinimizeOptions
 
 
 def run(*argv):
@@ -98,6 +106,34 @@ class TestLayersAndDiagnose:
         assert int(row[2]) > 0
 
 
+class TestNonConvergence:
+    @pytest.mark.parametrize("command, written", [
+        ("minimize", "report-n8.txt"),
+        ("scan", "scan.csv"),
+        ("diagnose", "diagnose.csv"),
+    ])
+    def test_unconverged_run_exits_1(self, monkeypatch, tmp_path, capsys,
+                                     command, written):
+        # one Newton iteration does not reach the gradient tolerance
+        monkeypatch.setattr(cli, "MinimizeOptions",
+                            functools.partial(MinimizeOptions, max_iters=1))
+        assert run(command, "--n", 8, "--out", tmp_path) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert f"{command} failed to converge for n = 8" in err
+        assert (tmp_path / written).is_file()
+
+
+def test_startup_skips_unused_scipy_modules():
+    src = str(Path(twinchain.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import sys, twinchain.cli; "
+             "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse') "
+             "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 class TestFitDecay:
     def test_roundtrip_matches_run(self, quick_run, tmp_path, capsys):
         code = run("fit-decay", "--chain", quick_run / "chain-n8.txt",
@@ -113,17 +149,35 @@ class TestFitDecay:
         ("missing-chain", "absent.txt"),
         ("other-n", "chains must share the same lattice geometry"),
         ("short-window", "window holds 3 points"),
-    ], ids=["missing-chain", "other-n", "short-window"])
+        ("header-only", "header-only.txt"),
+        ("head-without-a", "head-without-a.txt"),
+        ("two-field-row", "two-field-row.txt"),
+    ], ids=["missing-chain", "other-n", "short-window", "header-only",
+            "head-without-a", "two-field-row"])
     def test_input_errors_exit_2(self, quick_run, tmp_path, capsys, case, message):
         chain, lo, hi = quick_run / "chain-n8.txt", 2, 6
         reference = quick_run / "reference-n8.txt"
+        lines = chain.read_text().splitlines()
         if case == "missing-chain":
             chain = tmp_path / "absent.txt"
         elif case == "other-n":
             assert run("minimize", "--n", 9, "--out", tmp_path / "n9") == 0
             reference = tmp_path / "n9" / "reference-n9.txt"
-        else:
+        elif case == "short-window":
             lo, hi = 2, 4
+        else:
+            # malformed snapshots: no head record, a head record without the
+            # stretch, an atom row cut to two fields
+            if case == "header-only":
+                lines = lines[:1]
+            elif case == "head-without-a":
+                head = json.loads(lines[1][2:])
+                del head["a"]
+                lines[1] = "# " + json.dumps(head)
+            else:
+                lines[5] = ",".join(lines[5].split(",")[:2])
+            chain = tmp_path / f"{case}.txt"
+            chain.write_text("\n".join(lines) + "\n")
         code = run("fit-decay", "--chain", chain, "--reference", reference,
                    "--lo", lo, "--hi", hi, "--out", tmp_path)
         assert code == 2

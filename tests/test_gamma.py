@@ -195,6 +195,12 @@ class TestLayerSpec:
         with pytest.raises(ValueError, match="variable_tau"):
             estimate_layer(spec, wells, MinimizeOptions(variable_tau=False))
 
+    @pytest.mark.parametrize("search_offset", [False, True])
+    def test_rejects_empty_height_sequence(self, wells, search_offset):
+        spec = LayerSpec("C", wells.U0, wells.U0, L=8, n=4)
+        with pytest.raises(ValueError, match="height sequence is empty"):
+            estimate_layer(spec, wells, n_sequence=(), search_offset=search_offset)
+
 
 class TestLayerEstimates:
     def test_same_well_internal_layer_is_zero(self, wells):
@@ -272,8 +278,7 @@ class TestLayerEstimates:
 
         monkeypatch.setattr(gamma, "_solve_layer", counted)
         _, parts = estimate_EK([f_half, wells.U0, wells.QU1, f_half], wells,
-                               n=6, n_sequence=(4, 6), search_offset=False,
-                               return_parts=True)
+                               n=6, n_sequence=(4, 6))
         # the internal layer carries energy and still takes one solve a height
         assert parts[1][1].value > 1.0
         assert calls == [(kind, CLAMP_RATIO * n_v, n_v)
@@ -283,22 +288,20 @@ class TestLayerEstimates:
 
 class TestEstimateEK:
     def test_trivial_fraction_has_zero_surface_energy(self, wells):
-        total = estimate_EK([wells.U0, wells.U0, wells.U0], wells,
-                            n=6, n_sequence=(4, 6), search_offset=False)
+        total, _ = estimate_EK([wells.U0, wells.U0, wells.U0], wells,
+                               n=6, n_sequence=(4, 6))
         assert total <= 1e-10
 
     def test_two_layer_structure_without_internal_layer(self, wells):
         total, parts = estimate_EK([wells.U0, wells.U0, wells.U0], wells,
-                                   n=6, n_sequence=(4, 6), search_offset=False,
-                                   return_parts=True)
+                                   n=6, n_sequence=(4, 6))
         assert [spec.kind for spec, _ in parts] == ["B_plus", "B_minus"]
 
     def test_half_fraction_orderings_agree(self, wells, f_half):
         first, parts = estimate_EK([f_half, wells.U0, wells.QU1, f_half], wells,
-                                   n=8, n_sequence=(4, 8), search_offset=False,
-                                   return_parts=True)
-        second = estimate_EK([f_half, wells.QU1, wells.U0, f_half], wells,
-                             n=8, n_sequence=(4, 8), search_offset=False)
+                                   n=8, n_sequence=(4, 8))
+        second, _ = estimate_EK([f_half, wells.QU1, wells.U0, f_half], wells,
+                                n=8, n_sequence=(4, 8))
         assert first == pytest.approx(30.226905, abs=1e-3)
         assert second == pytest.approx(first, rel=1e-6)
         kinds = [spec.kind for spec, _ in parts]
@@ -313,12 +316,11 @@ class TestEstimateEK:
         # each known layer carries a marker value in place of its estimate;
         # the one left out (B_plus) is solved, and is zero at this offset
         sequence = [f_half, wells.U0, wells.QU1, f_half]
-        _, parts = estimate_EK(sequence, wells, n=6, n_sequence=(4, 6),
-                               search_offset=False, return_parts=True)
+        _, parts = estimate_EK(sequence, wells, n=6, n_sequence=(4, 6))
         known = [(spec, replace(est, value=float(k)))
                  for k, (spec, est) in enumerate(parts)][1:]
-        total = estimate_EK(sequence, wells, n=6, n_sequence=(4, 6),
-                            search_offset=False, known=known)
+        total, _ = estimate_EK(sequence, wells, n=6, n_sequence=(4, 6),
+                               known=known)
         assert total == pytest.approx(3.0, abs=1e-10)
 
     def test_sequence_validation(self, wells, f_half):
