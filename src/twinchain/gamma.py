@@ -5,9 +5,9 @@ chain for a thin horizontal strip at a small premium, by scanning vertical
 translations.  `cut_and_extend` replaces everything beyond a well-shaped
 column with an exact affine tail.  `estimate_layer` / `estimate_EK` compute
 boundary-layer and internal-layer energies on rescaled half-open geometries
-by Newton descent with relaxed row directions, one solve per height with the
-clamp CLAMP_RATIO heights out; `estimate_layer` can also search the relative
-shift between the two far fields.
+by Newton descent with relaxed row directions (the chains' stopping rule),
+one solve per height with the clamp CLAMP_RATIO heights out; `estimate_layer`
+can also search the relative shift between the two far fields.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .energy import chain_energy, chain_local_grid, window_sum
 from .lattice import (GHOST, BoundaryClamp, ChainState, LatticeField,
                       LatticeGeometry, check_admissible, reconstruct)
-from .minimize import ChainProblem, MinimizeOptions, newton_minimize
+from .minimize import ChainProblem, newton_minimize
 from .wells import WellPair
 
 __all__ = [
@@ -336,18 +336,17 @@ def _layer_problem(kind, V_left, V_right, r, L, n_v, wells):
     return chain, problem
 
 
-def _solve_layer(kind, V_left, V_right, r, L, n_v, wells, opts):
+def _solve_layer(kind, V_left, V_right, r, L, n_v, wells):
     """One Newton solve; returns (estimate, converged)."""
     chain, problem = _layer_problem(kind, V_left, V_right, r, L, n_v, wells)
     if not problem.admissible(chain):
         return math.nan, False
-    report = newton_minimize(chain, opts, problem=problem)
+    report = newton_minimize(chain, problem=problem)
     estimate = problem.energy(problem.pack(report.final_chain))
     return float(estimate), bool(report.converged)
 
 
-def estimate_layer(spec: LayerSpec, wells: WellPair,
-                   opts: MinimizeOptions = None, *,
+def estimate_layer(spec: LayerSpec, wells: WellPair, *,
                    n_sequence=None, search_offset: bool = False
                    ) -> LayerEnergyEstimate:
     """Layer energy by Newton descent over a refining sequence of heights.
@@ -355,15 +354,10 @@ def estimate_layer(spec: LayerSpec, wells: WellPair,
     Solves the requested clamped problem once at each height n_v in
     n_sequence, with the clamp at ceil(L/n) * n_v so that every height sees
     the same L/n, optionally searching the far-field offset by Nelder-Mead
-    at the coarsest height first.  Heights whose solve fails to converge are
-    recorded as nan and excluded from the value.
+    at the coarsest height first.  Every solve stops by `newton_minimize`'s
+    rule; heights whose solve fails to converge are recorded as nan and
+    excluded from the value.
     """
-    if opts is None:
-        # the kink position is a nearly flat mode: the regularized Newton
-        # step stalls near grad 1e-8 long after the energy has converged
-        opts = MinimizeOptions(variable_tau=True, grad_tol=1e-6, max_iters=120)
-    if not opts.variable_tau:
-        raise ValueError("layer estimates require variable_tau minimization")
     if n_sequence is None:
         n_sequence = sorted({max(4, spec.n // 4), max(6, spec.n // 2), spec.n})
     n_sequence = [int(v) for v in n_sequence]
@@ -384,7 +378,7 @@ def estimate_layer(spec: LayerSpec, wells: WellPair,
 
         def objective(rv):
             est, ok = _solve_layer(spec.kind, spec.V_left, spec.V_right,
-                                   rv, L0, n0, wells, opts)
+                                   rv, L0, n0, wells)
             offsets_tried.append((np.array(rv, dtype=float), est if ok else math.nan))
             return est if ok and math.isfinite(est) else 1e6
 
@@ -396,7 +390,7 @@ def estimate_layer(spec: LayerSpec, wells: WellPair,
     records = []
     for n_v in n_sequence:
         est, ok = _solve_layer(spec.kind, spec.V_left, spec.V_right,
-                               r_best, ratio * n_v, n_v, wells, opts)
+                               r_best, ratio * n_v, n_v, wells)
         records.append((n_v, est if ok else math.nan))
     offsets_tried.append((r_best.copy(), records[-1][1]))
 
@@ -432,8 +426,8 @@ def estimate_EK(V_sequence, wells: WellPair, *, n: int = 16, n_sequence=None,
     through wells in between.  The total splits exactly into one right
     boundary layer, K-2 internal layers and one left boundary layer, each
     solved at zero offset with the clamp CLAMP_RATIO * n out.  `known` holds
-    (spec, estimate) pairs that `estimate_layer` produced with its default
-    options and the same n_sequence; a layer whose spec matches one of them
+    (spec, estimate) pairs that `estimate_layer` produced with the same
+    n_sequence; a layer whose spec matches one of them
     takes that estimate instead of being solved again.  Returns (total,
     parts) with parts the (spec, estimate) pair of every layer in order.
     """
@@ -470,8 +464,7 @@ def save_layer_estimates(entries, path, header=None):
     for spec, est in entries:
         flat_l = " ".join(f"{v:.17g}" for v in spec.V_left.ravel())
         flat_r = " ".join(f"{v:.17g}" for v in spec.V_right.ravel())
-        offset = est.offsets_tried[-1][0] if est.offsets_tried else spec.r_star
-        flat_o = " ".join(f"{v:.17g}" for v in np.asarray(offset).ravel())
+        flat_o = " ".join(f"{v:.17g}" for v in est.offsets_tried[-1][0])
         seq = [e for _, e in est.n_sequence if math.isfinite(e)]
         gap = abs(seq[-1] - seq[-2]) if len(seq) >= 2 else math.nan
         for n_v, e in est.n_sequence:

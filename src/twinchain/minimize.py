@@ -83,17 +83,14 @@ _BACKTRACK = 0.5
 # a trial energy this close (relative) to the current one is rounding noise;
 # near the minimum the predicted Armijo decrease falls below one ulp of E
 _ENERGY_RTOL = 16.0 * np.finfo(float).eps
+# gradient stop relative to |g_0|: an absolute one sits below the |g| floor at large n
+_GRAD_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
 class MinimizeOptions:
     variable_tau: bool = False
-    grad_tol: float = 1e-10
     max_iters: int = 500
-
-    def __post_init__(self):
-        if self.grad_tol <= 0:
-            raise ValueError("gradient tolerance must be positive")
 
 
 @dataclass
@@ -104,8 +101,7 @@ class MinimizationReport:
     energy_history: np.ndarray
     converged: bool
     admissibility_violations: int
-    options: MinimizeOptions
-    stop_reason: str = ""
+    stop_reason: str
 
 
 class ChainProblem:
@@ -347,17 +343,33 @@ def _contract(A, J):
     return sum(np.einsum("ie,iev->iv", a, jac) for a, jac in zip(A, J))
 
 
-def _finish(problem, x, energies, grads, violations, converged, opts, reason):
-    return MinimizationReport(
-        final_chain=problem.apply(x), iterations=len(energies) - 1,
-        grad_norm_history=np.array(grads), energy_history=np.array(energies),
-        converged=converged, admissibility_violations=violations,
-        options=opts, stop_reason=reason)
+def _levenberg_step(ab, bw, grad):
+    """Newton step on the banded Hessian, shifted until Cholesky succeeds; None past 1e12."""
+    mu = 0.0
+    while mu <= 1e12:
+        shifted = ab.copy()
+        shifted[bw, :] += mu
+        try:
+            return scipy.linalg.solveh_banded(shifted, -grad, lower=False)
+        except np.linalg.LinAlgError:
+            mu = _REGULARIZATION if mu == 0.0 else mu * 10.0
+    return None
+
+
+def _converged(grads, energies):
+    """Stop "gradient" if |g|_inf <= _GRAD_RTOL * max(1, |g_0|_inf), else "energy
+    floor" if the last step lowered E by at most the Armijo slack, else None."""
+    if grads[-1] <= _GRAD_RTOL * max(1.0, grads[0]):
+        return "gradient"
+    if len(energies) > 1 and energies[-2] - energies[-1] <= _ENERGY_RTOL * abs(energies[-2]):
+        return "energy floor"
+    return None
 
 
 def newton_minimize(chain: ChainState, opts: MinimizeOptions = None, *,
                     problem: ChainProblem = None) -> MinimizationReport:
-    """Levenberg-damped Newton with Armijo backtracking and admissibility rejection."""
+    """Levenberg-damped Newton with Armijo backtracking and admissibility rejection,
+    converged when `_converged` names a stop reason."""
     opts = opts or MinimizeOptions()
     if problem is None:
         problem = ChainProblem(chain, variable_tau=opts.variable_tau)
@@ -365,28 +377,20 @@ def newton_minimize(chain: ChainState, opts: MinimizeOptions = None, *,
     energy = problem.energy(x)
     grad = problem.gradient(x)
     energies = [energy]
-    grads = [np.abs(grad).max() if grad.size else 0.0]
+    grads = [np.abs(grad).max()]
     violations = 0
 
-    for _ in range(opts.max_iters):
-        if grads[-1] <= opts.grad_tol:
-            return _finish(problem, x, energies, grads, violations, True, opts, "gradient")
-        ab, bw = problem.hessian_banded(x)
-        mu = 0.0
-        while True:
-            shifted = ab.copy()
-            shifted[bw, :] += mu
-            try:
-                step = scipy.linalg.solveh_banded(shifted, -grad, lower=False)
-                break
-            except np.linalg.LinAlgError:
-                mu = _REGULARIZATION if mu == 0.0 else mu * 10.0
-                if mu > 1e12:
-                    return _finish(problem, x, energies, grads, violations, False,
-                                   opts, "regularization overflow")
+    reason = _converged(grads, energies)
+    while reason is None:
+        if len(energies) > opts.max_iters:
+            reason = "max iterations"
+            break
+        step = _levenberg_step(*problem.hessian_banded(x), grad)
+        if step is None:
+            reason = "regularization overflow"
+            break
         slope = float(grad @ step)
         t = 1.0
-        accepted = False
         for _ in range(60):
             x_try = x + t * step
             if not problem.admissible(problem.apply(x_try)):
@@ -395,20 +399,22 @@ def newton_minimize(chain: ChainState, opts: MinimizeOptions = None, *,
                 continue
             e_try = problem.energy(x_try)
             if e_try <= energy + _ARMIJO_C * t * slope + _ENERGY_RTOL * abs(energy):
-                accepted = True
                 break
             t *= _BACKTRACK
-        if not accepted:
-            return _finish(problem, x, energies, grads, violations, False, opts,
-                           "step collapse")
+        else:
+            reason = "step collapse"
+            break
         x, energy = x_try, e_try
         grad = problem.gradient(x)
         energies.append(energy)
         grads.append(np.abs(grad).max())
+        reason = _converged(grads, energies)
 
-    converged = grads[-1] <= opts.grad_tol
-    return _finish(problem, x, energies, grads, violations, converged, opts,
-                   "max iterations" if not converged else "gradient")
+    return MinimizationReport(
+        final_chain=problem.apply(x), iterations=len(energies) - 1,
+        grad_norm_history=np.array(grads), energy_history=np.array(energies),
+        converged=reason in ("gradient", "energy floor"),
+        admissibility_violations=violations, stop_reason=reason)
 
 
 def twin_chain(n, wells: WellPair, interface_column: int = 0) -> ChainState:

@@ -1,5 +1,6 @@
 """Layer energies, vertical averaging and affine tail splicing."""
 
+import functools
 import math
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from chaingen import random_chain
-from twinchain import gamma
+from twinchain import gamma, minimize
 from twinchain.energy import chain_energy, field_local_grid
 from twinchain.gamma import (CLAMP_RATIO, LayerSpec, TranslatedChain,
                              average_down, cut_and_extend, estimate_EK,
@@ -190,11 +191,6 @@ class TestLayerSpec:
         with pytest.raises(ValueError, match="2x2"):
             LayerSpec("C", np.eye(3), U)
 
-    def test_requires_relaxed_row_directions(self, wells):
-        spec = LayerSpec("C", wells.U0, wells.U0, L=8, n=4)
-        with pytest.raises(ValueError, match="variable_tau"):
-            estimate_layer(spec, wells, MinimizeOptions(variable_tau=False))
-
     @pytest.mark.parametrize("search_offset", [False, True])
     def test_rejects_empty_height_sequence(self, wells, search_offset):
         spec = LayerSpec("C", wells.U0, wells.U0, L=8, n=4)
@@ -261,11 +257,12 @@ class TestLayerEstimates:
         # as much as staying put
         assert a.value + b.value >= 0.0 - 2e-6
 
-    def test_failed_solves_are_excluded_and_reported(self, wells):
+    def test_failed_solves_are_excluded_and_reported(self, wells, monkeypatch):
         spec = LayerSpec("C", wells.U0, wells.QU1, (0.0, 0.0), L=12, n=4)
-        starved = MinimizeOptions(variable_tau=True, grad_tol=1e-16, max_iters=1)
+        monkeypatch.setattr(minimize, "MinimizeOptions",
+                            functools.partial(MinimizeOptions, max_iters=1))
         with pytest.raises(RuntimeError, match="no height"):
-            estimate_layer(spec, wells, starved, n_sequence=(4,))
+            estimate_layer(spec, wells, n_sequence=(4,))
 
     def test_one_solve_per_height_at_the_clamp_ratio(self, wells, f_half,
                                                      monkeypatch):

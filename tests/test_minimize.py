@@ -300,11 +300,42 @@ class TestNewton:
         assert report.iterations <= 10
 
     def test_max_iters_stops_honestly(self, wells):
-        opts = MinimizeOptions(max_iters=1, grad_tol=1e-16)
-        report = newton_minimize(twin_chain(8, wells), opts)
+        report = newton_minimize(twin_chain(8, wells), MinimizeOptions(max_iters=1))
         assert not report.converged
         assert report.stop_reason == "max iterations"
         assert report.iterations == 1
+
+
+class TestStoppingRule:
+    """Large chains and flat layer modes stop at the floor they can reach."""
+
+    @pytest.mark.parametrize("n", [600, 1000])
+    def test_large_fixed_tau_twin_stops_on_the_relative_gradient(self, wells, n):
+        # an absolute 1e-10 bound sits below the rounding floor of |g| here
+        # (1.33e-10 at n = 600, 2.04e-10 at n = 1000)
+        report = newton_minimize(preoptimize_middle(twin_chain(n, wells)))
+        assert report.converged
+        assert report.stop_reason == "gradient"
+        assert report.iterations < 20
+        assert report.grad_norm_history[-1] <= 1e-10 * report.grad_norm_history[0]
+
+    def test_variable_tau_twin_stops(self, wells):
+        chain = preoptimize_middle(twin_chain(400, wells))
+        report = newton_minimize(chain, MinimizeOptions(variable_tau=True))
+        assert report.converged, report.stop_reason
+        assert report.iterations < 20
+
+    def test_flat_layer_mode_stops_at_the_energy_floor(self, wells):
+        # the kink position of a boundary layer at a small vertical offset is
+        # nearly flat: |g| stalls near 1e-7 while E no longer moves
+        F = boundary_gradient(wells, 0.5).F
+        chain, problem = _layer_problem("B_plus", F, wells.U0, (0.0, 0.01), 12, 4, wells)
+        report = newton_minimize(chain, problem=problem)
+        assert report.converged
+        assert report.stop_reason == "energy floor"
+        assert report.iterations < 20
+        e = report.energy_history
+        assert e[-2] - e[-1] <= 16.0 * np.finfo(float).eps * abs(e[-2])
 
 
 class TestPreoptimize:
@@ -357,8 +388,3 @@ class TestConstructors:
         with pytest.raises(ValueError):
             laminate_chain(20, wells, 1.0)
 
-
-class TestOptions:
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            MinimizeOptions(grad_tol=0.0)
