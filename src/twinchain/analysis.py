@@ -1,9 +1,9 @@
 """Well classification, interface detection, and decay diagnostics.
 
-Everything here consumes already-computed fields or breakdowns and reduces
-them to the quantities one actually looks at: which well each cell sits in,
-where the phase interfaces are, how fast a perturbation decays along the
-chain, and which horizontal rows are quiet enough to section the strip.
+Everything here reduces chains or their energy breakdowns to the quantities
+one actually looks at: which well each cell sits in, where the phase
+interfaces are, how fast a perturbation decays along the chain, and which
+horizontal rows are quiet enough to section the strip.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import _GRID_BLOCK, EnergyBreakdown, default_jump_threshold
-from .lattice import ChainState, LatticeField
+from .energy import EnergyBreakdown, default_jump_threshold, stencil_grid
+from .lattice import ChainState
 from .wells import WellPair, build_wells, dist_to_well
 
 __all__ = [
@@ -57,30 +57,30 @@ class WellClassification:
                 float(self.angle[k, l]), bool(self.tie[k, l]))
 
 
-def classify(field: LatticeField, wells: WellPair) -> WellClassification:
+def classify(chain: ChainState, wells: WellPair) -> WellClassification:
     """Assign every gradient cell to its nearest energy well.
 
-    Columns are classified in blocks of about _GRID_BLOCK cells, which bounds
-    the distance temporaries; each cell depends on its own gradient only.
+    The cell gradient at (i, j) is [h+ | v+] of the stencil centered at
+    atom i on row j, read off `stencil_grid` block by block; each cell
+    depends on its own gradient only.
     """
-    grads = field.gradients
-    shape = grads.shape[:2]
+    shape = (2 * chain.n + 1,) * 2
     well = np.empty(shape, dtype=int)
     distance = np.empty(shape)
     angle = np.empty(shape)
     tie = np.empty(shape, dtype=bool)
-    step = max(1, _GRID_BLOCK // shape[1])
-    for k in range(0, shape[0], step):
-        blk = slice(k, k + step)
-        d0, a0 = dist_to_well(grads[blk], wells.U0)
-        d1, a1 = dist_to_well(grads[blk], wells.U1)
-        tie[blk] = np.abs(d0 - d1) <= TIE_TOL
-        well[blk] = np.where(tie[blk], 0, (d1 < d0).astype(int))
-        pick0 = well[blk] == 0
-        distance[blk] = np.where(pick0, d0, d1)
-        angle[blk] = np.where(pick0, a0, a1)
+    for k, W in stencil_grid(chain):
+        grads = W[..., 2::-2, :].swapaxes(-1, -2)  # columns h+, v+
+        d0, a0 = dist_to_well(grads, wells.U0)
+        d1, a1 = dist_to_well(grads, wells.U1)
+        tied = np.abs(d0 - d1) <= TIE_TOL
+        pick1 = ~tied & (d1 < d0)
+        tie[k] = tied
+        well[k] = pick1
+        distance[k] = np.where(pick1, d1, d0)
+        angle[k] = np.where(pick1, a1, a0)
     return WellClassification(well_id=well, distance=distance, angle=angle,
-                              tie=tie, n=field.n, lam=field.lam)
+                              tie=tie, n=chain.n, lam=chain.lam)
 
 
 @dataclass(frozen=True)

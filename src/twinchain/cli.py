@@ -30,7 +30,7 @@ from .energy import (chain_energy, default_jump_threshold,
                      local_energy_threshold_census, save_breakdown)
 from .gamma import (CLAMP_RATIO, LayerSpec, estimate_EK, estimate_layer,
                     save_layer_estimates)
-from .lattice import load_chain, reconstruct, save_chain
+from .lattice import load_chain, save_chain
 from .minimize import (MinimizeOptions, newton_minimize, preoptimize_middle,
                        twin_chain)
 from .wells import boundary_gradient, build_wells
@@ -141,7 +141,7 @@ def cmd_minimize(cfg: ExperimentConfig) -> int:
         save_chain(final, out / f"chain-n{n}.txt", header=head)
         save_chain(warm, out / f"reference-n{n}.txt", header=head)
         save_breakdown(bd, out / f"breakdown-n{n}.csv", header=head)
-        cls = classify(reconstruct(final), wells)
+        cls = classify(final, wells)
         save_classification(cls, out / f"classification-n{n}.csv", header=head)
         profile = deviation_profile(final, warm)
         for side, lo, hi in (("right", 2, n - 2), ("left", -(n - 2), -2)):
@@ -198,21 +198,14 @@ def cmd_layers(cfg: ExperimentConfig) -> int:
     L = CLAMP_RATIO * height
     seq = (4, 6) if cfg.quick else (8, 12, 16)
 
-    specs = [
-        LayerSpec("C", wells.U0, wells.U0, (0.0, 0.0), L, height),
-        LayerSpec("C", wells.U0, wells.QU1, (0.0, 0.0), L, height),
-        LayerSpec("B_plus", F, wells.U0, (0.0, 0.0), L, height),
-        LayerSpec("B_minus", wells.QU1, F, (0.0, 0.0), L, height),
-    ]
-    entries = [(spec, estimate_layer(spec, wells, n_sequence=seq))
-               for spec in specs]
-    save_layer_estimates(entries, cfg.out / "layers.csv", header=head)
-
-    # the first ordering's three layers are table rows 2-4, solved above
-    first, _ = estimate_EK([F, wells.U0, wells.QU1, F], wells, n=height,
-                           n_sequence=seq, known=entries)
+    flat = LayerSpec("C", wells.U0, wells.U0, (0.0, 0.0), L, height)
+    flat_entry = (flat, estimate_layer(flat, wells, n_sequence=seq))
+    first, (b_plus, c, b_minus) = estimate_EK([F, wells.U0, wells.QU1, F], wells,
+                                              n=height, n_sequence=seq)
     second, _ = estimate_EK([F, wells.QU1, wells.U0, F], wells, n=height,
-                            n_sequence=seq, known=entries)
+                            n_sequence=seq)
+    save_layer_estimates([flat_entry, c, b_plus, b_minus], cfg.out / "layers.csv",
+                         header=head)
     n_ref = 20 if cfg.quick else 40
     ref = newton_minimize(twin_chain(n_ref, wells,
                                      interface_column=_interface_column(cfg, n_ref)))
@@ -229,6 +222,9 @@ def cmd_layers(cfg: ExperimentConfig) -> int:
         f"relative_gap={G17 % (abs(best - h1) / h1)}",
     ]
     _write(cfg.out / "composition.txt", lines)
+    if not ref.converged:
+        print(f"layers failed to converge for reference n = {n_ref}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -348,8 +344,10 @@ def _resolve_config(args, parser) -> ExperimentConfig:
     if cfg.quick and "n_list" not in fields:
         cfg = replace(cfg, n_list=(8,))
 
-    if not (cfg.a > 0 and math.isfinite(cfg.a)) or cfg.a == 1.0:
-        parser.error("--a must be positive, finite and different from 1")
+    try:
+        build_wells(cfg.a)
+    except ValueError as exc:
+        parser.error(f"--a: {exc}")
     if not 0.0 < cfg.lam < 1.0:
         parser.error("--lambda must lie strictly inside (0, 1)")
     if not cfg.n_list:

@@ -18,6 +18,8 @@ variables (du, per-column tau vectors, row index j) without materializing the
 lattice.  They agree to rounding and cross-validate each other.  Both feed
 their differences to one bracket kernel (`brackets`), and the chain-variable
 stencil (`chain_stencil`) is the one the Newton derivatives differentiate.
+`stencil_grid` walks that stencil over the whole site grid once for
+`chain_energy` and for the well classification in `analysis.classify`.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "density",
     "affine_stencil",
     "chain_stencil",
+    "stencil_grid",
     "chain_energy",
     "lattice_energy",
     "chain_local_grid",
@@ -167,32 +170,39 @@ def _breakdown(local, n, lam, a):
                            total=total, rescaled=total / lam, n=n, lam=lam, a=a)
 
 
-# sites per chain_energy block: bounds the stencil and bracket temporaries
-# (a few hundred bytes per site) while the output grid takes 8 bytes per site
+# sites per stencil block: bounds the stencil and bracket temporaries
+# (a few hundred bytes per site) while the output grids take a few bytes per site
 _GRID_BLOCK = 1 << 15
 
 
-def chain_energy(chain: ChainState) -> EnergyBreakdown:
-    """Total energy evaluated directly in chain variables.
+def stencil_grid(chain: ChainState):
+    """Walk the (2n+1)^2 site grid as (k, W): grid rows k = i + n, stencils W.
 
-    A center whose stencil slope is exactly zero (fixed tau and theta = 0 on
-    its three columns) has the same density on every row, so it is evaluated
-    once and broadcast; the other centers fill their rows in blocks.
+    W = [v+, v-, h+, h-] has shape (len(k), rows, 4, 2).  A center whose
+    stencil slope is exactly zero (fixed tau and theta = 0 on its three
+    columns) is the same on every row, so it comes once with rows = 1 and the
+    caller broadcasts it down the column; the other centers come with all
+    2n+1 rows, in blocks of about _GRID_BLOCK sites.
     """
-    n, wells = chain.n, chain.wells
-    ids = np.arange(-n, n + 1)
+    ids = np.arange(-chain.n, chain.n + 1)
     base, slope, _ = affine_stencil(chain, ids)
-    local = np.empty((ids.size, ids.size))
     flat = ~slope.any(axis=(1, 2))
-    local[flat] = density(base[flat, :2], base[flat, 2:], wells)[:, None]
+    yield np.flatnonzero(flat), base[flat, None]
     rest = np.flatnonzero(~flat)
     j = ids.astype(float)[None, :, None, None]
     step = max(1, _GRID_BLOCK // ids.size)
     for k in range(0, rest.size, step):
         blk = rest[k:k + step]
-        W = base[blk, None] + j * slope[blk, None]
-        local[blk] = density(W[..., :2, :], W[..., 2:, :], wells)
-    return _breakdown(local, n, chain.lam, wells.a)
+        yield blk, base[blk, None] + j * slope[blk, None]
+
+
+def chain_energy(chain: ChainState) -> EnergyBreakdown:
+    """Total energy evaluated directly in chain variables, off `stencil_grid`."""
+    size = 2 * chain.n + 1
+    local = np.empty((size, size))
+    for k, W in stencil_grid(chain):
+        local[k] = density(W[..., :2, :], W[..., 2:, :], chain.wells)
+    return _breakdown(local, chain.n, chain.lam, chain.wells.a)
 
 
 def lattice_energy(field: LatticeField) -> EnergyBreakdown:

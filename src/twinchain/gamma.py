@@ -412,24 +412,15 @@ def _is_well(M, wells):
             or np.abs(M - wells.QU1).max() <= 1e-9)
 
 
-def _same_spec(a: LayerSpec, b: LayerSpec) -> bool:
-    return (a.kind == b.kind and a.L == b.L and a.n == b.n
-            and all(np.array_equal(getattr(a, name), getattr(b, name))
-                    for name in ("V_left", "V_right", "r_star")))
-
-
-def estimate_EK(V_sequence, wells: WellPair, *, n: int = 16, n_sequence=None,
-                known=()):
+def estimate_EK(V_sequence, wells: WellPair, *, n: int = 16, n_sequence=None):
     """Total layer energy of a gradient sequence V_0 .. V_K, and its parts.
 
     The sequence must start and end at the same boundary gradient and pass
     through wells in between.  The total splits exactly into one right
     boundary layer, K-2 internal layers and one left boundary layer, each
-    solved at zero offset with the clamp CLAMP_RATIO * n out.  `known` holds
-    (spec, estimate) pairs that `estimate_layer` produced with the same
-    n_sequence; a layer whose spec matches one of them
-    takes that estimate instead of being solved again.  Returns (total,
-    parts) with parts the (spec, estimate) pair of every layer in order.
+    solved at zero offset with the clamp CLAMP_RATIO * n out.  Returns
+    (total, parts) with parts the (spec, estimate) pair of every layer in
+    order.
     """
     V = [np.asarray(M, dtype=float).reshape(2, 2) for M in V_sequence]
     if len(V) < 3:
@@ -446,11 +437,7 @@ def estimate_EK(V_sequence, wells: WellPair, *, n: int = 16, n_sequence=None,
         specs.append(LayerSpec("C", V[s], V[s + 1], (0.0, 0.0), L, n))
     specs.append(LayerSpec("B_minus", V[-2], V[-1], (0.0, 0.0), L, n))
 
-    parts = []
-    for spec in specs:
-        reused = [est for done, est in known if _same_spec(done, spec)]
-        parts.append(reused[0] if reused else
-                     estimate_layer(spec, wells, n_sequence=n_sequence))
+    parts = [estimate_layer(spec, wells, n_sequence=n_sequence) for spec in specs]
     return float(sum(p.value for p in parts)), tuple(zip(specs, parts))
 
 

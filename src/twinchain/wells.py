@@ -101,7 +101,7 @@ def build_wells(a: float) -> WellPair:
     jump = U0 - Q @ U1
     dyad = kappa * np.outer([a, -b], [1.0, 1.0])
     if not np.allclose(jump, dyad, rtol=0.0, atol=1e-12 * max(1.0, a * a)):
-        raise AssertionError("rank-one factorization residual too large")
+        raise ValueError(f"rank-one factorization residual too large for a = {a!r}")
 
     return WellPair(a=a, b=b, U0=_locked(U0), U1=_locked(U1), Q=_locked(Q),
                     Qtilde=_locked(Qt), tau=_locked(tau))

@@ -176,7 +176,7 @@ def test_criterion_05_minimize_reproduction(tmp_path, wells):
         fields = dict(line.split("=", 1) for line in text.splitlines()
                       if "=" in line and not line.startswith("#"))
         chain = load_chain(tmp_path / f"chain-n{n}.txt")
-        records = interface_positions(classify(reconstruct(chain), wells), tol=0.2)
+        records = interface_positions(classify(chain, wells), tol=0.2)
         two_regions = len(records) == 1 and records[0].left_well != records[0].right_well
         checks += [fields["converged"] == "1",
                    float(fields["final_gradient_norm"]) <= 1e-10,
@@ -340,7 +340,7 @@ def test_criterion_09_layer_consistency(wells, minimizer100):
     kinds = [spec.kind for spec, _ in parts]
     b_vals = [part.value for spec, part in parts if spec.kind != "C"]
     c_vals = [part.value for spec, part in parts if spec.kind == "C"]
-    records = interface_positions(classify(reconstruct(minimizer100), wells),
+    records = interface_positions(classify(minimizer100, wells),
                                   tol=0.2)
     ok = (rel <= 0.10 and est.converged
           and abs(zero.value) <= 1e-10

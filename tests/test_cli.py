@@ -122,6 +122,17 @@ class TestNonConvergence:
         assert f"{command} failed to converge for n = 8" in err
         assert (tmp_path / written).is_file()
 
+    def test_unconverged_layers_reference_exits_1(self, monkeypatch, tmp_path,
+                                                  capsys):
+        # starve only the reference relaxation: layer solves go through
+        # gamma's own newton_minimize binding
+        monkeypatch.setattr(cli, "newton_minimize", functools.partial(
+            cli.newton_minimize, opts=MinimizeOptions(max_iters=1)))
+        assert run("layers", "--quick", "--out", tmp_path) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert "layers failed to converge for reference n = 20" in err
+        assert (tmp_path / "composition.txt").is_file()
+
 
 def test_startup_skips_unused_scipy_modules():
     src = str(Path(twinchain.__file__).resolve().parent.parent)
@@ -193,6 +204,9 @@ class TestArguments:
         ("scan", "--alpha", "1.5"),
         ("scan", "--delta", "0.3"),
         ("minimize", "--seed", "1"),
+        ("minimize", "--a", "1.0000000000001"),
+        ("minimize", "--a", "1e-4"),
+        ("minimize", "--a", "1e200"),
     ])
     def test_usage_errors_exit_2(self, argv, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -205,10 +219,11 @@ class TestArguments:
         ('{"n": ["x"]}', "'n'"),
         ('{"quick": "no"}', "'quick'"),
         ('{"a": "x"}', "'a'"),
+        ('{"a": 1e-4}', "--a"),
         ('{"lambda": null}', "'lambda'"),
         ("5", "JSON object"),
     ], ids=["empty-n", "n-scalar", "n-strings", "quick-string", "a-string",
-            "lambda-null", "top-level-number"])
+            "a-not-rank-one", "lambda-null", "top-level-number"])
     def test_malformed_config_values(self, tmp_path, capsys, text, named):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)

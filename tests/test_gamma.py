@@ -2,7 +2,6 @@
 
 import functools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -308,17 +307,6 @@ class TestEstimateEK:
         assert values[0] <= 1e-10
         assert values[2] <= 1e-10
         assert values[1] == pytest.approx(first, rel=1e-9)
-
-    def test_known_layers_are_not_solved_again(self, wells, f_half):
-        # each known layer carries a marker value in place of its estimate;
-        # the one left out (B_plus) is solved, and is zero at this offset
-        sequence = [f_half, wells.U0, wells.QU1, f_half]
-        _, parts = estimate_EK(sequence, wells, n=6, n_sequence=(4, 6))
-        known = [(spec, replace(est, value=float(k)))
-                 for k, (spec, est) in enumerate(parts)][1:]
-        total, _ = estimate_EK(sequence, wells, n=6, n_sequence=(4, 6),
-                               known=known)
-        assert total == pytest.approx(3.0, abs=1e-10)
 
     def test_sequence_validation(self, wells, f_half):
         with pytest.raises(ValueError, match="at least"):
