@@ -159,15 +159,46 @@ class EnergyBreakdown:
 
 
 def _breakdown(local, n, lam, a):
-    # fsum over Python floats, one row or column list at a time: fsum rounds
-    # exactly whatever the order, and a whole-grid tolist() would hold 32
-    # bytes per site
-    row_sums = np.array([math.fsum(col.tolist()) for col in local.T])
-    col_sums = np.array([math.fsum(row.tolist()) for row in local])
-    total = lam * lam * math.fsum(
-        itertools.chain.from_iterable(row.tolist() for row in local))
+    # every sum is an fsum, the correctly rounded exact sum, so the order and
+    # grouping of its terms never shows.  A grid row whose values are bitwise
+    # equal (each center of a fixed-tau chain at theta = 0) is summed in O(1):
+    # its sum width * x is one correctly rounded multiply, and its exact value
+    # splits into two floats for the total.  Other rows go site by site, one
+    # list at a time: a whole-grid tolist() would hold 32 bytes per site
+    width = local.shape[1]
+    x = local[:, 0]
+    bits = local.view(np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        flat = (bits == bits[:, :1]).all(axis=1) & np.isfinite(width * x)
+    varying = np.flatnonzero(~flat)
+    # fsum of exact zeros is +0.0 (the sum of a row of -0.0); adding fsum's
+    # own result for -0.0 keeps every other value as it is
+    col_sums = width * x + math.fsum([-0.0])
+    for k in varying:
+        col_sums[k] = math.fsum(local[k].tolist())
+    if varying.size:
+        row_sums = np.array([math.fsum(col.tolist()) for col in local.T])
+    else:
+        row_sums = np.full(width, math.fsum(x.tolist()))
+    total = lam * lam * math.fsum(itertools.chain(
+        _exact_multiples(x[flat], width),
+        itertools.chain.from_iterable(local[k].tolist() for k in varying)))
     return EnergyBreakdown(local=local, row_sums=row_sums, col_sums=col_sums,
                            total=total, rescaled=total / lam, n=n, lam=lam, a=a)
+
+
+def _exact_multiples(x, width):
+    """Floats whose exact sum is sum(width * x), for finite x and width < 2^26.
+
+    Dekker's split x = hi + lo with hi the top 26 significand bits and lo the
+    remaining 27 (exact: masking, then a Sterbenz subtraction).  width * hi
+    and width * lo then need at most 52 and 53 bits, so both products are
+    exact, barring overflow.
+    """
+    hi = (x.view(np.int64) & ~np.int64((1 << 27) - 1)).view(np.float64)
+    lo = x - hi
+    # a zero lo adds nothing, and leaving it out keeps the sign of a -0.0 total
+    return (width * hi).tolist() + (width * lo[lo != 0.0]).tolist()
 
 
 # sites per stencil block: bounds the stencil and bracket temporaries

@@ -179,6 +179,61 @@ class TestBreakdown:
         assert left + right == pytest.approx(whole, rel=1e-12)
 
 
+def _site_wise_sums(local, lam):
+    """The reference reduction: three fsum passes over every site."""
+    row_sums = np.array([math.fsum(col.tolist()) for col in local.T])
+    col_sums = np.array([math.fsum(row.tolist()) for row in local])
+    return row_sums, col_sums, lam * lam * math.fsum(local.ravel().tolist())
+
+
+def _constant_rows(rng, m):
+    # both signs and 36 decades, so the rows' products round and cancel
+    x = rng.standard_normal(m) * 10.0 ** rng.uniform(-30.0, 6.0, m)
+    return np.repeat(x[:, None], m, axis=1)
+
+
+def _mixed_rows(rng, m):
+    local = _constant_rows(rng, m)
+    local[[1, 4, m - 1]] = rng.standard_normal((3, m))
+    return local
+
+
+def _signed_zero_rows(rng, m):
+    local = _constant_rows(rng, m)
+    local[0] = -0.0
+    local[2] = 0.0
+    local[3, ::2] = -0.0
+    local[3, 1::2] = 0.0
+    return local
+
+
+class TestBreakdownSums:
+    """_breakdown sums constant rows in O(1); every sum must keep its bits."""
+
+    @pytest.mark.parametrize("make", [
+        _constant_rows, _mixed_rows, _signed_zero_rows,
+        lambda rng, m: np.full((m, m), -0.0),
+        lambda rng, m: np.full((m, m), 1.0 / 3.0),
+    ], ids=["constant", "mixed", "signed-zeros", "all-negative-zero", "one-third"])
+    def test_matches_site_wise_fsum_bit_for_bit(self, rng, make):
+        n = 6
+        lam = 1.0 / n
+        for _ in range(20):
+            self._assert_bitwise(make(rng, 2 * n + 1), n, lam)
+
+    def test_relaxed_twin(self, minimizer100):
+        bd = chain_energy(minimizer100)
+        self._assert_bitwise(bd.local, bd.n, bd.lam)
+
+    @staticmethod
+    def _assert_bitwise(local, n, lam):
+        bd = energy_mod._breakdown(local, n, lam, np.sqrt(2.0))
+        row_sums, col_sums, total = _site_wise_sums(local, lam)
+        assert np.array_equal(bd.row_sums.view(np.int64), row_sums.view(np.int64))
+        assert np.array_equal(bd.col_sums.view(np.int64), col_sums.view(np.int64))
+        assert bd.total.hex() == total.hex()
+
+
 class TestFlatColumns:
     """chain_energy evaluates zero-slope centers once; the grid must not move."""
 
