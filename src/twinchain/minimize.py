@@ -19,10 +19,13 @@ is evaluated only at the end rows and next to its vertex.
 
 Atoms couple only within distance 2 along the chain, so the Hessian on the
 interleaved free variables (ux, uy[, theta]) is banded with bandwidth
-3*stride - 1 and is scattered straight into scipy's upper banded storage.
-Solves use a banded Cholesky with a Levenberg shift that grows tenfold until
-the factorization succeeds.  Steps are Armijo-backtracked on the energy and
-rejected (halved) whenever the trial configuration loses admissibility.
+bw = 3*stride - 1 and is scattered straight into the LAPACK upper band
+layout (ab[bw + r - c, c] = H[r, c] for r <= c).  Cut into blocks of bw
+dofs, that matrix is block tridiagonal, and each Newton step solves it by
+block cyclic reduction with numpy's batched Cholesky, under a Levenberg
+shift that grows tenfold until every pivot factors.  Steps are
+Armijo-backtracked on the energy and rejected (halved) whenever the trial
+configuration loses admissibility.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .energy import affine_stencil, brackets, chain_stencil, density
 from .lattice import (
@@ -284,7 +286,7 @@ class ChainProblem:
                                         minlength=self.ndof)
 
     def hessian_banded(self, x):
-        """Upper banded form (scipy layout) of the free-variable Hessian."""
+        """Free-variable Hessian in the LAPACK upper band layout, and its bandwidth."""
         W, t = chain_stencil(self.apply(x), self.centers, self.nodes)
         _, G, M = self._density_parts(W, order=2)
         J = self._jacobian(t)
@@ -343,14 +345,75 @@ def _contract(A, J):
     return sum(np.einsum("ie,iev->iv", a, jac) for a, jac in zip(A, J))
 
 
+def _band_blocks(ab, bw):
+    """The symmetric matrix of upper band `ab` as a block tridiagonal one.
+
+    Blocks hold s = max(bw, 1) dofs, so entry (r, c) is nonzero only within a
+    block or between neighbouring blocks.  Returns the diagonal blocks D
+    (m, s, s) and the superdiagonal blocks U (m - 1, s, s), U[i] coupling
+    block i to block i + 1; dofs that pad the last block get an identity
+    diagonal and no coupling.
+    """
+    ndof = ab.shape[1]
+    s = max(bw, 1)
+    m = -(-ndof // s)
+    # A[r, c] = A[c, r] sits at ab[bw - (c - r), c] for c >= r.  band holds ab
+    # one row down, so that offsets beyond the band read the zero row 0, with
+    # its columns split into blocks of s
+    band = np.zeros((bw + 2, m + 1, s))
+    band[1:].reshape(bw + 1, -1)[:, :ndof] = ab
+    band[bw + 1].reshape(-1)[ndof:] = 1.0
+    r, c = np.arange(s)[:, None], np.arange(s)
+    D = band[np.maximum(bw + 1 - np.abs(c - r), 0), :m, np.maximum(r, c)]
+    U = band[np.maximum(bw + 1 - (s + c - r), 0), 1:m, c]
+    return np.moveaxis(D, -1, 0), np.moveaxis(U, -1, 0)
+
+
+def _block_cholesky_solve(D, U, b):
+    """Solve the block tridiagonal SPD system (D, U) x = b by cyclic reduction.
+
+    Each level eliminates the odd blocks: Cholesky of their pivots, which are
+    Schur complements of the original matrix, then the Schur complement on
+    the even blocks, which is block tridiagonal again with half as many
+    blocks.  `np.linalg.LinAlgError` is raised exactly when a pivot, hence
+    the matrix, is not positive definite.
+    """
+    Li = np.linalg.inv(np.linalg.cholesky(D[1::2] if len(D) > 1 else D))
+    if len(D) == 1:
+        return (Li.swapaxes(1, 2) @ (Li @ b[..., None]))[..., 0]
+    # Li = L^{-1} of each odd pivot; Zl, Zr its couplings to the left and
+    # right even neighbours and zb its right-hand side, each premultiplied by
+    # Li.  The last odd block lacks a right neighbour when len(D) is even
+    p, q = len(Li), (len(D) - 1) // 2
+    Zl = Li @ U[0::2].swapaxes(1, 2)
+    Zr = Li[:q] @ U[1::2]
+    zb = Li @ b[1::2, :, None]
+    ZlT, ZrT = Zl.swapaxes(1, 2), Zr.swapaxes(1, 2)
+    D_even, b_even = D[0::2].copy(), b[0::2].copy()
+    D_even[:p] -= ZlT @ Zl
+    D_even[1:q + 1] -= ZrT @ Zr
+    b_even[:p] -= (ZlT @ zb)[..., 0]
+    b_even[1:q + 1] -= (ZrT @ zb[:q])[..., 0]
+    x_even = _block_cholesky_solve(D_even, -(ZlT[:q] @ Zr), b_even)
+    # back substitution: x_odd = L^{-T} (zb - Zl x_left - Zr x_right)
+    rest = zb - Zl @ x_even[:p, :, None]
+    rest[:q] -= Zr @ x_even[1:q + 1, :, None]
+    x = np.empty_like(b)
+    x[0::2] = x_even
+    x[1::2] = (Li.swapaxes(1, 2) @ rest)[..., 0]
+    return x
+
+
 def _levenberg_step(ab, bw, grad):
     """Newton step on the banded Hessian, shifted until Cholesky succeeds; None past 1e12."""
+    D, U = _band_blocks(ab, bw)
+    rhs = np.zeros(D.shape[:2])
+    rhs.flat[:grad.size] = -grad
+    eye = np.eye(D.shape[1])
     mu = 0.0
     while mu <= 1e12:
-        shifted = ab.copy()
-        shifted[bw, :] += mu
         try:
-            return scipy.linalg.solveh_banded(shifted, -grad, lower=False)
+            return _block_cholesky_solve(D + mu * eye, U, rhs).ravel()[:grad.size]
         except np.linalg.LinAlgError:
             mu = _REGULARIZATION if mu == 0.0 else mu * 10.0
     return None

@@ -96,11 +96,13 @@ def build_wells(a: float) -> WellPair:
     tau = np.array([-a, b])
 
     # both factorizations must be exactly rank one: residual against the
-    # closed-form dyad stays at rounding level
+    # closed-form dyad stays at rounding level.  A square that overflows
+    # leaves no residual to check (and no finite tolerance)
     kappa = (a * a - b * b) / (a * a + b * b)
     jump = U0 - Q @ U1
     dyad = kappa * np.outer([a, -b], [1.0, 1.0])
-    if not np.allclose(jump, dyad, rtol=0.0, atol=1e-12 * max(1.0, a * a)):
+    if not (np.isfinite(a * a + b * b)
+            and np.allclose(jump, dyad, rtol=0.0, atol=1e-12 * max(1.0, a * a))):
         raise ValueError(f"rank-one factorization residual too large for a = {a!r}")
 
     return WellPair(a=a, b=b, U0=_locked(U0), U1=_locked(U1), Q=_locked(Q),

@@ -41,7 +41,7 @@ def random_chain(rng, n=8, a=None, base="twin", du=0.05, dtheta=None, wells=None
 
 
 def banded_to_dense(ab, bw):
-    """Full symmetric matrix from scipy's upper banded storage (bw superdiagonals)."""
+    """Full symmetric matrix from the LAPACK upper band layout (bw superdiagonals)."""
     ndof = ab.shape[1]
     h = np.zeros((ndof, ndof))
     for d in range(bw + 1):

@@ -14,9 +14,13 @@ from chaingen import banded_to_dense, random_chain
 from twinchain.energy import chain_energy
 from twinchain.gamma import _layer_problem
 from twinchain.lattice import affine_chain, check_admissible, reconstruct
+import twinchain.minimize as minimize_mod
 from twinchain.minimize import (
     ChainProblem,
     MinimizeOptions,
+    _band_blocks,
+    _block_cholesky_solve,
+    _levenberg_step,
     laminate_chain,
     newton_minimize,
     preoptimize_middle,
@@ -81,7 +85,7 @@ class TestDerivatives:
             h = banded_to_dense(ab, bw) + shift * np.eye(x.size)
             ab[bw] += shift
             rhs = np.linspace(-1.0, 1.0, x.size)
-            assert np.allclose(scipy.linalg.solveh_banded(ab, rhs),
+            assert np.allclose(_levenberg_step(ab, bw, -rhs),
                                np.linalg.solve(h, rhs), rtol=1e-10, atol=0.0)
 
     @pytest.mark.parametrize("kind, free_ids", [
@@ -253,6 +257,95 @@ class TestAdmissibility:
         assert {(v.i, v.j, v.triangle) for v in check_admissible(reconstruct(trial))} == {
             (-1, row, 1)}
         assert not problem.admissible(trial)
+
+
+def _random_spd_band(rng, bw, ndof, decades=0.0):
+    """Upper band (LAPACK layout) of a random SPD matrix, as hessian_banded shapes it.
+
+    Diagonally dominant with a margin, then scaled symmetrically by factors
+    spread over `decades` decades, which keeps it SPD.
+    """
+    bw = min(bw, ndof - 1)
+    ab = rng.standard_normal((bw + 1, ndof))
+    for d in range(1, bw + 1):
+        ab[bw - d, :d] = 0.0  # outside the matrix
+    h = banded_to_dense(ab, bw)
+    ab[bw] = np.abs(h).sum(axis=1) - np.abs(ab[bw]) + rng.uniform(0.1, 1.0, ndof)
+    scale = 10.0 ** (decades * rng.uniform(-0.5, 0.5, ndof))
+    for d in range(bw + 1):
+        ab[bw - d, d:] *= scale[d:] * scale[:ndof - d]
+    return ab, bw
+
+
+class TestBandSolve:
+    """The block cyclic reduction that replaces LAPACK's banded Cholesky."""
+
+    @pytest.mark.parametrize("bw", [1, 5, 8])
+    @pytest.mark.parametrize("size", [lambda bw: 1, lambda bw: 2, lambda bw: bw,
+                                      lambda bw: bw + 1, lambda bw: 3 * bw + 2,
+                                      lambda bw: 1598],
+                             ids=["1", "2", "bw", "bw+1", "3bw+2", "1598"])
+    def test_matches_lapack(self, rng, bw, size):
+        # 3bw + 2 leaves the last block of bw dofs partly padded (bw > 2)
+        ndof = size(bw)
+        for _ in range(3):
+            ab, band = _random_spd_band(rng, bw, ndof, decades=6.0)
+            rhs = rng.standard_normal(ndof)
+            x = _levenberg_step(ab, band, -rhs)  # SPD: no shift
+            h = banded_to_dense(ab, band)
+            assert np.linalg.norm(h @ x - rhs) <= 1e-12 * np.linalg.norm(h) * np.linalg.norm(x)
+            ref = scipy.linalg.solveh_banded(ab, rhs)
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("bw, ndof", [(1, 7), (5, 6), (5, 93), (8, 1), (8, 200)])
+    def test_indefinite_band_raises(self, rng, bw, ndof):
+        # shifting past the smallest eigenvalue by 1e-6 of it flips the verdict
+        ab, band = _random_spd_band(rng, bw, ndof)
+        low = np.linalg.eigvalsh(banded_to_dense(ab, band))[0]
+        for shift, definite in ((1.0 - 1e-6) * low, True), ((1.0 + 1e-6) * low, False):
+            shifted = ab.copy()
+            shifted[band] -= shift
+            D, U = _band_blocks(shifted, band)
+            rhs = np.ones(D.shape[:2])
+            if definite:
+                _block_cholesky_solve(D, U, rhs)
+            else:
+                with pytest.raises(np.linalg.LinAlgError):
+                    _block_cholesky_solve(D, U, rhs)
+                with pytest.raises(np.linalg.LinAlgError):
+                    scipy.linalg.solveh_banded(shifted, rhs.ravel()[:ndof])
+
+    def test_levenberg_shift_matches_lapack(self, wells, monkeypatch):
+        # the CLI's first Hessian at n = 100 (middle atom preoptimized) is
+        # indefinite; the shift sequence 0, 1e-8, 1e-7, ... must stop at the
+        # first mu at which LAPACK's banded Cholesky succeeds
+        chain = preoptimize_middle(twin_chain(100, wells))
+        problem = ChainProblem(chain)
+        x = problem.pack(chain)
+        ab, bw = problem.hessian_banded(x)
+        grad = problem.gradient(x)
+        mus = [0.0] + [1e-8 * 10.0 ** k for k in range(21)]
+        for want, mu in enumerate(mus):
+            shifted = ab.copy()
+            shifted[bw] += mu
+            try:
+                ref = scipy.linalg.solveh_banded(shifted, -grad)
+                break
+            except np.linalg.LinAlgError:
+                pass
+        assert mu == pytest.approx(100.0)
+        blocks = len(_band_blocks(ab, bw)[0])
+        calls = []
+        solve = minimize_mod._block_cholesky_solve
+
+        def counted(D, U, b):
+            calls.append(len(D))
+            return solve(D, U, b)
+
+        monkeypatch.setattr(minimize_mod, "_block_cholesky_solve", counted)
+        step = _levenberg_step(ab, bw, grad)
+        assert calls.count(blocks) == want + 1  # one top-level call per attempt
+        assert np.linalg.norm(step - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestNewton:

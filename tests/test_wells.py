@@ -1,5 +1,6 @@
 """Oracle and property tests for the two-well geometry."""
 
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -266,3 +267,12 @@ def test_rejects_degenerate_stretch():
         build_wells(-2.0)
     with pytest.raises(ValueError):
         build_wells(0.0)
+
+
+@pytest.mark.parametrize("a", [1e200, 1e-200])
+def test_overflowing_stretch_rejected_without_warning(a):
+    # a * a (or 1/a squared) overflows: rejected before the tolerance turns inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="rank-one factorization"):
+            build_wells(a)
