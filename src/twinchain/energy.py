@@ -167,13 +167,13 @@ def _breakdown(local, n, lam, a):
     # list at a time: a whole-grid tolist() would hold 32 bytes per site
     width = local.shape[1]
     x = local[:, 0]
-    bits = local.view(np.int64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        flat = (bits == bits[:, :1]).all(axis=1) & np.isfinite(width * x)
-    varying = np.flatnonzero(~flat)
     # fsum of exact zeros is +0.0 (the sum of a row of -0.0); adding fsum's
     # own result for -0.0 keeps every other value as it is
-    col_sums = width * x + math.fsum([-0.0])
+    with np.errstate(over="ignore"):
+        col_sums = width * x + math.fsum([-0.0])
+    bits = local.view(np.int64)
+    flat = (bits == bits[:, :1]).all(axis=1) & np.isfinite(col_sums)
+    varying = np.flatnonzero(~flat)
     for k in varying:
         col_sums[k] = math.fsum(local[k].tolist())
     if varying.size:

@@ -378,29 +378,35 @@ def _block_cholesky_solve(D, U, b):
     blocks.  `np.linalg.LinAlgError` is raised exactly when a pivot, hence
     the matrix, is not positive definite.
     """
-    Li = np.linalg.inv(np.linalg.cholesky(D[1::2] if len(D) > 1 else D))
-    if len(D) == 1:
-        return (Li.swapaxes(1, 2) @ (Li @ b[..., None]))[..., 0]
-    # Li = L^{-1} of each odd pivot; Zl, Zr its couplings to the left and
-    # right even neighbours and zb its right-hand side, each premultiplied by
-    # Li.  The last odd block lacks a right neighbour when len(D) is even
-    p, q = len(Li), (len(D) - 1) // 2
-    Zl = Li @ U[0::2].swapaxes(1, 2)
-    Zr = Li[:q] @ U[1::2]
-    zb = Li @ b[1::2, :, None]
-    ZlT, ZrT = Zl.swapaxes(1, 2), Zr.swapaxes(1, 2)
-    D_even, b_even = D[0::2].copy(), b[0::2].copy()
-    D_even[:p] -= ZlT @ Zl
-    D_even[1:q + 1] -= ZrT @ Zr
-    b_even[:p] -= (ZlT @ zb)[..., 0]
-    b_even[1:q + 1] -= (ZrT @ zb[:q])[..., 0]
-    x_even = _block_cholesky_solve(D_even, -(ZlT[:q] @ Zr), b_even)
-    # back substitution: x_odd = L^{-T} (zb - Zl x_left - Zr x_right)
-    rest = zb - Zl @ x_even[:p, :, None]
-    rest[:q] -= Zr @ x_even[1:q + 1, :, None]
-    x = np.empty_like(b)
-    x[0::2] = x_even
-    x[1::2] = (Li.swapaxes(1, 2) @ rest)[..., 0]
+    levels = []
+    while len(D) > 1:
+        # Li = L^{-1} of each odd pivot; Zl, Zr its couplings to the left and
+        # right even neighbours and zb its right-hand side, each premultiplied
+        # by Li.  The last odd block lacks a right neighbour when len(D) is even
+        Li = np.linalg.inv(np.linalg.cholesky(D[1::2]))
+        p, q = len(Li), (len(D) - 1) // 2
+        Zl = Li @ U[0::2].swapaxes(1, 2)
+        Zr = Li[:q] @ U[1::2]
+        zb = Li @ b[1::2, :, None]
+        ZlT, ZrT = Zl.swapaxes(1, 2), Zr.swapaxes(1, 2)
+        D_even, b_even = D[0::2].copy(), b[0::2].copy()
+        D_even[:p] -= ZlT @ Zl
+        D_even[1:q + 1] -= ZrT @ Zr
+        b_even[:p] -= (ZlT @ zb)[..., 0]
+        b_even[1:q + 1] -= (ZrT @ zb[:q])[..., 0]
+        levels.append((Li, Zl, Zr, zb))
+        D, U, b = D_even, -(ZlT[:q] @ Zr), b_even
+    Li = np.linalg.inv(np.linalg.cholesky(D))
+    x = (Li.swapaxes(1, 2) @ (Li @ b[..., None]))[..., 0]
+    for Li, Zl, Zr, zb in reversed(levels):
+        # back substitution: x_odd = L^{-T} (zb - Zl x_left - Zr x_right)
+        p, q = len(Zl), len(Zr)
+        rest = zb - Zl @ x[:p, :, None]
+        rest[:q] -= Zr @ x[1:q + 1, :, None]
+        both = np.empty((len(x) + p, x.shape[1]))
+        both[0::2] = x
+        both[1::2] = (Li.swapaxes(1, 2) @ rest)[..., 0]
+        x = both
     return x
 
 

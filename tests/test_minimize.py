@@ -324,7 +324,9 @@ class TestBandSolve:
         x = problem.pack(chain)
         ab, bw = problem.hessian_banded(x)
         grad = problem.gradient(x)
-        mus = [0.0] + [1e-8 * 10.0 ** k for k in range(21)]
+        mus = [0.0, 1e-8]
+        while mus[-1] * 10.0 <= 1e12:
+            mus.append(mus[-1] * 10.0)
         for want, mu in enumerate(mus):
             shifted = ab.copy()
             shifted[bw] += mu
@@ -334,17 +336,16 @@ class TestBandSolve:
             except np.linalg.LinAlgError:
                 pass
         assert mu == pytest.approx(100.0)
-        blocks = len(_band_blocks(ab, bw)[0])
-        calls = []
+        attempts = []
         solve = minimize_mod._block_cholesky_solve
 
-        def counted(D, U, b):
-            calls.append(len(D))
-            return solve(D, U, b)
+        def counted(*args):
+            attempts.append(args)
+            return solve(*args)
 
         monkeypatch.setattr(minimize_mod, "_block_cholesky_solve", counted)
         step = _levenberg_step(ab, bw, grad)
-        assert calls.count(blocks) == want + 1  # one top-level call per attempt
+        assert len(attempts) == want + 1  # one call per shift tried
         assert np.linalg.norm(step - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
