@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import twinchain.minimize as minimize_mod
 from chaingen import banded_to_dense, random_chain
 from twinchain.energy import chain_energy
 from twinchain.gamma import _layer_problem
 from twinchain.lattice import affine_chain, check_admissible, reconstruct
-import twinchain.minimize as minimize_mod
 from twinchain.minimize import (
     ChainProblem,
     MinimizeOptions,
