@@ -160,15 +160,28 @@ class CutResult:
     energy_change: float
 
 
-def _nearest_well_column(field, r, wells):
-    """Max Frobenius distance of column r's cell gradients to each well."""
-    col = field.gradients[r + field.n]
-    best = (math.inf, -1)
-    for wid, U in ((0, wells.U0), (1, wells.QU1)):
-        d = float(np.linalg.norm(col - U, axis=(1, 2)).max())
-        if d < best[0]:
-            best = (d, wid)
-    return best
+def _nearest_well_column(candidates, wells, tol):
+    """(criterion, column, well id) of the candidate column nearest a well.
+
+    candidates: (column, its cell gradients) pairs, nearest the boundary
+    first.  A column's criterion is the max Frobenius distance of its cell
+    gradients to its nearer well (U0 on a tie).  Criteria within tol of the
+    best are rounding of one another, and the first of them wins.
+    """
+    scored = []
+    for r, grads in candidates:
+        d, wid = min((float(np.linalg.norm(grads - U, axis=(1, 2)).max()), wid)
+                     for wid, U in enumerate((wells.U0, wells.QU1)))
+        scored.append((d, r, wid))
+    best = min(d for d, _, _ in scored)
+    return next(score for score in scored if score[0] <= best + tol)
+
+
+def _cut_tie_tol(chain):
+    """Rounding scale of well distances: a cell gradient is a difference of
+    positions of size up to max|u|, over lam, so each entry carries about
+    eps * max|u| / lam; 64 times that covers the few operations after it."""
+    return 64.0 * np.finfo(float).eps * (1.0 + np.abs(chain.u).max() / chain.lam)
 
 
 def cut_and_extend(chain: ChainState, side: str = "right",
@@ -176,7 +189,8 @@ def cut_and_extend(chain: ChainState, side: str = "right",
     """Replace the chain beyond a near-well column with an exact affine tail.
 
     Searches the ceil(n^alpha) columns nearest the chosen boundary for the
-    one whose cell gradients sit closest to a well, requires that distance
+    one whose cell gradients sit closest to a well (the one nearest the
+    boundary among distances equal up to rounding), requires that distance
     to be below n^(-alpha/4), and splices in the well's affine map
     from that column outward (angles reset to zero, clamp retargeted so the
     result validates).  Raises if no column qualifies or if the splice
@@ -205,12 +219,9 @@ def cut_and_extend(chain: ChainState, side: str = "right",
             candidates = range(n - 1, n - 1 - reach, -1)
         else:
             candidates = range(-n + 1, -n + 1 + reach)
-        best = (math.inf, -1, 0)
-        for r in candidates:
-            d, wid = _nearest_well_column(field, r, wells)
-            if d < best[0]:
-                best = (d, r, wid)
-        crit, r, wid = best
+        crit, r, wid = _nearest_well_column(
+            [(r, field.gradients[r + n]) for r in candidates], wells,
+            _cut_tie_tol(work))
         if crit > threshold:
             raise RuntimeError(
                 f"no column within {reach} of the {s} boundary is within "
@@ -339,7 +350,7 @@ def _layer_problem(kind, V_left, V_right, r, L, n_v, wells):
 def _solve_layer(kind, V_left, V_right, r, L, n_v, wells):
     """One Newton solve; returns (estimate, converged)."""
     chain, problem = _layer_problem(kind, V_left, V_right, r, L, n_v, wells)
-    if not problem.admissible(chain):
+    if not problem.admissible(problem.pack(chain)):
         return math.nan, False
     report = newton_minimize(chain, problem=problem)
     estimate = problem.energy(problem.pack(report.final_chain))

@@ -1,12 +1,19 @@
 """Damped Newton relaxation of chain energies with analytic derivatives.
 
-The density at a summand depends on four difference vectors (v+, v-, h+, h-),
-each affine in the three atom positions (u^{i-1}, u^i, u^{i+1}) and, through
-the per-column extension vectors t_k = R(theta_k) tau, affine in j times the
-column angles.  One Jacobian dW/dx = J0 + j*J1 over each center's stencil
-variables (J1 only with variable tau) serves both derivatives: with A_k, N_k
-the j-moments of dD/dW and d2D/dW2, a center adds sum_k A_k J_k to the
-gradient and sum_{k,l} J_k^T N_{k+l} J_l to the Hessian.
+The density D = B_1 B_2 at a summand depends on four difference vectors
+W = (v+, v-, h+, h-), affine in the three atom positions and, through the
+extension vectors t_k = R(theta_k) tau, in j times the column angles.  Its
+brackets are B_k = |f_k|^2, f_k = f - alpha_k, over the eight inner terms
+f = [|v+|^2, |v-|^2, |h+|^2, |h-|^2, v_s . h_t].  With their 8x8 Jacobian
+F = df/dW, g_k = 2 F^T f_k and K their constant second derivatives (`_K`),
+
+    dD  = B_2 g_1 + B_1 g_2
+    d2D = 2 (B_1 + B_2) F^T F + g_1 g_2^T + g_2 g_1^T + 2 (B_2 f_1 + B_1 f_2) . K
+
+One Jacobian dW/dx = J0 + j*J1 over each center's stencil variables (J1 only
+with variable tau) serves both: with A_k, N_k the j-moments of dD/dW and
+d2D/dW2, a center adds sum_k A_k J_k to the gradient and
+sum_{k,l} J_k^T N_{k+l} J_l to the Hessian.
 
 Since W is affine in the row j, every row sum above (the energy, A_k for
 k <= 1, N_k for k <= 2) is a polynomial of degree <= 8 in j.  A 5-node Gauss
@@ -36,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import affine_stencil, brackets, chain_stencil, density
+from .energy import brackets, density, slot_stencil
 from .lattice import (
     ORIENTATION_TOL,
     BoundaryClamp,
@@ -57,12 +64,18 @@ __all__ = [
     "row_rule",
 ]
 
-# W-vector order used throughout: [v+, v-, h+, h-]; only v-h pairs enter the
-# cross terms
-_VH_MASK = np.array([[0.0, 0.0, 1.0, 1.0],
-                     [0.0, 0.0, 1.0, 1.0],
-                     [1.0, 1.0, 0.0, 0.0],
-                     [1.0, 1.0, 0.0, 0.0]])
+# _K[m] = d2 f_m / dW2 over the flattened W = [v+, v-, h+, h-], for the inner
+# terms f_m = W_a . W_b: squared lengths, then v_s . h_t for (s, t) = ++, +-,
+# -+, --.  Row m of F is _K[m] @ W: 2 W_a in block a for a squared length, h_t
+# in block s and v_s in block 2 + t for a cross term.  W @ _DF gives F and F^T,
+# each C-ordered (a batched matmul on a transposed view is several times slower)
+_E = np.eye(4)
+_K = np.array([np.kron(np.outer(_E[a], _E[b]) + np.outer(_E[b], _E[a]), np.eye(2))
+               for a, b in [(0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (0, 3), (1, 2), (1, 3)]])
+_DF = np.concatenate([_K, _K.swapaxes(0, 1)]).reshape(128, 8).T
+
+# chain offsets of the stencil slots m, c, p (atoms i-1, i, i+1), on axis 0
+_SLOT = np.array([[-1], [0], [1]])
 
 # per-slot contraction weights over the W vectors; rows are the slots m = atom
 # i-1, c = atom i, p = atom i+1.  _OMEGA weighs the u Jacobian and the
@@ -138,17 +151,16 @@ class ChainProblem:
             self.weights = np.array([self.j_hi - self.j_lo + 1.0])
         else:
             self.nodes, self.weights = row_rule(self.j_lo, self.j_hi)
+        self._slots = self._frozen_slots(self.centers)
         # per center and stencil variable (slot-major, as in _jacobian): the
         # global dof, or -1 for a clamped or frozen atom
-        atoms = self.centers[:, None] + np.array([-1, 0, 1])
-        first = np.searchsorted(self.free_ids, atoms)[..., None] * self.nd
-        self._dofs = np.where(np.isin(atoms, self.free_ids)[..., None],
-                              first + np.arange(self.nd), -1).reshape(self.centers.size, -1)
+        first = np.searchsorted(self.free_ids, self.centers + _SLOT).T[..., None] * self.nd
+        self._dofs = np.where(self._slots[1].T[..., None], first + np.arange(self.nd),
+                              -1).reshape(self.centers.size, -1)
         # lattice cell (c, j) spans atoms c..c+2 in rows j, j+1: the stencil of
         # center c+1.  Only cells with a free atom can change during a solve
         mid = np.arange(-n - 1, n + 2)
-        touches = np.isin(mid[:, None] + np.array([-1, 0, 1]), self.free_ids).any(axis=1)
-        self._adm_centers = mid[touches]
+        self._adm_slots = self._frozen_slots(mid[np.isin(mid + _SLOT, self.free_ids).any(axis=0)])
         self._adm_rows = (-n - 1, n)
 
     # -- state plumbing ----------------------------------------------------
@@ -159,23 +171,37 @@ class ChainProblem:
 
     def pack(self, chain: ChainState):
         idx = chain.geometry.atom_index(self.free_ids)
-        cols = [chain.u[idx, 0], chain.u[idx, 1]]
-        if self.variable_tau:
-            cols.append(chain.theta[idx])
-        return np.stack(cols, axis=1).ravel()
+        return np.column_stack([chain.u[idx], chain.theta[idx]])[:, :self.nd].ravel()
 
     def apply(self, x) -> ChainState:
-        x = np.asarray(x, dtype=float).reshape(self.free_ids.size, self.nd)
-        chain = self.template
-        idx = chain.geometry.atom_index(self.free_ids)
-        u = chain.u.copy()
-        theta = chain.theta.copy()
-        u[idx] = x[:, :2]
-        if self.variable_tau:
-            theta[idx] = x[:, 2]
-        return chain.with_arrays(u=u, theta=theta)
+        """The validated chain with the free atoms at x."""
+        state = np.column_stack([self.template.u, self.template.theta])
+        state[self.template.geometry.atom_index(self.free_ids), :self.nd] = np.reshape(
+            x, (-1, self.nd))
+        return self.template.with_arrays(u=state[:, :2], theta=state[:, 2])
 
-    def admissible(self, chain: ChainState) -> bool:
+    def _frozen_slots(self, centers):
+        """Template (ux, uy, theta) at the slots of `centers`, the free mask, its rows of x."""
+        atoms = centers + _SLOT
+        u, theta = self.template.atoms_at(atoms)
+        free = np.isin(atoms, self.free_ids)
+        return np.dstack([u, theta]), free, np.searchsorted(self.free_ids, atoms[free])
+
+    def _stencil(self, x, slots):
+        """`slot_stencil` of the frozen slot atoms with the free ones at x; the
+        free atoms are interior (`__init__`), so the frozen clamps stay valid."""
+        state, free, rows = slots
+        state = state.copy()
+        state[free, :self.nd] = np.reshape(x, (-1, self.nd))[rows]
+        return slot_stencil(state[..., :2], state[..., 2], self.template.lam,
+                            self.template.wells)
+
+    def _node_stencil(self, x):
+        """The stencil W on the row rule's nodes, (centers, nodes, 4, 2), and t."""
+        base, slope, t = self._stencil(x, self._slots)
+        return base[:, None] + self.nodes[:, None, None] * slope[:, None], t
+
+    def admissible(self, x) -> bool:
         """Orientation of every lattice triangle that touches a free atom.
 
         At center i, row j the cell's corner differences are lam h-, lam v+
@@ -185,7 +211,7 @@ class ChainProblem:
         whose minimum over the stored rows lies at an end row or at the floor
         or ceiling of its vertex; only those rows are evaluated.
         """
-        base, slope, t = affine_stencil(chain, self._adm_centers)
+        base, slope, t = self._stencil(x, self._adm_slots)
         # (constant, slope) pairs of each vector, stacked on a leading axis
         v = np.stack([base[:, 0], slope[:, 0]])
         h = np.stack([base[:, 3], slope[:, 3]])
@@ -200,7 +226,7 @@ class ChainProblem:
         j = np.stack([np.full_like(vertex, lo), np.floor(vertex), np.ceil(vertex),
                       np.full_like(vertex, hi)])
         dets = c0 + j * (c1 + j * c2)
-        return not (chain.lam ** 2 * dets < ORIENTATION_TOL).any()
+        return not (self.template.lam ** 2 * dets < ORIENTATION_TOL).any()
 
     # -- per-summand derivative kernels ------------------------------------
 
@@ -208,49 +234,29 @@ class ChainProblem:
         """Density D, dD/dW and (order 2) d2D/dW2 over W's 8 components."""
         wells = self.template.wells
         q, r, X, B1, B2 = brackets(W[..., :2, :], W[..., 2:, :], wells)
-        out = [B1 * B2]
-        a2 = wells.a * wells.a
-        b2 = wells.b * wells.b
-        dev = [np.concatenate([q - a2, r - b2], axis=-1),
-               np.concatenate([q - b2, r - a2], axis=-1)]
-        # Cvh @ W for the v-h entries Cvh of the Gram matrix, each entry formed
-        # as the sum of its two nonzero products; the matmul rounds some
-        # entries differently and moves fixed-tau output
-        v, h = W[..., :2, :], W[..., 2:, :]
-        cross_term = 2.0 * np.concatenate([
-            X[..., :, 0, None] * h[..., 0, None, :] + X[..., :, 1, None] * h[..., 1, None, :],
-            X[..., 0, :, None] * v[..., 0, None, :] + X[..., 1, :, None] * v[..., 1, None, :]],
-            axis=-2)
-        g = [4.0 * dev[k][..., :, None] * W + cross_term for k in range(2)]
-        out.append((B2[..., None, None] * g[0] + B1[..., None, None] * g[1]
-                    ).reshape(W.shape[:-2] + (8,)))
+        w = W.reshape(W.shape[:-2] + (8,))
+        f = np.concatenate([q, r, X.reshape(w.shape[:-1] + (4,))], axis=-1)
+        a2, b2 = wells.a * wells.a, wells.b * wells.b
+        # f_k = f - alpha_k as the columns of fk, and g_k = 2 F^T f_k as those of G
+        fk = f[..., None] - np.array([[a2, b2]] * 2 + [[b2, a2]] * 2 + [[0.0, 0.0]] * 4)
+        F, FT = np.moveaxis((w @ _DF).reshape(w.shape[:-1] + (2, 8, 8)), -3, 0)
+        G = 2.0 * (FT @ fk)
+        b21 = np.stack([B2, B1], axis=-1)[..., None]  # each bracket weighs the other's g_k
+        out = [B1 * B2, (G @ b21)[..., 0]]
         if order == 1:
             return out
-        Cvh = np.zeros(W.shape[:-2] + (4, 4))
-        Cvh[..., :2, 2:] = X
-        Cvh[..., 2:, :2] = np.swapaxes(X, -1, -2)
-        # the two bracket Hessians differ only in the 4 dev I of their diagonal
-        # blocks.  Shared part: v-h blocks 2 C_ab I + 2 W_b (x) W_a, diagonal
-        # blocks 8 W_a (x) W_a + 2 sum of W_b (x) W_b over the opposite kind
-        eye = np.eye(2)
-        WW = _outer(W, W)
-        H = 2.0 * (Cvh[..., None, None] * eye
-                   + _VH_MASK[:, :, None, None] * np.swapaxes(WW, -4, -3))
-        di = np.arange(4)
-        same = WW[..., di, di, :, :]  # W_a (x) W_a
-        opposite = (_VH_MASK @ same.reshape(same.shape[:-2] + (4,))).reshape(same.shape)
-        H[..., di, di, :, :] = 8.0 * same + 2.0 * opposite
-        M = ((B1 + B2)[..., None, None, None, None] * H
-             + _outer(g[0], g[1]) + _outer(g[1], g[0]))
-        M[..., di, di, :, :] += (4.0 * (B2[..., None] * dev[0] + B1[..., None] * dev[1])
-                                 )[..., None, None] * eye
-        out.append(np.swapaxes(M, -3, -2).reshape(W.shape[:-2] + (8, 8)))
-        return out
+        # each term is exactly symmetric, as S + S^T adds the same pair both ways
+        S = G[..., :, None, 0] * G[..., None, :, 1]
+        c = (fk @ b21)[..., 0]
+        M = 2.0 * (B1 + B2)[..., None, None] * (FT @ F)
+        M += S + S.swapaxes(-1, -2)
+        M += (2.0 * c @ _K.reshape(8, 64)).reshape(M.shape)
+        return out + [M]
 
     # -- public evaluations -------------------------------------------------
 
     def energy(self, x) -> float:
-        W, _ = chain_stencil(self.apply(x), self.centers, self.nodes)
+        W, _ = self._node_stencil(x)
         D = density(W[..., :2, :], W[..., 2:, :], self.template.wells)
         return math.fsum(self.scale * w * math.fsum(D[:, k])
                          for k, w in enumerate(self.weights))
@@ -276,7 +282,7 @@ class ChainProblem:
         return list(J.reshape(len(J), nc, 8, -1))
 
     def gradient(self, x):
-        W, t = chain_stencil(self.apply(x), self.centers, self.nodes)
+        W, t = self._node_stencil(x)
         _, G = self._density_parts(W, order=1)
         J = self._jacobian(t)
         g = _contract(self._moments(G, len(J) - 1), J)
@@ -287,7 +293,7 @@ class ChainProblem:
 
     def hessian_banded(self, x):
         """Free-variable Hessian in the LAPACK upper band layout, and its bandwidth."""
-        W, t = chain_stencil(self.apply(x), self.centers, self.nodes)
+        W, t = self._node_stencil(x)
         _, G, M = self._density_parts(W, order=2)
         J = self._jacobian(t)
         N = self._moments(M, 2 * len(J) - 2)
@@ -322,11 +328,6 @@ def row_rule(j_lo, j_hi):
     off = np.sqrt(k * k * (rows * rows - k * k) / (4.0 * (4.0 * k * k - 1.0)))
     nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     return 0.5 * (j_lo + j_hi) + nodes, rows * vectors[0] ** 2
-
-
-def _outer(p, q):
-    """Per-vector outer products p_a (x) q_b of two (..., 4, 2) stacks, as (..., 4, 4, 2, 2)."""
-    return p[..., :, None, :, None] * q[..., None, :, None, :]
 
 
 def _cross_quadratic(p, q):
@@ -462,7 +463,7 @@ def newton_minimize(chain: ChainState, opts: MinimizeOptions = None, *,
         t = 1.0
         for _ in range(60):
             x_try = x + t * step
-            if not problem.admissible(problem.apply(x_try)):
+            if not problem.admissible(x_try):
                 violations += 1
                 t *= 0.5
                 continue

@@ -8,7 +8,7 @@ import pytest
 
 from chaingen import random_chain
 from twinchain import gamma, minimize
-from twinchain.energy import chain_energy, field_local_grid
+from twinchain.energy import chain_energy, field_local_grid, stencil_grid
 from twinchain.gamma import (CLAMP_RATIO, LayerSpec, TranslatedChain,
                              average_down, cut_and_extend, estimate_EK,
                              estimate_layer, save_layer_estimates,
@@ -145,6 +145,30 @@ class TestCutAndExtend:
         assert left.cuts[0].column == -7
         assert left.cuts[0].well_id == 0
         assert np.abs(left.chain.u - chain.u).max() < 1e-14
+
+    @pytest.mark.parametrize("relaxed", [False, True], ids=["exact_twin_8", "relaxed_100"])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_pick_does_not_depend_on_the_gradient_route(self, wells, minimizer100,
+                                                        relaxed, side):
+        # on the exact twin every candidate column sits on a well up to
+        # rounding (3.6e-15 to 4.6e-15 at n = 8, left side), and the lattice
+        # and stencil routes round differently: only the tie rule makes their
+        # picks agree, on the column nearest the boundary
+        chain = minimizer100 if relaxed else twin_chain(8, wells)
+        n = chain.n
+        stencil = np.empty((2 * n + 1, 2 * n + 1, 2, 2))
+        for k, W in stencil_grid(chain):
+            stencil[k] = W[..., 2::-2, :].swapaxes(-1, -2)  # [h+ | v+], as classify reads it
+        reach = math.ceil(n ** 0.4)
+        cols = (range(n - 1, n - 1 - reach, -1) if side == "right"
+                else range(-n + 1, -n + 1 + reach))
+        tol = gamma._cut_tie_tol(chain)
+        picks = [gamma._nearest_well_column([(r, grads[r + n]) for r in cols], wells, tol)
+                 for grads in (reconstruct(chain).gradients, stencil)]
+        assert picks[0][1:] == picks[1][1:]
+        assert picks[0][1] == cut_and_extend(chain, side=side).cuts[0].column
+        if not relaxed:
+            assert picks[0][1] == cols[0]
 
     def test_relaxed_interface_tails_cut_cleanly(self, minimizer100):
         n = minimizer100.n

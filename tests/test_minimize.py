@@ -12,9 +12,9 @@ import scipy.linalg
 
 import twinchain.minimize as minimize_mod
 from chaingen import banded_to_dense, random_chain
-from twinchain.energy import chain_energy
-from twinchain.gamma import _layer_problem
-from twinchain.lattice import affine_chain, check_admissible, reconstruct
+from twinchain.energy import chain_energy, density
+from twinchain.gamma import _layer_problem, _solve_layer
+from twinchain.lattice import ChainState, affine_chain, check_admissible, reconstruct
 from twinchain.minimize import (
     ChainProblem,
     MinimizeOptions,
@@ -104,7 +104,7 @@ class TestDerivatives:
         amplitude = np.tile([0.05, 0.05, 0.02], problem.free_ids.size)
         for _ in range(20):
             x = problem.pack(chain) + amplitude * rng.standard_normal(problem.ndof)
-            if problem.admissible(problem.apply(x)):
+            if problem.admissible(x):
                 break
             amplitude = 0.5 * amplitude
         else:
@@ -132,6 +132,80 @@ class TestDerivatives:
         problem = ChainProblem(chain)
         g = problem.gradient(problem.pack(chain))
         assert np.abs(g).max() < 1e-11  # exact minimizer, rounding only
+
+
+def _fd4(fn, W, step=1e-4):
+    """Fourth-order central differences of fn over W's 8 components, on a new last axis."""
+    cols = []
+    for k in range(8):
+        e = np.zeros(8)
+        e[k] = step
+        e = e.reshape(4, 2)
+        cols.append((8.0 * (fn(W + e) - fn(W - e)) - (fn(W + 2 * e) - fn(W - 2 * e)))
+                    / (12.0 * step))
+    return np.stack(cols, axis=-1)
+
+
+class TestDensityKernel:
+    @pytest.mark.parametrize("case", ["random", "U0", "U1", "turned_U0", "QU1"])
+    def test_point_derivatives_match_fd(self, rng, wells, case):
+        # D, dD/dW and d2D/dW2 of `_density_parts` point by point, on random
+        # stencils and on stencils 1e-6 off a well, where an affine state with
+        # cell gradient [h+ | v+] = U has v- = -v+ and h- = -h+
+        if case == "random":
+            W = 0.7 * rng.standard_normal((50, 4, 2))
+        else:
+            c, s = np.cos(0.3), np.sin(0.3)
+            U = {"U0": wells.U0, "U1": wells.U1, "QU1": wells.QU1,
+                 "turned_U0": np.array([[c, -s], [s, c]]) @ wells.U0}[case]
+            W = (np.stack([U[:, 1], -U[:, 1], U[:, 0], -U[:, 0]])
+                 + 1e-6 * rng.standard_normal((20, 4, 2)))
+        problem = ChainProblem(twin_chain(4, wells))
+        D, dD, d2D = problem._density_parts(W, order=2)
+        assert np.array_equal(D, density(W[..., :2, :], W[..., 2:, :], wells))
+        if case != "random":
+            assert D.max() < 1e-9
+        assert np.array_equal(dD, problem._density_parts(W, order=1)[1])
+        fd_dD = _fd4(lambda V: problem._density_parts(V, order=1)[0], W)
+        fd_d2D = _fd4(lambda V: problem._density_parts(V, order=1)[1], W)
+        # per point, relative to its largest entry; the differences sit near
+        # 1e-9 of it, against 1e-4 for the assembled Hessian in
+        # test_hessian_matches_fd
+        assert (np.abs(dD - fd_dD).max(axis=-1) <= 1e-8 * np.abs(dD).max(axis=-1)).all()
+        assert (np.abs(d2D - fd_d2D).max(axis=(-2, -1))
+                <= 1e-8 * np.abs(d2D).max(axis=(-2, -1))).all()
+        assert np.array_equal(d2D, np.swapaxes(d2D, -1, -2))
+
+
+class TestEvaluationPlumbing:
+    def test_layer_solve_builds_no_chain_per_evaluation(self, monkeypatch, wells):
+        # evaluations write x into the frozen stencil atoms; the only ChainStates
+        # are the layer's chain and the solve's final chain
+        built, evaluations = [], []
+        post_init = ChainState.__post_init__
+        monkeypatch.setattr(ChainState, "__post_init__",
+                            lambda chain: built.append(1) or post_init(chain))
+        for name in ("energy", "gradient", "hessian_banded", "admissible"):
+            method = getattr(ChainProblem, name)
+            monkeypatch.setattr(ChainProblem, name, lambda self, x, method=method:
+                                evaluations.append(1) or method(self, x))
+        F = boundary_gradient(wells, 0.5).F
+        _, converged = _solve_layer("C", F, wells.U0, (0.1, -0.05), 24, 4, wells)
+        assert converged
+        assert len(evaluations) > 10
+        assert len(built) <= 2
+
+    def test_apply_still_validates_the_clamps(self, wells):
+        chain = twin_chain(6, wells)
+        with pytest.raises(ValueError, match="free atoms must be interior"):
+            ChainProblem(chain, free_ids=[0, 6])
+        # past the constructor's check, apply's ChainState rejects a moved clamp
+        problem = ChainProblem(chain)
+        problem.free_ids = np.append(problem.free_ids, 6)
+        x = problem.pack(chain)
+        x[-2] += 1e-3
+        with pytest.raises(ValueError, match="clamped atom 6 off its boundary value"):
+            problem.apply(x)
 
 
 def _per_row(problem):
@@ -207,9 +281,9 @@ class TestAdmissibility:
         for amplitude in (0.02, 0.05, 0.1, 0.2, 0.4, 0.8):
             for _ in range(6):
                 step = amplitude * chain.lam * rng.standard_normal(problem.ndof)
-                trial = problem.apply(problem.pack(chain) + step)
-                ok = problem.admissible(trial)
-                assert ok == (check_admissible(reconstruct(trial)) == [])
+                x = problem.pack(chain) + step
+                ok = problem.admissible(x)
+                assert ok == (check_admissible(reconstruct(problem.apply(x))) == [])
                 seen.add(ok)
         assert seen == {True, False}
 
@@ -225,9 +299,8 @@ class TestAdmissibility:
         k = 3 * list(problem.free_ids).index(atom)
         x = problem.pack(chain)
         x[k:k + 3] += shift
-        trial = problem.apply(x)
-        assert {v.i for v in check_admissible(reconstruct(trial))} == {cell}
-        assert not problem.admissible(trial)
+        assert {v.i for v in check_admissible(reconstruct(problem.apply(x)))} == {cell}
+        assert not problem.admissible(x)
 
 
     @pytest.mark.parametrize("u_left, scale, row", [
@@ -250,12 +323,12 @@ class TestAdmissibility:
         step[at(0)] = (lam * 0.37, lam * -0.19, 0.0)
         step[at(1)] = (lam * -0.02, lam * 0.1, -0.08)
         x = problem.pack(chain)
-        below = problem.apply(x + 0.99 * scale * step.ravel())
-        assert check_admissible(reconstruct(below)) == []
+        below = x + 0.99 * scale * step.ravel()
+        assert check_admissible(reconstruct(problem.apply(below))) == []
         assert problem.admissible(below)
-        trial = problem.apply(x + scale * step.ravel())
-        assert {(v.i, v.j, v.triangle) for v in check_admissible(reconstruct(trial))} == {
-            (-1, row, 1)}
+        trial = x + scale * step.ravel()
+        assert {(v.i, v.j, v.triangle)
+                for v in check_admissible(reconstruct(problem.apply(trial)))} == {(-1, row, 1)}
         assert not problem.admissible(trial)
 
 
