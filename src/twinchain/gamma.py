@@ -353,8 +353,8 @@ def _solve_layer(kind, V_left, V_right, r, L, n_v, wells):
     if not problem.admissible(problem.pack(chain)):
         return math.nan, False
     report = newton_minimize(chain, problem=problem)
-    estimate = problem.energy(problem.pack(report.final_chain))
-    return float(estimate), bool(report.converged)
+    # the energy at the final x, the x that final_chain packs back to
+    return float(report.energy_history[-1]), bool(report.converged)
 
 
 def estimate_layer(spec: LayerSpec, wells: WellPair, *,

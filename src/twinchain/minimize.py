@@ -24,6 +24,16 @@ tau with zero angles makes the sums constant in j: one node, weight N.
 Each triangle determinant of the orientation check is quadratic in j, so it
 is evaluated only at the end rows and next to its vertex.
 
+A problem evaluates each x once.  It keeps one record, of the last x it
+was asked about: a copy of x, the node stencil W and t, the brackets and
+the energy.  A gradient at that x adds F^T, f_k, g_k, the Jacobian and the
+moments A_k; a Hessian there adds only d2D/dW2, its moments and the band.
+So a Newton iteration, whose accepted trial's energy, gradient and next
+Hessian share one x, builds the stencil, the brackets and F^T once.  A
+stage drops what no later stage reads (F itself is built only for the
+Hessian).  Any other x, compared by value so that an x changed in place is
+never stale, replaces the record; the old one is released first.
+
 Atoms couple only within distance 2 along the chain, so the Hessian on the
 interleaved free variables (ux, uy[, theta]) is banded with bandwidth
 bw = 3*stride - 1 and is scattered straight into the LAPACK upper band
@@ -43,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import brackets, density, slot_stencil
+from .energy import brackets, slot_stencil
 from .lattice import (
     ORIENTATION_TOL,
     BoundaryClamp,
@@ -67,12 +77,13 @@ __all__ = [
 # _K[m] = d2 f_m / dW2 over the flattened W = [v+, v-, h+, h-], for the inner
 # terms f_m = W_a . W_b: squared lengths, then v_s . h_t for (s, t) = ++, +-,
 # -+, --.  Row m of F is _K[m] @ W: 2 W_a in block a for a squared length, h_t
-# in block s and v_s in block 2 + t for a cross term.  W @ _DF gives F and F^T,
-# each C-ordered (a batched matmul on a transposed view is several times slower)
+# in block s and v_s in block 2 + t for a cross term.  W @ _DFT gives F^T,
+# C-ordered (a batched matmul on a transposed view is several times slower).
+# Every entry of F is one entry of W, or twice one, so F and F^T are exact
 _E = np.eye(4)
 _K = np.array([np.kron(np.outer(_E[a], _E[b]) + np.outer(_E[b], _E[a]), np.eye(2))
                for a, b in [(0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (0, 3), (1, 2), (1, 3)]])
-_DF = np.concatenate([_K, _K.swapaxes(0, 1)]).reshape(128, 8).T
+_DFT = np.ascontiguousarray(_K.swapaxes(0, 1).reshape(64, 8).T)
 
 # chain offsets of the stencil slots m, c, p (atoms i-1, i, i+1), on axis 0
 _SLOT = np.array([[-1], [0], [1]])
@@ -125,7 +136,9 @@ class ChainProblem:
     The window (i_lo..i_hi) x (j_lo..j_hi) selects which summands count;
     `scale` multiplies the raw density sum (lam^2 for physical chains, a row
     average like 1/n for rescaled layer problems).  Admissibility checks the
-    lattice triangles that touch a free atom, on the same stencil.
+    lattice triangles that touch a free atom, on the same stencil.  A
+    problem keeps the evaluation record of the last x it was asked about
+    (`_at`), so one problem serves one thread.
     """
 
     def __init__(self, chain: ChainState, *, variable_tau=False, free_ids=None,
@@ -162,6 +175,7 @@ class ChainProblem:
         mid = np.arange(-n - 1, n + 2)
         self._adm_slots = self._frozen_slots(mid[np.isin(mid + _SLOT, self.free_ids).any(axis=0)])
         self._adm_rows = (-n - 1, n)
+        self._last = None  # the evaluation record of the last x (`_at`)
 
     # -- state plumbing ----------------------------------------------------
 
@@ -231,35 +245,71 @@ class ChainProblem:
     # -- per-summand derivative kernels ------------------------------------
 
     def _density_parts(self, W, order):
-        """Density D, dD/dW and (order 2) d2D/dW2 over W's 8 components."""
+        """Density D, dD/dW and (order 2) d2D/dW2 over W's 8 components, by the
+        stages an evaluation record runs."""
         wells = self.template.wells
         q, r, X, B1, B2 = brackets(W[..., :2, :], W[..., 2:, :], wells)
-        w = W.reshape(W.shape[:-2] + (8,))
-        f = np.concatenate([q, r, X.reshape(w.shape[:-1] + (4,))], axis=-1)
-        a2, b2 = wells.a * wells.a, wells.b * wells.b
-        # f_k = f - alpha_k as the columns of fk, and g_k = 2 F^T f_k as those of G
-        fk = f[..., None] - np.array([[a2, b2]] * 2 + [[b2, a2]] * 2 + [[0.0, 0.0]] * 4)
-        F, FT = np.moveaxis((w @ _DF).reshape(w.shape[:-1] + (2, 8, 8)), -3, 0)
-        G = 2.0 * (FT @ fk)
-        b21 = np.stack([B2, B1], axis=-1)[..., None]  # each bracket weighs the other's g_k
-        out = [B1 * B2, (G @ b21)[..., 0]]
+        FT, fk, G, dD = _density_slope(W, q, r, X, B1, B2, wells)
+        out = [B1 * B2, dD]
         if order == 1:
             return out
-        # each term is exactly symmetric, as S + S^T adds the same pair both ways
-        S = G[..., :, None, 0] * G[..., None, :, 1]
-        c = (fk @ b21)[..., 0]
-        M = 2.0 * (B1 + B2)[..., None, None] * (FT @ F)
-        M += S + S.swapaxes(-1, -2)
-        M += (2.0 * c @ _K.reshape(8, 64)).reshape(M.shape)
-        return out + [M]
+        return out + [_density_curvature(FT, fk, G, B1, B2)]
 
-    # -- public evaluations -------------------------------------------------
+    # -- the evaluation record ----------------------------------------------
 
-    def energy(self, x) -> float:
-        W, _ = self._node_stencil(x)
-        D = density(W[..., :2, :], W[..., 2:, :], self.template.wells)
-        return math.fsum(self.scale * w * math.fsum(D[:, k])
-                         for k, w in enumerate(self.weights))
+    def _at(self, x, order):
+        """The record of x with its stages built through `order`: 0 the energy,
+        1 the gradient, 2 the Hessian band."""
+        p = self._last
+        if p is None or not np.array_equal(p.x, x):
+            self._last = None  # release the old record before building the new one
+            p = self._last = self._energy_stage(np.array(x, dtype=float))
+        if order >= 1 and p.grad is None:
+            self._gradient_stage(p)
+        if order >= 2 and p.band is None:
+            self._hessian_stage(p)
+        return p
+
+    def _energy_stage(self, x):
+        W, t = self._node_stencil(x)
+        q, r, X, B1, B2 = brackets(W[..., :2, :], W[..., 2:, :], self.template.wells)
+        D = B1 * B2
+        energy = math.fsum(self.scale * w * math.fsum(D[:, k])
+                           for k, w in enumerate(self.weights))
+        return _Point(x, t, energy, (W, q, r, X), (B1, B2))
+
+    def _gradient_stage(self, p):
+        FT, fk, G, dD = _density_slope(*p.inner, *p.B, self.template.wells)
+        p.inner, p.slope = None, (FT, fk, G)
+        p.J = self._jacobian(p.t)
+        p.A = self._moments(dD, len(p.J) - 1)
+        g = _contract(p.A, p.J)
+        keep = self._dofs >= 0
+        # moments already carry the full row sum, so only `scale` remains
+        p.grad = self.scale * np.bincount(self._dofs[keep], weights=g[keep],
+                                          minlength=self.ndof)
+
+    def _hessian_stage(self, p):
+        M = _density_curvature(*p.slope, *p.B)
+        J, A, t = p.J, p.A, p.t
+        p.B = p.slope = p.J = p.A = p.t = None
+        N = self._moments(M, 2 * len(J) - 2)
+        del M
+        H = sum(np.swapaxes(Jk, 1, 2) @ N[k + l] @ Jl
+                for k, Jk in enumerate(J) for l, Jl in enumerate(J))
+        if self.variable_tau:
+            # curvature of the rotating frame: d2t/dtheta2 = -t is the quarter
+            # turn of t', so the theta columns of the Jacobian at t' are d2W/dtheta2
+            th = np.arange(2, 3 * self.nd, self.nd)
+            H[:, th, th] += _contract(A, self._jacobian(_quarter_turn(t)))[:, th]
+        # scatter the upper triangle of each stencil block into the band
+        ndof = self.ndof
+        bw = min(3 * self.nd - 1, ndof - 1)
+        row, col = self._dofs[:, :, None], self._dofs[:, None, :]
+        keep = (row >= 0) & (col >= row)
+        band_index = np.broadcast_to((bw + row - col) * ndof + col, H.shape)
+        ab = np.bincount(band_index[keep], weights=H[keep], minlength=(bw + 1) * ndof)
+        p.band = self.scale * ab.reshape(bw + 1, ndof), bw
 
     def _moments(self, arr, top):
         """Row sums sum_j j^k * arr for k = 0..top, by the row rule (nodes on axis 1)."""
@@ -281,38 +331,72 @@ class ChainProblem:
             J[1, ..., 2] = _OMEGA.T[:, None, :] * turn
         return list(J.reshape(len(J), nc, 8, -1))
 
+    # -- public evaluations -------------------------------------------------
+    # arrays are returned as copies, so a caller that changes one leaves the
+    # record intact
+
+    def energy(self, x) -> float:
+        return self._at(x, 0).energy
+
     def gradient(self, x):
-        W, t = self._node_stencil(x)
-        _, G = self._density_parts(W, order=1)
-        J = self._jacobian(t)
-        g = _contract(self._moments(G, len(J) - 1), J)
-        keep = self._dofs >= 0
-        # moments already carry the full row sum, so only `scale` remains
-        return self.scale * np.bincount(self._dofs[keep], weights=g[keep],
-                                        minlength=self.ndof)
+        return self._at(x, 1).grad.copy()
 
     def hessian_banded(self, x):
         """Free-variable Hessian in the LAPACK upper band layout, and its bandwidth."""
-        W, t = self._node_stencil(x)
-        _, G, M = self._density_parts(W, order=2)
-        J = self._jacobian(t)
-        N = self._moments(M, 2 * len(J) - 2)
-        H = sum(np.swapaxes(Jk, 1, 2) @ N[k + l] @ Jl
-                for k, Jk in enumerate(J) for l, Jl in enumerate(J))
-        if self.variable_tau:
-            # curvature of the rotating frame: d2t/dtheta2 = -t is the quarter
-            # turn of t', so the theta columns of the Jacobian at t' are d2W/dtheta2
-            th = np.arange(2, 3 * self.nd, self.nd)
-            H[:, th, th] += _contract(self._moments(G, 1),
-                                      self._jacobian(_quarter_turn(t)))[:, th]
-        # scatter the upper triangle of each stencil block into the band
-        ndof = self.ndof
-        bw = min(3 * self.nd - 1, ndof - 1)
-        row, col = self._dofs[:, :, None], self._dofs[:, None, :]
-        keep = (row >= 0) & (col >= row)
-        band_index = np.broadcast_to((bw + row - col) * ndof + col, H.shape)
-        ab = np.bincount(band_index[keep], weights=H[keep], minlength=(bw + 1) * ndof)
-        return self.scale * ab.reshape(bw + 1, ndof), bw
+        ab, bw = self._at(x, 2).band
+        return ab.copy(), bw
+
+
+@dataclass(eq=False)
+class _Point:
+    """One x and what a ChainProblem has evaluated there.
+
+    Each stage sets to None what no later stage reads: the gradient stage
+    drops `inner`, the Hessian stage `B`, `slope`, `t`, `J` and `A`, so that
+    x, energy, grad and band remain.
+    """
+    x: np.ndarray
+    t: np.ndarray
+    energy: float
+    inner: tuple          # W, q, r, X: the stencil and the brackets' inner terms
+    B: tuple              # B1, B2
+    slope: tuple = None   # F^T, f_k, g_k
+    J: list = None
+    A: list = None
+    grad: np.ndarray = None
+    band: tuple = None
+
+
+def _density_slope(W, q, r, X, B1, B2, wells):
+    """dD/dW = B_2 g_1 + B_1 g_2 from the brackets' parts, and the F^T, f_k
+    (columns of fk) and g_k = 2 F^T f_k (columns of G) that d2D/dW2 reuses."""
+    w = W.reshape(W.shape[:-2] + (8,))
+    f = np.concatenate([q, r, X.reshape(w.shape[:-1] + (4,))], axis=-1)
+    a2, b2 = wells.a * wells.a, wells.b * wells.b
+    fk = f[..., None] - np.array([[a2, b2]] * 2 + [[b2, a2]] * 2 + [[0.0, 0.0]] * 4)
+    FT = (w @ _DFT).reshape(w.shape[:-1] + (8, 8))
+    G = 2.0 * (FT @ fk)
+    return FT, fk, G, (G @ _other_bracket(B1, B2))[..., 0]
+
+
+def _density_curvature(FT, fk, G, B1, B2):
+    """d2D/dW2 from the parts `_density_slope` returns; each term is exactly
+    symmetric, as S + S^T adds the same pair both ways.  Each (..., 8, 8)
+    temporary is freed once summed, which bounds the Hessian's peak memory."""
+    F = np.ascontiguousarray(FT.swapaxes(-1, -2))
+    M = 2.0 * (B1 + B2)[..., None, None] * (FT @ F)
+    del F
+    S = G[..., :, None, 0] * G[..., None, :, 1]
+    M += S + S.swapaxes(-1, -2)
+    del S
+    c = (fk @ _other_bracket(B1, B2))[..., 0]
+    M += (2.0 * c @ _K.reshape(8, 64)).reshape(M.shape)
+    return M
+
+
+def _other_bracket(B1, B2):
+    """(B_2, B_1) as a column: each bracket weighs the other's g_k."""
+    return np.stack([B2, B1], axis=-1)[..., None]
 
 
 def row_rule(j_lo, j_hi):

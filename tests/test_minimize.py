@@ -5,11 +5,13 @@ scalar energy; the twin relaxation values are frozen from converged runs.
 """
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import twinchain.energy as energy_mod
 import twinchain.minimize as minimize_mod
 from chaingen import banded_to_dense, random_chain
 from twinchain.energy import chain_energy, density
@@ -177,7 +179,111 @@ class TestDensityKernel:
         assert np.array_equal(d2D, np.swapaxes(d2D, -1, -2))
 
 
+def _evaluation_case(case, rng, wells):
+    """A factory of fresh problems of one shape, and a point off its start chain."""
+    if case == "fixed_tau_twin":
+        chain = twin_chain(40, wells)
+
+        def make():
+            return ChainProblem(chain)
+    elif case == "variable_tau":
+        chain = random_chain(rng, n=10, dtheta=0.05, wells=wells)
+
+        def make():
+            return ChainProblem(chain, variable_tau=True)
+    else:
+        F = boundary_gradient(wells, 0.5).F
+
+        def make():
+            return _layer_problem("C", F, wells.U0, (0.1, -0.05), 24, 4, wells)[1]
+        chain = make().template
+    x = make().pack(chain)
+    return make, x + 1e-3 * rng.standard_normal(x.size)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+EVALUATION_CASES = ["fixed_tau_twin", "variable_tau", "layer"]
+
+
 class TestEvaluationPlumbing:
+    @pytest.mark.parametrize("case", EVALUATION_CASES)
+    def test_one_point_matches_fresh_problems(self, rng, wells, case):
+        # energy, gradient and Hessian at one x share its record; each equals,
+        # bit for bit, the same call on a problem that never saw x
+        make, x = _evaluation_case(case, rng, wells)
+        problem = make()
+        e, g, (ab, bw) = problem.energy(x), problem.gradient(x), problem.hessian_banded(x)
+        assert _same_bits(e, make().energy(x))
+        assert _same_bits(g, make().gradient(x))
+        fresh_ab, fresh_bw = make().hessian_banded(x)
+        assert bw == fresh_bw and _same_bits(ab, fresh_ab)
+        # a finished record answers again, also after a caller changed its results
+        g[:] = 0.0
+        ab[:] = 0.0
+        assert _same_bits(problem.energy(x), e)
+        assert _same_bits(problem.gradient(x), make().gradient(x))
+        assert _same_bits(problem.hessian_banded(x)[0], fresh_ab)
+
+    @pytest.mark.parametrize("case", EVALUATION_CASES)
+    def test_x_changed_in_place_is_evaluated_anew(self, rng, wells, case):
+        make, x = _evaluation_case(case, rng, wells)
+        problem = make()
+        problem.gradient(x)
+        x[0] += 1e-3
+        assert _same_bits(problem.gradient(x), make().gradient(x))
+        x[0] -= 2e-3
+        assert _same_bits(problem.energy(x), make().energy(x))
+        assert _same_bits(problem.hessian_banded(x)[0], make().hessian_banded(x)[0])
+
+    def test_layer_solve_evaluates_each_point_once(self, monkeypatch, wells):
+        # Newton asks for the gradient and the Hessian only at points whose
+        # energy it has evaluated (the start and each accepted trial), so
+        # only energy calls reach the brackets
+        bracket_calls, evaluations = [], []
+        original = energy_mod.brackets
+
+        def counted(*args):
+            bracket_calls.append(1)
+            return original(*args)
+        for module in (energy_mod, minimize_mod):
+            monkeypatch.setattr(module, "brackets", counted)
+        for name in ("energy", "gradient", "hessian_banded"):
+            method = getattr(ChainProblem, name)
+
+            def traced(self, x, method=method, name=name):
+                before = len(bracket_calls)
+                out = method(self, x)
+                evaluations.append((name, len(bracket_calls) - before))
+                return out
+            monkeypatch.setattr(ChainProblem, name, traced)
+        F = boundary_gradient(wells, 0.5).F
+        _, converged = _solve_layer("C", F, wells.U0, (0.1, -0.05), 24, 4, wells)
+        assert converged
+        names = [name for name, _ in evaluations]
+        assert names.count("hessian_banded") > 3
+        assert all(calls == 0 for name, calls in evaluations if name != "energy")
+        assert len(bracket_calls) == names.count("energy")
+
+    def test_gradient_and_hessian_share_memory(self, wells):
+        # the largest problem of `twinchain layers` (C, L = 192, heights +-16):
+        # a gradient and then the Hessian at its x peak within 1.1x of the
+        # 6.0 MiB that one Hessian took when every evaluation was rebuilt
+        F = boundary_gradient(wells, 0.5).F
+        chain, problem = _layer_problem("C", F, wells.U0, (0.1, -0.05), 192, 16, wells)
+        x = problem.pack(chain)
+        tracemalloc.start()
+        try:
+            problem.gradient(x)
+            problem.hessian_banded(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 6.0 * 2 ** 20
+
     def test_layer_solve_builds_no_chain_per_evaluation(self, monkeypatch, wells):
         # evaluations write x into the frozen stencil atoms; the only ChainStates
         # are the layer's chain and the solve's final chain
