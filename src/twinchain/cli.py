@@ -134,6 +134,7 @@ def _exit_status(command, cfg: ExperimentConfig, runs) -> int:
 def cmd_minimize(cfg: ExperimentConfig) -> int:
     head = cfg.header()
     runs = _map_runs(cfg, lambda n: _relax(cfg, n))
+    no_fit = []
     for n, (wells, warm, report) in zip(cfg.n_list, runs):
         final = report.final_chain
         bd = chain_energy(final)
@@ -145,7 +146,12 @@ def cmd_minimize(cfg: ExperimentConfig) -> int:
         save_classification(cls, out / f"classification-n{n}.csv", header=head)
         profile = deviation_profile(final, warm)
         for side, lo, hi in (("right", 2, n - 2), ("left", -(n - 2), -2)):
-            fit = fit_exponential(profile, window=(lo, hi))
+            try:
+                fit = fit_exponential(profile, window=(lo, hi))
+            except ValueError as exc:
+                # e.g. a start that already meets the gradient stop: no deviation
+                no_fit.append(f"n = {n} {side} ({exc})")
+                continue
             save_profile(fit, out / f"profile-{side}-n{n}.csv", header=head)
         interfaces = interface_positions(cls, tol=0.2)
         lines = [
@@ -162,7 +168,11 @@ def cmd_minimize(cfg: ExperimentConfig) -> int:
             f"interfaces={len(interfaces)}",
         ]
         _write(out / f"report-n{n}.txt", lines)
-    return _exit_status("minimize", cfg, runs)
+    status = _exit_status("minimize", cfg, runs)
+    if no_fit:
+        print("minimize has no decay fit for " + ", ".join(no_fit), file=sys.stderr)
+        return 1
+    return status
 
 
 def cmd_scan(cfg: ExperimentConfig) -> int:

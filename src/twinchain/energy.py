@@ -17,7 +17,7 @@ reconstructed 2D positions, while `chain_energy` works directly in chain
 variables (du, per-column tau vectors, row index j) without materializing the
 lattice.  They agree to rounding and cross-validate each other.  Both feed
 their differences to one bracket kernel (`brackets`), and the chain-variable
-stencil (`chain_stencil`) is the one the Newton derivatives differentiate.
+stencil (`slot_stencil`) is the one the Newton derivatives differentiate.
 `stencil_grid` walks that stencil over the whole site grid once for
 `chain_energy` and for the well classification in `analysis.classify`.
 """
@@ -38,7 +38,6 @@ __all__ = [
     "density",
     "affine_stencil",
     "slot_stencil",
-    "chain_stencil",
     "stencil_grid",
     "chain_energy",
     "lattice_energy",
@@ -112,19 +111,11 @@ def slot_stencil(u, theta, lam, wells):
     return base, slope, np.stack([t_m, t_c, t_p], axis=1)
 
 
-def chain_stencil(chain: ChainState, ids, j_rows):
-    """Difference vectors W = [v+, v-, h+, h-] on rows j_rows, plus per-slot t.
-
-    W has shape (len(ids), len(j_rows), 4, 2); t is as in `affine_stencil`.
-    """
-    base, slope, t = affine_stencil(chain, ids)
-    j = np.asarray(j_rows, dtype=float)[None, :, None, None]
-    return base[:, None] + j * slope[:, None], t
-
-
 def chain_local_grid(chain: ChainState, ids, j_rows):
     """Per-site densities evaluated in chain variables; shape (len(ids), len(j_rows))."""
-    W, _ = chain_stencil(chain, ids, j_rows)
+    base, slope, _ = affine_stencil(chain, ids)
+    j = np.asarray(j_rows, dtype=float)[None, :, None, None]
+    W = base[:, None] + j * slope[:, None]
     return density(W[..., :2, :], W[..., 2:, :], chain.wells)
 
 

@@ -27,18 +27,18 @@ is evaluated only at the end rows and next to its vertex.
 A problem evaluates each x once.  It keeps one record, of the last x it
 was asked about: a copy of x, the node stencil W and t, the brackets and
 the energy.  A gradient at that x adds F^T, f_k, g_k, the Jacobian and the
-moments A_k; a Hessian there adds only d2D/dW2, its moments and the band.
+moments A_k; a Hessian there adds only d2D/dW2, its moments and the blocks.
 So a Newton iteration, whose accepted trial's energy, gradient and next
 Hessian share one x, builds the stencil, the brackets and F^T once.  A
 stage drops what no later stage reads (F itself is built only for the
 Hessian).  Any other x, compared by value so that an x changed in place is
 never stale, replaces the record; the old one is released first.
 
-Atoms couple only within distance 2 along the chain, so the Hessian on the
-interleaved free variables (ux, uy[, theta]) is banded with bandwidth
-bw = 3*stride - 1 and is scattered straight into the LAPACK upper band
-layout (ab[bw + r - c, c] = H[r, c] for r <= c).  Cut into blocks of bw
-dofs, that matrix is block tridiagonal, and each Newton step solves it by
+Atoms couple only within distance 2 along the chain, so on the interleaved
+free variables (ux, uy[, theta]), nd per atom, the Hessian has 3*nd - 1
+superdiagonals.  In blocks of s = 3*nd - 1 dofs it is block tridiagonal:
+each stencil's upper triangle is scattered straight into the diagonal
+blocks D and the superdiagonal blocks U.  Each Newton step solves (D, U) by
 block cyclic reduction with numpy's batched Cholesky, under a Levenberg
 shift that grows tenfold until every pivot factors.  Steps are
 Armijo-backtracked on the energy and rejected (halved) whenever the trial
@@ -131,7 +131,7 @@ class MinimizationReport:
 
 
 class ChainProblem:
-    """Energy, gradient and banded Hessian over a chosen set of free atoms.
+    """Energy, gradient and block tridiagonal Hessian over a chosen set of free atoms.
 
     The window (i_lo..i_hi) x (j_lo..j_hi) selects which summands count;
     `scale` multiplies the raw density sum (lam^2 for physical chains, a row
@@ -242,31 +242,18 @@ class ChainProblem:
         dets = c0 + j * (c1 + j * c2)
         return not (self.template.lam ** 2 * dets < ORIENTATION_TOL).any()
 
-    # -- per-summand derivative kernels ------------------------------------
-
-    def _density_parts(self, W, order):
-        """Density D, dD/dW and (order 2) d2D/dW2 over W's 8 components, by the
-        stages an evaluation record runs."""
-        wells = self.template.wells
-        q, r, X, B1, B2 = brackets(W[..., :2, :], W[..., 2:, :], wells)
-        FT, fk, G, dD = _density_slope(W, q, r, X, B1, B2, wells)
-        out = [B1 * B2, dD]
-        if order == 1:
-            return out
-        return out + [_density_curvature(FT, fk, G, B1, B2)]
-
     # -- the evaluation record ----------------------------------------------
 
     def _at(self, x, order):
         """The record of x with its stages built through `order`: 0 the energy,
-        1 the gradient, 2 the Hessian band."""
+        1 the gradient, 2 the Hessian blocks."""
         p = self._last
         if p is None or not np.array_equal(p.x, x):
             self._last = None  # release the old record before building the new one
             p = self._last = self._energy_stage(np.array(x, dtype=float))
         if order >= 1 and p.grad is None:
             self._gradient_stage(p)
-        if order >= 2 and p.band is None:
+        if order >= 2 and p.blocks is None:
             self._hessian_stage(p)
         return p
 
@@ -298,18 +285,27 @@ class ChainProblem:
         H = sum(np.swapaxes(Jk, 1, 2) @ N[k + l] @ Jl
                 for k, Jk in enumerate(J) for l, Jl in enumerate(J))
         if self.variable_tau:
-            # curvature of the rotating frame: d2t/dtheta2 = -t is the quarter
-            # turn of t', so the theta columns of the Jacobian at t' are d2W/dtheta2
+            # curvature of the rotating frame: d2t/dtheta2 = -t, so d2W/dtheta2
+            # is minus the theta columns of the Jacobian with t' replaced by t
             th = np.arange(2, 3 * self.nd, self.nd)
-            H[:, th, th] += _contract(A, self._jacobian(_quarter_turn(t)))[:, th]
-        # scatter the upper triangle of each stencil block into the band
-        ndof = self.ndof
-        bw = min(3 * self.nd - 1, ndof - 1)
+            H[:, th, th] -= _contract(A, [c.reshape(len(t), 8, 3) for c in _theta_columns(t)])
+        # blocks of s dofs: each stencil entry lies within one block or couples
+        # it to the next.  Scatter the upper triangle of each stencil Hessian,
+        # entry (r, c) into D[r // s] or U[r // s], then mirror D's; the pad
+        # dofs of the last block get an identity diagonal
+        s = max(min(3 * self.nd - 1, self.ndof - 1), 1)
+        m = -(-self.ndof // s)
         row, col = self._dofs[:, :, None], self._dofs[:, None, :]
         keep = (row >= 0) & (col >= row)
-        band_index = np.broadcast_to((bw + row - col) * ndof + col, H.shape)
-        ab = np.bincount(band_index[keep], weights=H[keep], minlength=(bw + 1) * ndof)
-        p.band = self.scale * ab.reshape(bw + 1, ndof), bw
+        block = np.broadcast_to((col // s - row // s) * m * s * s + row * s + col % s, H.shape)
+        blocks = self.scale * np.bincount(block[keep], weights=H[keep],
+                                          minlength=(2 * m - 1) * s * s)
+        D, U = blocks[:m * s * s].reshape(m, s, s), blocks[m * s * s:].reshape(m - 1, s, s)
+        r, c = np.tril_indices(s, -1)
+        D[:, r, c] = D[:, c, r]
+        pad = np.arange(self.ndof - (m - 1) * s, s)
+        D[-1, pad, pad] = 1.0
+        p.blocks = D, U
 
     def _moments(self, arr, top):
         """Row sums sum_j j^k * arr for k = 0..top, by the row rule (nodes on axis 1)."""
@@ -326,9 +322,7 @@ class ChainProblem:
         J = np.zeros((1 + self.variable_tau, nc, 4, 2, 3, self.nd))
         J[0, ..., :2] = _OMEGA.T[:, None, :, None] * np.eye(2)[:, None, :] / self.template.lam
         if self.variable_tau:
-            turn = np.swapaxes(_quarter_turn(t), 1, 2)[:, None]
-            J[0, ..., 2] = _PI.T[:, None, :] * turn
-            J[1, ..., 2] = _OMEGA.T[:, None, :] * turn
+            J[0, ..., 2], J[1, ..., 2] = _theta_columns(_quarter_turn(t))
         return list(J.reshape(len(J), nc, 8, -1))
 
     # -- public evaluations -------------------------------------------------
@@ -342,9 +336,11 @@ class ChainProblem:
         return self._at(x, 1).grad.copy()
 
     def hessian_banded(self, x):
-        """Free-variable Hessian in the LAPACK upper band layout, and its bandwidth."""
-        ab, bw = self._at(x, 2).band
-        return ab.copy(), bw
+        """Free-variable Hessian as block tridiagonal (D, U): diagonal blocks
+        (m, s, s) and superdiagonal blocks (m - 1, s, s), U[i] coupling block i
+        to block i + 1, over dofs padded to m * s."""
+        D, U = self._at(x, 2).blocks
+        return D.copy(), U.copy()
 
 
 @dataclass(eq=False)
@@ -353,7 +349,7 @@ class _Point:
 
     Each stage sets to None what no later stage reads: the gradient stage
     drops `inner`, the Hessian stage `B`, `slope`, `t`, `J` and `A`, so that
-    x, energy, grad and band remain.
+    x, energy, grad and blocks remain.
     """
     x: np.ndarray
     t: np.ndarray
@@ -364,7 +360,7 @@ class _Point:
     J: list = None
     A: list = None
     grad: np.ndarray = None
-    band: tuple = None
+    blocks: tuple = None  # D, U
 
 
 def _density_slope(W, q, r, X, B1, B2, wells):
@@ -425,33 +421,16 @@ def _quarter_turn(t):
     return t[..., ::-1] * (-1.0, 1.0)
 
 
+def _theta_columns(dt):
+    """Pi dt and Omega dt over the slot vectors dt (centers, 3, 2), each
+    (centers, 4, 2, 3): the theta columns of J0 and J1 when dt = t'."""
+    dt = np.swapaxes(dt, 1, 2)[:, None]
+    return [w.T[:, None, :] * dt for w in (_PI, _OMEGA)]
+
+
 def _contract(A, J):
     """sum_k A_k . J_k per center: row moments of dD/dW times the Jacobian."""
     return sum(np.einsum("ie,iev->iv", a, jac) for a, jac in zip(A, J))
-
-
-def _band_blocks(ab, bw):
-    """The symmetric matrix of upper band `ab` as a block tridiagonal one.
-
-    Blocks hold s = max(bw, 1) dofs, so entry (r, c) is nonzero only within a
-    block or between neighbouring blocks.  Returns the diagonal blocks D
-    (m, s, s) and the superdiagonal blocks U (m - 1, s, s), U[i] coupling
-    block i to block i + 1; dofs that pad the last block get an identity
-    diagonal and no coupling.
-    """
-    ndof = ab.shape[1]
-    s = max(bw, 1)
-    m = -(-ndof // s)
-    # A[r, c] = A[c, r] sits at ab[bw - (c - r), c] for c >= r.  band holds ab
-    # one row down, so that offsets beyond the band read the zero row 0, with
-    # its columns split into blocks of s
-    band = np.zeros((bw + 2, m + 1, s))
-    band[1:].reshape(bw + 1, -1)[:, :ndof] = ab
-    band[bw + 1].reshape(-1)[ndof:] = 1.0
-    r, c = np.arange(s)[:, None], np.arange(s)
-    D = band[np.maximum(bw + 1 - np.abs(c - r), 0), :m, np.maximum(r, c)]
-    U = band[np.maximum(bw + 1 - (s + c - r), 0), 1:m, c]
-    return np.moveaxis(D, -1, 0), np.moveaxis(U, -1, 0)
 
 
 def _block_cholesky_solve(D, U, b):
@@ -495,9 +474,9 @@ def _block_cholesky_solve(D, U, b):
     return x
 
 
-def _levenberg_step(ab, bw, grad):
-    """Newton step on the banded Hessian, shifted until Cholesky succeeds; None past 1e12."""
-    D, U = _band_blocks(ab, bw)
+def _levenberg_step(D, U, grad):
+    """Newton step on the block tridiagonal Hessian, shifted until Cholesky
+    succeeds; None past 1e12."""
     rhs = np.zeros(D.shape[:2])
     rhs.flat[:grad.size] = -grad
     eye = np.eye(D.shape[1])

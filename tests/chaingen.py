@@ -1,4 +1,11 @@
-"""Random admissible chains and band expansion shared by the test modules."""
+"""Random admissible chains and Hessian layouts shared by the test modules.
+
+The solver's Hessian is block tridiagonal: diagonal blocks D (m, s, s) and
+superdiagonal blocks U (m - 1, s, s) over dofs padded to m * s.
+`blocks_to_dense` expands it for finite-difference checks, and
+`dense_to_band` writes a dense matrix in LAPACK's upper band layout, the
+input of `scipy.linalg.solveh_banded`, the reference solver.
+"""
 
 import numpy as np
 
@@ -40,12 +47,21 @@ def random_chain(rng, n=8, a=None, base="twin", du=0.05, dtheta=None, wells=None
     raise RuntimeError("could not generate an admissible perturbation")
 
 
-def banded_to_dense(ab, bw):
-    """Full symmetric matrix from the LAPACK upper band layout (bw superdiagonals)."""
-    ndof = ab.shape[1]
-    h = np.zeros((ndof, ndof))
+def blocks_to_dense(D, U, ndof):
+    """Full symmetric matrix of the first ndof dofs of the block tridiagonal
+    (D, U) that `ChainProblem.hessian_banded` returns."""
+    m, s = D.shape[:2]
+    h = np.zeros((m, s, m, s))
+    i = np.arange(m)
+    h[i, :, i] = D
+    h[i[:-1], :, i[1:]] = U
+    h[i[1:], :, i[:-1]] = U.swapaxes(1, 2)
+    return h.reshape(m * s, m * s)[:ndof, :ndof]
+
+
+def dense_to_band(h, bw):
+    """The LAPACK upper band layout of symmetric h, ab[bw + r - c, c] = h[r, c]."""
+    ab = np.zeros((bw + 1, len(h)))
     for d in range(bw + 1):
-        h += np.diag(ab[bw - d, d:], k=d)
-        if d:
-            h += np.diag(ab[bw - d, d:], k=-d)
-    return h
+        ab[bw - d, d:] = np.diagonal(h, d)
+    return ab

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from chaingen import banded_to_dense, random_chain
+from chaingen import blocks_to_dense, random_chain
 from twinchain.analysis import classify, fit_exponential, interface_positions
 from twinchain.cli import main as cli_main
 from twinchain.energy import chain_energy, density, lattice_energy
@@ -149,7 +149,7 @@ def test_criterion_04_derivative_checks(wells, rng):
         problem = ChainProblem(chain, variable_tau=bool(k % 2))
         x = problem.pack(chain)
         grad = problem.gradient(x)
-        hess = banded_to_dense(*problem.hessian_banded(x))
+        hess = blocks_to_dense(*problem.hessian_banded(x), x.size)
         num_g = np.empty_like(grad)
         num_h = np.empty_like(hess)
         for j in range(x.size):

@@ -133,6 +133,20 @@ class TestNonConvergence:
         assert "layers failed to converge for reference n = 20" in err
         assert (tmp_path / "composition.txt").is_file()
 
+    def test_start_at_the_gradient_stop_exits_1(self, tmp_path, capsys):
+        # at a = 1.00001 the warm start already meets the gradient stop, so the
+        # relaxed chain is its reference and every deviation is 0: no decay
+        # fit on either side, but every other file is written
+        assert run("minimize", "--a", 1.00001, "--n", 8, "--out", tmp_path) == 1
+        reason = "window contains nonpositive deviations"
+        assert capsys.readouterr().err.splitlines() == [
+            f"minimize has no decay fit for n = 8 right ({reason}), n = 8 left ({reason})"]
+        assert {p.name for p in tmp_path.iterdir()} == {
+            "report-n8.txt", "chain-n8.txt", "reference-n8.txt",
+            "breakdown-n8.csv", "classification-n8.csv"}
+        report = (tmp_path / "report-n8.txt").read_text()
+        assert "converged=1" in report and "iterations=0" in report
+
 
 def test_startup_skips_unused_scipy_modules():
     # start-up loads numpy only: the Newton solve needs no scipy.linalg, and

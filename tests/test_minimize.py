@@ -13,15 +13,16 @@ import scipy.linalg
 
 import twinchain.energy as energy_mod
 import twinchain.minimize as minimize_mod
-from chaingen import banded_to_dense, random_chain
-from twinchain.energy import chain_energy, density
+from chaingen import blocks_to_dense, dense_to_band, random_chain
+from twinchain.energy import brackets, chain_energy, density
 from twinchain.gamma import _layer_problem, _solve_layer
 from twinchain.lattice import ChainState, affine_chain, check_admissible, reconstruct
 from twinchain.minimize import (
     ChainProblem,
     MinimizeOptions,
-    _band_blocks,
     _block_cholesky_solve,
+    _density_curvature,
+    _density_slope,
     _levenberg_step,
     laminate_chain,
     newton_minimize,
@@ -65,12 +66,15 @@ class TestDerivatives:
         g_fd = fd_gradient(problem, x)
         assert np.abs(g - g_fd).max() <= 1e-5 * (1.0 + np.abs(g).max())
 
-    @pytest.mark.parametrize("variable_tau", [False, True])
-    def test_hessian_matches_fd(self, rng, variable_tau):
+    @pytest.mark.parametrize("variable_tau, free_ids", [(False, None), (True, None),
+                                                        (False, [0])],
+                             ids=["False", "True", "middle_atom"])
+    def test_hessian_matches_fd(self, rng, variable_tau, free_ids):
+        # middle_atom: the 2-dof problem of `preoptimize_middle`, in blocks of one dof
         chain = random_chain(rng, n=8, dtheta=0.05 if variable_tau else 0.0)
-        problem = ChainProblem(chain, variable_tau=variable_tau)
+        problem = ChainProblem(chain, variable_tau=variable_tau, free_ids=free_ids)
         x = problem.pack(chain)
-        h = banded_to_dense(*problem.hessian_banded(x))
+        h = blocks_to_dense(*problem.hessian_banded(x), x.size)
         h_fd = fd_hessian(problem, x)
         assert np.abs(h - h_fd).max() <= 1e-4 * (1.0 + np.abs(h).max())
 
@@ -79,16 +83,23 @@ class TestDerivatives:
             chain = random_chain(rng, n=6, dtheta=0.05)
             problem = ChainProblem(chain, variable_tau=variable_tau)
             x = problem.pack(chain)
-            ab, bw = problem.hessian_banded(x)
-            assert ab.shape == (bw + 1, x.size)
-            assert bw == 3 * problem.nd - 1
-            # the band and the full matrix solve one shifted system
-            shift = 1.0 + np.abs(ab).max()
-            h = banded_to_dense(ab, bw) + shift * np.eye(x.size)
-            ab[bw] += shift
+            D, U = problem.hessian_banded(x)
+            s = 3 * problem.nd - 1
+            m = -(-x.size // s)
+            assert D.shape == (m, s, s) and U.shape == (m - 1, s, s)
+            assert np.array_equal(D, D.swapaxes(1, 2))
+            # the pad dofs of the last block: identity diagonal, no coupling
+            pad = m * s - x.size
+            assert pad > 0
+            assert np.array_equal(D[-1, -pad:, -pad:], np.eye(pad))
+            assert not D[-1, :-pad, -pad:].any() and not U[-1, :, -pad:].any()
+            # the blocks and the full matrix solve one shifted system
+            h = blocks_to_dense(D, U, x.size)
+            shift = 1.0 + np.abs(h).max()
             rhs = np.linspace(-1.0, 1.0, x.size)
-            assert np.allclose(_levenberg_step(ab, bw, -rhs),
-                               np.linalg.solve(h, rhs), rtol=1e-10, atol=0.0)
+            assert np.allclose(_levenberg_step(D + shift * np.eye(s), U, -rhs),
+                               np.linalg.solve(h + shift * np.eye(x.size), rhs),
+                               rtol=1e-10, atol=0.0)
 
     @pytest.mark.parametrize("kind, free_ids", [
         ("B_plus", [-1, 1, 2, 3, 4, 5]),
@@ -113,7 +124,7 @@ class TestDerivatives:
             pytest.fail("no admissible perturbation")
         g = problem.gradient(x)
         assert np.abs(g - fd_gradient(problem, x)).max() <= 1e-5 * (1.0 + np.abs(g).max())
-        h = banded_to_dense(*problem.hessian_banded(x))
+        h = blocks_to_dense(*problem.hessian_banded(x), x.size)
         assert np.abs(h - fd_hessian(problem, x)).max() <= 1e-4 * (1.0 + np.abs(h).max())
 
     def test_energy_matches_breakdown(self, rng):
@@ -148,10 +159,18 @@ def _fd4(fn, W, step=1e-4):
     return np.stack(cols, axis=-1)
 
 
+def _density_parts(W, wells):
+    """D, dD/dW and d2D/dW2 over W's 8 components, by the stages that
+    `ChainProblem` runs: brackets, slope, curvature."""
+    q, r, X, B1, B2 = brackets(W[..., :2, :], W[..., 2:, :], wells)
+    FT, fk, G, dD = _density_slope(W, q, r, X, B1, B2, wells)
+    return B1 * B2, dD, _density_curvature(FT, fk, G, B1, B2)
+
+
 class TestDensityKernel:
     @pytest.mark.parametrize("case", ["random", "U0", "U1", "turned_U0", "QU1"])
     def test_point_derivatives_match_fd(self, rng, wells, case):
-        # D, dD/dW and d2D/dW2 of `_density_parts` point by point, on random
+        # D, dD/dW and d2D/dW2 of the solver's kernel point by point, on random
         # stencils and on stencils 1e-6 off a well, where an affine state with
         # cell gradient [h+ | v+] = U has v- = -v+ and h- = -h+
         if case == "random":
@@ -162,14 +181,12 @@ class TestDensityKernel:
                  "turned_U0": np.array([[c, -s], [s, c]]) @ wells.U0}[case]
             W = (np.stack([U[:, 1], -U[:, 1], U[:, 0], -U[:, 0]])
                  + 1e-6 * rng.standard_normal((20, 4, 2)))
-        problem = ChainProblem(twin_chain(4, wells))
-        D, dD, d2D = problem._density_parts(W, order=2)
+        D, dD, d2D = _density_parts(W, wells)
         assert np.array_equal(D, density(W[..., :2, :], W[..., 2:, :], wells))
         if case != "random":
             assert D.max() < 1e-9
-        assert np.array_equal(dD, problem._density_parts(W, order=1)[1])
-        fd_dD = _fd4(lambda V: problem._density_parts(V, order=1)[0], W)
-        fd_d2D = _fd4(lambda V: problem._density_parts(V, order=1)[1], W)
+        fd_dD = _fd4(lambda V: _density_parts(V, wells)[0], W)
+        fd_d2D = _fd4(lambda V: _density_parts(V, wells)[1], W)
         # per point, relative to its largest entry; the differences sit near
         # 1e-9 of it, against 1e-4 for the assembled Hessian in
         # test_hessian_matches_fd
@@ -216,17 +233,18 @@ class TestEvaluationPlumbing:
         # bit for bit, the same call on a problem that never saw x
         make, x = _evaluation_case(case, rng, wells)
         problem = make()
-        e, g, (ab, bw) = problem.energy(x), problem.gradient(x), problem.hessian_banded(x)
+        e, g, (D, U) = problem.energy(x), problem.gradient(x), problem.hessian_banded(x)
         assert _same_bits(e, make().energy(x))
         assert _same_bits(g, make().gradient(x))
-        fresh_ab, fresh_bw = make().hessian_banded(x)
-        assert bw == fresh_bw and _same_bits(ab, fresh_ab)
+        fresh = make().hessian_banded(x)
+        assert all(map(_same_bits, (D, U), fresh))
         # a finished record answers again, also after a caller changed its results
         g[:] = 0.0
-        ab[:] = 0.0
+        D[:] = 0.0
+        U[:] = 0.0
         assert _same_bits(problem.energy(x), e)
         assert _same_bits(problem.gradient(x), make().gradient(x))
-        assert _same_bits(problem.hessian_banded(x)[0], fresh_ab)
+        assert all(map(_same_bits, problem.hessian_banded(x), fresh))
 
     @pytest.mark.parametrize("case", EVALUATION_CASES)
     def test_x_changed_in_place_is_evaluated_anew(self, rng, wells, case):
@@ -237,7 +255,7 @@ class TestEvaluationPlumbing:
         assert _same_bits(problem.gradient(x), make().gradient(x))
         x[0] -= 2e-3
         assert _same_bits(problem.energy(x), make().energy(x))
-        assert _same_bits(problem.hessian_banded(x)[0], make().hessian_banded(x)[0])
+        assert all(map(_same_bits, problem.hessian_banded(x), make().hessian_banded(x)))
 
     def test_layer_solve_evaluates_each_point_once(self, monkeypatch, wells):
         # Newton asks for the gradient and the Hessian only at points whose
@@ -344,7 +362,7 @@ class TestRowRule:
             e, e_ref = problem.energy(x), ref.energy(x)
             assert abs(e - e_ref) <= 1e-13 * abs(e_ref)
             for got, want in ((problem.gradient(x), ref.gradient(x)),
-                              (problem.hessian_banded(x)[0], ref.hessian_banded(x)[0])):
+                              *zip(problem.hessian_banded(x), ref.hessian_banded(x))):
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_rule_is_exact_to_degree_nine(self):
@@ -439,21 +457,31 @@ class TestAdmissibility:
 
 
 def _random_spd_band(rng, bw, ndof, decades=0.0):
-    """Upper band (LAPACK layout) of a random SPD matrix, as hessian_banded shapes it.
+    """A random SPD matrix with min(bw, ndof - 1) superdiagonals, dense.
 
     Diagonally dominant with a margin, then scaled symmetrically by factors
     spread over `decades` decades, which keeps it SPD.
     """
-    bw = min(bw, ndof - 1)
-    ab = rng.standard_normal((bw + 1, ndof))
-    for d in range(1, bw + 1):
-        ab[bw - d, :d] = 0.0  # outside the matrix
-    h = banded_to_dense(ab, bw)
-    ab[bw] = np.abs(h).sum(axis=1) - np.abs(ab[bw]) + rng.uniform(0.1, 1.0, ndof)
+    h = np.zeros((ndof, ndof))
+    for d in range(1, min(bw, ndof - 1) + 1):
+        i = np.arange(ndof - d)
+        h[i, i + d] = h[i + d, i] = rng.standard_normal(ndof - d)
+    h[np.diag_indices(ndof)] = np.abs(h).sum(axis=1) + rng.uniform(0.1, 1.0, ndof)
     scale = 10.0 ** (decades * rng.uniform(-0.5, 0.5, ndof))
-    for d in range(bw + 1):
-        ab[bw - d, d:] *= scale[d:] * scale[:ndof - d]
-    return ab, bw
+    return h * np.outer(scale, scale)
+
+
+def _dense_to_blocks(h, bw):
+    """(D, U) of h as hessian_banded shapes them: blocks of s = max(min(bw,
+    ndof - 1), 1) dofs, pad dofs with an identity diagonal and no coupling."""
+    ndof = len(h)
+    s = max(min(bw, ndof - 1), 1)
+    m = -(-ndof // s)
+    padded = np.eye(m * s)
+    padded[:ndof, :ndof] = h
+    blocks = padded.reshape(m, s, m, s)
+    i = np.arange(m)
+    return blocks[i, :, i], blocks[i[:-1], :, i[1:]]
 
 
 class TestBandSolve:
@@ -468,23 +496,21 @@ class TestBandSolve:
         # 3bw + 2 leaves the last block of bw dofs partly padded (bw > 2)
         ndof = size(bw)
         for _ in range(3):
-            ab, band = _random_spd_band(rng, bw, ndof, decades=6.0)
+            h = _random_spd_band(rng, bw, ndof, decades=6.0)
             rhs = rng.standard_normal(ndof)
-            x = _levenberg_step(ab, band, -rhs)  # SPD: no shift
-            h = banded_to_dense(ab, band)
+            x = _levenberg_step(*_dense_to_blocks(h, bw), -rhs)  # SPD: no shift
             assert np.linalg.norm(h @ x - rhs) <= 1e-12 * np.linalg.norm(h) * np.linalg.norm(x)
-            ref = scipy.linalg.solveh_banded(ab, rhs)
+            ref = scipy.linalg.solveh_banded(dense_to_band(h, min(bw, ndof - 1)), rhs)
             assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("bw, ndof", [(1, 7), (5, 6), (5, 93), (8, 1), (8, 200)])
     def test_indefinite_band_raises(self, rng, bw, ndof):
         # shifting past the smallest eigenvalue by 1e-6 of it flips the verdict
-        ab, band = _random_spd_band(rng, bw, ndof)
-        low = np.linalg.eigvalsh(banded_to_dense(ab, band))[0]
+        h = _random_spd_band(rng, bw, ndof)
+        low = np.linalg.eigvalsh(h)[0]
         for shift, definite in ((1.0 - 1e-6) * low, True), ((1.0 + 1e-6) * low, False):
-            shifted = ab.copy()
-            shifted[band] -= shift
-            D, U = _band_blocks(shifted, band)
+            shifted = h - shift * np.eye(ndof)
+            D, U = _dense_to_blocks(shifted, bw)
             rhs = np.ones(D.shape[:2])
             if definite:
                 _block_cholesky_solve(D, U, rhs)
@@ -492,7 +518,8 @@ class TestBandSolve:
                 with pytest.raises(np.linalg.LinAlgError):
                     _block_cholesky_solve(D, U, rhs)
                 with pytest.raises(np.linalg.LinAlgError):
-                    scipy.linalg.solveh_banded(shifted, rhs.ravel()[:ndof])
+                    scipy.linalg.solveh_banded(dense_to_band(shifted, min(bw, ndof - 1)),
+                                               rhs.ravel()[:ndof])
 
     def test_levenberg_shift_matches_lapack(self, wells, monkeypatch):
         # the CLI's first Hessian at n = 100 (middle atom preoptimized) is
@@ -501,7 +528,9 @@ class TestBandSolve:
         chain = preoptimize_middle(twin_chain(100, wells))
         problem = ChainProblem(chain)
         x = problem.pack(chain)
-        ab, bw = problem.hessian_banded(x)
+        D, U = problem.hessian_banded(x)
+        bw = 3 * problem.nd - 1
+        ab = dense_to_band(blocks_to_dense(D, U, x.size), bw)
         grad = problem.gradient(x)
         mus = [0.0, 1e-8]
         while mus[-1] * 10.0 <= 1e12:
@@ -523,7 +552,7 @@ class TestBandSolve:
             return solve(*args)
 
         monkeypatch.setattr(minimize_mod, "_block_cholesky_solve", counted)
-        step = _levenberg_step(ab, bw, grad)
+        step = _levenberg_step(D, U, grad)
         assert len(attempts) == want + 1  # one call per shift tried
         assert np.linalg.norm(step - ref) <= 1e-12 * np.linalg.norm(ref)
 
