@@ -6,20 +6,19 @@ translations.  `cut_and_extend` replaces everything beyond a well-shaped
 column with an exact affine tail.  `estimate_layer` / `estimate_EK` compute
 boundary-layer and internal-layer energies on rescaled half-open geometries
 by Newton descent with relaxed row directions (the chains' stopping rule),
-one solve per height with the clamp CLAMP_RATIO heights out; `estimate_layer`
-can also search the relative shift between the two far fields.
+one solve per height with the clamp CLAMP_RATIO heights out.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .energy import chain_energy, chain_local_grid, window_sum
-from .lattice import (GHOST, BoundaryClamp, ChainState, LatticeField,
-                      LatticeGeometry, check_admissible, reconstruct)
+from .lattice import (GHOST, BoundaryClamp, ChainState, LatticeGeometry,
+                      check_admissible, reconstruct)
 from .minimize import ChainProblem, newton_minimize
 from .wells import WellPair
 
@@ -96,7 +95,7 @@ class AverageDownResult:
     view: TranslatedChain
 
 
-def average_down(chain, m: int, epsilon: float) -> AverageDownResult:
+def average_down(chain: ChainState, m: int, epsilon: float) -> AverageDownResult:
     """Find a vertical translation whose height-m strip energy is small.
 
     Guarantees strip_energy <= input_energy + epsilon provided
@@ -106,8 +105,6 @@ def average_down(chain, m: int, epsilon: float) -> AverageDownResult:
     bound (possible at small m, where the 1/m row weight inflates every
     strip), every translation in range is tried before giving up.
     """
-    if isinstance(chain, LatticeField):
-        chain = chain.chain
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     n = chain.n
@@ -301,7 +298,6 @@ class LayerSpec:
 class LayerEnergyEstimate:
     value: float
     n_sequence: tuple        # (n, estimate) pairs, nan where the solve failed
-    offsets_tried: tuple     # offsets visited by the search, in order
     converged: bool          # final two estimates within 2 percent
 
 
@@ -358,16 +354,14 @@ def _solve_layer(kind, V_left, V_right, r, L, n_v, wells):
 
 
 def estimate_layer(spec: LayerSpec, wells: WellPair, *,
-                   n_sequence=None, search_offset: bool = False
-                   ) -> LayerEnergyEstimate:
+                   n_sequence=None) -> LayerEnergyEstimate:
     """Layer energy by Newton descent over a refining sequence of heights.
 
     Solves the requested clamped problem once at each height n_v in
-    n_sequence, with the clamp at ceil(L/n) * n_v so that every height sees
-    the same L/n, optionally searching the far-field offset by Nelder-Mead
-    at the coarsest height first.  Every solve stops by `newton_minimize`'s
-    rule; heights whose solve fails to converge are recorded as nan and
-    excluded from the value.
+    n_sequence, at the offset spec.r_star and with the clamp at
+    ceil(L/n) * n_v, so that every height sees the same L/n.  Every solve
+    stops by `newton_minimize`'s rule; heights whose solve fails to
+    converge are recorded as nan and excluded from the value.
     """
     if n_sequence is None:
         n_sequence = sorted({max(4, spec.n // 4), max(6, spec.n // 2), spec.n})
@@ -378,32 +372,11 @@ def estimate_layer(spec: LayerSpec, wells: WellPair, *,
         raise ValueError("heights must be at least 2")
     ratio = math.ceil(spec.L / spec.n)  # LayerSpec ensures L >= n
 
-    offsets_tried = []
-    r_best = np.asarray(spec.r_star, dtype=float).reshape(2)
-
-    if search_offset:
-        from scipy.optimize import minimize as _nm_minimize
-
-        n0 = n_sequence[0]
-        L0 = ratio * n0
-
-        def objective(rv):
-            est, ok = _solve_layer(spec.kind, spec.V_left, spec.V_right,
-                                   rv, L0, n0, wells)
-            offsets_tried.append((np.array(rv, dtype=float), est if ok else math.nan))
-            return est if ok and math.isfinite(est) else 1e6
-
-        result = _nm_minimize(objective, r_best, method="Nelder-Mead",
-                              options={"xatol": 0.02, "fatol": 1e-5,
-                                       "maxiter": 60, "maxfev": 90})
-        r_best = np.asarray(result.x, dtype=float)
-
     records = []
     for n_v in n_sequence:
         est, ok = _solve_layer(spec.kind, spec.V_left, spec.V_right,
-                               r_best, ratio * n_v, n_v, wells)
+                               spec.r_star, ratio * n_v, n_v, wells)
         records.append((n_v, est if ok else math.nan))
-    offsets_tried.append((r_best.copy(), records[-1][1]))
 
     valid = [(n_v, e) for n_v, e in records if math.isfinite(e)]
     if not valid:
@@ -414,7 +387,6 @@ def estimate_layer(spec: LayerSpec, wells: WellPair, *,
                  <= 0.02 * max(abs(valid[-1][1]), 1e-9))
     return LayerEnergyEstimate(value=float(value),
                                n_sequence=tuple(records),
-                               offsets_tried=tuple(offsets_tried),
                                converged=converged)
 
 
@@ -462,7 +434,7 @@ def save_layer_estimates(entries, path, header=None):
     for spec, est in entries:
         flat_l = " ".join(f"{v:.17g}" for v in spec.V_left.ravel())
         flat_r = " ".join(f"{v:.17g}" for v in spec.V_right.ravel())
-        flat_o = " ".join(f"{v:.17g}" for v in est.offsets_tried[-1][0])
+        flat_o = " ".join(f"{v:.17g}" for v in spec.r_star)
         seq = [e for _, e in est.n_sequence if math.isfinite(e)]
         gap = abs(seq[-1] - seq[-2]) if len(seq) >= 2 else math.nan
         for n_v, e in est.n_sequence:

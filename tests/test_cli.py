@@ -1,8 +1,10 @@
 """End-to-end checks of the experiment driver."""
 
+import ast
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -148,16 +150,50 @@ class TestNonConvergence:
         assert "converged=1" in report and "iterations=0" in report
 
 
-def test_startup_skips_unused_scipy_modules():
-    # start-up loads numpy only: the Newton solve needs no scipy.linalg, and
-    # estimate_layer imports scipy.optimize only for search_offset=True
-    src = str(Path(twinchain.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
+def _requirement_names(requirements):
+    return sorted(re.match(r"[A-Za-z0-9_.-]+", r).group(0).lower()
+                  for r in requirements)
+
+
+def test_startup_skips_unused_scipy_modules(tmp_path):
+    # the package runs on numpy alone: scipy is a test oracle only
+    package = Path(twinchain.__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
     probe = ("import sys, twinchain.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+    # with scipy unimportable, a layer run and a relaxation still succeed
+    blocked = ("import sys; sys.modules['scipy'] = None\n"
+               "from twinchain.cli import main\n"
+               "codes = [main(['layers', '--quick', '--out', sys.argv[1]]),\n"
+               "         main(['minimize', '--n', '8', '--out', sys.argv[2]])]\n"
+               "print(codes)")
+    out = subprocess.run([sys.executable, "-c", blocked, str(tmp_path / "layers"),
+                          str(tmp_path / "minimize")], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "[0, 0]"
+
+    # no module imports scipy at any depth, lazily or not
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "scipy" for name in names), (
+                f"{path.name}:{node.lineno} imports scipy")
+
+    # installing the package pulls numpy only; the dev extra brings scipy
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(package.parent.parent / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert _requirement_names(project["dependencies"]) == ["numpy"]
+    assert "scipy" in _requirement_names(project["optional-dependencies"]["dev"])
 
 
 class TestFitDecay:

@@ -214,11 +214,10 @@ class TestLayerSpec:
         with pytest.raises(ValueError, match="2x2"):
             LayerSpec("C", np.eye(3), U)
 
-    @pytest.mark.parametrize("search_offset", [False, True])
-    def test_rejects_empty_height_sequence(self, wells, search_offset):
+    def test_rejects_empty_height_sequence(self, wells):
         spec = LayerSpec("C", wells.U0, wells.U0, L=8, n=4)
         with pytest.raises(ValueError, match="height sequence is empty"):
-            estimate_layer(spec, wells, n_sequence=(), search_offset=search_offset)
+            estimate_layer(spec, wells, n_sequence=())
 
 
 class TestLayerEstimates:
@@ -259,15 +258,6 @@ class TestLayerEstimates:
         assert est.converged
         values = [e for _, e in est.n_sequence]
         assert values[0] > values[1] > values[2] > 0
-
-    def test_offset_search_returns_to_the_compatible_offset(self, wells, f_half):
-        spec = LayerSpec("B_plus", f_half, wells.U0, (0.25, 0.1), L=18, n=6)
-        est = estimate_layer(spec, wells, n_sequence=(4, 6), search_offset=True)
-        assert est.value < 1e-4
-        assert np.linalg.norm(est.offsets_tried[-1][0]) < 0.05
-        tried = [e for _, e in est.offsets_tried if math.isfinite(e)]
-        assert len(tried) > 5
-        assert est.value <= tried[0]
 
     def test_mirrored_internal_layers_agree(self, wells):
         a = estimate_layer(
@@ -342,17 +332,26 @@ class TestEstimateEK:
 
 
 class TestExport:
-    def test_layer_table_layout(self, wells, tmp_path):
+    def test_layer_table_layout(self, wells, f_half, tmp_path):
         spec = LayerSpec("C", wells.U0, wells.U0, (0.0, 0.0), L=8, n=4)
         est = estimate_layer(spec, wells, n_sequence=(4,))
+        shifted = LayerSpec("B_plus", f_half, wells.U0, (0.25, 0.1), L=8, n=4)
+        est_shifted = estimate_layer(shifted, wells, n_sequence=(4,))
         path = tmp_path / "layers.csv"
-        save_layer_estimates([(spec, est)], path, header="sweep")
+        save_layer_estimates([(spec, est), (shifted, est_shifted)], path,
+                             header="sweep")
         lines = path.read_text().splitlines()
         assert lines[0] == "# sweep"
         assert lines[1] == "# layer-estimates v1"
         assert lines[2].startswith("kind,")
-        assert len(lines) == 4
+        assert len(lines) == 5
         row = lines[3].split(",")
         assert row[0] == "C"
+        assert row[3] == "0 0"
         assert int(row[4]) == 4
         assert float(row[5]) <= 1e-10
+        # the offset column is the spec's offset, printed %.17g
+        row = lines[4].split(",")
+        assert row[0] == "B_plus"
+        assert row[3] == "0.25 0.10000000000000001"
+        assert int(row[4]) == 4
