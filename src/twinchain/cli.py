@@ -212,8 +212,8 @@ def cmd_layers(cfg: ExperimentConfig) -> int:
     flat_entry = (flat, estimate_layer(flat, wells, n_sequence=seq))
     first, (b_plus, c, b_minus) = estimate_EK([F, wells.U0, wells.QU1, F], wells,
                                               n=height, n_sequence=seq)
-    second, _ = estimate_EK([F, wells.QU1, wells.U0, F], wells, n=height,
-                            n_sequence=seq)
+    # [F, QU1, U0, F] has the same parts reversed (see `estimate_EK`)
+    second = sum(est.value for _, est in (b_minus, c, b_plus))
     save_layer_estimates([flat_entry, c, b_plus, b_minus], cfg.out / "layers.csv",
                          header=head)
     n_ref = 20 if cfg.quick else 40

@@ -6,7 +6,9 @@ translations.  `cut_and_extend` replaces everything beyond a well-shaped
 column with an exact affine tail.  `estimate_layer` / `estimate_EK` compute
 boundary-layer and internal-layer energies on rescaled half-open geometries
 by Newton descent with relaxed row directions (the chains' stopping rule),
-one solve per height with the clamp CLAMP_RATIO heights out.
+one solve per height with the clamp CLAMP_RATIO heights out.  The point
+reflection x -> -x, u -> -u keeps the lattice, the density and every layer
+window, so B_minus(A, B, r) = B_plus(B, A, -r) and C(A, B, r) = C(B, A, r).
 """
 
 from __future__ import annotations
@@ -264,11 +266,11 @@ class LayerSpec:
 
     kind 'B_plus' clamps the centre column to the V_left affine map and the
     far right to V_right x + r_star, counting energy on the right half.
-    'B_minus' mirrors it: far left carries V_left x + r_star, the centre
-    column is clamped to V_right, energy counts on the left half.  'C'
-    clamps both far sides (left offset fixed at zero, right at r_star) and
-    counts everything.  L is the clamp distance, n the vertical averaging
-    height; truncation needs L >= n.
+    'B_minus' (far left V_left x + r_star, centre column V_right, left half
+    counted) is its point reflection, solved as B_plus(V_right, V_left,
+    -r_star).  'C' clamps both far sides (left offset fixed at zero, right
+    at r_star), counts everything, and C(A, B, r) = C(B, A, r).  L is the
+    clamp distance, n the vertical averaging height; truncation needs L >= n.
     """
 
     kind: str
@@ -307,6 +309,9 @@ def _layer_problem(kind, V_left, V_right, r, L, n_v, wells):
     ids = geom.atom_ids()
     x = np.stack([ids.astype(float), np.zeros(ids.size)], axis=-1)
     r = np.asarray(r, dtype=float).reshape(2)
+    if kind == "B_minus":  # its point reflection, see LayerSpec
+        kind, V_left, V_right, r = "B_plus", V_right, V_left, -r
+    bc = BoundaryClamp.pieces(V_left, (0.0, 0.0), V_right, r)
 
     if kind == "C":
         # split column: continuity V_left x = V_right x + r along e1 fixes it
@@ -318,22 +323,14 @@ def _layer_problem(kind, V_left, V_right, r, L, n_v, wells):
         u = np.where((ids <= m)[:, None],
                      x @ V_left.T,
                      x @ V_right.T + m * omega + ramp * (r - m * omega))
-        bc = BoundaryClamp.pieces(V_left, (0.0, 0.0), V_right, r)
         free = np.arange(-L + 1, L)
         i_window = (-L - 1, L + 1)
-    elif kind == "B_plus":
+    else:
         ramp = np.clip(ids / L, 0.0, 1.0)[:, None]
         u = np.where((ids <= 0)[:, None], x @ V_left.T, x @ V_right.T + ramp * r)
-        bc = BoundaryClamp.pieces(V_left, (0.0, 0.0), V_right, r)
         # atom -1 is free because the counted centre column reaches it
         free = np.concatenate([[-1], np.arange(1, L)])
         i_window = (0, L + 1)
-    else:
-        ramp = np.clip(-ids / L, 0.0, 1.0)[:, None]
-        u = np.where((ids >= 0)[:, None], x @ V_right.T, x @ V_left.T + ramp * r)
-        bc = BoundaryClamp.pieces(V_left, r, V_right, (0.0, 0.0))
-        free = np.concatenate([np.arange(-L + 1, 0), [1]])
-        i_window = (-L - 1, 0)
 
     chain = ChainState(geometry=geom, wells=wells, bc=bc, u=u,
                        theta=np.zeros(geom.atom_count))
@@ -357,14 +354,15 @@ def estimate_layer(spec: LayerSpec, wells: WellPair, *,
                    n_sequence=None) -> LayerEnergyEstimate:
     """Layer energy by Newton descent over a refining sequence of heights.
 
-    Solves the requested clamped problem once at each height n_v in
-    n_sequence, at the offset spec.r_star and with the clamp at
-    ceil(L/n) * n_v, so that every height sees the same L/n.  Every solve
-    stops by `newton_minimize`'s rule; heights whose solve fails to
-    converge are recorded as nan and excluded from the value.
+    Solves the clamped problem once at each height n_v in n_sequence
+    (default n/4, n/2 and n, at least 4 and 6, at most n), at the offset
+    spec.r_star and with the clamp at ceil(L/n) * n_v, so that every height
+    sees the same L/n.  Every solve stops by `newton_minimize`'s rule; a
+    height whose solve fails is recorded as nan and left out of the value.
     """
     if n_sequence is None:
-        n_sequence = sorted({max(4, spec.n // 4), max(6, spec.n // 2), spec.n})
+        n_sequence = sorted(v for v in {max(4, spec.n // 4), max(6, spec.n // 2),
+                                        spec.n} if v <= spec.n)
     n_sequence = [int(v) for v in n_sequence]
     if not n_sequence:
         raise ValueError("the height sequence is empty")
@@ -403,7 +401,8 @@ def estimate_EK(V_sequence, wells: WellPair, *, n: int = 16, n_sequence=None):
     boundary layer, K-2 internal layers and one left boundary layer, each
     solved at zero offset with the clamp CLAMP_RATIO * n out.  Returns
     (total, parts) with parts the (spec, estimate) pair of every layer in
-    order.
+    order.  By B_plus(A, B, 0) = B_minus(B, A, 0) and C(A, B, 0) = C(B, A, 0),
+    the reversed sequence has the same parts in reverse order.
     """
     V = [np.asarray(M, dtype=float).reshape(2, 2) for M in V_sequence]
     if len(V) < 3:

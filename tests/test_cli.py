@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import twinchain
-from twinchain import cli
+from twinchain import cli, gamma
 from twinchain.cli import ExperimentConfig, main, write_svg_polyline
 from twinchain.lattice import load_chain
 from twinchain.minimize import MinimizeOptions
@@ -85,8 +85,20 @@ class TestScan:
 
 
 class TestLayersAndDiagnose:
-    def test_layers_quick(self, tmp_path):
+    def test_layers_quick(self, monkeypatch, tmp_path):
+        calls = []
+        solve = gamma._solve_layer
+
+        def counted(kind, *args):
+            calls.append(kind)
+            return solve(kind, *args)
+
+        monkeypatch.setattr(gamma, "_solve_layer", counted)
         assert run("layers", "--quick", "--out", tmp_path) == 0
+        # each distinct layer is solved once, at heights 4 and 6: the flat C
+        # layer, then B_plus, C and B_minus; the second ordering is derived
+        assert calls == [kind for kind in ("C", "B_plus", "C", "B_minus")
+                         for _ in (4, 6)]
         table = (tmp_path / "layers.csv").read_text().splitlines()
         assert table[1] == "# layer-estimates v1"
         kinds = [row.split(",")[0] for row in table[3:]]

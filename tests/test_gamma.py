@@ -8,12 +8,14 @@ import pytest
 
 from chaingen import random_chain
 from twinchain import gamma, minimize
-from twinchain.energy import chain_energy, field_local_grid, stencil_grid
+from twinchain.energy import (chain_energy, field_local_grid, lattice_energy,
+                              stencil_grid)
 from twinchain.gamma import (CLAMP_RATIO, LayerSpec, TranslatedChain,
                              average_down, cut_and_extend, estimate_EK,
                              estimate_layer, save_layer_estimates,
                              thin_strip_energy)
-from twinchain.lattice import affine_chain, check_admissible, reconstruct
+from twinchain.lattice import (BoundaryClamp, ChainState, affine_chain,
+                               check_admissible, reconstruct)
 from twinchain.minimize import MinimizeOptions, newton_minimize, twin_chain
 from twinchain.wells import boundary_gradient, build_wells
 
@@ -260,15 +262,14 @@ class TestLayerEstimates:
         assert values[0] > values[1] > values[2] > 0
 
     def test_mirrored_internal_layers_agree(self, wells):
-        a = estimate_layer(
-            LayerSpec("C", wells.U0, wells.QU1, (0.0, 0.0), L=72, n=6), wells)
-        b = estimate_layer(
-            LayerSpec("C", wells.QU1, wells.U0, (0.0, 0.0), L=72, n=6), wells)
-        assert a.value > 1.0
-        assert a.value == pytest.approx(b.value, rel=1e-3)
-        # degenerate-triple comparison: going there and back costs at least
-        # as much as staying put
-        assert a.value + b.value >= 0.0 - 2e-6
+        # the point reflection plus a translation by r maps C(A, B, r) onto
+        # C(B, A, r); both are built by the same C branch, so this checks
+        # the symmetry, not a shared code path
+        for r in ((0.0, 0.0), (0.15, 0.1)):
+            a = estimate_layer(LayerSpec("C", wells.U0, wells.QU1, r, L=72, n=6), wells)
+            b = estimate_layer(LayerSpec("C", wells.QU1, wells.U0, r, L=72, n=6), wells)
+            assert a.value > 1.0
+            assert a.value == pytest.approx(b.value, rel=1e-12)
 
     def test_failed_solves_are_excluded_and_reported(self, wells, monkeypatch):
         spec = LayerSpec("C", wells.U0, wells.QU1, (0.0, 0.0), L=12, n=4)
@@ -294,6 +295,44 @@ class TestLayerEstimates:
         assert calls == [(kind, CLAMP_RATIO * n_v, n_v)
                          for kind in ("B_plus", "C", "B_minus")
                          for n_v in (4, 6)]
+
+    def test_default_heights_stop_at_the_requested_height(self, wells,
+                                                         monkeypatch):
+        monkeypatch.setattr(gamma, "_solve_layer", lambda *args: (0.0, True))
+        for n, heights in ((2, [2]), (4, [4]), (5, [4, 5]), (6, [4, 6]),
+                           (16, [4, 8, 16])):
+            est = estimate_layer(LayerSpec("C", wells.U0, wells.U0, L=n, n=n), wells)
+            assert [h for h, _ in est.n_sequence] == heights
+
+
+class TestPointReflection:
+    """x -> -x, u -> -u maps a chain onto one of the same energy.  This is
+    why B_minus is solved as the reflected B_plus, and why `layers` derives
+    its second ordering from the first."""
+
+    @pytest.mark.parametrize("base", ["twin", "affine0", "affine1"])
+    def test_reflected_chain_has_the_same_energy(self, rng, wells, base):
+        chain = random_chain(rng, n=8, base=base, dtheta=0.05, wells=wells)
+        # unequal clamp offsets: ramp a translation t from the left clamp
+        # to the right one
+        t = np.array([0.07, -0.04])
+        ramp = np.clip((chain.geometry.atom_ids() + chain.n) / (2 * chain.n),
+                       0.0, 1.0)[:, None]
+        bc = chain.bc
+        chain = ChainState(geometry=chain.geometry, wells=wells,
+                           bc=BoundaryClamp.pieces(bc.V_left, bc.r_left,
+                                                   bc.V_right, bc.r_right + t),
+                           u=chain.u + ramp * t, theta=chain.theta)
+        assert not check_admissible(reconstruct(chain))
+        bc = chain.bc
+        mirror = ChainState(geometry=chain.geometry, wells=wells,
+                            bc=BoundaryClamp.pieces(bc.V_right, -bc.r_right,
+                                                    bc.V_left, -bc.r_left),
+                            u=-chain.u[::-1], theta=chain.theta[::-1])
+        assert chain_energy(mirror).total == pytest.approx(
+            chain_energy(chain).total, rel=1e-14)
+        assert lattice_energy(reconstruct(mirror)).total == pytest.approx(
+            lattice_energy(reconstruct(chain)).total, rel=1e-14)
 
 
 class TestEstimateEK:

@@ -103,17 +103,22 @@ class TestDerivatives:
 
     @pytest.mark.parametrize("kind, free_ids", [
         ("B_plus", [-1, 1, 2, 3, 4, 5]),
-        ("B_minus", [-5, -4, -3, -2, -1, 1]),
+        ("B_minus", [-1, 1, 2, 3, 4, 5]),
         ("C", list(range(-5, 6))),
     ], ids=["B_plus", "B_minus", "C"])
     def test_layer_problem_matches_fd(self, rng, wells, kind, free_ids):
         # windowed layer problems at L=6: rows -n_v..n_v, scale 1/n_v,
-        # variable tau.  The B kinds skip atom 0, next to the first free id
-        # for B_plus and the last for B_minus; C frees the whole interior
+        # variable tau.  The B kinds skip atom 0, next to the first free id;
+        # B_minus is built as the point-reflected B_plus, with the clamps
+        # swapped and the offset negated.  C frees the whole interior
         F = boundary_gradient(wells, 0.5).F
         chain, problem = _layer_problem(kind, F, wells.U0, (0.1, -0.05),
                                         6, 3, wells)
         assert list(problem.free_ids) == free_ids
+        if kind == "B_minus":
+            assert np.array_equal(chain.bc.V_left, wells.U0)
+            assert np.array_equal(chain.bc.V_right, F)
+            assert np.array_equal(chain.bc.r_right, [-0.1, 0.05])
         amplitude = np.tile([0.05, 0.05, 0.02], problem.free_ids.size)
         for _ in range(20):
             x = problem.pack(chain) + amplitude * rng.standard_normal(problem.ndof)
@@ -413,11 +418,13 @@ class TestAdmissibility:
 
     @pytest.mark.parametrize("kind, atom, shift, cell", [
         ("B_plus", -1, (-0.28, -0.047, 0.046), -3),
-        ("B_minus", 1, (0.233, -0.091, 0.057), 1),
+        ("B_minus", -1, (-0.233, 0.091, 0.057), -3),
     ], ids=["B_plus", "B_minus"])
     def test_lone_free_atom_guards_its_outer_cell(self, wells, kind, atom, shift, cell):
         # the B kinds free one atom across the clamped centre column; moving
-        # it flips only the cell on its far side (atoms -3..-1, or 1..3)
+        # it flips only the cell on its far side (atoms -3..-1).  B_minus is
+        # built as the reflected B_plus, so its shift is the reflection
+        # (-u, theta) of the one that flipped cell 1 in the unreflected layout
         F = boundary_gradient(wells, 0.5).F
         chain, problem = _layer_problem(kind, F, wells.U0, (0.0, 0.0), 6, 3, wells)
         k = 3 * list(problem.free_ids).index(atom)
