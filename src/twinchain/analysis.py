@@ -37,24 +37,18 @@ TIE_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class WellClassification:
-    """Per-cell nearest well.
+    """Per-cell nearest well, and each column's largest distance to it.
 
-    well_id[k, l] labels the cell at chain index i = k - n, row j = l - n
-    with 0 or 1; distance and angle carry the matching orbit distance and
-    minimizing rotation.  Equidistant cells get well 0 and a tie flag.
+    well_id[k, l] (int8) labels the cell at chain index i = k - n, row
+    j = l - n with 0 or 1; an equidistant cell (within TIE_TOL) gets well 0.
+    column_distance[k] is the largest orbit distance from a cell of column k
+    to its labelled well.
     """
 
     well_id: np.ndarray
-    distance: np.ndarray
-    angle: np.ndarray
-    tie: np.ndarray
+    column_distance: np.ndarray
     n: int
     lam: float
-
-    def cell_at(self, i, j):
-        k, l = i + self.n, j + self.n
-        return (int(self.well_id[k, l]), float(self.distance[k, l]),
-                float(self.angle[k, l]), bool(self.tie[k, l]))
 
 
 def classify(chain: ChainState, wells: WellPair) -> WellClassification:
@@ -64,23 +58,18 @@ def classify(chain: ChainState, wells: WellPair) -> WellClassification:
     atom i on row j, read off `stencil_grid` block by block; each cell
     depends on its own gradient only.
     """
-    shape = (2 * chain.n + 1,) * 2
-    well = np.empty(shape, dtype=int)
-    distance = np.empty(shape)
-    angle = np.empty(shape)
-    tie = np.empty(shape, dtype=bool)
+    size = 2 * chain.n + 1
+    well = np.empty((size, size), dtype=np.int8)
+    column_distance = np.empty(size)
     for k, W in stencil_grid(chain):
         grads = W[..., 2::-2, :].swapaxes(-1, -2)  # columns h+, v+
-        d0, a0 = dist_to_well(grads, wells.U0)
-        d1, a1 = dist_to_well(grads, wells.U1)
-        tied = np.abs(d0 - d1) <= TIE_TOL
-        pick1 = ~tied & (d1 < d0)
-        tie[k] = tied
+        d0, _ = dist_to_well(grads, wells.U0)
+        d1, _ = dist_to_well(grads, wells.U1)
+        pick1 = (np.abs(d0 - d1) > TIE_TOL) & (d1 < d0)
         well[k] = pick1
-        distance[k] = np.where(pick1, d1, d0)
-        angle[k] = np.where(pick1, a1, a0)
-    return WellClassification(well_id=well, distance=distance, angle=angle,
-                              tie=tie, n=chain.n, lam=chain.lam)
+        column_distance[k] = np.where(pick1, d1, d0).max(axis=1)
+    return WellClassification(well_id=well, column_distance=column_distance,
+                              n=chain.n, lam=chain.lam)
 
 
 @dataclass(frozen=True)
@@ -103,18 +92,15 @@ def interface_positions(cls: WellClassification, tol: float):
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    n = cls.n
+    n, ids = cls.n, cls.well_id
+    in_well = (cls.column_distance <= tol) & (ids == ids[:, :1]).all(axis=1)
     runs = []  # (well, first_i, last_i)
-    for k in range(2 * n + 1):
-        i = k - n
-        col_w = cls.well_id[k]
-        col_d = cls.distance[k]
-        if col_d.max() <= tol and (col_w == col_w[0]).all():
-            w = int(col_w[0])
-            if runs and runs[-1][0] == w and runs[-1][2] == i - 1:
-                runs[-1][2] = i
-            else:
-                runs.append([w, i, i])
+    for k in np.flatnonzero(in_well).tolist():
+        i, w = k - n, int(ids[k, 0])
+        if runs and runs[-1][0] == w and runs[-1][2] == i - 1:
+            runs[-1][2] = i
+        else:
+            runs.append([w, i, i])
     records = []
     for left, right in zip(runs, runs[1:]):
         records.append(InterfaceRecord(
@@ -296,7 +282,6 @@ def find_good_lines(bd: EnergyBreakdown, alpha: float = 0.4, delta: float = 0.1,
 
 def save_classification(cls: WellClassification, path, header=None):
     """Integer matrix export of the per-cell well ids, written row by row."""
-    ids = np.asarray(cls.well_id, dtype=np.int64)
     width = 2 * cls.n + 1
     with open(path, "w") as fh:
         if header:
@@ -305,7 +290,7 @@ def save_classification(cls: WellClassification, path, header=None):
         fh.write(f"n={cls.n},lambda={'%.17g' % cls.lam}\n")
         fh.write("i\\j," + ",".join(str(l - cls.n) for l in range(width)) + "\n")
         for k in range(width):
-            row = ids[k]
+            row = cls.well_id[k]
             if (row == row[0]).all():
                 body = ",".join([str(row[0])] * width)
             else:

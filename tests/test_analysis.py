@@ -1,5 +1,6 @@
 """Classification, interfaces, decay fits, and quiet-row selection."""
 
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -12,6 +13,7 @@ from twinchain.analysis import (
     TIE_TOL,
     GoodLineFailure,
     GoodLines,
+    InterfaceRecord,
     WellClassification,
     classify,
     deviation_profile,
@@ -61,83 +63,98 @@ def pattern_chain(labels, wells, n):
                       theta=np.zeros(geom.atom_count))
 
 
+def lattice_wells(chain, wells):
+    """Oracle: (pick1, distance) of every cell gradient that the reconstructed
+    lattice forms by differencing positions, with ties sent to well 0."""
+    grads = reconstruct(chain).gradients
+    d0, _ = dist_to_well(grads, wells.U0)
+    d1, _ = dist_to_well(grads, wells.U1)
+    pick1 = (np.abs(d0 - d1) > TIE_TOL) & (d1 < d0)
+    return pick1, np.where(pick1, d1, d0)
+
+
+@pytest.fixture(scope="module")
+def relaxed_variable_tau40(wells):
+    report = newton_minimize(twin_chain(40, wells), MinimizeOptions(variable_tau=True))
+    assert report.converged
+    return report.final_chain
+
+
 class TestClassify:
     def test_twin_split(self, wells):
         cls = classify(twin_chain(8, wells), wells)
-        for i in range(-8, 0):
-            w, d, _, tie = cls.cell_at(i, 0)
-            assert (w, tie) == (0, False) and d < 1e-12
-        for i in range(0, 9):
-            w, d, _, tie = cls.cell_at(i, 3)
-            assert (w, tie) == (1, False) and d < 1e-12
+        assert cls.well_id.shape == (17, 17) and cls.column_distance.shape == (17,)
+        assert (cls.well_id[:8] == 0).all()
+        assert (cls.well_id[8:] == 1).all()
+        assert (cls.column_distance < 1e-12).all()
 
     def test_midpoint_gradient_ties(self, wells):
         V = 0.5 * (wells.U0 + wells.QU1)
-        cls = classify(affine_chain(6, wells, V), wells)
-        assert cls.tie.all()
+        chain = affine_chain(6, wells, V)
+        grads = reconstruct(chain).gradients
+        d0, _ = dist_to_well(grads, wells.U0)
+        d1, _ = dist_to_well(grads, wells.U1)
+        assert (np.abs(d0 - d1) <= TIE_TOL).all()
+        cls = classify(chain, wells)
         assert (cls.well_id == 0).all()
-        assert (cls.distance > 0.5).all()
+        assert (cls.column_distance > 0.5).all()
 
     def test_distance_is_the_smaller_orbit_distance(self, wells, rng):
         chain = random_chain(rng, n=6, dtheta=0.1)
         field = reconstruct(chain)
         cls = classify(chain, wells)
-        for i, j in [(-3, 2), (0, 0), (4, -5)]:
-            w, d, ang, _ = cls.cell_at(i, j)
-            g = field.gradients[field.grad_index(i, j)]
-            d0, _ = dist_to_well(g, wells.U0)
-            d1, _ = dist_to_well(g, wells.U1)
-            assert d == pytest.approx((d0, d1)[w], abs=1e-14)
-            assert d <= (d1, d0)[w] + 1e-14
+        for i in (-3, 0, 4):
+            k = i + chain.n
+            nearer = []
+            for j in range(-chain.n, chain.n + 1):
+                g = field.gradients[field.grad_index(i, j)]
+                d0, _ = dist_to_well(g, wells.U0)
+                d1, _ = dist_to_well(g, wells.U1)
+                w = int(cls.well_id[k, j + chain.n])
+                assert (d0, d1)[w] <= (d1, d0)[w] + 1e-14
+                nearer.append(min(d0, d1))
+            assert cls.column_distance[k] == pytest.approx(max(nearer), abs=1e-14)
 
     def test_blocks_match_one_whole_array_pass(self, wells, rng, monkeypatch):
         chain = random_chain(rng, n=8, dtheta=0.1)
         whole = classify(chain, wells)
+        assert [f.name for f in dataclasses.fields(whole)] == [
+            "well_id", "column_distance", "n", "lam"]
+        assert whole.well_id.dtype == np.int8
         assert 0 < whole.well_id.sum() < whole.well_id.size
         # 17 centers in blocks of 3: five full blocks and a ragged one of 2
         monkeypatch.setattr(energy_mod, "_GRID_BLOCK", 3 * 17)
         cls = classify(chain, wells)
-        assert cls.well_id.dtype == whole.well_id.dtype
-        for name in ("well_id", "tie", "distance", "angle"):
+        for name in ("well_id", "column_distance"):
+            assert getattr(cls, name).dtype == getattr(whole, name).dtype
             assert np.array_equal(getattr(cls, name), getattr(whole, name))
 
     @pytest.mark.parametrize("case", ["relaxed-twin", "random-theta",
                                       "relaxed-variable-tau"])
     def test_stencil_matches_reconstructed_lattice(self, wells, rng, case,
-                                                   minimizer100):
-        # oracle: the nearest well of every cell gradient that the
-        # reconstructed lattice forms by differencing positions
+                                                   minimizer100, request):
         if case == "relaxed-twin":  # every center flat: broadcast path
             chain = minimizer100
         elif case == "random-theta":  # no flat center: block path
             chain = random_chain(rng, n=8, dtheta=0.1)
         else:
-            report = newton_minimize(twin_chain(40, wells),
-                                     MinimizeOptions(variable_tau=True))
-            assert report.converged
-            chain = report.final_chain
-        grads = reconstruct(chain).gradients
-        d0, a0 = dist_to_well(grads, wells.U0)
-        d1, a1 = dist_to_well(grads, wells.U1)
-        tie = np.abs(d0 - d1) <= TIE_TOL
-        pick1 = ~tie & (d1 < d0)
+            chain = request.getfixturevalue("relaxed_variable_tau40")
+        pick1, dist = lattice_wells(chain, wells)
         cls = classify(chain, wells)
-        assert np.array_equal(cls.well_id, pick1.astype(int))
-        assert np.array_equal(cls.tie, tie)
-        assert np.abs(cls.distance - np.where(pick1, d1, d0)).max() <= 1e-12
-        assert np.abs(cls.angle - np.where(pick1, a1, a0)).max() <= 1e-12
+        assert np.array_equal(cls.well_id, pick1)
+        assert np.abs(cls.column_distance - dist.max(axis=1)).max() <= 1e-12
 
     def test_peak_memory_stays_near_the_output(self, wells):
+        # the output is one byte per cell and one float per column: 0.6 MiB
         report = newton_minimize(twin_chain(400, wells))
         assert report.converged
         tracemalloc.start()
         try:
-            cls = classify(report.final_chain, wells)
+            classify(report.final_chain, wells)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        out = sum(a.nbytes for a in (cls.well_id, cls.distance, cls.angle, cls.tie))
-        assert peak <= 1.25 * out
+        assert peak <= 2 * 2**20
 
 
 class TestInterfaces:
@@ -170,6 +187,50 @@ class TestInterfaces:
         cls = classify(twin_chain(6, wells), wells)
         with pytest.raises(ValueError):
             interface_positions(cls, 0.0)
+
+    @pytest.mark.parametrize("case", ["relaxed-twin", "relaxed-variable-tau",
+                                      "random-theta"])
+    def test_matches_per_cell_column_loop(self, wells, rng, case, minimizer100,
+                                          request):
+        # oracle: the per-cell route, every lattice cell's well and distance
+        # checked column by column
+        if case == "relaxed-twin":
+            chain = minimizer100
+        elif case == "relaxed-variable-tau":
+            chain = request.getfixturevalue("relaxed_variable_tau40")
+        else:
+            chain = random_chain(rng, n=8, dtheta=0.1)
+        pick1, dist = lattice_wells(chain, wells)
+        n = chain.n
+        cls = classify(chain, wells)
+        for tol in (0.2, 1e-6):
+            runs = []
+            for k in range(2 * n + 1):
+                i, col_w, col_d = k - n, pick1[k], dist[k]
+                if col_d.max() <= tol and (col_w == col_w[0]).all():
+                    w = int(col_w[0])
+                    if runs and runs[-1][0] == w and runs[-1][2] == i - 1:
+                        runs[-1][2] = i
+                    else:
+                        runs.append([w, i, i])
+            expected = [InterfaceRecord(x=chain.lam * 0.5 * (a[2] + 1 + b[1]),
+                                        left_well=a[0], right_well=b[0],
+                                        width_in_atoms=b[1] - a[2] - 1)
+                        for a, b in zip(runs, runs[1:])]
+            assert interface_positions(cls, tol) == expected
+            if case != "random-theta" and tol == 0.2:
+                assert len(expected) == 1
+
+    def test_nan_or_mixed_column_is_not_in_a_well(self, wells):
+        cls = classify(twin_chain(8, wells), wells)
+        dist = cls.column_distance.copy()
+        dist[4] = np.nan  # column i = -4 splits the left run
+        ids = cls.well_id.copy()
+        ids[12, 3] = 0  # one cell of column i = 4 on the other well
+        recs = interface_positions(
+            dataclasses.replace(cls, well_id=ids, column_distance=dist), 1e-6)
+        assert [(r.left_well, r.right_well, r.width_in_atoms) for r in recs] == [
+            (0, 0, 1), (0, 1, 0), (1, 1, 1)]
 
     def test_count_matches_label_changes_exhaustively(self, wells):
         n = 10
@@ -309,13 +370,12 @@ class TestExports:
             with open(path, "w") as fh:
                 fh.write("\n".join(lines) + "\n")
 
-        well = np.zeros((9, 9), dtype=int)
+        well = np.zeros((9, 9), dtype=np.int8)
         well[1] = 1                              # constant rows of either well
         well[3, 4:] = 1                          # mixed rows
         well[5, ::3] = 1
         well[8] = [1, 0, 1, 0, 0, 1, 1, 0, 1]
-        cls = WellClassification(well_id=well, distance=np.zeros((9, 9)),
-                                 angle=np.zeros((9, 9)), tie=np.zeros((9, 9), dtype=bool),
+        cls = WellClassification(well_id=well, column_distance=np.zeros(9),
                                  n=4, lam=0.25)
         for header in ("twin", None):
             save_classification(cls, tmp_path / "new.csv", header=header)
