@@ -232,10 +232,14 @@ def cmd_layers(cfg: ExperimentConfig) -> int:
         f"relative_gap={G17 % (abs(best - h1) / h1)}",
     ]
     _write(cfg.out / "composition.txt", lines)
+    # a failed height is nan, and its layer's value then comes from a lower height
+    failed = [f"{spec.kind} at n = {n_v}" for spec, est in (flat_entry, c, b_plus, b_minus)
+              for n_v, e in est.n_sequence if math.isnan(e)]
+    if failed:
+        print("layers has no converged solve for " + ", ".join(failed), file=sys.stderr)
     if not ref.converged:
         print(f"layers failed to converge for reference n = {n_ref}", file=sys.stderr)
-        return 1
-    return 0
+    return int(bool(failed) or not ref.converged)
 
 
 def cmd_diagnose(cfg: ExperimentConfig) -> int:

@@ -9,6 +9,14 @@ by Newton descent with relaxed row directions (the chains' stopping rule),
 one solve per height with the clamp CLAMP_RATIO heights out.  The point
 reflection x -> -x, u -> -u keeps the lattice, the density and every layer
 window, so B_minus(A, B, r) = B_plus(B, A, -r) and C(A, B, r) = C(B, A, r).
+
+Layer profiles stay localized near the interface, so a profile relaxed at
+one height is close to the next height's solution.  Each height's solve
+relaxes from the first admissible of three starts: the last converged
+height's displacements from its linear ramp start and its angles, copied
+by atom id onto this height's ramp start; for the B kinds, free atom -1
+on the counted side's affine map, the zero-offset solution where it is
+admissible; the ramp start itself.
 """
 
 from __future__ import annotations
@@ -340,14 +348,36 @@ def _layer_problem(kind, V_left, V_right, r, L, n_v, wells):
     return chain, problem
 
 
-def _solve_layer(kind, V_left, V_right, r, L, n_v, wells):
-    """One Newton solve; returns (estimate, converged)."""
+def _solve_layer(kind, V_left, V_right, r, L, n_v, wells, below=None):
+    """One Newton solve from the first admissible start (see `estimate_layer`);
+    returns (report, state).
+
+    `below` is a lower height's state, copied by free atom id onto this
+    height's ramp start (atoms it lacks keep the ramp).  report is None when
+    no start is admissible.  state is (free ids, their (ux, uy, theta) minus
+    the ramp start's) at the converged x, or `below` when the solve failed.
+    """
     chain, problem = _layer_problem(kind, V_left, V_right, r, L, n_v, wells)
-    if not problem.admissible(problem.pack(chain)):
-        return math.nan, False
-    report = newton_minimize(chain, problem=problem)
-    # the energy at the final x, the x that final_chain packs back to
-    return float(report.energy_history[-1]), bool(report.converged)
+    ramp = problem.pack(chain)
+    starts = []
+    if below is not None:
+        ids, shift = below
+        x = ramp.reshape(-1, problem.nd).copy()
+        x[np.isin(problem.free_ids, ids)] += shift[np.isin(ids, problem.free_ids)]
+        starts.append(x.ravel())
+    if kind != "C":
+        x = ramp.copy()
+        x[:2] = chain.bc.V_right @ (-1.0, 0.0)  # free ids are sorted, -1 first
+        starts.append(x)
+    starts.append(ramp)
+    x = next((x for x in starts if problem.admissible(x)), None)
+    if x is None:
+        return None, below
+    report = newton_minimize(chain if x is ramp else problem.apply(x), problem=problem)
+    if not report.converged:
+        return report, below
+    shift = problem.pack(report.final_chain) - ramp
+    return report, (problem.free_ids, shift.reshape(-1, problem.nd))
 
 
 def estimate_layer(spec: LayerSpec, wells: WellPair, *,
@@ -357,8 +387,11 @@ def estimate_layer(spec: LayerSpec, wells: WellPair, *,
     Solves the clamped problem once at each height n_v in n_sequence
     (default n/4, n/2 and n, at least 4 and 6, at most n), at the offset
     spec.r_star and with the clamp at ceil(L/n) * n_v, so that every height
-    sees the same L/n.  Every solve stops by `newton_minimize`'s rule; a
-    height whose solve fails is recorded as nan and left out of the value.
+    sees the same L/n.  Each height starts from the last converged height
+    below it, else (B kinds) from atom -1 on the counted side's map, else
+    from the linear ramp, whichever is admissible first (`_solve_layer`).
+    Every solve stops by `newton_minimize`'s rule; a height whose solve
+    fails is recorded as nan and left out of the value.
     """
     if n_sequence is None:
         n_sequence = sorted(v for v in {max(4, spec.n // 4), max(6, spec.n // 2),
@@ -371,10 +404,13 @@ def estimate_layer(spec: LayerSpec, wells: WellPair, *,
     ratio = math.ceil(spec.L / spec.n)  # LayerSpec ensures L >= n
 
     records = []
+    below = None
     for n_v in n_sequence:
-        est, ok = _solve_layer(spec.kind, spec.V_left, spec.V_right,
-                               spec.r_star, ratio * n_v, n_v, wells)
-        records.append((n_v, est if ok else math.nan))
+        report, below = _solve_layer(spec.kind, spec.V_left, spec.V_right,
+                                     spec.r_star, ratio * n_v, n_v, wells, below)
+        ok = report is not None and report.converged
+        # the energy at the final x, the x that final_chain packs back to
+        records.append((n_v, float(report.energy_history[-1]) if ok else math.nan))
 
     valid = [(n_v, e) for n_v, e in records if math.isfinite(e)]
     if not valid:

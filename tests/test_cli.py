@@ -111,6 +111,15 @@ class TestLayersAndDiagnose:
         assert first == pytest.approx(second, rel=1e-9)
         assert float(comp["relative_gap"]) < 0.10
 
+    def test_layers_quick_at_a_2(self, tmp_path):
+        # the zero-offset boundary layers vanish here too, so the composition
+        # stays near the reference relaxation
+        assert run("layers", "--quick", "--a", 2.0, "--out", tmp_path) == 0
+        comp = dict(line.split("=", 1) for line in
+                    (tmp_path / "composition.txt").read_text().splitlines()
+                    if "=" in line and not line.startswith("#"))
+        assert float(comp["relative_gap"]) < 0.10
+
     def test_diagnose_quick(self, tmp_path):
         assert run("diagnose", "--quick", "--out", tmp_path) == 0
         lines = (tmp_path / "diagnose.csv").read_text().splitlines()
@@ -145,6 +154,22 @@ class TestNonConvergence:
         assert run("layers", "--quick", "--out", tmp_path) == 1
         err = capsys.readouterr().err.splitlines()
         assert "layers failed to converge for reference n = 20" in err
+        assert (tmp_path / "composition.txt").is_file()
+
+    def test_failed_layer_height_exits_1(self, monkeypatch, tmp_path, capsys):
+        # B_minus fails at the top height: its value would silently come from
+        # the height below, so the run must say so and exit 1
+        solve = gamma._solve_layer
+
+        def failing(kind, V_left, V_right, r, L, n_v, wells, below=None):
+            if kind == "B_minus" and n_v == 6:
+                return None, below
+            return solve(kind, V_left, V_right, r, L, n_v, wells, below)
+
+        monkeypatch.setattr(gamma, "_solve_layer", failing)
+        assert run("layers", "--quick", "--out", tmp_path) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "layers has no converged solve for B_minus at n = 6"]
         assert (tmp_path / "composition.txt").is_file()
 
     def test_start_at_the_gradient_stop_exits_1(self, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from twinchain import gamma, minimize
 from twinchain.energy import (chain_energy, field_local_grid, lattice_energy,
                               stencil_grid)
 from twinchain.gamma import (CLAMP_RATIO, LayerSpec, TranslatedChain,
-                             average_down, cut_and_extend, estimate_EK,
-                             estimate_layer, save_layer_estimates,
-                             thin_strip_energy)
+                             _layer_problem, _solve_layer, average_down,
+                             cut_and_extend, estimate_EK, estimate_layer,
+                             save_layer_estimates, thin_strip_energy)
 from twinchain.lattice import (BoundaryClamp, ChainState, affine_chain,
                                check_admissible, reconstruct)
 from twinchain.minimize import MinimizeOptions, newton_minimize, twin_chain
@@ -298,11 +299,60 @@ class TestLayerEstimates:
 
     def test_default_heights_stop_at_the_requested_height(self, wells,
                                                          monkeypatch):
-        monkeypatch.setattr(gamma, "_solve_layer", lambda *args: (0.0, True))
+        solved = SimpleNamespace(converged=True, energy_history=[0.0])
+        monkeypatch.setattr(gamma, "_solve_layer", lambda *args: (solved, None))
         for n, heights in ((2, [2]), (4, [4]), (5, [4, 5]), (6, [4, 6]),
                            (16, [4, 8, 16])):
             est = estimate_layer(LayerSpec("C", wells.U0, wells.U0, L=n, n=n), wells)
             assert [h for h, _ in est.n_sequence] == heights
+
+    @pytest.mark.parametrize("kind", ["B_plus", "B_minus", "C"])
+    @pytest.mark.parametrize("r", [(0.0, 0.0), (0.3, 0.0), (0.15, 0.1)])
+    def test_warm_starts_match_cold_solves(self, wells, f_half, monkeypatch,
+                                           kind, r):
+        # each height starts from the one below it; a cold solve of the same
+        # height (no lower state) must reach the same energy
+        V_left, V_right = {"B_plus": (f_half, wells.U0),
+                           "B_minus": (wells.QU1, f_half),
+                           "C": (wells.U0, wells.QU1)}[kind]
+        iterations = []
+
+        def counted(*args):
+            report, below = _solve_layer(*args)
+            iterations.append(report.iterations)
+            return report, below
+
+        monkeypatch.setattr(gamma, "_solve_layer", counted)
+        est = estimate_layer(LayerSpec(kind, V_left, V_right, r, L=96, n=8),
+                             wells, n_sequence=(4, 6, 8))
+        for n_v, value in est.n_sequence:
+            cold, _ = _solve_layer(kind, V_left, V_right, r, CLAMP_RATIO * n_v,
+                                   n_v, wells)
+            assert cold.converged
+            assert value == pytest.approx(cold.energy_history[-1], rel=1e-12,
+                                          abs=1e-15)
+        if kind == "C":
+            assert all(k < iterations[0] for k in iterations[1:])
+        elif r == (0.0, 0.0):
+            # atom -1 on the counted side's map is the exact zero-energy state
+            assert iterations == [0, 0, 0]
+            assert est.value <= 1e-15
+
+    def test_counted_side_start_falls_back_to_the_ramp(self, wells):
+        # at lambda = 0.9 moving atom -1 onto U0 flips a triangle of cell -2,
+        # which lies outside the counted window; the solve must fall back to
+        # the ramp start, whose value is unchanged
+        F = boundary_gradient(wells, 0.9).F
+        chain, problem = _layer_problem("B_plus", F, wells.U0, (0.0, 0.0), 96, 8,
+                                        wells)
+        x = problem.pack(chain)
+        x[:2] = wells.U0 @ (-1.0, 0.0)
+        assert {v.i for v in check_admissible(reconstruct(problem.apply(x)))} == {-2}
+        assert problem.admissible(problem.pack(chain))
+        report, _ = _solve_layer("B_plus", F, wells.U0, (0.0, 0.0), 96, 8, wells)
+        assert report.converged
+        assert report.energy_history[-1] == pytest.approx(17.556335745726642,
+                                                          rel=1e-12)
 
 
 class TestPointReflection:
@@ -360,6 +410,16 @@ class TestEstimateEK:
         assert values[0] <= 1e-10
         assert values[2] <= 1e-10
         assert values[1] == pytest.approx(first, rel=1e-9)
+
+    def test_zero_offset_boundary_layers_vanish_at_a_2(self):
+        # the ramp start trapped both B layers near 1.0e3 here; atom -1 on
+        # the counted side's map starts them at their zero-energy state
+        wells = build_wells(2.0)
+        F = boundary_gradient(wells, 0.5).F
+        _, parts = estimate_EK([F, wells.U0, wells.QU1, F], wells, n=6,
+                               n_sequence=(4, 6))
+        for _, est in (parts[0], parts[2]):
+            assert all(abs(e) <= 1e-10 for _, e in est.n_sequence)
 
     def test_sequence_validation(self, wells, f_half):
         with pytest.raises(ValueError, match="at least"):

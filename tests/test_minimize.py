@@ -284,8 +284,8 @@ class TestEvaluationPlumbing:
                 return out
             monkeypatch.setattr(ChainProblem, name, traced)
         F = boundary_gradient(wells, 0.5).F
-        _, converged = _solve_layer("C", F, wells.U0, (0.1, -0.05), 24, 4, wells)
-        assert converged
+        report, _ = _solve_layer("C", F, wells.U0, (0.1, -0.05), 24, 4, wells)
+        assert report.converged
         names = [name for name, _ in evaluations]
         assert names.count("hessian_banded") > 3
         assert all(calls == 0 for name, calls in evaluations if name != "energy")
@@ -319,8 +319,8 @@ class TestEvaluationPlumbing:
             monkeypatch.setattr(ChainProblem, name, lambda self, x, method=method:
                                 evaluations.append(1) or method(self, x))
         F = boundary_gradient(wells, 0.5).F
-        _, converged = _solve_layer("C", F, wells.U0, (0.1, -0.05), 24, 4, wells)
-        assert converged
+        report, _ = _solve_layer("C", F, wells.U0, (0.1, -0.05), 24, 4, wells)
+        assert report.converged
         assert len(evaluations) > 10
         assert len(built) <= 2
 
