@@ -243,25 +243,20 @@ def cmd_layers(cfg: ExperimentConfig) -> int:
 
 
 def cmd_diagnose(cfg: ExperimentConfig) -> int:
-    head = cfg.header()
-    rows = []
+    lines = [f"# {cfg.header()}", "# diagnose v1",
+             "n,threshold,sites_above,rows_above,j_minus,j_zero,j_plus,status"]
     runs = _map_runs(cfg, lambda n: _relax(cfg, n))
     for n, (wells, warm, report) in zip(cfg.n_list, runs):
         bd = chain_energy(report.final_chain)
         census = local_energy_threshold_census(bd, default_jump_threshold(wells))
-        found = find_good_lines(bd, alpha=cfg.alpha, delta=cfg.delta,
-                                max_hard_sites=None)
+        found = find_good_lines(bd, alpha=cfg.alpha, delta=cfg.delta)
         if isinstance(found, GoodLines):
             jm, j0, jp, status = found.j_minus, found.j_zero, found.j_plus, "ok"
         else:
             jm = j0 = jp = ""
             status = found.reason.replace(",", ";")
-        rows.append((n, census.threshold, census.site_count, census.row_count,
-                     jm, j0, jp, status))
-    lines = [f"# {head}", "# diagnose v1",
-             "n,threshold,sites_above,rows_above,j_minus,j_zero,j_plus,status"]
-    for n, thr, sites, nrows, jm, j0, jp, status in rows:
-        lines.append(f"{n},{G17 % thr},{sites},{nrows},{jm},{j0},{jp},{status}")
+        lines.append(f"{n},{G17 % census.threshold},{census.site_count},"
+                     f"{census.row_count},{jm},{j0},{jp},{status}")
     _write(cfg.out / "diagnose.csv", lines)
     return _exit_status("diagnose", cfg, runs)
 

@@ -259,21 +259,16 @@ class ThresholdCensus:
     threshold: float
     site_count: int
     row_count: int
-    sites: list
-    rows: list
 
 
 def local_energy_threshold_census(bd: EnergyBreakdown, threshold) -> ThresholdCensus:
-    """Sites with local >= threshold and rows whose lam-weighted sum reaches it."""
+    """Count sites with local >= threshold and rows whose lam-weighted sum reaches it."""
     if threshold <= 0.0:
         raise ValueError("threshold must be positive")
-    n = bd.n
-    hot = np.argwhere(bd.local >= threshold)
-    sites = [(int(k) - n, int(l) - n) for k, l in hot]
-    hot_rows = np.nonzero(bd.lam * bd.row_sums >= threshold)[0]
-    rows = [int(l) - n for l in hot_rows]
-    return ThresholdCensus(threshold=float(threshold), site_count=len(sites),
-                           row_count=len(rows), sites=sites, rows=rows)
+    return ThresholdCensus(
+        threshold=float(threshold),
+        site_count=int(np.count_nonzero(bd.local >= threshold)),
+        row_count=int(np.count_nonzero(bd.lam * bd.row_sums >= threshold)))
 
 
 def save_breakdown(bd: EnergyBreakdown, path, header=None):

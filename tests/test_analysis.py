@@ -23,7 +23,7 @@ from twinchain.analysis import (
     save_classification,
     save_profile,
 )
-from twinchain.energy import chain_energy
+from twinchain.energy import EnergyBreakdown, chain_energy
 from twinchain.lattice import (
     BoundaryClamp,
     ChainState,
@@ -317,23 +317,43 @@ class TestGoodLines:
         out = find_good_lines(chain_energy(twin_chain(8, wells)))
         assert isinstance(out, GoodLineFailure)
         assert "row-sum" in out.reason
-        assert set(out.band_good_counts.values()) == {0}
-        assert set(out.best) == {"minus", "zero", "plus"}
 
     def test_minimizer_passes_without_jump_cap(self, wells, minimizer100):
         bd = chain_energy(minimizer100)
-        strict = find_good_lines(bd)
-        assert isinstance(strict, GoodLineFailure)
-        assert "jump-count" in strict.reason
-        out = find_good_lines(bd, max_hard_sites=None)
+        out = find_good_lines(bd)
         assert isinstance(out, GoodLines)
         assert out.j_plus - out.j_zero == out.j_zero - out.j_minus
         n, alpha, delta = 100, 0.4, 0.1
         assert -n <= out.j_minus <= -n + 2 * delta * n
         assert -delta * n <= out.j_zero <= delta * n
-        for j, (wsum, soft, _) in out.diagnostics.items():
-            assert wsum <= n ** -alpha
-            assert soft <= n ** alpha / delta
+        for j in (out.j_minus, out.j_zero, out.j_plus):
+            assert bd.lam * bd.row_sums[j + n] <= n ** -alpha
+            assert (bd.local[:, j + n] >= n ** -alpha).sum() <= n ** alpha / delta
+
+    @pytest.mark.parametrize("case, reason", [
+        ("spread", "no row in band 'minus' satisfies the spread-count bound"),
+        ("no-triple", "no equally spaced triple across the bands"),
+        ("combined", "no row in band 'minus' satisfies the combined conditions"),
+    ])
+    def test_failure_reasons(self, case, reason):
+        # n = 20 and the default alpha, delta: the bands are j in [-20, -16],
+        # [-2, 2] and [16, 20].  A row is quiet when lam * its sum <= 20^-0.4
+        # (0.30) and at most 20^0.4 / 0.1 (33.1) of its 41 sites reach 0.30
+        n, lam = 20, 0.01
+        local = np.zeros((2 * n + 1, 2 * n + 1))  # local[i + n, j + n]
+        if case == "spread":  # 41 sites of 0.5: row sum 0.205 but 41 spread
+            local[:] = 0.5
+        elif case == "no-triple":  # rows -20, 0 and 16 quiet, lam * sum 0.41 elsewhere
+            local[:] = 1.0
+            local[:, [0, n, 2 * n - 4]] = 0.0
+        else:  # minus rows alternate spread-only and row-sum-only failures
+            local[:, 0:5:2] = 0.5
+            local[n, 1:5:2] = 100.0
+        total = lam * lam * local.sum()
+        bd = EnergyBreakdown(local=local, row_sums=local.sum(axis=0),
+                             col_sums=local.sum(axis=1), total=total,
+                             rescaled=total / lam, n=n, lam=lam, a=np.sqrt(2.0))
+        assert find_good_lines(bd) == GoodLineFailure(reason)
 
     def test_parameter_validation(self, wells):
         bd = chain_energy(affine_chain(6, wells, wells.U0))

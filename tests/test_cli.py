@@ -128,6 +128,15 @@ class TestLayersAndDiagnose:
         assert len(row) == 8
         assert int(row[2]) > 0
 
+    def test_diagnose_rows_pinned(self, tmp_path):
+        assert run("diagnose", "--n", 40, "--n", 100, "--out", tmp_path) == 0
+        lines = (tmp_path / "diagnose.csv").read_text().splitlines()
+        assert lines[3:] == [
+            "40,1.2960000000000001e-09,6561,81,,,,"
+            "no row in band 'minus' satisfies the row-sum bound",
+            "100,1.2960000000000001e-09,40401,201,-90,0,90,ok",
+        ]
+
 
 class TestNonConvergence:
     @pytest.mark.parametrize("command, written", [

@@ -1,6 +1,7 @@
 """Density oracle, well zero-sets, dual-route totals, and diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from twinchain.energy import (
 )
 from twinchain.lattice import affine_chain, reconstruct
 from twinchain.minimize import MinimizeOptions, newton_minimize, twin_chain
-from twinchain.wells import build_wells, dist_to_well
+from twinchain.wells import boundary_gradient, build_wells, dist_to_well
 
 
 @pytest.fixture(scope="module")
@@ -286,13 +287,26 @@ class TestCensus:
         bd = chain_energy(twin_chain(8, wells))
         census = local_energy_threshold_census(bd, default_jump_threshold(wells))
         assert census.site_count == 17
-        assert all(i == 0 for i, _ in census.sites)
+        assert (bd.local[8] >= census.threshold).sum() == 17  # all in column i = 0
         assert census.row_count == 17
 
     def test_quiet_chain_is_empty(self, wells):
         bd = chain_energy(affine_chain(8, wells, wells.U0))
         census = local_energy_threshold_census(bd, default_jump_threshold(wells))
         assert census.site_count == 0 and census.row_count == 0
+
+    def test_peak_memory_stays_near_the_grid(self, wells):
+        # every one of the 801^2 sites is above the threshold; the count takes
+        # a byte per site, where a list of the sites would take about 100
+        bd = chain_energy(affine_chain(400, wells, boundary_gradient(wells, 0.5).F))
+        tracemalloc.start()
+        try:
+            census = local_energy_threshold_census(bd, default_jump_threshold(wells))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (census.site_count, census.row_count) == (801 ** 2, 801)
+        assert peak <= 2 * 2**20
 
     def test_rejects_nonpositive_threshold(self, wells):
         bd = chain_energy(affine_chain(6, wells, wells.U0))
