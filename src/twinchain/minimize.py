@@ -32,17 +32,22 @@ So a Newton iteration, whose accepted trial's energy, gradient and next
 Hessian share one x, builds the stencil, the brackets and F^T once.  A
 stage drops what no later stage reads (F itself is built only for the
 Hessian).  Any other x, compared by value so that an x changed in place is
-never stale, replaces the record; the old one is released first.
+never stale, replaces the record; the old one is released first.  Only the
+centers whose stencil holds a free atom reach the gradient and Hessian
+stages, while the energy still sums every center: the middle-atom warm
+start (`preoptimize_middle`) builds its derivatives on three centers.
 
 Atoms couple only within distance 2 along the chain, so on the interleaved
 free variables (ux, uy[, theta]), nd per atom, the Hessian has 3*nd - 1
 superdiagonals.  In blocks of s = 3*nd - 1 dofs it is block tridiagonal:
 each stencil's upper triangle is scattered straight into the diagonal
 blocks D and the superdiagonal blocks U.  Each Newton step solves (D, U) by
-block cyclic reduction with numpy's batched Cholesky, under a Levenberg
-shift that grows tenfold until every pivot factors.  Steps are
-Armijo-backtracked on the energy and rejected (halved) whenever the trial
-configuration loses admissibility.
+block cyclic reduction with numpy's batched Cholesky, under the least
+Levenberg shift of the ladder 0, 1e-8, 1e-7, ..., 1e12 at which every pivot
+factors.  Positive definiteness is monotone in the shift, so after mu = 0
+fails a bisection over the ladder finds that shift in at most five more
+factorizations.  Steps are Armijo-backtracked on the energy and rejected
+(halved) whenever the trial configuration loses admissibility.
 """
 
 from __future__ import annotations
@@ -102,10 +107,13 @@ _PI = np.array([[0.0, -1.0, 0.0, 0.0],
 # row sum the solver takes
 _RULE_NODES = 5
 
-# first Levenberg shift, Armijo constant and backtracking factor
-_REGULARIZATION = 1e-8
+# Armijo constant and backtracking factor
 _ARMIJO_C = 1e-4
 _BACKTRACK = 0.5
+# the Levenberg shift ladder: 0, 1e-8, then tenfold up to 1e12
+_SHIFTS = [0.0, 1e-8]
+while _SHIFTS[-1] * 10.0 <= 1e12:
+    _SHIFTS.append(_SHIFTS[-1] * 10.0)
 # a trial energy this close (relative) to the current one is rounding noise;
 # near the minimum the predicted Armijo decrease falls below one ulp of E
 _ENERGY_RTOL = 16.0 * np.finfo(float).eps
@@ -136,9 +144,11 @@ class ChainProblem:
     The window (i_lo..i_hi) x (j_lo..j_hi) selects which summands count;
     `scale` multiplies the raw density sum (lam^2 for physical chains, a row
     average like 1/n for rescaled layer problems).  Admissibility checks the
-    lattice triangles that touch a free atom, on the same stencil.  A
-    problem keeps the evaluation record of the last x it was asked about
-    (`_at`), so one problem serves one thread.
+    lattice triangles that touch a free atom, on the same stencil.  The
+    energy sums every center in the window; the gradient and the Hessian
+    take only the centers whose stencil holds a free atom (`_touched`), as
+    no other center depends on x.  A problem keeps the evaluation record of
+    the last x it was asked about (`_at`), so one problem serves one thread.
     """
 
     def __init__(self, chain: ChainState, *, variable_tau=False, free_ids=None,
@@ -170,6 +180,10 @@ class ChainProblem:
         first = np.searchsorted(self.free_ids, self.centers + _SLOT).T[..., None] * self.nd
         self._dofs = np.where(self._slots[1].T[..., None], first + np.arange(self.nd),
                               -1).reshape(self.centers.size, -1)
+        # the centers whose stencil holds a free dof, slice(None) when that is
+        # every one: the derivative stages see only these, the energy all
+        touched = (self._dofs >= 0).any(axis=1)
+        self._touched = slice(None) if touched.all() else np.flatnonzero(touched)
         # lattice cell (c, j) spans atoms c..c+2 in rows j, j+1: the stencil of
         # center c+1.  Only cells with a free atom can change during a solve
         mid = np.arange(-n - 1, n + 2)
@@ -266,15 +280,17 @@ class ChainProblem:
         return _Point(x, t, energy, (W, q, r, X), (B1, B2))
 
     def _gradient_stage(self, p):
-        FT, fk, G, dD = _density_slope(*p.inner, *p.B, self.template.wells)
+        c = self._touched
+        p.B, p.t = tuple(b[c] for b in p.B), p.t[c]
+        FT, fk, G, dD = _density_slope(*(a[c] for a in p.inner), *p.B, self.template.wells)
         p.inner, p.slope = None, (FT, fk, G)
         p.J = self._jacobian(p.t)
         p.A = self._moments(dD, len(p.J) - 1)
         g = _contract(p.A, p.J)
-        keep = self._dofs >= 0
+        dofs = self._dofs[c]
+        keep = dofs >= 0
         # moments already carry the full row sum, so only `scale` remains
-        p.grad = self.scale * np.bincount(self._dofs[keep], weights=g[keep],
-                                          minlength=self.ndof)
+        p.grad = self.scale * np.bincount(dofs[keep], weights=g[keep], minlength=self.ndof)
 
     def _hessian_stage(self, p):
         M = _density_curvature(*p.slope, *p.B)
@@ -295,7 +311,8 @@ class ChainProblem:
         # dofs of the last block get an identity diagonal
         s = max(min(3 * self.nd - 1, self.ndof - 1), 1)
         m = -(-self.ndof // s)
-        row, col = self._dofs[:, :, None], self._dofs[:, None, :]
+        dofs = self._dofs[self._touched]
+        row, col = dofs[:, :, None], dofs[:, None, :]
         keep = (row >= 0) & (col >= row)
         block = np.broadcast_to((col // s - row // s) * m * s * s + row * s + col % s, H.shape)
         blocks = self.scale * np.bincount(block[keep], weights=H[keep],
@@ -348,8 +365,9 @@ class _Point:
     """One x and what a ChainProblem has evaluated there.
 
     Each stage sets to None what no later stage reads: the gradient stage
-    drops `inner`, the Hessian stage `B`, `slope`, `t`, `J` and `A`, so that
-    x, energy, grad and blocks remain.
+    drops `inner` and keeps `B` and `t` on the touched centers only, the
+    Hessian stage drops `B`, `slope`, `t`, `J` and `A`, so that x, energy,
+    grad and blocks remain.
     """
     x: np.ndarray
     t: np.ndarray
@@ -475,18 +493,38 @@ def _block_cholesky_solve(D, U, b):
 
 
 def _levenberg_step(D, U, grad):
-    """Newton step on the block tridiagonal Hessian, shifted until Cholesky
-    succeeds; None past 1e12."""
+    """Newton step on the block tridiagonal Hessian H under the least shift mu
+    of the ladder `_SHIFTS` at which Cholesky succeeds; None if none does.
+
+    mu = 0 is tried first.  H + mu I is positive definite exactly when mu
+    exceeds -lambda_min(H), so success is monotone along the ladder, and a
+    bisection over the other rungs finds the first that succeeds: the shift
+    and the step of trying each rung in turn, in at most 6 attempts instead
+    of up to 22.
+    """
     rhs = np.zeros(D.shape[:2])
     rhs.flat[:grad.size] = -grad
     eye = np.eye(D.shape[1])
-    mu = 0.0
-    while mu <= 1e12:
+
+    def attempt(mu):
         try:
             return _block_cholesky_solve(D + mu * eye, U, rhs).ravel()[:grad.size]
         except np.linalg.LinAlgError:
-            mu = _REGULARIZATION if mu == 0.0 else mu * 10.0
-    return None
+            return None
+
+    step = attempt(_SHIFTS[0])
+    if step is not None:
+        return step
+    # rung lo fails; rung hi succeeds with `step` (hi = len(_SHIFTS): none known)
+    lo, hi = 0, len(_SHIFTS)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        trial = attempt(_SHIFTS[mid])
+        if trial is None:
+            lo = mid
+        else:
+            hi, step = mid, trial
+    return step
 
 
 def _converged(grads, energies):

@@ -15,6 +15,7 @@ import pytest
 import twinchain
 from twinchain import cli, gamma
 from twinchain.cli import ExperimentConfig, main, write_svg_polyline
+from twinchain.energy import chain_energy
 from twinchain.lattice import load_chain
 from twinchain.minimize import MinimizeOptions
 
@@ -82,6 +83,31 @@ class TestScan:
         assert abs(x - np.log10(8)) < 1e-15
         assert abs(y - np.log10(float(fields[2]))) < 1e-12
         assert (tmp_path / "scan.svg").read_text().startswith("<svg")
+
+
+class TestInterfacePosition:
+    def test_fixed_tau_limit_does_not_depend_on_lambda(self):
+        # --lambda moves the kink to column (2 lambda - 1) n.  The limit E_inf
+        # of E = E_inf + c/n + d/n^2, fitted through three sizes, is the
+        # interface's energy: at lambda = 0.1 and 0.3 it lies 3.0e-5 and
+        # 4.8e-6 off the centred one at n = 200/400/800 (7.7e-5 and 1.4e-5
+        # at 100/200/400), and the gap shrinks as the sizes grow
+        rescaled = {}
+        for lam in (0.1, 0.3, 0.5):
+            for n in (100, 200, 400, 800):
+                _, _, report = cli._relax(ExperimentConfig(lam=lam), n)
+                assert report.converged
+                rescaled[lam, n] = chain_energy(report.final_chain).rescaled
+
+        def gaps(sizes):
+            basis = np.array([[1.0, 1.0 / n, 1.0 / n ** 2] for n in sizes])
+            limit = {lam: np.linalg.solve(basis, [rescaled[lam, n] for n in sizes])[0]
+                     for lam in (0.1, 0.3, 0.5)}
+            return np.array([abs(limit[lam] / limit[0.5] - 1.0) for lam in (0.1, 0.3)])
+
+        small, large = gaps((100, 200, 400)), gaps((200, 400, 800))
+        assert (large <= 5e-5).all()
+        assert (large < small).all()
 
 
 class TestLayersAndDiagnose:

@@ -337,6 +337,53 @@ class TestEvaluationPlumbing:
             problem.apply(x)
 
 
+class TestTouchedCenters:
+    """The derivative stages take only the centers whose stencil holds a free atom."""
+
+    @staticmethod
+    def _stage_centers(monkeypatch):
+        """The leading (center) axis length of each call of the two density kernels."""
+        seen = []
+        for name in ("_density_slope", "_density_curvature"):
+            kernel = getattr(minimize_mod, name)
+            monkeypatch.setattr(minimize_mod, name, lambda *args, kernel=kernel, **kw:
+                                seen.append(len(args[0])) or kernel(*args, **kw))
+        return seen
+
+    @staticmethod
+    def _check_against_every_center(problem, x):
+        # the same problem with every center sent to the derivative stages
+        full = copy.copy(problem)
+        full._touched, full._last = slice(None), None
+        assert _same_bits(problem.energy(x), full.energy(x))
+        assert _same_bits(problem.gradient(x), full.gradient(x))
+        assert all(map(_same_bits, problem.hessian_banded(x), full.hessian_banded(x)))
+
+    @pytest.mark.parametrize("n", [100, 400])
+    def test_middle_atom_problem_uses_three_centers(self, monkeypatch, rng, wells, n):
+        seen = self._stage_centers(monkeypatch)
+        chain = twin_chain(n, wells)
+        assert preoptimize_middle(chain) is not chain  # converged: a failure returns chain
+        assert seen and set(seen) == {3}
+        problem = ChainProblem(chain, variable_tau=False, free_ids=[0])
+        assert list(problem.centers[problem._touched]) == [-1, 0, 1]
+        x = problem.pack(chain)
+        for point in (x, x + 1e-3 * rng.standard_normal(x.size)):
+            self._check_against_every_center(problem, point)
+
+    def test_layer_problem_drops_its_outer_center(self, monkeypatch, rng, wells):
+        # a B_plus layer counts centers 0..L+1; the stencil of L+1 (atoms L,
+        # L+1, L+2) holds no free atom
+        F = boundary_gradient(wells, 0.5).F
+        chain, problem = _layer_problem("B_plus", F, wells.U0, (0.3, 0.0), 24, 4, wells)
+        assert list(problem.centers[problem._touched]) == list(range(0, 25))
+        seen = self._stage_centers(monkeypatch)
+        x = problem.pack(chain)
+        x = x + 1e-3 * rng.standard_normal(x.size)
+        self._check_against_every_center(problem, x)
+        assert set(seen) == {25, 26}
+
+
 def _per_row(problem):
     """The same problem summed row by row: every row a node of weight 1."""
     ref = copy.copy(problem)
@@ -542,7 +589,7 @@ class TestBandSolve:
         mus = [0.0, 1e-8]
         while mus[-1] * 10.0 <= 1e12:
             mus.append(mus[-1] * 10.0)
-        for want, mu in enumerate(mus):
+        for mu in mus:
             shifted = ab.copy()
             shifted[bw] += mu
             try:
@@ -560,8 +607,51 @@ class TestBandSolve:
 
         monkeypatch.setattr(minimize_mod, "_block_cholesky_solve", counted)
         step = _levenberg_step(D, U, grad)
-        assert len(attempts) == want + 1  # one call per shift tried
+        # mu = 0 fails; the bisection then tries 1e2 (succeeds), 1e-4, 0.1, 1, 10
+        assert len(attempts) == 6
         assert np.linalg.norm(step - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("n, first_mu, attempts", [(100, 1e2, 6), (400, 1e3, 5),
+                                                        (600, 1e3, 5)])
+    def test_bisected_shift_matches_the_linear_ladder(self, wells, monkeypatch, n,
+                                                      first_mu, attempts):
+        # the first Hessian of the fixed-tau twin is indefinite (lambda_min
+        # about -0.81 n); trying the rungs in turn and bisecting them must
+        # pick one shift and return one step, bit for bit
+        chain = preoptimize_middle(twin_chain(n, wells))
+        problem = ChainProblem(chain)
+        x = problem.pack(chain)
+        D, U = problem.hessian_banded(x)
+        grad = problem.gradient(x)
+        rhs = np.zeros(D.shape[:2])
+        rhs.flat[:grad.size] = -grad
+        eye = np.eye(D.shape[1])
+        for mu in minimize_mod._SHIFTS:
+            try:
+                ref = _block_cholesky_solve(D + mu * eye, U, rhs).ravel()[:grad.size]
+                break
+            except np.linalg.LinAlgError:
+                pass
+        assert mu == pytest.approx(first_mu)
+        tried = []
+        solve = minimize_mod._block_cholesky_solve
+
+        def counted(Dmu, *args):
+            shift, = [s for s in minimize_mod._SHIFTS if np.array_equal(Dmu, D + s * eye)]
+            try:
+                out = solve(Dmu, *args)
+            except np.linalg.LinAlgError:
+                tried.append((shift, False))
+                raise
+            tried.append((shift, True))
+            return out
+
+        monkeypatch.setattr(minimize_mod, "_block_cholesky_solve", counted)
+        step = _levenberg_step(D, U, grad)
+        assert len(tried) == attempts
+        assert min(s for s, ok in tried if ok) == mu
+        assert all(s < mu for s, ok in tried if not ok)
+        assert _same_bits(step, ref)
 
 
 class TestNewton:
