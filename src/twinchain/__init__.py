@@ -1,105 +1,38 @@
-"""Two-well chain energies: twin relaxation and transition layer estimates."""
+"""Two-well chain energies: twin relaxation and transition layer estimates.
 
-from .wells import WellPair, build_wells, boundary_gradient, dist_to_well, rotation
-from .lattice import (
-    BoundaryClamp,
-    ChainState,
-    LatticeGeometry,
-    affine_chain,
-    check_admissible,
-    extract_chain,
-    load_chain,
-    reconstruct,
-    save_chain,
-)
-from .energy import (
-    EnergyBreakdown,
-    chain_energy,
-    density,
-    lattice_energy,
-    save_breakdown,
-)
-from .minimize import (
-    ChainProblem,
-    MinimizationReport,
-    MinimizeOptions,
-    laminate_chain,
-    newton_minimize,
-    preoptimize_middle,
-    twin_chain,
-)
-from .analysis import (
-    DecayFit,
-    GoodLineFailure,
-    GoodLines,
-    InterfaceRecord,
-    WellClassification,
-    classify,
-    deviation_profile,
-    find_good_lines,
-    fit_exponential,
-    interface_positions,
-)
-from .gamma import (
-    AverageDownResult,
-    CutResult,
-    LayerEnergyEstimate,
-    LayerSpec,
-    TranslatedChain,
-    average_down,
-    cut_and_extend,
-    estimate_EK,
-    estimate_layer,
-    save_layer_estimates,
-    thin_strip_energy,
-)
+The exports load lazily (PEP 562): `import twinchain` imports no submodule,
+and so no numpy, until one of the names below is first looked up.
+"""
 
-__all__ = [
-    "WellPair",
-    "build_wells",
-    "boundary_gradient",
-    "dist_to_well",
-    "rotation",
-    "BoundaryClamp",
-    "ChainState",
-    "LatticeGeometry",
-    "affine_chain",
-    "check_admissible",
-    "extract_chain",
-    "load_chain",
-    "reconstruct",
-    "save_chain",
-    "EnergyBreakdown",
-    "chain_energy",
-    "density",
-    "lattice_energy",
-    "save_breakdown",
-    "ChainProblem",
-    "MinimizationReport",
-    "MinimizeOptions",
-    "laminate_chain",
-    "newton_minimize",
-    "preoptimize_middle",
-    "twin_chain",
-    "DecayFit",
-    "GoodLineFailure",
-    "GoodLines",
-    "InterfaceRecord",
-    "WellClassification",
-    "classify",
-    "deviation_profile",
-    "find_good_lines",
-    "fit_exponential",
-    "interface_positions",
-    "AverageDownResult",
-    "CutResult",
-    "LayerEnergyEstimate",
-    "LayerSpec",
-    "TranslatedChain",
-    "average_down",
-    "cut_and_extend",
-    "estimate_EK",
-    "estimate_layer",
-    "save_layer_estimates",
-    "thin_strip_energy",
-]
+import importlib
+
+_EXPORTS = {
+    "wells": ["WellPair", "build_wells", "boundary_gradient", "dist_to_well", "rotation"],
+    "lattice": ["BoundaryClamp", "ChainState", "LatticeGeometry", "affine_chain",
+                "check_admissible", "extract_chain", "load_chain", "reconstruct",
+                "save_chain"],
+    "energy": ["EnergyBreakdown", "chain_energy", "density", "lattice_energy",
+               "save_breakdown"],
+    "minimize": ["ChainProblem", "MinimizationReport", "MinimizeOptions",
+                 "laminate_chain", "newton_minimize", "preoptimize_middle", "twin_chain"],
+    "analysis": ["DecayFit", "GoodLineFailure", "GoodLines", "InterfaceRecord",
+                 "WellClassification", "classify", "deviation_profile", "find_good_lines",
+                 "fit_exponential", "interface_positions"],
+    "gamma": ["AverageDownResult", "CutResult", "LayerEnergyEstimate", "LayerSpec",
+              "TranslatedChain", "average_down", "cut_and_extend", "estimate_EK",
+              "estimate_layer", "save_layer_estimates", "thin_strip_energy"],
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    # looked up on every access, so a patched submodule attribute shows here too
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

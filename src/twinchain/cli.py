@@ -17,9 +17,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+
+# OpenBLAS takes ~70 ms to start a thread pool that these small products never
+# use; it reads these variables in this order and skips an empty one
+if not any(os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                       "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

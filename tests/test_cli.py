@@ -2,6 +2,7 @@
 
 import ast
 import functools
+import importlib
 import json
 import os
 import re
@@ -266,6 +267,73 @@ def test_startup_skips_unused_scipy_modules(tmp_path):
         project = tomllib.load(fh)["project"]
     assert _requirement_names(project["dependencies"]) == ["numpy"]
     assert "scipy" in _requirement_names(project["optional-dependencies"]["dev"])
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _fresh_probe(code, **preset):
+    """Run `code` in a fresh interpreter with only `preset` of the BLAS thread
+    variables set; return what it prints, parsed as JSON."""
+    package = Path(twinchain.__file__).resolve().parent
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(preset, PYTHONPATH=str(package.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+_THREADS_PROBE = (
+    "import json, os, sys, twinchain.cli\n"
+    "status = '/proc/self/status'\n"
+    "threads = ([int(l.split()[1]) for l in open(status) if l.startswith('Threads:')][0]\n"
+    "           if os.path.exists(status) else None)\n"
+    f"print(json.dumps([{{k: os.environ[k] for k in {BLAS_THREAD_VARS!r} if k in os.environ}},\n"
+    "                  'numpy' in sys.modules, threads]))\n")
+
+
+class TestStartup:
+    # OpenBLAS skips an empty variable, so the CLI does too
+    @pytest.mark.parametrize("preset", [{}, {"OMP_NUM_THREADS": ""}])
+    def test_cli_starts_one_blas_thread(self, preset):
+        env, numpy_loaded, threads = _fresh_probe(_THREADS_PROBE, **preset)
+        assert numpy_loaded
+        assert env == {**preset, "OPENBLAS_NUM_THREADS": "1"}
+        if sys.platform.startswith("linux"):
+            assert threads == 1
+
+    @pytest.mark.parametrize("preset", [{"OMP_NUM_THREADS": "2"},
+                                        {"OPENBLAS_NUM_THREADS": "2"}])
+    def test_caller_thread_setting_is_kept(self, preset):
+        env, _, _ = _fresh_probe(_THREADS_PROBE, **preset)
+        assert env == preset
+
+    def test_package_import_loads_no_numpy(self):
+        probe = "import json, sys, twinchain; print(json.dumps('numpy' in sys.modules))"
+        assert _fresh_probe(probe) is False
+
+    def test_relaxation_skips_numpy_ma(self, tmp_path):
+        # numpy.ma loads on first use of numpy's set routines (np.unique and
+        # what calls it), about 12 ms and 1.5 MiB that no command needs
+        probe = ("import json, sys\n"
+                 "from twinchain.cli import main\n"
+                 f"code = main(['minimize', '--n', '8', '--out', {str(tmp_path)!r}])\n"
+                 "print(json.dumps([code, 'numpy.ma' in sys.modules]))")
+        assert _fresh_probe(probe) == [0, False]
+
+    def test_exports_are_the_submodule_objects(self):
+        for module, names in twinchain._EXPORTS.items():
+            submodule = importlib.import_module(f"twinchain.{module}")
+            for name in names:
+                assert getattr(twinchain, name) is getattr(submodule, name)
+        assert len(set(twinchain.__all__)) == len(twinchain.__all__) == 47
+        assert set(twinchain.__all__) <= set(dir(twinchain))
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            twinchain.no_such_name
+        with pytest.raises(ImportError):
+            from twinchain import no_such_name  # noqa: F401
 
 
 class TestFitDecay:
