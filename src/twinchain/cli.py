@@ -23,12 +23,20 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 # OpenBLAS takes ~70 ms to start a thread pool that these small products never
-# use; it reads these variables in this order and skips an empty one
-if not any(os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                                       "OMP_NUM_THREADS")):
+# use; it reads these variables in this order, skips an empty one, and reads
+# them only while numpy loads, so the caller's value goes back afterwards
+_caller_blas = os.environ.get("OPENBLAS_NUM_THREADS")
+_pin_blas = not any(os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                                "OMP_NUM_THREADS"))
+if _pin_blas:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
+
+if _pin_blas:
+    del os.environ["OPENBLAS_NUM_THREADS"]
+    if _caller_blas is not None:
+        os.environ["OPENBLAS_NUM_THREADS"] = _caller_blas
 
 from .analysis import (GoodLines, classify, deviation_profile, find_good_lines,
                        fit_exponential, interface_positions,

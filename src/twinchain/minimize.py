@@ -33,10 +33,9 @@ Hessian share one x, builds the stencil, the brackets and F^T once.  A
 stage drops what no later stage reads (F itself is built only for the
 Hessian).  Any other x, compared by value so that an x changed in place is
 never stale, replaces the record; the old one is released first.  Only the
-centers whose stencil holds a free atom reach the stages; the densities of
-the others are computed once per problem and added to each energy, whose
-fsum is correctly rounded in any order.  So the middle-atom warm start
-(`preoptimize_middle`) builds three centers per x.
+centers whose stencil holds a free atom reach the gradient and Hessian
+stages, while the energy still sums every center: the middle-atom warm
+start (`preoptimize_middle`) builds its derivatives on three centers.
 
 Atoms couple only within distance 2 along the chain, so on the interleaved
 free variables (ux, uy[, theta]), nd per atom, the Hessian has 3*nd - 1
@@ -145,12 +144,11 @@ class ChainProblem:
     The window (i_lo..i_hi) x (j_lo..j_hi) selects which summands count;
     `scale` multiplies the raw density sum (lam^2 for physical chains, a row
     average like 1/n for rescaled layer problems).  Admissibility checks the
-    lattice triangles that touch a free atom, on the same stencil.  Every
-    stage builds only the centers whose stencil holds a free atom
-    (`_touched`), as no other center depends on x; the energy adds the
-    densities of the others, kept per node (`_frozen`).  A problem keeps the
-    evaluation record of the last x it was asked about (`_at`), so one
-    problem serves one thread.
+    lattice triangles that touch a free atom, on the same stencil.  The
+    energy sums every center in the window; the gradient and the Hessian
+    take only the centers whose stencil holds a free atom (`_touched`), as
+    no other center depends on x.  A problem keeps the evaluation record of
+    the last x it was asked about (`_at`), so one problem serves one thread.
     """
 
     def __init__(self, chain: ChainState, *, variable_tau=False, free_ids=None,
@@ -176,7 +174,16 @@ class ChainProblem:
             self.weights = np.array([self.j_hi - self.j_lo + 1.0])
         else:
             self.nodes, self.weights = row_rule(self.j_lo, self.j_hi)
-        self._build_on(self.centers[np.isin(self.centers + _SLOT, self.free_ids).any(axis=0)])
+        self._slots = self._frozen_slots(self.centers)
+        # per center and stencil variable (slot-major, as in _jacobian): the
+        # global dof, or -1 for a clamped or frozen atom
+        first = np.searchsorted(self.free_ids, self.centers + _SLOT).T[..., None] * self.nd
+        self._dofs = np.where(self._slots[1].T[..., None], first + np.arange(self.nd),
+                              -1).reshape(self.centers.size, -1)
+        # the centers whose stencil holds a free dof, slice(None) when that is
+        # every one: the derivative stages see only these, the energy all
+        touched = (self._dofs >= 0).any(axis=1)
+        self._touched = slice(None) if touched.all() else np.flatnonzero(touched)
         # lattice cell (c, j) spans atoms c..c+2 in rows j, j+1: the stencil of
         # center c+1.  Only cells with a free atom can change during a solve
         mid = np.arange(-n - 1, n + 2)
@@ -208,20 +215,6 @@ class ChainProblem:
         free = np.isin(atoms, self.free_ids)
         return np.dstack([u, theta]), free, np.searchsorted(self.free_ids, atoms[free])
 
-    def _build_on(self, centers):
-        """Let the stages build `centers` only, and keep the densities of the
-        window's other centers per node: the energy adds them as they are."""
-        self._touched = centers
-        self._slots = self._frozen_slots(centers)
-        # per center and stencil variable (slot-major, as in _jacobian): the
-        # global dof, or -1 for a clamped or frozen atom
-        first = np.searchsorted(self.free_ids, centers + _SLOT).T[..., None] * self.nd
-        self._dofs = np.where(self._slots[1].T[..., None], first + np.arange(self.nd),
-                              -1).reshape(centers.size, -1)
-        rest = self._frozen_slots(self.centers[np.isin(self.centers, centers, invert=True)])
-        *_, B1, B2 = self._densities(self.pack(self.template), rest)
-        self._frozen = (B1 * B2).T.tolist()
-
     def _stencil(self, x, slots):
         """`slot_stencil` of the frozen slot atoms with the free ones at x; the
         free atoms are interior (`__init__`), so the frozen clamps stay valid."""
@@ -231,12 +224,10 @@ class ChainProblem:
         return slot_stencil(state[..., :2], state[..., 2], self.template.lam,
                             self.template.wells)
 
-    def _densities(self, x, slots):
-        """The stencil W of `slots` on the row rule's nodes, (centers, nodes, 4,
-        2), t and the `brackets` of W."""
-        base, slope, t = self._stencil(x, slots)
-        W = base[:, None] + self.nodes[:, None, None] * slope[:, None]
-        return W, t, *brackets(W[..., :2, :], W[..., 2:, :], self.template.wells)
+    def _node_stencil(self, x):
+        """The stencil W on the row rule's nodes, (centers, nodes, 4, 2), and t."""
+        base, slope, t = self._stencil(x, self._slots)
+        return base[:, None] + self.nodes[:, None, None] * slope[:, None], t
 
     def admissible(self, x) -> bool:
         """Orientation of every lattice triangle that touches a free atom.
@@ -281,23 +272,25 @@ class ChainProblem:
         return p
 
     def _energy_stage(self, x):
-        W, t, q, r, X, B1, B2 = self._densities(x, self._slots)
-        # fsum rounds the exact sum once, whatever the order of its terms
-        D = (B1 * B2).T.tolist()
-        energy = math.fsum(self.scale * w * math.fsum(D[k] + self._frozen[k])
+        W, t = self._node_stencil(x)
+        q, r, X, B1, B2 = brackets(W[..., :2, :], W[..., 2:, :], self.template.wells)
+        D = B1 * B2
+        energy = math.fsum(self.scale * w * math.fsum(D[:, k])
                            for k, w in enumerate(self.weights))
         return _Point(x, t, energy, (W, q, r, X), (B1, B2))
 
     def _gradient_stage(self, p):
-        FT, fk, G, dD = _density_slope(*p.inner, *p.B, self.template.wells)
+        c = self._touched
+        p.B, p.t = tuple(b[c] for b in p.B), p.t[c]
+        FT, fk, G, dD = _density_slope(*(a[c] for a in p.inner), *p.B, self.template.wells)
         p.inner, p.slope = None, (FT, fk, G)
         p.J = self._jacobian(p.t)
         p.A = self._moments(dD, len(p.J) - 1)
         g = _contract(p.A, p.J)
-        keep = self._dofs >= 0
+        dofs = self._dofs[c]
+        keep = dofs >= 0
         # moments already carry the full row sum, so only `scale` remains
-        p.grad = self.scale * np.bincount(self._dofs[keep], weights=g[keep],
-                                          minlength=self.ndof)
+        p.grad = self.scale * np.bincount(dofs[keep], weights=g[keep], minlength=self.ndof)
 
     def _hessian_stage(self, p):
         M = _density_curvature(*p.slope, *p.B)
@@ -318,7 +311,8 @@ class ChainProblem:
         # dofs of the last block get an identity diagonal
         s = max(min(3 * self.nd - 1, self.ndof - 1), 1)
         m = -(-self.ndof // s)
-        row, col = self._dofs[:, :, None], self._dofs[:, None, :]
+        dofs = self._dofs[self._touched]
+        row, col = dofs[:, :, None], dofs[:, None, :]
         keep = (row >= 0) & (col >= row)
         block = np.broadcast_to((col // s - row // s) * m * s * s + row * s + col % s, H.shape)
         blocks = self.scale * np.bincount(block[keep], weights=H[keep],
@@ -371,9 +365,9 @@ class _Point:
     """One x and what a ChainProblem has evaluated there.
 
     Each stage sets to None what no later stage reads: the gradient stage
-    drops `inner`, the Hessian stage drops `B`, `slope`, `t`, `J` and `A`,
-    so that x, energy, grad and blocks remain.  The arrays hold the touched
-    centers only.
+    drops `inner` and keeps `B` and `t` on the touched centers only, the
+    Hessian stage drops `B`, `slope`, `t`, `J` and `A`, so that x, energy,
+    grad and blocks remain.
     """
     x: np.ndarray
     t: np.ndarray

@@ -265,8 +265,7 @@ class TestEvaluationPlumbing:
     def test_layer_solve_evaluates_each_point_once(self, monkeypatch, wells):
         # Newton asks for the gradient and the Hessian only at points whose
         # energy it has evaluated (the start and each accepted trial), so
-        # only energy calls reach the brackets, besides the one call that
-        # builds a problem's untouched densities
+        # only energy calls reach the brackets
         bracket_calls, evaluations = [], []
         original = energy_mod.brackets
 
@@ -284,21 +283,13 @@ class TestEvaluationPlumbing:
                 evaluations.append((name, len(bracket_calls) - before))
                 return out
             monkeypatch.setattr(ChainProblem, name, traced)
-        init = ChainProblem.__init__
-
-        def traced_init(self, *args, **kw):
-            before = len(bracket_calls)
-            init(self, *args, **kw)
-            evaluations.append(("__init__", len(bracket_calls) - before))
-        monkeypatch.setattr(ChainProblem, "__init__", traced_init)
         F = boundary_gradient(wells, 0.5).F
         report, _ = _solve_layer("C", F, wells.U0, (0.1, -0.05), 24, 4, wells)
         assert report.converged
         names = [name for name, _ in evaluations]
         assert names.count("hessian_banded") > 3
-        assert all(calls == (name == "__init__") for name, calls in evaluations
-                   if name != "energy")
-        assert len(bracket_calls) == names.count("energy") + names.count("__init__")
+        assert all(calls == 0 for name, calls in evaluations if name != "energy")
+        assert len(bracket_calls) == names.count("energy")
 
     def test_gradient_and_hessian_share_memory(self, wells):
         # the largest problem of `twinchain layers` (C, L = 192, heights +-16):
@@ -347,28 +338,23 @@ class TestEvaluationPlumbing:
 
 
 class TestTouchedCenters:
-    """The stages build only the centers whose stencil holds a free atom; the
-    energy adds the other centers' densities, computed once per problem."""
+    """The derivative stages take only the centers whose stencil holds a free atom."""
 
     @staticmethod
     def _stage_centers(monkeypatch):
-        """The leading (center) axis length of each call of the bracket and
-        the two density kernels, by kernel name."""
-        seen = {}
-        for name in ("brackets", "_density_slope", "_density_curvature"):
+        """The leading (center) axis length of each call of the two density kernels."""
+        seen = []
+        for name in ("_density_slope", "_density_curvature"):
             kernel = getattr(minimize_mod, name)
-            monkeypatch.setattr(minimize_mod, name, lambda *args, kernel=kernel, name=name, **kw:
-                                seen.setdefault(name, []).append(len(args[0]))
-                                or kernel(*args, **kw))
+            monkeypatch.setattr(minimize_mod, name, lambda *args, kernel=kernel, **kw:
+                                seen.append(len(args[0])) or kernel(*args, **kw))
         return seen
 
     @staticmethod
     def _check_against_every_center(problem, x):
-        # the same problem with every center's stencil built at x, no cache
+        # the same problem with every center sent to the derivative stages
         full = copy.copy(problem)
-        full._build_on(problem.centers)
-        full._last = None
-        assert not any(full._frozen)
+        full._touched, full._last = slice(None), None
         assert _same_bits(problem.energy(x), full.energy(x))
         assert _same_bits(problem.gradient(x), full.gradient(x))
         assert all(map(_same_bits, problem.hessian_banded(x), full.hessian_banded(x)))
@@ -378,12 +364,9 @@ class TestTouchedCenters:
         seen = self._stage_centers(monkeypatch)
         chain = twin_chain(n, wells)
         assert preoptimize_middle(chain) is not chain  # converged: a failure returns chain
-        # one bracket call on the 2n - 2 untouched centers, then three per x
-        calls = len(seen["brackets"])
-        assert calls > 1 and seen["brackets"] == [2 * n - 2] + [3] * (calls - 1)
-        assert set(seen["_density_slope"]) == set(seen["_density_curvature"]) == {3}
+        assert seen and set(seen) == {3}
         problem = ChainProblem(chain, variable_tau=False, free_ids=[0])
-        assert list(problem._touched) == [-1, 0, 1]
+        assert list(problem.centers[problem._touched]) == [-1, 0, 1]
         x = problem.pack(chain)
         for point in (x, x + 1e-3 * rng.standard_normal(x.size)):
             self._check_against_every_center(problem, point)
@@ -393,15 +376,12 @@ class TestTouchedCenters:
         # L+1, L+2) holds no free atom
         F = boundary_gradient(wells, 0.5).F
         chain, problem = _layer_problem("B_plus", F, wells.U0, (0.3, 0.0), 24, 4, wells)
-        assert list(problem._touched) == list(range(0, 25))
-        assert list(problem.centers) == list(range(0, 26))
+        assert list(problem.centers[problem._touched]) == list(range(0, 25))
         seen = self._stage_centers(monkeypatch)
         x = problem.pack(chain)
         x = x + 1e-3 * rng.standard_normal(x.size)
-        problem.energy(x)
-        assert seen == {"brackets": [25]}
         self._check_against_every_center(problem, x)
-        assert set(seen["_density_slope"]) == {25, 26}
+        assert set(seen) == {25, 26}
 
 
 def _per_row(problem):
@@ -409,7 +389,6 @@ def _per_row(problem):
     ref = copy.copy(problem)
     ref.nodes = np.arange(problem.j_lo, problem.j_hi + 1, dtype=float)
     ref.weights = np.ones(ref.nodes.size)
-    ref._build_on(problem._touched)  # the untouched densities on the new nodes
     return ref
 
 
