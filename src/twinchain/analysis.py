@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergyBreakdown, stencil_grid
+from .energy import EnergyBreakdown, broadcast_column, sites_reaching, stencil_map
 from .lattice import ChainState
 from .wells import WellPair, dist_to_well
 
@@ -41,6 +41,8 @@ class WellClassification:
 
     well_id[k, l] (int8) labels the cell at chain index i = k - n, row
     j = l - n with 0 or 1; an equidistant cell (within TIE_TOL) gets well 0.
+    For a chain whose centers are all flat it is a read-only broadcast of
+    one id per column; otherwise a dense grid.
     column_distance[k] is the largest orbit distance from a cell of column k
     to its labelled well.
     """
@@ -55,19 +57,20 @@ def classify(chain: ChainState, wells: WellPair) -> WellClassification:
     """Assign every gradient cell to its nearest energy well.
 
     The cell gradient at (i, j) is [h+ | v+] of the stencil centered at
-    atom i on row j, read off `stencil_grid` block by block; each cell
+    atom i on row j, read off `stencil_map` block by block; each cell
     depends on its own gradient only.
     """
-    size = 2 * chain.n + 1
-    well = np.empty((size, size), dtype=np.int8)
-    column_distance = np.empty(size)
-    for k, W in stencil_grid(chain):
+    column_distance = np.empty(2 * chain.n + 1)
+
+    def nearest(k, W):
         grads = W[..., 2::-2, :].swapaxes(-1, -2)  # columns h+, v+
         d0, _ = dist_to_well(grads, wells.U0)
         d1, _ = dist_to_well(grads, wells.U1)
         pick1 = (np.abs(d0 - d1) > TIE_TOL) & (d1 < d0)
-        well[k] = pick1
         column_distance[k] = np.where(pick1, d1, d0).max(axis=1)
+        return pick1
+
+    well = stencil_map(chain, nearest, dtype=np.int8)
     return WellClassification(well_id=well, column_distance=column_distance,
                               n=chain.n, lam=chain.lam)
 
@@ -93,7 +96,9 @@ def interface_positions(cls: WellClassification, tol: float):
     if tol <= 0:
         raise ValueError("tol must be positive")
     n, ids = cls.n, cls.well_id
-    in_well = (cls.column_distance <= tol) & (ids == ids[:, :1]).all(axis=1)
+    in_well = cls.column_distance <= tol
+    if broadcast_column(ids) is None:
+        in_well &= (ids == ids[:, :1]).all(axis=1)
     runs = []  # (well, first_i, last_i)
     for k in np.flatnonzero(in_well).tolist():
         i, w = k - n, int(ids[k, 0])
@@ -199,7 +204,7 @@ def find_good_lines(bd: EnergyBreakdown, alpha: float = 0.4, delta: float = 0.1)
     sum_cap = float(n) ** (-alpha)
     soft_cap = float(n) ** alpha / delta
     sum_ok = bd.lam * bd.row_sums <= sum_cap
-    soft_ok = (bd.local >= sum_cap).sum(axis=0) <= soft_cap
+    soft_ok = sites_reaching(bd.local, sum_cap) <= soft_cap
     ok = sum_ok & soft_ok
 
     wide = int(math.floor(2 * delta * n))
@@ -236,8 +241,13 @@ def find_good_lines(bd: EnergyBreakdown, alpha: float = 0.4, delta: float = 0.1)
 
 
 def save_classification(cls: WellClassification, path, header=None):
-    """Integer matrix export of the per-cell well ids, written row by row."""
+    """Integer matrix export of the per-cell well ids, written row by row.
+
+    A constant row is formatted once; a column-broadcast grid has only such
+    rows, so none is scanned.
+    """
     width = 2 * cls.n + 1
+    flat = broadcast_column(cls.well_id) is not None
     with open(path, "w") as fh:
         if header:
             fh.write("# " + header + "\n")
@@ -246,7 +256,7 @@ def save_classification(cls: WellClassification, path, header=None):
         fh.write("i\\j," + ",".join(str(l - cls.n) for l in range(width)) + "\n")
         for k in range(width):
             row = cls.well_id[k]
-            if (row == row[0]).all():
+            if flat or (row == row[0]).all():
                 body = ",".join([str(row[0])] * width)
             else:
                 body = ",".join(map(str, row.tolist()))

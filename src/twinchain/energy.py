@@ -18,8 +18,10 @@ variables (du, per-column tau vectors, row index j) without materializing the
 lattice.  They agree to rounding and cross-validate each other.  Both feed
 their differences to one bracket kernel (`brackets`), and the chain-variable
 stencil (`slot_stencil`) is the one the Newton derivatives differentiate.
-`stencil_grid` walks that stencil over the whole site grid once for
-`chain_energy` and for the well classification in `analysis.classify`.
+`stencil_grid` walks that stencil over the whole site grid once, and
+`stencil_map` turns the walk into the site grid of `chain_energy` and of the
+well classification in `analysis.classify`: a column broadcast when every
+center is flat, a dense grid otherwise.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ __all__ = [
     "affine_stencil",
     "slot_stencil",
     "stencil_grid",
+    "stencil_map",
+    "broadcast_column",
+    "sites_reaching",
     "chain_energy",
     "lattice_energy",
     "chain_local_grid",
@@ -140,7 +145,9 @@ class EnergyBreakdown:
     """Per-site energies and their reductions.
 
     local[k, l] is the density at chain index i = k - n, row j = l - n.
-    total = lam^2 * sum(local); rescaled = total / lam.
+    For a chain whose centers are all flat (fixed tau, zero angles) it is a
+    read-only broadcast of one density per column, O(n) in memory; otherwise
+    a dense grid.  total = lam^2 * sum(local); rescaled = total / lam.
     """
 
     local: np.ndarray
@@ -162,15 +169,18 @@ def _breakdown(local, n, lam, a):
     # equal (each center of a fixed-tau chain at theta = 0) is summed in O(1):
     # its sum width * x is one correctly rounded multiply, and its exact value
     # splits into two floats for the total.  Other rows go site by site, one
-    # list at a time: a whole-grid tolist() would hold 32 bytes per site
+    # list at a time: a whole-grid tolist() would hold 32 bytes per site.  A
+    # column broadcast has equal rows by construction, so none is scanned
     width = local.shape[1]
     x = local[:, 0]
     # fsum of exact zeros is +0.0 (the sum of a row of -0.0); adding fsum's
     # own result for -0.0 keeps every other value as it is
     with np.errstate(over="ignore"):
         col_sums = width * x + math.fsum([-0.0])
-    bits = local.view(np.int64)
-    flat = (bits == bits[:, :1]).all(axis=1) & np.isfinite(col_sums)
+    flat = np.isfinite(col_sums)
+    if broadcast_column(local) is None:
+        bits = local.view(np.int64)
+        flat &= (bits == bits[:, :1]).all(axis=1)
     varying = np.flatnonzero(~flat)
     for k in varying:
         col_sums[k] = math.fsum(local[k].tolist())
@@ -225,12 +235,48 @@ def stencil_grid(chain: ChainState):
         yield blk, base[blk, None] + j * slope[blk, None]
 
 
-def chain_energy(chain: ChainState) -> EnergyBreakdown:
-    """Total energy evaluated directly in chain variables, off `stencil_grid`."""
+def stencil_map(chain: ChainState, per_site, dtype=float):
+    """The (2n+1)^2 grid of per_site(k, W) over the blocks of `stencil_grid`.
+
+    per_site returns one value per stencil, shape (len(k), rows).  When every
+    center is flat the grid is a read-only broadcast of one value per column
+    (row stride 0, see `broadcast_column`), so it costs O(n); otherwise it is
+    a dense, writeable grid.
+    """
     size = 2 * chain.n + 1
-    local = np.empty((size, size))
-    for k, W in stencil_grid(chain):
-        local[k] = density(W[..., :2, :], W[..., 2:, :], chain.wells)
+    blocks = stencil_grid(chain)
+    k, W = next(blocks)
+    flat = per_site(k, W)
+    if k.size == size:
+        return np.broadcast_to(flat.astype(dtype, copy=False), (size, size))
+    grid = np.empty((size, size), dtype=dtype)
+    grid[k] = flat
+    for k, W in blocks:
+        grid[k] = per_site(k, W)
+    return grid
+
+
+def broadcast_column(grid):
+    """grid[:, 0] when every row of grid repeats one value (row stride 0), else None."""
+    return grid[:, 0] if grid.strides[1] == 0 else None
+
+
+def sites_reaching(local, level):
+    """Per row j, the number of sites with local >= level.
+
+    A column-broadcast grid is counted on one column, whose count every row
+    shares, so no (2n+1)^2 temporary forms.
+    """
+    col = broadcast_column(local)
+    if col is None:
+        return np.count_nonzero(local >= level, axis=0)
+    return np.full(local.shape[1], np.count_nonzero(col >= level))
+
+
+def chain_energy(chain: ChainState) -> EnergyBreakdown:
+    """Total energy evaluated directly in chain variables, off `stencil_map`."""
+    local = stencil_map(
+        chain, lambda k, W: density(W[..., :2, :], W[..., 2:, :], chain.wells))
     return _breakdown(local, chain.n, chain.lam, chain.wells.a)
 
 
@@ -267,7 +313,7 @@ def local_energy_threshold_census(bd: EnergyBreakdown, threshold) -> ThresholdCe
         raise ValueError("threshold must be positive")
     return ThresholdCensus(
         threshold=float(threshold),
-        site_count=int(np.count_nonzero(bd.local >= threshold)),
+        site_count=int(sites_reaching(bd.local, threshold).sum()),
         row_count=int(np.count_nonzero(bd.lam * bd.row_sums >= threshold)))
 
 
@@ -275,7 +321,8 @@ def save_breakdown(bd: EnergyBreakdown, path, header=None):
     """Delimited-text export: summary record, then the local(i, j) matrix.
 
     Rows are written as they are formatted.  A row whose values are bitwise
-    equal (so -0.0 and +0.0 differ) is formatted once.
+    equal (so -0.0 and +0.0 differ) is formatted once; a column-broadcast
+    grid has only such rows, so none is scanned.
     """
     g17 = "%.17g"
     with open(path, "w") as fh:
@@ -285,10 +332,11 @@ def save_breakdown(bd: EnergyBreakdown, path, header=None):
         fh.write(f"n={bd.n},a={g17 % bd.a},lambda={g17 % bd.lam},"
                  f"total={g17 % bd.total},rescaled={g17 % bd.rescaled}\n")
         width = bd.local.shape[1]
+        flat = broadcast_column(bd.local) is not None
         fh.write("i\\j," + ",".join(str(j - bd.n) for j in range(width)) + "\n")
         for k, row in enumerate(bd.local):
             bits = row.view(np.int64)
-            if (bits == bits[0]).all():
+            if flat or (bits == bits[0]).all():
                 body = ",".join([g17 % row[0]] * width)
             else:
                 body = ",".join(map(g17.__mod__, row.tolist()))

@@ -16,3 +16,11 @@ def minimizer100():
     report = newton_minimize(twin_chain(100, build_wells(np.sqrt(2.0))))
     assert report.converged
     return report.final_chain
+
+
+@pytest.fixture(scope="session")
+def minimizer400():
+    """Relaxed fixed-tau interface state at n=400 (every stencil center flat)."""
+    report = newton_minimize(twin_chain(400, build_wells(np.sqrt(2.0))))
+    assert report.converged
+    return report.final_chain

@@ -144,17 +144,51 @@ class TestClassify:
         assert np.array_equal(cls.well_id, pick1)
         assert np.abs(cls.column_distance - dist.max(axis=1)).max() <= 1e-12
 
-    def test_peak_memory_stays_near_the_output(self, wells):
+    def test_peak_memory_stays_near_the_output(self, wells, minimizer400):
         # the output is one byte per cell and one float per column: 0.6 MiB
-        report = newton_minimize(twin_chain(400, wells))
-        assert report.converged
         tracemalloc.start()
         try:
-            classify(report.final_chain, wells)
+            classify(minimizer400, wells)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2**20
+
+
+class TestColumnBroadcast:
+    """An all-flat chain keeps one well id per column; readers see the same grid."""
+
+    def test_flat_twin_keeps_one_id_per_column(self, wells):
+        chain = twin_chain(1000, wells)
+        tracemalloc.start()
+        try:
+            cls = classify(chain, wells)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20  # a dense grid alone would take 3.8 MiB
+        assert cls.well_id.shape == (2001, 2001) and cls.well_id.strides[1] == 0
+        with pytest.raises(ValueError):
+            cls.well_id[0, 0] = 1
+
+    def test_block_path_stays_dense_and_writeable(self, wells, relaxed_variable_tau40):
+        cls = classify(relaxed_variable_tau40, wells)
+        assert cls.well_id.flags.writeable and cls.well_id.strides[1] != 0
+
+    def test_readers_match_the_dense_copy(self, wells, minimizer400, tmp_path):
+        cls = classify(minimizer400, wells)
+        dense = dataclasses.replace(cls, well_id=np.array(cls.well_id))
+        assert dense.well_id.strides[1] != 0
+        for tol in (1e-12, 1e-6, 1e-2):
+            assert interface_positions(cls, tol) == interface_positions(dense, tol)
+        save_classification(cls, tmp_path / "view.csv", header="twin")
+        save_classification(dense, tmp_path / "dense.csv", header="twin")
+        assert (tmp_path / "view.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
+        bd = chain_energy(minimizer400)
+        dense_bd = dataclasses.replace(bd, local=np.array(bd.local))
+        for alpha, delta in ((0.4, 0.1), (0.2, 0.05), (0.9, 0.2)):
+            assert (find_good_lines(bd, alpha=alpha, delta=delta)
+                    == find_good_lines(dense_bd, alpha=alpha, delta=delta))
 
 
 class TestInterfaces:

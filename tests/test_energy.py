@@ -1,5 +1,6 @@
 """Density oracle, well zero-sets, dual-route totals, and diagnostics."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -276,6 +277,52 @@ class TestFlatColumns:
         assert report.converged
         assert self._flat_count(report.final_chain) == 0
         self._assert_matches_row_grid(report.final_chain, monkeypatch)
+
+
+class TestColumnBroadcast:
+    """An all-flat chain keeps one density per column, with the same values and bits."""
+
+    def test_flat_twin_keeps_one_density_per_column(self, wells):
+        chain = twin_chain(1000, wells)
+        tracemalloc.start()
+        try:
+            bd = chain_energy(chain)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20  # a dense grid alone would take 30.6 MiB
+        assert bd.local.shape == (2001, 2001) and bd.local.strides[1] == 0
+        with pytest.raises(ValueError):
+            bd.local[0, 0] = 1.0
+
+    def test_relaxed_twin_matches_site_grid(self, minimizer400):
+        bd = chain_energy(minimizer400)
+        assert energy_mod.broadcast_column(bd.local) is not None
+        ids = np.arange(-bd.n, bd.n + 1)
+        for lo in range(0, ids.size, 128):  # bounded chain_local_grid temporaries
+            ref = chain_local_grid(minimizer400, ids, ids[lo:lo + 128])
+            assert np.array_equal(bd.local[:, lo:lo + 128].view(np.int64),
+                                  ref.view(np.int64))
+        row_sums, col_sums, total = _site_wise_sums(np.array(bd.local), bd.lam)
+        assert np.array_equal(bd.row_sums.view(np.int64), row_sums.view(np.int64))
+        assert np.array_equal(bd.col_sums.view(np.int64), col_sums.view(np.int64))
+        assert bd.total.hex() == total.hex()
+
+    def test_variable_tau_chain_stays_dense_and_writeable(self, rng):
+        bd = chain_energy(random_chain(rng, n=8, dtheta=0.1))
+        assert energy_mod.broadcast_column(bd.local) is None
+        assert bd.local.flags.writeable
+
+    def test_readers_match_the_dense_copy(self, wells, minimizer100, tmp_path):
+        bd = chain_energy(minimizer100)
+        dense = dataclasses.replace(bd, local=np.array(bd.local))
+        assert energy_mod.broadcast_column(dense.local) is None
+        for threshold in (default_jump_threshold(wells), 1e-3, 1.0, 1e3):
+            assert (local_energy_threshold_census(bd, threshold)
+                    == local_energy_threshold_census(dense, threshold))
+        save_breakdown(bd, tmp_path / "view.csv", header="twin")
+        save_breakdown(dense, tmp_path / "dense.csv", header="twin")
+        assert (tmp_path / "view.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
 
 
 class TestCensus:
