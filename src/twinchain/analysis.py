@@ -243,23 +243,26 @@ def find_good_lines(bd: EnergyBreakdown, alpha: float = 0.4, delta: float = 0.1)
 def save_classification(cls: WellClassification, path, header=None):
     """Integer matrix export of the per-cell well ids, written row by row.
 
-    A constant row is formatted once; a column-broadcast grid has only such
-    rows, so none is scanned.
+    A constant row is one of a few bodies, joined once per well id; a
+    column-broadcast grid has only such rows, so none is scanned.
     """
     width = 2 * cls.n + 1
-    flat = broadcast_column(cls.well_id) is not None
+    ids = cls.well_id
+    flat = broadcast_column(ids) is not None
+    bodies = {}
     with open(path, "w") as fh:
         if header:
             fh.write("# " + header + "\n")
         fh.write("# well-classification v1\n")
         fh.write(f"n={cls.n},lambda={'%.17g' % cls.lam}\n")
         fh.write("i\\j," + ",".join(str(l - cls.n) for l in range(width)) + "\n")
-        for k in range(width):
-            row = cls.well_id[k]
-            if flat or (row == row[0]).all():
-                body = ",".join([str(row[0])] * width)
+        for k, first in enumerate(ids[:, 0].tolist()):
+            if flat or (ids[k] == first).all():
+                body = bodies.get(first)
+                if body is None:
+                    body = bodies[first] = ",".join([str(first)] * width)
             else:
-                body = ",".join(map(str, row.tolist()))
+                body = ",".join(map(str, ids[k].tolist()))
             fh.write(f"{k - cls.n},{body}\n")
 
 
@@ -273,8 +276,8 @@ def save_profile(fit: DecayFit, path, header=None):
     lines.append(f"rate={g17 % fit.rate},amplitude={g17 % fit.amplitude},"
                  f"r_squared={g17 % fit.r_squared}")
     lines.append("i,deviation,log_deviation,fitted_value")
-    for i, d in fit.profile:
-        lines.append(",".join(g17 % v for v in
-                              (i, d, math.log(d), fit.predict(i))))
+    fitted = fit.predict(fit.profile[:, 0]).tolist()
+    for (i, d), f in zip(fit.profile.tolist(), fitted):
+        lines.append("%.17g,%.17g,%.17g,%.17g" % (i, d, math.log(d), f))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

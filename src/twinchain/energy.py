@@ -321,8 +321,8 @@ def save_breakdown(bd: EnergyBreakdown, path, header=None):
     """Delimited-text export: summary record, then the local(i, j) matrix.
 
     Rows are written as they are formatted.  A row whose values are bitwise
-    equal (so -0.0 and +0.0 differ) is formatted once; a column-broadcast
-    grid has only such rows, so none is scanned.
+    equal (so -0.0 and +0.0 differ) formats its one cell once and repeats
+    it; a column-broadcast grid has only such rows, so none is scanned.
     """
     g17 = "%.17g"
     with open(path, "w") as fh:
@@ -334,10 +334,11 @@ def save_breakdown(bd: EnergyBreakdown, path, header=None):
         width = bd.local.shape[1]
         flat = broadcast_column(bd.local) is not None
         fh.write("i\\j," + ",".join(str(j - bd.n) for j in range(width)) + "\n")
-        for k, row in enumerate(bd.local):
-            bits = row.view(np.int64)
+        for k, first in enumerate(bd.local[:, 0].tolist()):
+            bits = bd.local[k].view(np.int64)
             if flat or (bits == bits[0]).all():
-                body = ",".join([g17 % row[0]] * width)
+                cell = g17 % first
+                body = (cell + ",") * (width - 1) + cell
             else:
-                body = ",".join(map(g17.__mod__, row.tolist()))
+                body = ",".join(map(g17.__mod__, bd.local[k].tolist()))
             fh.write(f"{k - bd.n},{body}\n")

@@ -295,7 +295,6 @@ def save_chain(chain: ChainState, path, header=None):
     An optional header string is stored inside the head record, so loaders
     keyed on field names are unaffected by it.
     """
-    g17 = "%.17g"
     bc = chain.bc
     head = {
         "n": chain.n,
@@ -311,8 +310,8 @@ def save_chain(chain: ChainState, path, header=None):
     lines = ["# chain-snapshot v1",
              "# " + json.dumps(head, separators=(",", ":")),
              "i,ux,uy,theta"]
-    for i, (pos, ang) in zip(chain.geometry.atom_ids(), zip(chain.u, chain.theta)):
-        lines.append(f"{i}," + ",".join(g17 % v for v in (pos[0], pos[1], ang)))
+    lines += ["%d,%.17g,%.17g,%.17g" % row for row in zip(
+        chain.geometry.atom_ids().tolist(), *chain.u.T.tolist(), chain.theta.tolist())]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

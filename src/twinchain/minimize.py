@@ -1,41 +1,55 @@
 """Damped Newton relaxation of chain energies with analytic derivatives.
 
 The density D = B_1 B_2 at a summand depends on four difference vectors
-W = (v+, v-, h+, h-), affine in the three atom positions and, through the
-extension vectors t_k = R(theta_k) tau, in j times the column angles.  Its
-brackets are B_k = |f_k|^2, f_k = f - alpha_k, over the eight inner terms
-f = [|v+|^2, |v-|^2, |h+|^2, |h-|^2, v_s . h_t].  With their 8x8 Jacobian
-F = df/dW, g_k = 2 F^T f_k and K their constant second derivatives (`_K`),
+W = (v+, v-, h+, h-).  Its brackets are B_k = |f_k|^2, f_k = f - alpha_k,
+over the eight inner terms f = [|v+|^2, |v-|^2, |h+|^2, |h-|^2, v_s . h_t].
+The derivatives work in each center's reduced variables
 
-    dD  = B_2 g_1 + B_1 g_2
-    d2D = 2 (B_1 + B_2) F^T F + g_1 g_2^T + g_2 g_1^T + 2 (B_2 f_1 + B_1 f_2) . K
+    z = (y_p, y_m[, theta_m, theta_c, theta_p]),  y_p = (u_p - u_c)/lam,
+                                                  y_m = (u_m - u_c)/lam,
 
-One Jacobian dW/dx = J0 + j*J1 over each center's stencil variables (J1 only
-with variable tau) serves both: with A_k, N_k the j-moments of dD/dW and
-d2D/dW2, a center adds sum_k A_k J_k to the gradient and
-sum_{k,l} J_k^T N_{k+l} J_l to the Hessian.
+4 with fixed tau and 7 with variable tau.  W is affine in y, and in each
+extension vector t_s = R(theta_s) tau with a coefficient affine in the row
+j, so df/dz is linear in the node features phi = [W, D, j D], D[b, s] =
+W_b . t'_s: one product Phi = phi @ T with a table built at import.  With
+psi_k = Phi^T f_k and d = 2 (B_2 f_1 + B_1 f_2), summed over the row rule's
+nodes,
 
-Since W is affine in the row j, every row sum above (the energy, A_k for
-k <= 1, N_k for k <= 2) is a polynomial of degree <= 8 in j.  A 5-node Gauss
-rule for the uniform measure on the rows (`row_rule`) is exact to degree 9,
-so the stencil is evaluated at five nodes per center instead of on every
-row, and energy, gradient and Hessian cost O(n) for an n-row window.  Fixed
-tau with zero angles makes the sums constant in j: one node, weight N.
-Each triangle determinant of the orientation check is quadratic in j, so it
-is evaluated only at the end rows and next to its vertex.
+    dD/dz   = sum_m d_m df_m/dz
+    d2D/dz2 = 2 (B_1 + B_2) Phi^T Phi + 4 (psi_1 psi_2^T + psi_2 psi_1^T)
+              + sum_m d_m d2f_m/dz2,
+
+the first term one batched product over the (8 x nodes) rows of each
+center.  The last is a few scalars linear in the j-moments of d, times the
+constant y blocks, t'_s or t_s . t_r, less the rotating frame's
+d2t/dtheta2 = -t on the theta diagonal.  The gradient takes dD/dW in closed
+form from the 2x2 blocks of d and its j-moments A_k: A_0 through dW/dy, and
+G_s . t'_s with G = Pi A_0 + Omega A_1 for theta_s.  dz/dx = Z is a constant
+of the problem, so a center adds g_z Z to the gradient and Z^T H_z Z, one
+product with kron(Z, Z), to the Hessian; no Jacobian is built per call.
+
+Since W is affine in the row j, every row sum above (the energy, dD/dz and
+the j-moments of d up to degree 2) is a polynomial of degree <= 8 in j.  A
+5-node Gauss rule for the uniform measure on the rows (`row_rule`) is exact
+to degree 9, so the stencil is evaluated at five nodes per center instead
+of on every row, and energy, gradient and Hessian cost O(n) for an n-row
+window.  Fixed tau with zero angles makes the sums constant in j: one node,
+weight N.  Each triangle determinant of the orientation check is quadratic
+in j, so it is evaluated only at the end rows and next to its vertex.
 
 A problem evaluates each x once.  It keeps one record, of the last x it
 was asked about: a copy of x, the node stencil W and t, the brackets and
-the energy.  A gradient at that x adds F^T, f_k, g_k, the Jacobian and the
-moments A_k; a Hessian there adds only d2D/dW2, its moments and the blocks.
-So a Newton iteration, whose accepted trial's energy, gradient and next
-Hessian share one x, builds the stencil, the brackets and F^T once.  A
-stage drops what no later stage reads (F itself is built only for the
-Hessian).  Any other x, compared by value so that an x changed in place is
-never stale, replaces the record; the old one is released first.  Only the
-centers whose stencil holds a free atom reach the gradient and Hessian
-stages, while the energy still sums every center: the middle-atom warm
-start (`preoptimize_middle`) builds its derivatives on three centers.
+the energy.  A gradient at that x adds f_k, d and G; a Hessian there adds
+only Phi, d2D/dz2 and the blocks.  So a Newton iteration, whose accepted
+trial's energy, gradient and next Hessian share one x, builds the stencil
+and the brackets once.  A stage drops what no later stage reads.  Any
+other x, compared by value so that an x changed in place is never stale,
+replaces the record; the old one is released first.  Only the centers
+whose stencil holds a free atom reach the gradient and Hessian stages,
+while the energy still sums every center: the middle-atom warm start
+(`preoptimize_middle`) builds its derivatives on three centers.  Where
+those centers' entries land in the gradient and in the Hessian's blocks
+is indexed once per problem (`_scatter`).
 
 Atoms couple only within distance 2 along the chain, so on the interleaved
 free variables (ux, uy[, theta]), nd per atom, the Hessian has 3*nd - 1
@@ -79,29 +93,61 @@ __all__ = [
     "row_rule",
 ]
 
-# _K[m] = d2 f_m / dW2 over the flattened W = [v+, v-, h+, h-], for the inner
-# terms f_m = W_a . W_b: squared lengths, then v_s . h_t for (s, t) = ++, +-,
-# -+, --.  Row m of F is _K[m] @ W: 2 W_a in block a for a squared length, h_t
-# in block s and v_s in block 2 + t for a cross term.  W @ _DFT gives F^T,
-# C-ordered (a batched matmul on a transposed view is several times slower).
-# Every entry of F is one entry of W, or twice one, so F and F^T are exact
+# The eight inner terms are f_m = W_a . W_b over the stencil vectors W = [v+,
+# v-, h+, h-]: the squared lengths, then v_s . h_t for (s, t) = ++, +-, -+, --.
+# _KS[m] is d2 f_m / dW_a dW_b over the four vectors (over the eight components
+# it is kron(_KS[m], I2)), in the order of f in `_bracket_parts`
+_PAIRS = [(0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (0, 3), (1, 2), (1, 3)]
 _E = np.eye(4)
-_K = np.array([np.kron(np.outer(_E[a], _E[b]) + np.outer(_E[b], _E[a]), np.eye(2))
-               for a, b in [(0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (0, 3), (1, 2), (1, 3)]])
-_DFT = np.ascontiguousarray(_K.swapaxes(0, 1).reshape(64, 8).T)
+_KS = np.array([np.outer(_E[a], _E[b]) + np.outer(_E[b], _E[a]) for a, b in _PAIRS])
 
 # chain offsets of the stencil slots m, c, p (atoms i-1, i, i+1), on axis 0
 _SLOT = np.array([[-1], [0], [1]])
 
-# per-slot contraction weights over the W vectors; rows are the slots m = atom
-# i-1, c = atom i, p = atom i+1.  _OMEGA weighs the u Jacobian and the
-# j-proportional part of the theta Jacobian, _PI its j-independent part
+# per-slot weights over the W vectors; rows are the slots m = atom i-1,
+# c = atom i, p = atom i+1: dW_a/dtheta_s = (_PI[s, a] + j _OMEGA[s, a]) t'_s
 _OMEGA = np.array([[0.0, 1.0, 0.0, 1.0],
                    [-1.0, -1.0, -1.0, -1.0],
                    [1.0, 0.0, 1.0, 0.0]])
 _PI = np.array([[0.0, -1.0, 0.0, 0.0],
                 [0.0, 0.0, 0.0, 0.0],
                 [1.0, 0.0, 0.0, 0.0]])
+# dW_a/dy for the reduced variables y_p (moves v+ and h+) and y_m (v- and h-)
+_EY = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+def _phi_table():
+    """T with df/dz = phi @ T over the node features phi = [W, D, j D], D[b, s] =
+    W_b . t'_s: df_m/dz = sum_ab _KS[m, a, b] W_b . dW_a/dz, so W fixes the y
+    columns and D, j D the theta columns.  Rows: the 8 + 12 + 12 features;
+    columns (m, z) over z = (y_p, y_m, theta_m, theta_c, theta_p)."""
+    T = np.zeros((32, 8, 7))
+    T[:8, :, :4] = np.einsum("mbk,cd->bcmkd", _KS @ _EY, np.eye(2)).reshape(8, 8, 4)
+    for rows, c in ((slice(8, 20), _PI.T), (slice(20, 32), _OMEGA.T)):
+        T[rows, :, 4:] = np.einsum("mbs,st->bsmt", _KS @ c, np.eye(3)).reshape(12, 8, 3)
+    return T
+
+
+def _curvature_table():
+    """Coefficients of sum_m d_m d2f_m/dz2 over the j-moments d_k of d, rows
+    (k, m): the y-y block, kron'd with I2 (16, k = 0 only), the y-theta
+    scalars (6, times t'_s) and the theta-theta scalars (9, times t_s . t_r)."""
+    T = np.zeros((3, 8, 31))
+    c = (_PI.T, _OMEGA.T)
+    T[0, :, :16] = np.array([np.kron(_EY.T @ k @ _EY, np.eye(2)) for k in _KS]).reshape(8, 16)
+    for k in (0, 1):
+        T[k, :, 16:22] = (_EY.T @ _KS @ c[k]).reshape(8, 6)
+    for k in (0, 1):
+        for l in (0, 1):
+            T[k + l, :, 22:] += (c[k].T @ _KS @ c[l]).reshape(8, 9)
+    return T.reshape(24, 31)
+
+
+# the tables for variable tau, and their W rows and y columns for fixed tau
+_PHI_T = _phi_table().reshape(32, 56)
+_PHI_T_FIXED = _PHI_T.reshape(32, 8, 7)[:8, :, :4].reshape(8, 32)
+_CURV_T = _curvature_table()
+_CURV_T_FIXED = np.ascontiguousarray(_CURV_T[:8, :16])
 
 # Gauss nodes per row rule: exact to degree 9 in j, above the degree 8 of every
 # row sum the solver takes
@@ -175,7 +221,7 @@ class ChainProblem:
         else:
             self.nodes, self.weights = row_rule(self.j_lo, self.j_hi)
         self._slots = self._frozen_slots(self.centers)
-        # per center and stencil variable (slot-major, as in _jacobian): the
+        # per center and stencil variable (ux, uy[, theta] slot by slot): the
         # global dof, or -1 for a clamped or frozen atom
         first = np.searchsorted(self.free_ids, self.centers + _SLOT).T[..., None] * self.nd
         self._dofs = np.where(self._slots[1].T[..., None], first + np.arange(self.nd),
@@ -184,6 +230,18 @@ class ChainProblem:
         # every one: the derivative stages see only these, the energy all
         touched = (self._dofs >= 0).any(axis=1)
         self._touched = slice(None) if touched.all() else np.flatnonzero(touched)
+        self._index = None  # `_scatter`'s indices, keyed on `_touched`
+        # dz/dx from the stencil variables to the reduced ones, y_p = (u_p -
+        # u_c)/lam, y_m = (u_m - u_c)/lam[, theta_m, theta_c, theta_p], and
+        # kron(Z, Z), which takes a flat d2D/dz2 to the flat d2D/dx2
+        Z = np.zeros((4 + 3 * self.variable_tau, 3, self.nd))
+        for k, slot in enumerate((2, 0)):
+            Z[2 * k:2 * k + 2, slot, :2] = np.eye(2) / chain.lam
+            Z[2 * k:2 * k + 2, 1, :2] = -np.eye(2) / chain.lam
+        if variable_tau:
+            Z[4:, :, 2] = np.eye(3)
+        self._z = Z.reshape(len(Z), -1)
+        self._zz = np.kron(self._z, self._z)
         # lattice cell (c, j) spans atoms c..c+2 in rows j, j+1: the stencil of
         # center c+1.  Only cells with a free atom can change during a solve
         mid = np.arange(-n - 1, n + 2)
@@ -281,41 +339,30 @@ class ChainProblem:
 
     def _gradient_stage(self, p):
         c = self._touched
-        p.B, p.t = tuple(b[c] for b in p.B), p.t[c]
-        FT, fk, G, dD = _density_slope(*(a[c] for a in p.inner), *p.B, self.template.wells)
-        p.inner, p.slope = None, (FT, fk, G)
-        p.J = self._jacobian(p.t)
-        p.A = self._moments(dD, len(p.J) - 1)
-        g = _contract(p.A, p.J)
-        dofs = self._dofs[c]
-        keep = dofs >= 0
-        # moments already carry the full row sum, so only `scale` remains
-        p.grad = self.scale * np.bincount(dofs[keep], weights=g[keep], minlength=self.ndof)
+        W, q, r, X = (a[c] for a in p.inner)
+        B1, B2 = (b[c] for b in p.B)
+        t = p.t[c] if self.variable_tau else None
+        fk, d = _bracket_parts(q, r, X, B1, B2, self.template.wells)
+        gz, G = _reduced_gradient(W, d, t, self.nodes, self.weights)
+        p.inner = p.B = None
+        p.t, p.slope = t, (W, fk, d, B1 + B2, G)
+        dofs, keep = self._scatter()[:2]
+        # the rule's weights already carry the full row sum, so only `scale` remains
+        p.grad = self.scale * np.bincount(dofs, weights=(gz @ self._z)[keep],
+                                          minlength=self.ndof)
 
     def _hessian_stage(self, p):
-        M = _density_curvature(*p.slope, *p.B)
-        J, A, t = p.J, p.A, p.t
-        p.B = p.slope = p.J = p.A = p.t = None
-        N = self._moments(M, 2 * len(J) - 2)
-        del M
-        H = sum(np.swapaxes(Jk, 1, 2) @ N[k + l] @ Jl
-                for k, Jk in enumerate(J) for l, Jl in enumerate(J))
-        if self.variable_tau:
-            # curvature of the rotating frame: d2t/dtheta2 = -t, so d2W/dtheta2
-            # is minus the theta columns of the Jacobian with t' replaced by t
-            th = np.arange(2, 3 * self.nd, self.nd)
-            H[:, th, th] -= _contract(A, [c.reshape(len(t), 8, 3) for c in _theta_columns(t)])
+        W, fk, d, B, G = p.slope
+        t = p.t
+        p.slope = p.t = None
+        Hz = _reduced_hessian(W, fk, d, B, G, t, self.nodes, self.weights)
+        H = Hz.reshape(len(Hz), -1) @ self._zz
         # blocks of s dofs: each stencil entry lies within one block or couples
-        # it to the next.  Scatter the upper triangle of each stencil Hessian,
-        # entry (r, c) into D[r // s] or U[r // s], then mirror D's; the pad
-        # dofs of the last block get an identity diagonal
-        s = max(min(3 * self.nd - 1, self.ndof - 1), 1)
-        m = -(-self.ndof // s)
-        dofs = self._dofs[self._touched]
-        row, col = dofs[:, :, None], dofs[:, None, :]
-        keep = (row >= 0) & (col >= row)
-        block = np.broadcast_to((col // s - row // s) * m * s * s + row * s + col % s, H.shape)
-        blocks = self.scale * np.bincount(block[keep], weights=H[keep],
+        # it to the next.  The upper triangle of each stencil Hessian goes,
+        # entry (r, c), into D[r // s] or U[r // s], and D's is mirrored; the
+        # pad dofs of the last block get an identity diagonal
+        block, keep, s, m = self._scatter()[2:]
+        blocks = self.scale * np.bincount(block, weights=H[keep],
                                           minlength=(2 * m - 1) * s * s)
         D, U = blocks[:m * s * s].reshape(m, s, s), blocks[m * s * s:].reshape(m - 1, s, s)
         r, c = np.tril_indices(s, -1)
@@ -324,23 +371,22 @@ class ChainProblem:
         D[-1, pad, pad] = 1.0
         p.blocks = D, U
 
-    def _moments(self, arr, top):
-        """Row sums sum_j j^k * arr for k = 0..top, by the row rule (nodes on axis 1)."""
-        return [np.einsum("j,ij...->i...", self.weights * self.nodes ** k, arr)
-                for k in range(top + 1)]
-
-    def _jacobian(self, t):
-        """dW/dx = J0 + j*J1 as [J0] (fixed tau) or [J0, J1], each (centers, 8, 3*nd).
-
-        Columns are the stencil variables (ux, uy[, theta]) slot by slot.  The
-        u columns are Omega/lam, the theta columns Pi t' (J0) and Omega t' (J1).
-        """
-        nc = t.shape[0]
-        J = np.zeros((1 + self.variable_tau, nc, 4, 2, 3, self.nd))
-        J[0, ..., :2] = _OMEGA.T[:, None, :, None] * np.eye(2)[:, None, :] / self.template.lam
-        if self.variable_tau:
-            J[0, ..., 2], J[1, ..., 2] = _theta_columns(_quarter_turn(t))
-        return list(J.reshape(len(J), nc, 8, -1))
+    def _scatter(self):
+        """Where the derivative stages put each touched center's entries: the
+        gradient's dofs and mask over (centers, 3 nd), and the Hessian's flat
+        block indices and mask over (centers, 3 nd, 3 nd), with the block size
+        s and count m.  Built once per value of `_touched`."""
+        if self._index is None or self._index[0] is not self._touched:
+            dofs = self._dofs[self._touched]
+            keep = dofs >= 0
+            s = max(min(3 * self.nd - 1, self.ndof - 1), 1)
+            m = -(-self.ndof // s)
+            row, col = dofs[:, :, None], dofs[:, None, :]
+            upper = (row >= 0) & (col >= row)
+            block = (col // s - row // s) * m * s * s + row * s + col % s
+            self._index = (self._touched, dofs[keep], keep,
+                           block[upper], upper.reshape(len(dofs), -1), s, m)
+        return self._index[1:]
 
     # -- public evaluations -------------------------------------------------
     # arrays are returned as copies, so a caller that changes one leaves the
@@ -365,52 +411,101 @@ class _Point:
     """One x and what a ChainProblem has evaluated there.
 
     Each stage sets to None what no later stage reads: the gradient stage
-    drops `inner` and keeps `B` and `t` on the touched centers only, the
-    Hessian stage drops `B`, `slope`, `t`, `J` and `A`, so that x, energy,
-    grad and blocks remain.
+    turns `inner` and `B` into `slope` on the touched centers only and keeps
+    `t` there (None with fixed tau), the Hessian stage drops `slope` and `t`,
+    so that x, energy, grad and blocks remain.
     """
     x: np.ndarray
     t: np.ndarray
     energy: float
     inner: tuple          # W, q, r, X: the stencil and the brackets' inner terms
     B: tuple              # B1, B2
-    slope: tuple = None   # F^T, f_k, g_k
-    J: list = None
-    A: list = None
+    slope: tuple = None   # W, f_k, d, B1 + B2 and the theta vectors G
     grad: np.ndarray = None
     blocks: tuple = None  # D, U
 
 
-def _density_slope(W, q, r, X, B1, B2, wells):
-    """dD/dW = B_2 g_1 + B_1 g_2 from the brackets' parts, and the F^T, f_k
-    (columns of fk) and g_k = 2 F^T f_k (columns of G) that d2D/dW2 reuses."""
-    w = W.reshape(W.shape[:-2] + (8,))
-    f = np.concatenate([q, r, X.reshape(w.shape[:-1] + (4,))], axis=-1)
+def _bracket_parts(q, r, X, B1, B2, wells):
+    """f_k = f - alpha_k over the eight inner terms f (columns k of the last
+    axis) and d = dD/df = 2 (B_2 f_1 + B_1 f_2), from the brackets' parts."""
+    f = np.concatenate([q, r, X.reshape(X.shape[:-2] + (4,))], axis=-1)
     a2, b2 = wells.a * wells.a, wells.b * wells.b
     fk = f[..., None] - np.array([[a2, b2]] * 2 + [[b2, a2]] * 2 + [[0.0, 0.0]] * 4)
-    FT = (w @ _DFT).reshape(w.shape[:-1] + (8, 8))
-    G = 2.0 * (FT @ fk)
-    return FT, fk, G, (G @ _other_bracket(B1, B2))[..., 0]
+    d = 2.0 * (B2[..., None] * fk[..., 0] + B1[..., None] * fk[..., 1])
+    return fk, d
 
 
-def _density_curvature(FT, fk, G, B1, B2):
-    """d2D/dW2 from the parts `_density_slope` returns; each term is exactly
-    symmetric, as S + S^T adds the same pair both ways.  Each (..., 8, 8)
-    temporary is freed once summed, which bounds the Hessian's peak memory."""
-    F = np.ascontiguousarray(FT.swapaxes(-1, -2))
-    M = 2.0 * (B1 + B2)[..., None, None] * (FT @ F)
-    del F
-    S = G[..., :, None, 0] * G[..., None, :, 1]
-    M += S + S.swapaxes(-1, -2)
-    del S
-    c = (fk @ _other_bracket(B1, B2))[..., 0]
-    M += (2.0 * c @ _K.reshape(8, 64)).reshape(M.shape)
-    return M
+def _density_gradient(W, d):
+    """dD/dW = sum_m d_m df_m/dW in closed form, from the 2x2 blocks of d:
+    dD/dv_s = 2 d_q[s] v_s + sum_t d_X[s, t] h_t, and the same for h_t."""
+    v, h = W[..., :2, :], W[..., 2:, :]
+    dX = d[..., 4:].reshape(d.shape[:-1] + (2, 2))
+    return np.concatenate([2.0 * d[..., :2, None] * v + dX @ h,
+                           2.0 * d[..., 2:4, None] * h + dX.swapaxes(-1, -2) @ v], axis=-2)
 
 
-def _other_bracket(B1, B2):
-    """(B_2, B_1) as a column: each bracket weighs the other's g_k."""
-    return np.stack([B2, B1], axis=-1)[..., None]
+def _row_moments(nodes, weights, top):
+    """The row rule's weights times j^k for k = 0..top, (top + 1, nodes)."""
+    return weights * nodes ** np.arange(top + 1)[:, None]
+
+
+def _reduced_gradient(W, d, t, nodes, weights):
+    """dD/dz summed over the rule's nodes, (centers, nz), and G.
+
+    W (centers, nodes, 4, 2); t (centers, 3, 2) the slots' extension
+    vectors, None with fixed tau (nz = 4, z = y).  With A_k the j-moments of
+    dD/dW, the y columns are A_0 contracted with dW/dy, and theta_s takes
+    G_s . t'_s with G = Pi A_0 + Omega A_1 (centers, 3, 2), which the
+    Hessian's rotating-frame term reuses; G is None with fixed tau.
+    """
+    powers = _row_moments(nodes, weights, 0 if t is None else 1)
+    A = np.einsum("kj,ij...->ki...", powers, _density_gradient(W, d))
+    gy = (_EY.T @ A[0]).reshape(len(W), 4)
+    if t is None:
+        return gy, None
+    G = _PI @ A[0] + _OMEGA @ A[1]
+    return np.concatenate([gy, (G * _quarter_turn(t)).sum(axis=-1)], axis=1), G
+
+
+def _reduced_hessian(W, fk, d, B, G, t, nodes, weights):
+    """d2D/dz2 summed over the rule's nodes, (centers, nz, nz).
+
+    Per node, with Phi = df/dz and psi_k = Phi^T f_k,
+
+        d2D/dz2 = 2 (B_1 + B_2) Phi^T Phi + 4 (psi_1 psi_2^T + psi_2 psi_1^T)
+                  + sum_m d_m d2f_m/dz2 - [G_s . t_s on the theta diagonal].
+
+    Phi = phi @ T over the node features phi (`_phi_table`).  The first two
+    terms are one batched product over (8 nodes) rows; the third is linear in
+    the j-moments of d (`_curvature_table`); the last is the rotating frame,
+    d2t/dtheta2 = -t, contracted with the gradient's G.  t and G are None
+    with fixed tau, where z holds only y.
+    """
+    nc, nn = W.shape[:2]
+    if t is None:
+        nz, phi, T, CT, top = 4, W.reshape(nc, nn, 8), _PHI_T_FIXED, _CURV_T_FIXED, 0
+    else:
+        nz, T, CT, top = 7, _PHI_T, _CURV_T, 2
+        tp = _quarter_turn(t)
+        D = (W @ tp.swapaxes(1, 2)[:, None]).reshape(nc, nn, 12)
+        phi = np.concatenate([W.reshape(nc, nn, 8), D, nodes[:, None] * D], axis=-1)
+    Phi = (phi @ T).reshape(nc, nn, 8, nz)
+    psi = Phi.swapaxes(-1, -2) @ fk
+    Phi_w = Phi * (2.0 * weights * B)[..., None, None]
+    H = Phi_w.reshape(nc, nn * 8, nz).swapaxes(1, 2) @ Phi.reshape(nc, nn * 8, nz)
+    S = (4.0 * weights[:, None] * psi[..., 0]).swapaxes(1, 2) @ psi[..., 1]
+    H += S + S.swapaxes(1, 2)
+    coef = (_row_moments(nodes, weights, top) @ d).reshape(nc, -1) @ CT
+    H[:, :4, :4] += coef[:, :16].reshape(nc, 4, 4)
+    if t is not None:
+        y_theta = coef[:, 16:22].reshape(nc, 2, 1, 3) * tp.swapaxes(1, 2)[:, None]
+        y_theta = y_theta.reshape(nc, 4, 3)
+        H[:, :4, 4:] += y_theta
+        H[:, 4:, :4] += y_theta.swapaxes(1, 2)
+        H[:, 4:, 4:] += coef[:, 22:].reshape(nc, 3, 3) * (t @ t.swapaxes(1, 2))
+        th = np.arange(4, 7)
+        H[:, th, th] -= (G * t).sum(axis=-1)
+    return H
 
 
 def row_rule(j_lo, j_hi):
@@ -437,18 +532,6 @@ def _cross_quadratic(p, q):
 def _quarter_turn(t):
     """dt/dtheta of t = R(theta) tau, per vector on the last axis."""
     return t[..., ::-1] * (-1.0, 1.0)
-
-
-def _theta_columns(dt):
-    """Pi dt and Omega dt over the slot vectors dt (centers, 3, 2), each
-    (centers, 4, 2, 3): the theta columns of J0 and J1 when dt = t'."""
-    dt = np.swapaxes(dt, 1, 2)[:, None]
-    return [w.T[:, None, :] * dt for w in (_PI, _OMEGA)]
-
-
-def _contract(A, J):
-    """sum_k A_k . J_k per center: row moments of dD/dW times the Jacobian."""
-    return sum(np.einsum("ie,iev->iv", a, jac) for a, jac in zip(A, J))
 
 
 def _block_cholesky_solve(D, U, b):

@@ -20,10 +20,14 @@ from twinchain.lattice import ChainState, affine_chain, check_admissible, recons
 from twinchain.minimize import (
     ChainProblem,
     MinimizeOptions,
+    _EY,
+    _OMEGA,
+    _PI,
     _block_cholesky_solve,
-    _density_curvature,
-    _density_slope,
+    _bracket_parts,
     _levenberg_step,
+    _reduced_gradient,
+    _reduced_hessian,
     laminate_chain,
     newton_minimize,
     preoptimize_middle,
@@ -152,32 +156,52 @@ class TestDerivatives:
         assert np.abs(g).max() < 1e-11  # exact minimizer, rounding only
 
 
-def _fd4(fn, W, step=1e-4):
-    """Fourth-order central differences of fn over W's 8 components, on a new last axis."""
+def _fd4(fn, steps):
+    """Fourth-order central differences of fn(dz) at dz = 0, one component of
+    dz per entry of `steps`, on a new last axis."""
     cols = []
-    for k in range(8):
-        e = np.zeros(8)
+    for k, step in enumerate(steps):
+        e = np.zeros(len(steps))
         e[k] = step
-        e = e.reshape(4, 2)
-        cols.append((8.0 * (fn(W + e) - fn(W - e)) - (fn(W + 2 * e) - fn(W - 2 * e)))
-                    / (12.0 * step))
+        cols.append((8.0 * (fn(e) - fn(-e)) - (fn(2 * e) - fn(-2 * e))) / (12.0 * step))
     return np.stack(cols, axis=-1)
 
 
-def _density_parts(W, wells):
-    """D, dD/dW and d2D/dW2 over W's 8 components, by the stages that
-    `ChainProblem` runs: brackets, slope, curvature."""
+# the row of every point in TestDensityKernel: a node off 0, so that the
+# j-proportional theta columns count.  A theta step moves W by up to
+# (1 + j) |tau| = 4 times itself, so theta takes a quarter of y's step
+_KERNEL_ROW = 1.5
+_KERNEL_STEPS = [1e-4] * 4 + [2.5e-5] * 3
+
+
+def _moved(W, theta, wells, dz):
+    """W (points, 4, 2) and t at row _KERNEL_ROW after a step dz in the
+    reduced variables (y_p, y_m, theta_m, theta_c, theta_p): W is affine in y
+    and in each t_s, with dW_a/dt_s = Pi[s, a] + j Omega[s, a]."""
+    t0, t = wells.tau_at(theta), wells.tau_at(theta + dz[4:])
+    W = W + _EY @ dz[:4].reshape(2, 2) + (_PI.T + _KERNEL_ROW * _OMEGA.T) @ (t - t0)
+    return W, t
+
+
+def _density_parts(W, t, wells, variable_tau=True):
+    """D, dD/dz and d2D/dz2 per point, each point a center with one node of
+    weight 1, by the kernels that `ChainProblem` runs."""
+    W = W[:, None]
     q, r, X, B1, B2 = brackets(W[..., :2, :], W[..., 2:, :], wells)
-    FT, fk, G, dD = _density_slope(W, q, r, X, B1, B2, wells)
-    return B1 * B2, dD, _density_curvature(FT, fk, G, B1, B2)
+    fk, d = _bracket_parts(q, r, X, B1, B2, wells)
+    nodes, weights = np.array([_KERNEL_ROW]), np.ones(1)
+    t = t if variable_tau else None
+    gz, G = _reduced_gradient(W, d, t, nodes, weights)
+    return (B1 * B2)[:, 0], gz, _reduced_hessian(W, fk, d, B1 + B2, G, t, nodes, weights)
 
 
 class TestDensityKernel:
     @pytest.mark.parametrize("case", ["random", "U0", "U1", "turned_U0", "QU1"])
     def test_point_derivatives_match_fd(self, rng, wells, case):
-        # D, dD/dW and d2D/dW2 of the solver's kernel point by point, on random
+        # D, dD/dz and d2D/dz2 of the solver's kernel point by point, on random
         # stencils and on stencils 1e-6 off a well, where an affine state with
-        # cell gradient [h+ | v+] = U has v- = -v+ and h- = -h+
+        # cell gradient [h+ | v+] = U has v- = -v+ and h- = -h+; the slot
+        # angles are random
         if case == "random":
             W = 0.7 * rng.standard_normal((50, 4, 2))
         else:
@@ -186,19 +210,30 @@ class TestDensityKernel:
                  "turned_U0": np.array([[c, -s], [s, c]]) @ wells.U0}[case]
             W = (np.stack([U[:, 1], -U[:, 1], U[:, 0], -U[:, 0]])
                  + 1e-6 * rng.standard_normal((20, 4, 2)))
-        D, dD, d2D = _density_parts(W, wells)
+        theta = 0.3 * rng.standard_normal((len(W), 3))
+        t = wells.tau_at(theta)
+        D, dD, d2D = _density_parts(W, t, wells)
         assert np.array_equal(D, density(W[..., :2, :], W[..., 2:, :], wells))
         if case != "random":
             assert D.max() < 1e-9
-        fd_dD = _fd4(lambda V: _density_parts(V, wells)[0], W)
-        fd_d2D = _fd4(lambda V: _density_parts(V, wells)[1], W)
+        fd_dD = _fd4(lambda dz: _density_parts(*_moved(W, theta, wells, dz), wells)[0],
+                     _KERNEL_STEPS)
+        fd_d2D = _fd4(lambda dz: _density_parts(*_moved(W, theta, wells, dz), wells)[1],
+                      _KERNEL_STEPS)
         # per point, relative to its largest entry; the differences sit near
         # 1e-9 of it, against 1e-4 for the assembled Hessian in
         # test_hessian_matches_fd
         assert (np.abs(dD - fd_dD).max(axis=-1) <= 1e-8 * np.abs(dD).max(axis=-1)).all()
         assert (np.abs(d2D - fd_d2D).max(axis=(-2, -1))
                 <= 1e-8 * np.abs(d2D).max(axis=(-2, -1))).all()
-        assert np.array_equal(d2D, np.swapaxes(d2D, -1, -2))
+        # the products sum w Phi_a Phi_b in either order: symmetric to rounding
+        assert np.allclose(d2D, np.swapaxes(d2D, -1, -2), rtol=0.0,
+                           atol=1e-14 * np.abs(d2D).max())
+        # fixed tau takes the y variables only, the same block
+        _, dD_y, d2D_y = _density_parts(W, t, wells, variable_tau=False)
+        assert np.allclose(dD_y, dD[:, :4], rtol=1e-14, atol=0.0)
+        assert np.allclose(d2D_y, d2D[:, :4, :4], rtol=1e-14,
+                           atol=1e-14 * np.abs(d2D).max())
 
 
 def _evaluation_case(case, rng, wells):
@@ -342,9 +377,9 @@ class TestTouchedCenters:
 
     @staticmethod
     def _stage_centers(monkeypatch):
-        """The leading (center) axis length of each call of the two density kernels."""
+        """The leading (center) axis length of each call of the two derivative kernels."""
         seen = []
-        for name in ("_density_slope", "_density_curvature"):
+        for name in ("_reduced_gradient", "_reduced_hessian"):
             kernel = getattr(minimize_mod, name)
             monkeypatch.setattr(minimize_mod, name, lambda *args, kernel=kernel, **kw:
                                 seen.append(len(args[0])) or kernel(*args, **kw))
@@ -382,6 +417,25 @@ class TestTouchedCenters:
         x = x + 1e-3 * rng.standard_normal(x.size)
         self._check_against_every_center(problem, x)
         assert set(seen) == {25, 26}
+
+    def test_scatter_index_is_built_once_per_touched_set(self, rng, wells):
+        # one index serves every evaluation of a problem; a copy sent to
+        # every center builds its own and leaves the original's alone
+        F = boundary_gradient(wells, 0.5).F
+        chain, problem = _layer_problem("B_plus", F, wells.U0, (0.3, 0.0), 24, 4, wells)
+        x = problem.pack(chain)
+        problem.hessian_banded(x)
+        index = problem._index
+        for _ in range(2):
+            x = x + 1e-4 * rng.standard_normal(x.size)
+            problem.gradient(x)
+            problem.hessian_banded(x)
+            assert problem._index is index
+        full = copy.copy(problem)
+        full._touched, full._last = slice(None), None
+        full.gradient(x)
+        assert full._index is not index and full._index[0] is full._touched
+        assert problem._index is index
 
 
 def _per_row(problem):
