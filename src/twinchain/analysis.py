@@ -276,8 +276,9 @@ def save_profile(fit: DecayFit, path, header=None):
     lines.append(f"rate={g17 % fit.rate},amplitude={g17 % fit.amplitude},"
                  f"r_squared={g17 % fit.r_squared}")
     lines.append("i,deviation,log_deviation,fitted_value")
-    fitted = fit.predict(fit.profile[:, 0]).tolist()
-    for (i, d), f in zip(fit.profile.tolist(), fitted):
-        lines.append("%.17g,%.17g,%.17g,%.17g" % (i, d, math.log(d), f))
+    # fit.predict per value, as numpy's exp of one value and of a whole
+    # column may differ in the last bit on some CPUs
+    for i, d in fit.profile.tolist():
+        lines.append("%.17g,%.17g,%.17g,%.17g" % (i, d, math.log(d), fit.predict(i)))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -20,7 +20,8 @@ nodes,
               + sum_m d_m d2f_m/dz2,
 
 the first term one batched product over the (8 x nodes) rows of each
-center.  The last is a few scalars linear in the j-moments of d, times the
+center.  The first two terms are summed as P + P^T from their halves P, so
+the Hessian is symmetric bit for bit.  The last is a few scalars linear in the j-moments of d, times the
 constant y blocks, t'_s or t_s . t_r, less the rotating frame's
 d2t/dtheta2 = -t on the theta diagonal.  The gradient takes dD/dW in closed
 form from the 2x2 blocks of d and its j-moments A_k: A_0 through dW/dy, and
@@ -69,6 +70,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -345,24 +347,25 @@ class ChainProblem:
         fk, d = _bracket_parts(q, r, X, B1, B2, self.template.wells)
         gz, G = _reduced_gradient(W, d, t, self.nodes, self.weights)
         p.inner = p.B = None
-        p.t, p.slope = t, (W, fk, d, B1 + B2, G)
-        dofs, keep = self._scatter()[:2]
+        p.t, p.slope = t, _Slope(W, fk, d, B1 + B2, G)
+        index = self._scatter()
         # the rule's weights already carry the full row sum, so only `scale` remains
-        p.grad = self.scale * np.bincount(dofs, weights=(gz @ self._z)[keep],
+        p.grad = self.scale * np.bincount(index.grad_dofs,
+                                          weights=(gz @ self._z)[index.grad_keep],
                                           minlength=self.ndof)
 
     def _hessian_stage(self, p):
-        W, fk, d, B, G = p.slope
-        t = p.t
+        sl, t = p.slope, p.t
         p.slope = p.t = None
-        Hz = _reduced_hessian(W, fk, d, B, G, t, self.nodes, self.weights)
+        Hz = _reduced_hessian(sl.W, sl.fk, sl.d, sl.B, sl.G, t, self.nodes, self.weights)
         H = Hz.reshape(len(Hz), -1) @ self._zz
         # blocks of s dofs: each stencil entry lies within one block or couples
         # it to the next.  The upper triangle of each stencil Hessian goes,
         # entry (r, c), into D[r // s] or U[r // s], and D's is mirrored; the
         # pad dofs of the last block get an identity diagonal
-        block, keep, s, m = self._scatter()[2:]
-        blocks = self.scale * np.bincount(block, weights=H[keep],
+        index = self._scatter()
+        s, m = index.s, index.m
+        blocks = self.scale * np.bincount(index.block, weights=H[index.upper],
                                           minlength=(2 * m - 1) * s * s)
         D, U = blocks[:m * s * s].reshape(m, s, s), blocks[m * s * s:].reshape(m - 1, s, s)
         r, c = np.tril_indices(s, -1)
@@ -372,11 +375,9 @@ class ChainProblem:
         p.blocks = D, U
 
     def _scatter(self):
-        """Where the derivative stages put each touched center's entries: the
-        gradient's dofs and mask over (centers, 3 nd), and the Hessian's flat
-        block indices and mask over (centers, 3 nd, 3 nd), with the block size
-        s and count m.  Built once per value of `_touched`."""
-        if self._index is None or self._index[0] is not self._touched:
+        """The `_Scatter` of the touched centers, built once per value of
+        `_touched`."""
+        if self._index is None or self._index.touched is not self._touched:
             dofs = self._dofs[self._touched]
             keep = dofs >= 0
             s = max(min(3 * self.nd - 1, self.ndof - 1), 1)
@@ -384,9 +385,9 @@ class ChainProblem:
             row, col = dofs[:, :, None], dofs[:, None, :]
             upper = (row >= 0) & (col >= row)
             block = (col // s - row // s) * m * s * s + row * s + col % s
-            self._index = (self._touched, dofs[keep], keep,
-                           block[upper], upper.reshape(len(dofs), -1), s, m)
-        return self._index[1:]
+            self._index = _Scatter(self._touched, dofs[keep], keep,
+                                   block[upper], upper.reshape(len(dofs), -1), s, m)
+        return self._index
 
     # -- public evaluations -------------------------------------------------
     # arrays are returned as copies, so a caller that changes one leaves the
@@ -406,6 +407,26 @@ class ChainProblem:
         return D.copy(), U.copy()
 
 
+class _Scatter(NamedTuple):
+    """Where the derivative stages put the touched centers' entries."""
+    touched: object         # the `_touched` it was built for
+    grad_dofs: np.ndarray   # the gradient's dof of each kept entry
+    grad_keep: np.ndarray   # mask of free entries over (centers, 3 nd)
+    block: np.ndarray       # flat index into D, U of each kept Hessian entry
+    upper: np.ndarray       # mask of the kept upper triangle over (centers, (3 nd)^2)
+    s: int                  # block size
+    m: int                  # block count
+
+
+class _Slope(NamedTuple):
+    """What the gradient stage leaves for the Hessian stage, per touched center."""
+    W: np.ndarray    # the node stencil
+    fk: np.ndarray   # f - alpha_k
+    d: np.ndarray    # dD/df
+    B: np.ndarray    # B1 + B2
+    G: np.ndarray    # the theta vectors, None with fixed tau
+
+
 @dataclass(eq=False)
 class _Point:
     """One x and what a ChainProblem has evaluated there.
@@ -420,7 +441,7 @@ class _Point:
     energy: float
     inner: tuple          # W, q, r, X: the stencil and the brackets' inner terms
     B: tuple              # B1, B2
-    slope: tuple = None   # W, f_k, d, B1 + B2 and the theta vectors G
+    slope: _Slope = None
     grad: np.ndarray = None
     blocks: tuple = None  # D, U
 
@@ -472,12 +493,13 @@ def _reduced_hessian(W, fk, d, B, G, t, nodes, weights):
 
     Per node, with Phi = df/dz and psi_k = Phi^T f_k,
 
-        d2D/dz2 = 2 (B_1 + B_2) Phi^T Phi + 4 (psi_1 psi_2^T + psi_2 psi_1^T)
-                  + sum_m d_m d2f_m/dz2 - [G_s . t_s on the theta diagonal].
+        d2D/dz2 = P + P^T + sum_m d_m d2f_m/dz2 - [G_s . t_s on the theta diagonal],
+              P = (B_1 + B_2) Phi^T Phi + 4 psi_1 psi_2^T.
 
-    Phi = phi @ T over the node features phi (`_phi_table`).  The first two
-    terms are one batched product over (8 nodes) rows; the third is linear in
-    the j-moments of d (`_curvature_table`); the last is the rotating frame,
+    Phi = phi @ T over the node features phi (`_phi_table`).  P's first term
+    is one batched product over (8 nodes) rows, and P + P^T is symmetric bit
+    for bit, as are the terms after it; sum_m d_m d2f_m/dz2 is linear in the
+    j-moments of d (`_curvature_table`); the last is the rotating frame,
     d2t/dtheta2 = -t, contracted with the gradient's G.  t and G are None
     with fixed tau, where z holds only y.
     """
@@ -491,10 +513,10 @@ def _reduced_hessian(W, fk, d, B, G, t, nodes, weights):
         phi = np.concatenate([W.reshape(nc, nn, 8), D, nodes[:, None] * D], axis=-1)
     Phi = (phi @ T).reshape(nc, nn, 8, nz)
     psi = Phi.swapaxes(-1, -2) @ fk
-    Phi_w = Phi * (2.0 * weights * B)[..., None, None]
+    Phi_w = Phi * (weights * B)[..., None, None]
     H = Phi_w.reshape(nc, nn * 8, nz).swapaxes(1, 2) @ Phi.reshape(nc, nn * 8, nz)
-    S = (4.0 * weights[:, None] * psi[..., 0]).swapaxes(1, 2) @ psi[..., 1]
-    H += S + S.swapaxes(1, 2)
+    H += (4.0 * weights[:, None] * psi[..., 0]).swapaxes(1, 2) @ psi[..., 1]
+    H = H + H.swapaxes(1, 2)
     coef = (_row_moments(nodes, weights, top) @ d).reshape(nc, -1) @ CT
     H[:, :4, :4] += coef[:, :16].reshape(nc, 4, 4)
     if t is not None:
