@@ -32,7 +32,7 @@ def parse_args():
 def main():
     args = parse_args()
     wells = build_wells(args.a)
-    F = boundary_gradient(wells, 0.5).F
+    F = boundary_gradient(wells, 0.5)
     h = args.height
     L = CLAMP_RATIO * h
     entries = []

@@ -218,7 +218,7 @@ def cmd_scan(cfg: ExperimentConfig) -> int:
 def cmd_layers(cfg: ExperimentConfig) -> int:
     head = cfg.header()
     wells = build_wells(cfg.a)
-    F = boundary_gradient(wells, cfg.lam).F
+    F = boundary_gradient(wells, cfg.lam)
     height = 6 if cfg.quick else 16
     L = CLAMP_RATIO * height
     seq = (4, 6) if cfg.quick else (8, 12, 16)

@@ -165,22 +165,19 @@ class EnergyBreakdown:
 
 def _breakdown(local, n, lam, a):
     # every sum is an fsum, the correctly rounded exact sum, so the order and
-    # grouping of its terms never shows.  A grid row whose values are bitwise
-    # equal (each center of a fixed-tau chain at theta = 0) is summed in O(1):
-    # its sum width * x is one correctly rounded multiply, and its exact value
-    # splits into two floats for the total.  Other rows go site by site, one
-    # list at a time: a whole-grid tolist() would hold 32 bytes per site.  A
-    # column broadcast has equal rows by construction, so none is scanned
+    # grouping of its terms never shows.  Each row of a column broadcast (a
+    # fixed-tau chain at theta = 0) is summed in O(1): its sum width * x is one
+    # correctly rounded multiply, and its exact value splits into two floats
+    # for the total.  A dense grid goes site by site, one list at a time (a
+    # whole-grid tolist() would hold 32 bytes per site); a relaxed variable-tau
+    # grid has no constant row to shortcut
     width = local.shape[1]
     x = local[:, 0]
     # fsum of exact zeros is +0.0 (the sum of a row of -0.0); adding fsum's
     # own result for -0.0 keeps every other value as it is
     with np.errstate(over="ignore"):
         col_sums = width * x + math.fsum([-0.0])
-    flat = np.isfinite(col_sums)
-    if broadcast_column(local) is None:
-        bits = local.view(np.int64)
-        flat &= (bits == bits[:, :1]).all(axis=1)
+    flat = np.isfinite(col_sums) & (broadcast_column(local) is not None)
     varying = np.flatnonzero(~flat)
     for k in varying:
         col_sums[k] = math.fsum(local[k].tolist())
@@ -320,9 +317,9 @@ def local_energy_threshold_census(bd: EnergyBreakdown, threshold) -> ThresholdCe
 def save_breakdown(bd: EnergyBreakdown, path, header=None):
     """Delimited-text export: summary record, then the local(i, j) matrix.
 
-    Rows are written as they are formatted.  A row whose values are bitwise
-    equal (so -0.0 and +0.0 differ) formats its one cell once and repeats
-    it; a column-broadcast grid has only such rows, so none is scanned.
+    Rows are written as they are formatted.  A row of a column-broadcast
+    grid formats its one cell once and repeats it; a dense grid's rows are
+    formatted cell by cell.
     """
     g17 = "%.17g"
     with open(path, "w") as fh:
@@ -335,8 +332,7 @@ def save_breakdown(bd: EnergyBreakdown, path, header=None):
         flat = broadcast_column(bd.local) is not None
         fh.write("i\\j," + ",".join(str(j - bd.n) for j in range(width)) + "\n")
         for k, first in enumerate(bd.local[:, 0].tolist()):
-            bits = bd.local[k].view(np.int64)
-            if flat or (bits == bits[0]).all():
+            if flat:
                 cell = g17 % first
                 body = (cell + ",") * (width - 1) + cell
             else:

@@ -32,6 +32,7 @@ __all__ = [
     "ChainState",
     "LatticeField",
     "AdmissibilityViolation",
+    "piecewise_chain",
     "affine_chain",
     "reconstruct",
     "extract_chain",
@@ -94,12 +95,6 @@ class BoundaryClamp:
     r_left: np.ndarray
     V_right: np.ndarray
     r_right: np.ndarray
-
-    @classmethod
-    def affine(cls, F, r=(0.0, 0.0)):
-        F = _locked(F)
-        r = _locked(r)
-        return cls(V_left=F, r_left=r, V_right=F, r_right=r)
 
     @classmethod
     def pieces(cls, V_left, r_left, V_right, r_right):
@@ -177,17 +172,38 @@ class ChainState:
                        theta=self.theta if theta is None else np.asarray(theta, dtype=float))
 
 
+def piecewise_chain(n, wells, columns, gradients, offset=(0.0, 0.0)):
+    """Continuous piecewise-affine chain, clamped to its first and last pieces.
+
+    gradients[k] applies on the columns (columns[k-1], columns[k]], the first
+    and last pieces running out to the ghosts.  The first piece carries
+    `offset`; each later one the offset that meets the piece before it at
+    their shared column c: r[k+1] = r[k] + (V[k] - V[k+1]) [c lam, 0].
+    """
+    geom = LatticeGeometry(n=n)
+    lam = geom.lambda_n
+    if len(gradients) != len(columns) + 1:
+        raise ValueError(f"{len(columns)} columns need {len(columns) + 1} gradients, "
+                         f"got {len(gradients)}")
+    if not (all(-n <= c <= n for c in columns)
+            and all(lo < hi for lo, hi in zip(columns, columns[1:]))):
+        raise ValueError(f"columns must strictly increase inside [-{n}, {n}], got {columns}")
+    V = [np.asarray(g, dtype=float) for g in gradients]
+    r = [np.asarray(offset, dtype=float)]
+    for k, c in enumerate(columns):
+        r.append(r[k] + (V[k] - V[k + 1]) @ np.array([c * lam, 0.0]))
+    ids = geom.atom_ids()
+    x = np.stack([ids * lam, np.zeros_like(ids, dtype=float)], axis=-1)
+    piece = np.searchsorted(columns, ids)
+    u = np.stack([x @ Vk.T + rk for Vk, rk in zip(V, r)])[piece, np.arange(ids.size)]
+    return ChainState(geometry=geom, wells=wells,
+                      bc=BoundaryClamp.pieces(V[0], r[0], V[-1], r[-1]),
+                      u=u, theta=np.zeros(geom.atom_count))
+
+
 def affine_chain(n, wells, V, offset=(0.0, 0.0)):
     """Chain sampling the affine map V*x + offset, clamped to the same map."""
-    geom = LatticeGeometry(n=n)
-    V = np.asarray(V, dtype=float)
-    offset = np.asarray(offset, dtype=float)
-    bc = BoundaryClamp.affine(V, offset)
-    ids = geom.atom_ids()
-    x = np.stack([ids * geom.lambda_n, np.zeros_like(ids, dtype=float)], axis=-1)
-    u = x @ V.T + offset
-    theta = np.zeros(geom.atom_count)
-    return ChainState(geometry=geom, wells=wells, bc=bc, u=u, theta=theta)
+    return piecewise_chain(n, wells, [], [V], offset)
 
 
 @dataclass(frozen=True, eq=False)

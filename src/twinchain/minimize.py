@@ -77,12 +77,11 @@ import numpy as np
 from .energy import brackets, slot_stencil
 from .lattice import (
     ORIENTATION_TOL,
-    BoundaryClamp,
     ChainState,
-    LatticeGeometry,
     cross2,
+    piecewise_chain,
 )
-from .wells import WellPair
+from .wells import WellPair, boundary_gradient
 
 __all__ = [
     "MinimizeOptions",
@@ -209,6 +208,8 @@ class ChainProblem:
                          else np.asarray(sorted(free_ids), dtype=int))
         if self.free_ids.size == 0:
             raise ValueError("no free atoms")
+        if np.any(np.diff(self.free_ids) == 0):
+            raise ValueError("free atoms must not repeat")
         if np.abs(self.free_ids).max() >= n:
             raise ValueError("free atoms must be interior columns")
         self.i_lo, self.i_hi = i_window if i_window is not None else (-n, n)
@@ -696,21 +697,12 @@ def newton_minimize(chain: ChainState, opts: MinimizeOptions = None, *,
 def twin_chain(n, wells: WellPair, interface_column: int = 0) -> ChainState:
     """Laminate of the two variants meeting at one column, clamped to itself.
 
-    Left branch samples U0 x, right branch Q U1 x + c with c chosen so both
-    branches agree at the interface atom; tau is uniform.
+    U0 x on the columns up to the interface, Q U1 x + c beyond it, with c
+    chosen so both branches agree at the interface atom; tau is uniform.
     """
     if abs(interface_column) >= n:
         raise ValueError(f"interface column {interface_column} outside (-{n}, {n})")
-    geom = LatticeGeometry(n=n)
-    lam = geom.lambda_n
-    A, B = wells.U0, wells.QU1
-    offset = (A - B) @ np.array([interface_column * lam, 0.0])
-    bc = BoundaryClamp.pieces(A, np.zeros(2), B, offset)
-    ids = geom.atom_ids()
-    x = np.stack([ids * lam, np.zeros_like(ids, dtype=float)], axis=-1)
-    u = np.where((ids <= interface_column)[:, None], x @ A.T, x @ B.T + offset)
-    return ChainState(geometry=geom, wells=wells, bc=bc,
-                      u=u, theta=np.zeros(geom.atom_count))
+    return piecewise_chain(n, wells, [interface_column], [wells.U0, wells.QU1])
 
 
 def laminate_chain(n, wells: WellPair, lam_fraction: float,
@@ -718,38 +710,18 @@ def laminate_chain(n, wells: WellPair, lam_fraction: float,
     """Two-phase chain compatible with the mixed boundary gradient F.
 
     The interior splits into a U0 piece and a Q U1 piece whose widths carry
-    volume fractions (1 - lam, lam); offsets make the profile continuous at
-    both clamped ends exactly.  variant 0 orders [U0 | QU1] (interface near
-    x = 1 - 2 lam), variant 1 mirrors it.  When the exact interface does not
-    land on an atom the nearest column takes the midpoint of the two branches.
+    volume fractions (1 - lam, lam), between F clamps at both ends: the
+    piecewise chain [F | A | B | F] on the columns [-n, x_int n, n].  variant
+    0 orders [U0 | QU1] (interface at x_int = 1 - 2 lam), variant 1 mirrors it.
     """
-    from .wells import boundary_gradient
-
     if not 0.0 < lam_fraction < 1.0:
         raise ValueError("volume fraction must lie strictly inside (0, 1)")
-    bg = boundary_gradient(wells, lam_fraction)
-    geom = LatticeGeometry(n=n)
-    lam = geom.lambda_n
-    width = n * lam
+    if variant not in (0, 1):
+        raise ValueError(f"variant must be 0 or 1, got {variant!r}")
+    F = boundary_gradient(wells, lam_fraction)
     A, B = (wells.U0, wells.QU1) if variant == 0 else (wells.QU1, wells.U0)
-    x_int = (1.0 - 2.0 * lam_fraction) * (1 if variant == 0 else -1) * width
-    cA = (bg.F - A) @ np.array([-width, 0.0])
-    cB = (bg.F - B) @ np.array([width, 0.0])
-    ids = geom.atom_ids()
-    x = np.stack([ids * lam, np.zeros_like(ids, dtype=float)], axis=-1)
-    left = x @ A.T + cA
-    right = x @ B.T + cB
-    xi = ids * lam
-    u = np.where((xi < x_int - 0.5 * lam)[:, None], left,
-                 np.where((xi > x_int + 0.5 * lam)[:, None], right,
-                          0.5 * (left + right)))
-    # clamp columns carry the mixed map itself; the branch formulas agree with
-    # it exactly at i = +-n but drift in the ghost columns beyond
-    clamped = np.abs(ids) >= n
-    u[clamped] = x[clamped] @ bg.F.T
-    bc = BoundaryClamp.affine(bg.F)
-    return ChainState(geometry=geom, wells=wells, bc=bc,
-                      u=u, theta=np.zeros(geom.atom_count))
+    x_int = (1.0 - 2.0 * lam_fraction) * (1 if variant == 0 else -1)
+    return piecewise_chain(n, wells, [-n, x_int * n, n], [F, A, B, F])
 
 
 def preoptimize_middle(chain: ChainState) -> ChainState:

@@ -25,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "WellPair",
-    "BoundaryGradient",
     "rotation",
     "build_wells",
     "boundary_gradient",
@@ -109,20 +108,12 @@ def build_wells(a: float) -> WellPair:
                     Qtilde=_locked(Qt), tau=_locked(tau))
 
 
-@dataclass(frozen=True)
-class BoundaryGradient:
-    """Convex combination F = (1-lam) U0 + lam Q U1 imposed at the lateral boundary."""
-
-    lam: float
-    F: np.ndarray
-
-
-def boundary_gradient(wells: WellPair, lam: float) -> BoundaryGradient:
+def boundary_gradient(wells: WellPair, lam: float) -> np.ndarray:
+    """The boundary mixture F = (1-lam) U0 + lam Q U1, locked."""
     lam = float(lam)
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"volume fraction must lie in [0, 1], got {lam!r}")
-    F = (1.0 - lam) * wells.U0 + lam * (wells.Q @ wells.U1)
-    return BoundaryGradient(lam=lam, F=_locked(F))
+    return _locked((1.0 - lam) * wells.U0 + lam * (wells.Q @ wells.U1))
 
 
 def dist_to_well(M, U):

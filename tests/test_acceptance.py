@@ -334,7 +334,7 @@ def test_criterion_09_layer_consistency(wells, minimizer100):
     rel = abs(est.value - h1) / h1
     zero = estimate_layer(LayerSpec("C", wells.U0, wells.U0, (0.0, 0.0), 18, 6),
                           wells, n_sequence=(4, 6))
-    F = boundary_gradient(wells, 0.5).F
+    F = boundary_gradient(wells, 0.5)
     total, parts = estimate_EK([F, wells.U0, wells.QU1, F], wells, n=6,
                                n_sequence=(4, 6))
     kinds = [spec.kind for spec, _ in parts]

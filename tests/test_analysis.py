@@ -30,6 +30,7 @@ from twinchain.lattice import (
     LatticeGeometry,
     affine_chain,
     check_admissible,
+    piecewise_chain,
     reconstruct,
 )
 from twinchain.minimize import (MinimizeOptions, laminate_chain, newton_minimize,
@@ -205,6 +206,25 @@ class TestInterfaces:
         recs = interface_positions(cls, 1e-6)
         assert len(recs) == 1
         assert recs[0].x == pytest.approx(2 / 8)
+
+    @pytest.mark.parametrize("n, columns", [(10, (-5, 3)), (40, (-10, 10)),
+                                            (40, (-33, 21))])
+    def test_three_piece_chain_matches_the_cumulative_sum(self, wells, n, columns):
+        # [U0 | QU1 | U0]: cell i spans atoms i, i + 1 and takes the piece of i + 1
+        c1, c2 = columns
+        chain = piecewise_chain(n, wells, list(columns), [wells.U0, wells.QU1, wells.U0])
+        ref = pattern_chain([int(c1 <= i < c2) for i in range(-n, n)], wells, n)
+        assert np.allclose(chain.u, ref.u, rtol=0.0, atol=1e-14)
+        assert np.array_equal(chain.theta, ref.theta)
+        assert np.array_equal(chain.bc.V_left, ref.bc.V_left)
+        assert np.array_equal(chain.bc.V_right, ref.bc.V_right)
+        assert np.array_equal(chain.bc.r_left, ref.bc.r_left)
+        assert np.allclose(chain.bc.r_right, ref.bc.r_right, rtol=0.0, atol=1e-14)
+        assert check_admissible(reconstruct(chain)) == []
+        recs = interface_positions(classify(chain, wells), 1e-8)
+        assert [(r.left_well, r.right_well, r.width_in_atoms) for r in recs] == [
+            (0, 1, 0), (1, 0, 0)]
+        assert [r.x for r in recs] == pytest.approx([c1 / n, c2 / n], abs=1e-15)
 
     def test_uniform_state_has_none(self, wells):
         cls = classify(affine_chain(8, wells, wells.U0), wells)

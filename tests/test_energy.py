@@ -210,7 +210,8 @@ def _signed_zero_rows(rng, m):
 
 
 class TestBreakdownSums:
-    """_breakdown sums constant rows in O(1); every sum must keep its bits."""
+    """_breakdown sums each row of a column broadcast in O(1) and a dense grid
+    site by site; every sum must keep its bits."""
 
     @pytest.mark.parametrize("make", [
         _constant_rows, _mixed_rows, _signed_zero_rows,
@@ -222,6 +223,18 @@ class TestBreakdownSums:
         lam = 1.0 / n
         for _ in range(20):
             self._assert_bitwise(make(rng, 2 * n + 1), n, lam)
+
+    @pytest.mark.parametrize("zeros", [False, True], ids=["mixed-decades", "signed-zeros"])
+    def test_column_broadcast_matches_site_wise_fsum_bit_for_bit(self, rng, zeros):
+        n = 6
+        m = 2 * n + 1
+        for _ in range(20):
+            col = _constant_rows(rng, m)[:, 0]
+            if zeros:
+                col[[0, 3]], col[5] = -0.0, 0.0
+            local = np.broadcast_to(col[:, None], (m, m))
+            assert energy_mod.broadcast_column(local) is not None
+            self._assert_bitwise(local, n, 1.0 / n)
 
     def test_relaxed_twin(self, minimizer100):
         bd = chain_energy(minimizer100)
@@ -345,7 +358,7 @@ class TestCensus:
     def test_peak_memory_stays_near_the_grid(self, wells):
         # every one of the 801^2 sites is above the threshold; the count takes
         # a byte per site, where a list of the sites would take about 100
-        bd = chain_energy(affine_chain(400, wells, boundary_gradient(wells, 0.5).F))
+        bd = chain_energy(affine_chain(400, wells, boundary_gradient(wells, 0.5)))
         tracemalloc.start()
         try:
             census = local_energy_threshold_census(bd, default_jump_threshold(wells))

@@ -31,7 +31,7 @@ def wells():
 
 @pytest.fixture(scope="module")
 def f_half(wells):
-    return boundary_gradient(wells, 0.5).F
+    return boundary_gradient(wells, 0.5)
 
 
 class TestStripAndTranslation:
@@ -342,7 +342,7 @@ class TestLayerEstimates:
         # at lambda = 0.9 moving atom -1 onto U0 flips a triangle of cell -2,
         # which lies outside the counted window; the solve must fall back to
         # the ramp start, whose value is unchanged
-        F = boundary_gradient(wells, 0.9).F
+        F = boundary_gradient(wells, 0.9)
         chain, problem = _layer_problem("B_plus", F, wells.U0, (0.0, 0.0), 96, 8,
                                         wells)
         x = problem.pack(chain)
@@ -415,7 +415,7 @@ class TestEstimateEK:
         # the ramp start trapped both B layers near 1.0e3 here; atom -1 on
         # the counted side's map starts them at their zero-energy state
         wells = build_wells(2.0)
-        F = boundary_gradient(wells, 0.5).F
+        F = boundary_gradient(wells, 0.5)
         _, parts = estimate_EK([F, wells.U0, wells.QU1, F], wells, n=6,
                                n_sequence=(4, 6))
         for _, est in (parts[0], parts[2]):

@@ -14,6 +14,7 @@ from twinchain.lattice import (
     check_admissible,
     extract_chain,
     load_chain,
+    piecewise_chain,
     reconstruct,
     save_chain,
 )
@@ -66,9 +67,43 @@ class TestChainValidation:
 
     def test_shape_mismatch_rejected(self, wells):
         geom = LatticeGeometry(n=4)
+        bc = BoundaryClamp.pieces(wells.U0, (0.0, 0.0), wells.U0, (0.0, 0.0))
         with pytest.raises(ValueError, match="shape"):
-            ChainState(geometry=geom, wells=wells, bc=BoundaryClamp.affine(wells.U0),
+            ChainState(geometry=geom, wells=wells, bc=bc,
                        u=np.zeros((3, 2)), theta=np.zeros(geom.atom_count))
+
+
+class TestPiecewiseChain:
+    def test_pieces_meet_at_their_columns(self, wells):
+        lam = 0.1
+        V = [wells.U0, wells.QU1, wells.U0, wells.QU1]
+        chain = piecewise_chain(10, wells, [-4, 2, 6], V, offset=(0.2, -0.1))
+        ids = chain.geometry.atom_ids()
+        # atoms -12..-4, -3..2, 3..6 and 7..12
+        piece = np.repeat([0, 1, 2, 3], [9, 6, 4, 6])
+        # each cell's difference is the gradient of the piece of its right atom
+        h = np.diff(chain.u, axis=0) / lam
+        want = np.array([V[k] @ [1.0, 0.0] for k in piece[1:]])
+        assert np.allclose(h, want, rtol=0.0, atol=1e-13)
+        assert np.array_equal(chain.u[0], V[0] @ [ids[0] * lam, 0.0] + (0.2, -0.1))
+        # the clamps are the first and last pieces
+        assert np.array_equal(chain.bc.V_left, V[0])
+        assert np.array_equal(chain.bc.V_right, V[-1])
+        assert np.array_equal(chain.bc.r_left, (0.2, -0.1))
+        assert np.allclose(chain.bc.positions(ids[-3:], lam), chain.u[-3:],
+                           rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("columns, count", [
+        ([0], 1), ([0], 3), ([], 0), ([-2, 3], 2)])
+    def test_gradient_count_must_match(self, wells, columns, count):
+        with pytest.raises(ValueError, match="gradients"):
+            piecewise_chain(6, wells, columns, [wells.U0] * count)
+
+    @pytest.mark.parametrize("columns", [
+        [3, 3], [2, -1], [-7], [7], [0, 6.5], [np.nan]])
+    def test_columns_must_increase_inside_the_patch(self, wells, columns):
+        with pytest.raises(ValueError, match="strictly increase"):
+            piecewise_chain(6, wells, columns, [wells.U0] * (len(columns) + 1))
 
 
 class TestReconstruct:

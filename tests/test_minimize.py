@@ -115,7 +115,7 @@ class TestDerivatives:
         # variable tau.  The B kinds skip atom 0, next to the first free id;
         # B_minus is built as the point-reflected B_plus, with the clamps
         # swapped and the offset negated.  C frees the whole interior
-        F = boundary_gradient(wells, 0.5).F
+        F = boundary_gradient(wells, 0.5)
         chain, problem = _layer_problem(kind, F, wells.U0, (0.1, -0.05),
                                         6, 3, wells)
         assert list(problem.free_ids) == free_ids
@@ -249,7 +249,7 @@ def _evaluation_case(case, rng, wells):
         def make():
             return ChainProblem(chain, variable_tau=True)
     else:
-        F = boundary_gradient(wells, 0.5).F
+        F = boundary_gradient(wells, 0.5)
 
         def make():
             return _layer_problem("C", F, wells.U0, (0.1, -0.05), 24, 4, wells)[1]
@@ -318,7 +318,7 @@ class TestEvaluationPlumbing:
                 evaluations.append((name, len(bracket_calls) - before))
                 return out
             monkeypatch.setattr(ChainProblem, name, traced)
-        F = boundary_gradient(wells, 0.5).F
+        F = boundary_gradient(wells, 0.5)
         report, _ = _solve_layer("C", F, wells.U0, (0.1, -0.05), 24, 4, wells)
         assert report.converged
         names = [name for name, _ in evaluations]
@@ -330,7 +330,7 @@ class TestEvaluationPlumbing:
         # the largest problem of `twinchain layers` (C, L = 192, heights +-16):
         # a gradient and then the Hessian at its x peak within 1.1x of the
         # 6.0 MiB that one Hessian took when every evaluation was rebuilt
-        F = boundary_gradient(wells, 0.5).F
+        F = boundary_gradient(wells, 0.5)
         chain, problem = _layer_problem("C", F, wells.U0, (0.1, -0.05), 192, 16, wells)
         x = problem.pack(chain)
         tracemalloc.start()
@@ -353,7 +353,7 @@ class TestEvaluationPlumbing:
             method = getattr(ChainProblem, name)
             monkeypatch.setattr(ChainProblem, name, lambda self, x, method=method:
                                 evaluations.append(1) or method(self, x))
-        F = boundary_gradient(wells, 0.5).F
+        F = boundary_gradient(wells, 0.5)
         report, _ = _solve_layer("C", F, wells.U0, (0.1, -0.05), 24, 4, wells)
         assert report.converged
         assert len(evaluations) > 10
@@ -363,6 +363,8 @@ class TestEvaluationPlumbing:
         chain = twin_chain(6, wells)
         with pytest.raises(ValueError, match="free atoms must be interior"):
             ChainProblem(chain, free_ids=[0, 6])
+        with pytest.raises(ValueError, match="free atoms must not repeat"):
+            ChainProblem(chain, free_ids=[0, 0, 1])
         # past the constructor's check, apply's ChainState rejects a moved clamp
         problem = ChainProblem(chain)
         problem.free_ids = np.append(problem.free_ids, 6)
@@ -409,7 +411,7 @@ class TestTouchedCenters:
     def test_layer_problem_drops_its_outer_center(self, monkeypatch, rng, wells):
         # a B_plus layer counts centers 0..L+1; the stencil of L+1 (atoms L,
         # L+1, L+2) holds no free atom
-        F = boundary_gradient(wells, 0.5).F
+        F = boundary_gradient(wells, 0.5)
         chain, problem = _layer_problem("B_plus", F, wells.U0, (0.3, 0.0), 24, 4, wells)
         assert list(problem.centers[problem._touched]) == list(range(0, 25))
         seen = self._stage_centers(monkeypatch)
@@ -421,7 +423,7 @@ class TestTouchedCenters:
     def test_scatter_index_is_built_once_per_touched_set(self, rng, wells):
         # one index serves every evaluation of a problem; a copy sent to
         # every center builds its own and leaves the original's alone
-        F = boundary_gradient(wells, 0.5).F
+        F = boundary_gradient(wells, 0.5)
         chain, problem = _layer_problem("B_plus", F, wells.U0, (0.3, 0.0), 24, 4, wells)
         x = problem.pack(chain)
         problem.hessian_banded(x)
@@ -458,7 +460,7 @@ class TestRowRule:
             amplitude = np.tile([0.05 * chain.lam] * 2 + [0.02] * problem.variable_tau,
                                 problem.free_ids.size)
         else:
-            F = boundary_gradient(wells, 0.5).F
+            F = boundary_gradient(wells, 0.5)
             chain, problem = _layer_problem(shape, F, wells.U0, (0.1, -0.05), 12, 6, wells)
             amplitude = np.tile([0.05, 0.05, 0.02], problem.free_ids.size)
         assert problem.nodes.size == 5
@@ -487,7 +489,7 @@ class TestRowRule:
 
 def _admissibility_shape(shape, rng, wells):
     """(start chain, problem) for one free-atom layout of the solver."""
-    F = boundary_gradient(wells, 0.5).F
+    F = boundary_gradient(wells, 0.5)
     if shape == "fixed_tau":
         chain = random_chain(rng, n=8, dtheta=0.0, wells=wells)
         return chain, ChainProblem(chain)
@@ -526,7 +528,7 @@ class TestAdmissibility:
         # it flips only the cell on its far side (atoms -3..-1).  B_minus is
         # built as the reflected B_plus, so its shift is the reflection
         # (-u, theta) of the one that flipped cell 1 in the unreflected layout
-        F = boundary_gradient(wells, 0.5).F
+        F = boundary_gradient(wells, 0.5)
         chain, problem = _layer_problem(kind, F, wells.U0, (0.0, 0.0), 6, 3, wells)
         k = 3 * list(problem.free_ids).index(atom)
         x = problem.pack(chain)
@@ -781,7 +783,7 @@ class TestStoppingRule:
     def test_flat_layer_mode_stops_at_the_energy_floor(self, wells):
         # the kink position of a boundary layer at a small vertical offset is
         # nearly flat: |g| stalls near 1e-7 while E no longer moves
-        F = boundary_gradient(wells, 0.5).F
+        F = boundary_gradient(wells, 0.5)
         chain, problem = _layer_problem("B_plus", F, wells.U0, (0.0, 0.01), 12, 4, wells)
         report = newton_minimize(chain, problem=problem)
         assert report.converged
@@ -806,7 +808,31 @@ class TestPreoptimize:
         assert np.array_equal(tuned.u[mask], raw.u[mask])
 
 
+def _hand_written_twin(n, wells, column):
+    """The two-branch twin formula: U0 x up to the interface, Q U1 x + offset
+    beyond it, with the offset that joins them at the interface atom."""
+    lam = 1.0 / n
+    A, B = wells.U0, wells.QU1
+    offset = (A - B) @ np.array([column * lam, 0.0])
+    ids = np.arange(-n - 2, n + 3)
+    x = np.stack([ids * lam, np.zeros_like(ids, dtype=float)], axis=-1)
+    u = np.where((ids <= column)[:, None], x @ A.T, x @ B.T + offset)
+    return u, (A, np.zeros(2), B, offset)
+
+
 class TestConstructors:
+    # interior, far-off-centre and the `--lambda 0.3` / `--lambda 0.1` columns
+    @pytest.mark.parametrize("n, column", [
+        (8, 0), (8, 3), (8, -7), (40, -24), (40, 32), (40, -32), (50, -20),
+        (100, -60), (100, 80), (100, -40), (101, -40), (400, -240), (400, 320)])
+    def test_twin_matches_the_two_branch_formula_bit_for_bit(self, wells, n, column):
+        chain = twin_chain(n, wells, interface_column=column)
+        u, clamp = _hand_written_twin(n, wells, column)
+        assert np.array_equal(chain.u.view(np.int64), u.view(np.int64))
+        bc = chain.bc
+        for got, want in zip((bc.V_left, bc.r_left, bc.V_right, bc.r_right), clamp):
+            assert np.array_equal(got.view(np.int64), np.asarray(want).view(np.int64))
+
     def test_twin_interface_can_shift(self, wells):
         chain = twin_chain(8, wells, interface_column=2)
         assert check_admissible(reconstruct(chain)) == []
@@ -840,4 +866,9 @@ class TestConstructors:
             laminate_chain(20, wells, 0.0)
         with pytest.raises(ValueError):
             laminate_chain(20, wells, 1.0)
+
+    @pytest.mark.parametrize("variant", [-1, 2, 0.5])
+    def test_laminate_variant_validated(self, wells, variant):
+        with pytest.raises(ValueError, match="variant"):
+            laminate_chain(20, wells, 0.5, variant=variant)
 

@@ -123,18 +123,18 @@ class TestBoundaryGradient:
     @pytest.mark.parametrize("lam", [0.0, 0.25, 0.5, 1.0])
     def test_unit_determinant(self, lam):
         wells = build_wells(np.sqrt(2.0))
-        bg = boundary_gradient(wells, lam)
-        assert np.linalg.det(bg.F) == pytest.approx(1.0, abs=1e-13)
+        F = boundary_gradient(wells, lam)
+        assert np.linalg.det(F) == pytest.approx(1.0, abs=1e-13)
 
     def test_endpoints_hit_the_wells(self):
         wells = build_wells(np.sqrt(2.0))
-        assert np.allclose(boundary_gradient(wells, 0.0).F, wells.U0)
-        assert np.allclose(boundary_gradient(wells, 1.0).F, wells.QU1)
+        assert np.allclose(boundary_gradient(wells, 0.0), wells.U0)
+        assert np.allclose(boundary_gradient(wells, 1.0), wells.QU1)
 
     def test_maps_diagonal_to_tau(self):
         wells = build_wells(1.7)
         for lam in (0.1, 0.6, 0.9):
-            F = boundary_gradient(wells, lam).F
+            F = boundary_gradient(wells, lam)
             assert np.allclose(F @ [-1.0, 1.0], wells.tau, atol=1e-14)
 
     @pytest.mark.parametrize("lam", [-0.1, 1.5, np.nan])
