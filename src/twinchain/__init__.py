@@ -9,8 +9,7 @@ import importlib
 _EXPORTS = {
     "wells": ["WellPair", "build_wells", "boundary_gradient", "dist_to_well", "rotation"],
     "lattice": ["BoundaryClamp", "ChainState", "LatticeGeometry", "affine_chain",
-                "check_admissible", "extract_chain", "load_chain", "reconstruct",
-                "save_chain"],
+                "check_admissible", "load_chain", "reconstruct", "save_chain"],
     "energy": ["EnergyBreakdown", "chain_energy", "density", "lattice_energy",
                "save_breakdown"],
     "minimize": ["ChainProblem", "MinimizationReport", "MinimizeOptions",
@@ -18,9 +17,8 @@ _EXPORTS = {
     "analysis": ["DecayFit", "GoodLineFailure", "GoodLines", "InterfaceRecord",
                  "WellClassification", "classify", "deviation_profile", "find_good_lines",
                  "fit_exponential", "interface_positions"],
-    "gamma": ["AverageDownResult", "CutResult", "LayerEnergyEstimate", "LayerSpec",
-              "TranslatedChain", "average_down", "cut_and_extend", "estimate_EK",
-              "estimate_layer", "save_layer_estimates", "thin_strip_energy"],
+    "gamma": ["AverageDownResult", "LayerEnergyEstimate", "LayerSpec", "average_down",
+              "estimate_EK", "estimate_layer", "save_layer_estimates", "thin_strip_energy"],
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

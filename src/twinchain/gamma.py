@@ -1,14 +1,14 @@
-"""Layer energies and the reduction steps that feed them.
+"""Layer energies and the vertical averaging that feeds them.
 
-Three pieces live here.  `average_down` trades the full-height energy of a
+Two pieces live here.  `average_down` trades the full-height energy of a
 chain for a thin horizontal strip at a small premium, by scanning vertical
-translations.  `cut_and_extend` replaces everything beyond a well-shaped
-column with an exact affine tail.  `estimate_layer` / `estimate_EK` compute
-boundary-layer and internal-layer energies on rescaled half-open geometries
-by Newton descent with relaxed row directions (the chains' stopping rule),
-one solve per height with the clamp CLAMP_RATIO heights out.  The point
-reflection x -> -x, u -> -u keeps the lattice, the density and every layer
-window, so B_minus(A, B, r) = B_plus(B, A, -r) and C(A, B, r) = C(B, A, r).
+translations; it reports the translation j0 and the strip energy.
+`estimate_layer` / `estimate_EK` compute boundary-layer and internal-layer
+energies on rescaled half-open geometries by Newton descent with relaxed
+row directions (the chains' stopping rule), one solve per height with the
+clamp CLAMP_RATIO heights out.  The point reflection x -> -x, u -> -u keeps
+the lattice, the density and every layer window, so B_minus(A, B, r) =
+B_plus(B, A, -r) and C(A, B, r) = C(B, A, r).
 
 Layer profiles stay localized near the interface, so a profile relaxed at
 one height is close to the next height's solution.  Each height's solve
@@ -26,20 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import chain_energy, chain_local_grid, window_sum
-from .lattice import (GHOST, BoundaryClamp, ChainState, LatticeGeometry,
-                      check_admissible, reconstruct)
+from .energy import window_sum
+from .lattice import BoundaryClamp, ChainState, LatticeGeometry
 from .minimize import ChainProblem, newton_minimize
 from .wells import WellPair
 
 __all__ = [
     "AverageDownResult",
-    "CutResult",
     "LayerEnergyEstimate",
     "LayerSpec",
-    "TranslatedChain",
     "average_down",
-    "cut_and_extend",
     "estimate_EK",
     "estimate_layer",
     "save_layer_estimates",
@@ -71,38 +67,11 @@ def thin_strip_energy(chain: ChainState, m: int, j0: int = 0) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class TranslatedChain:
-    """Read-only view of a chain shifted down-left along the row direction.
-
-    Shifting by j0 maps site (i, j) of the view to (i + j0, j + j0) of the
-    parent.  The view exists because the shifted boundary columns are not
-    affine in general, so a standalone clamped chain cannot represent it.
-    """
-
-    chain: ChainState
-    j0: int
-
-    def local_grid(self, ids, j_rows):
-        ids = np.asarray(ids, dtype=int)
-        j_rows = np.asarray(j_rows, dtype=float)
-        return chain_local_grid(self.chain, ids + self.j0, j_rows + self.j0)
-
-    def generator_row(self, ids):
-        """Atom positions of the view's own j = 0 row."""
-        ids = np.asarray(ids, dtype=int)
-        chain = self.chain
-        u, theta = chain.atoms_at(ids + self.j0)
-        return u + self.j0 * chain.lam * chain.wells.tau_at(theta)
-
-
-@dataclass(frozen=True, eq=False)
 class AverageDownResult:
-    k: int
     j0: int
     input_energy: float
     strip_energy: float
     epsilon: float
-    view: TranslatedChain
 
 
 def average_down(chain: ChainState, m: int, epsilon: float) -> AverageDownResult:
@@ -113,7 +82,9 @@ def average_down(chain: ChainState, m: int, epsilon: float) -> AverageDownResult
     floor((2n+1)/(2m+1)) disjoint strips must come in under the average.
     The disjoint-strip scan runs first; if the winner still misses the
     bound (possible at small m, where the 1/m row weight inflates every
-    strip), every translation in range is tried before giving up.
+    strip), every translation in range is tried before giving up.  The
+    strip of translation j0 holds chain columns j0-n .. j0+n and rows
+    j0-m .. j0+m.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -137,131 +108,13 @@ def average_down(chain: ChainState, m: int, epsilon: float) -> AverageDownResult
         span = n - m
         sweep = {j: thin_strip_energy(chain, m, j) for j in range(-span, span + 1)}
         j0, best = min(sweep.items(), key=lambda kv: (kv[1], abs(kv[0])))
-        k = min(range(count), key=lambda kk: abs(centers[kk] - j0))
         if best > input_energy + epsilon:
             raise RuntimeError(
                 "no vertical translation meets the averaging bound: best strip "
                 f"{best:.6g} exceeds {input_energy:.6g} + {epsilon:g}")
 
-    return AverageDownResult(k=k, j0=int(j0), input_energy=input_energy,
-                             strip_energy=float(best), epsilon=float(epsilon),
-                             view=TranslatedChain(chain=chain, j0=int(j0)))
-
-
-# ---------------------------------------------------------------------------
-# horizontal cutting
-
-
-@dataclass(frozen=True)
-class CutRecord:
-    side: str
-    column: int
-    well_id: int
-    criterion: float
-
-
-@dataclass(frozen=True, eq=False)
-class CutResult:
-    chain: ChainState
-    cuts: tuple
-    energy_change: float
-
-
-def _nearest_well_column(candidates, wells, tol):
-    """(criterion, column, well id) of the candidate column nearest a well.
-
-    candidates: (column, its cell gradients) pairs, nearest the boundary
-    first.  A column's criterion is the max Frobenius distance of its cell
-    gradients to its nearer well (U0 on a tie).  Criteria within tol of the
-    best are rounding of one another, and the first of them wins.
-    """
-    scored = []
-    for r, grads in candidates:
-        d, wid = min((float(np.linalg.norm(grads - U, axis=(1, 2)).max()), wid)
-                     for wid, U in enumerate((wells.U0, wells.QU1)))
-        scored.append((d, r, wid))
-    best = min(d for d, _, _ in scored)
-    return next(score for score in scored if score[0] <= best + tol)
-
-
-def _cut_tie_tol(chain):
-    """Rounding scale of well distances: a cell gradient is a difference of
-    positions of size up to max|u|, over lam, so each entry carries about
-    eps * max|u| / lam; 64 times that covers the few operations after it."""
-    return 64.0 * np.finfo(float).eps * (1.0 + np.abs(chain.u).max() / chain.lam)
-
-
-def cut_and_extend(chain: ChainState, side: str = "right",
-                   alpha: float = 0.4) -> CutResult:
-    """Replace the chain beyond a near-well column with an exact affine tail.
-
-    Searches the ceil(n^alpha) columns nearest the chosen boundary for the
-    one whose cell gradients sit closest to a well (the one nearest the
-    boundary among distances equal up to rounding), requires that distance
-    to be below n^(-alpha/4), and splices in the well's affine map
-    from that column outward (angles reset to zero, clamp retargeted so the
-    result validates).  Raises if no column qualifies or if the splice
-    breaks orientation admissibility.  energy_change reports the rescaled
-    energy delta, which the caller treats as the width of the glue.
-    """
-    if side not in ("left", "right", "both"):
-        raise ValueError("side must be 'left', 'right' or 'both'")
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
-    sides = ("left", "right") if side == "both" else (side,)
-
-    e_in = chain_energy(chain).rescaled
-    work = chain
-    cuts = []
-    for s in sides:
-        n = work.n
-        lam = work.lam
-        wells = work.wells
-        geom = work.geometry
-        field = reconstruct(work)
-        reach = max(1, math.ceil(n ** alpha))
-        threshold = n ** (-alpha / 4.0)
-
-        if s == "right":
-            candidates = range(n - 1, n - 1 - reach, -1)
-        else:
-            candidates = range(-n + 1, -n + 1 + reach)
-        crit, r, wid = _nearest_well_column(
-            [(r, field.gradients[r + n]) for r in candidates], wells,
-            _cut_tie_tol(work))
-        if crit > threshold:
-            raise RuntimeError(
-                f"no column within {reach} of the {s} boundary is within "
-                f"{threshold:.3g} of a well (best {crit:.3g} at column {r})")
-
-        V = wells.U0 if wid == 0 else wells.QU1
-        u = work.u.copy()
-        theta = work.theta.copy()
-        anchor = u[geom.atom_index(r)]
-        if s == "right":
-            ids = np.arange(r + 1, n + GHOST + 1)
-            offset = anchor - V @ np.array([r * lam, 0.0])
-            bc = BoundaryClamp.pieces(work.bc.V_left, work.bc.r_left, V, offset)
-        else:
-            ids = np.arange(-n - GHOST, r)
-            offset = anchor - V @ np.array([r * lam, 0.0])
-            bc = BoundaryClamp.pieces(V, offset, work.bc.V_right, work.bc.r_right)
-        idx = geom.atom_index(ids)
-        u[idx] = anchor + np.outer((ids - r) * lam, V @ _E1)
-        theta[idx] = 0.0
-        theta[geom.atom_index(r)] = 0.0
-        work = ChainState(geometry=geom, wells=wells, bc=bc, u=u, theta=theta)
-
-        spoiled = check_admissible(reconstruct(work))
-        if spoiled:
-            raise RuntimeError(
-                f"affine tail at column {r} flips {len(spoiled)} cell triangles")
-        cuts.append(CutRecord(side=s, column=int(r), well_id=int(wid),
-                              criterion=float(crit)))
-
-    e_out = chain_energy(work).rescaled
-    return CutResult(chain=work, cuts=tuple(cuts),
-                     energy_change=float(e_out - e_in))
+    return AverageDownResult(j0=int(j0), input_energy=input_energy,
+                             strip_energy=float(best), epsilon=float(epsilon))
 
 
 # ---------------------------------------------------------------------------

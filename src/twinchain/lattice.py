@@ -35,7 +35,6 @@ __all__ = [
     "piecewise_chain",
     "affine_chain",
     "reconstruct",
-    "extract_chain",
     "check_admissible",
     "save_chain",
     "load_chain",
@@ -251,22 +250,6 @@ def reconstruct(chain: ChainState) -> LatticeField:
     gradients /= lam
     return LatticeField(chain=chain, positions=_locked(positions),
                         gradients=_locked(gradients))
-
-
-def extract_chain(field: LatticeField) -> ChainState:
-    """Recover the generating chain (row j = 0 plus column angles) from a field."""
-    chain = field.chain
-    n, lam = field.n, field.lam
-    jj0 = n + 1
-    u = field.positions[:, jj0]
-    tau_cols = (field.positions[:, jj0 + 1] - field.positions[:, jj0]) / lam
-    ref = chain.wells.tau
-    theta = np.arctan2(cross2(np.broadcast_to(ref, tau_cols.shape), tau_cols),
-                       tau_cols @ ref)
-    ids = chain.geometry.atom_ids()
-    theta = np.where(np.abs(ids) >= n, 0.0, theta)
-    return ChainState(geometry=chain.geometry, wells=chain.wells, bc=chain.bc,
-                      u=u, theta=theta)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import twinchain
-from twinchain import cli, gamma
+from twinchain import cli, gamma, lattice
 from twinchain.cli import ExperimentConfig, main, write_svg_polyline
 from twinchain.energy import chain_energy
 from twinchain.lattice import load_chain
@@ -163,6 +163,31 @@ class TestLayersAndDiagnose:
             "no row in band 'minus' satisfies the row-sum bound",
             "100,1.2960000000000001e-09,40401,201,-90,0,90,ok",
         ]
+
+
+class TestLatticeOracle:
+    # the reconstructed O(n^2) lattice is the tests' independent oracle only
+    @pytest.mark.parametrize("argv", [
+        ("minimize", "--n", 8, "--n", 12),
+        ("minimize", "--variable-tau", "--n", 8),
+        ("scan", "--n", 8, "--n", 12, "--n", 16),
+        ("diagnose", "--n", 8),
+        ("layers", "--quick"),
+    ], ids=["minimize", "minimize-variable-tau", "scan", "diagnose", "layers-quick"])
+    def test_no_command_builds_the_lattice(self, monkeypatch, tmp_path, argv):
+        oracle = (lattice.reconstruct, lattice.check_admissible)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a CLI command built the reconstructed lattice")
+
+        for module in twinchain._EXPORTS:
+            importlib.import_module(f"twinchain.{module}")
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "twinchain":
+                for attr, value in list(vars(module).items()):
+                    if any(value is f for f in oracle):
+                        monkeypatch.setattr(module, attr, refuse)
+        assert run(*argv, "--out", tmp_path) == 0
 
 
 class TestNonConvergence:
@@ -326,9 +351,12 @@ class TestStartup:
     def test_exports_are_the_submodule_objects(self):
         for module, names in twinchain._EXPORTS.items():
             submodule = importlib.import_module(f"twinchain.{module}")
+            # a stale __all__ name would break `from twinchain.<module> import *`
+            assert set(names) <= set(submodule.__all__)
+            assert all(hasattr(submodule, name) for name in submodule.__all__)
             for name in names:
                 assert getattr(twinchain, name) is getattr(submodule, name)
-        assert len(set(twinchain.__all__)) == len(twinchain.__all__) == 47
+        assert len(set(twinchain.__all__)) == len(twinchain.__all__) == 43
         assert set(twinchain.__all__) <= set(dir(twinchain))
 
     def test_unknown_name_raises(self):

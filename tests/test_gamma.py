@@ -1,7 +1,6 @@
-"""Layer energies, vertical averaging and affine tail splicing."""
+"""Layer energies and vertical averaging."""
 
 import functools
-import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,15 +8,14 @@ import pytest
 
 from chaingen import random_chain
 from twinchain import gamma, minimize
-from twinchain.energy import (chain_energy, field_local_grid, lattice_energy,
-                              stencil_grid)
-from twinchain.gamma import (CLAMP_RATIO, LayerSpec, TranslatedChain,
-                             _layer_problem, _solve_layer, average_down,
-                             cut_and_extend, estimate_EK, estimate_layer,
+from twinchain.energy import (chain_energy, chain_local_grid, field_local_grid,
+                              lattice_energy)
+from twinchain.gamma import (CLAMP_RATIO, LayerSpec, _layer_problem, _solve_layer,
+                             average_down, estimate_EK, estimate_layer,
                              save_layer_estimates, thin_strip_energy)
 from twinchain.lattice import (BoundaryClamp, ChainState, affine_chain,
                                check_admissible, reconstruct)
-from twinchain.minimize import MinimizeOptions, newton_minimize, twin_chain
+from twinchain.minimize import MinimizeOptions, twin_chain
 from twinchain.wells import boundary_gradient, build_wells
 
 # frozen reference: rescaled energy of the relaxed n=100 interface state
@@ -47,19 +45,9 @@ class TestStripAndTranslation:
         j0 = 3
         ids = np.arange(-5, 6)
         rows = np.arange(-6, 3)
-        view = TranslatedChain(chain=chain, j0=j0)
-        got = view.local_grid(ids, rows)
+        got = chain_local_grid(chain, ids + j0, rows + j0)
         want = grid[np.ix_(ids + j0 + 8, rows + j0 + 8)]
         assert np.abs(got - want).max() < 1e-10
-
-    def test_generator_row_reproduces_field_positions(self, rng, wells):
-        chain = random_chain(rng, n=8, du=0.03, dtheta=0.02, wells=wells)
-        field = reconstruct(chain)
-        view = TranslatedChain(chain=chain, j0=-2)
-        ids = np.arange(-6, 7)
-        got = view.generator_row(ids)
-        want = field.positions[field.pos_index(ids - 2, -2)]
-        assert np.abs(got - want).max() < 1e-12
 
 
 class TestAverageDown:
@@ -82,7 +70,6 @@ class TestAverageDown:
         H = chain_energy(chain).rescaled
         res = average_down(chain, 5, H / 2)
         assert res.strip_energy <= res.input_energy + res.epsilon
-        assert 0 <= res.k
         assert abs(res.j0) <= 35
 
     def test_row_concentration_leaves_a_cheap_strip(self, wells):
@@ -103,7 +90,7 @@ class TestAverageDown:
         res = average_down(chain, 3, H)
         ids = np.arange(-12, 13)
         rows = np.arange(-3, 4)
-        direct = float(res.view.local_grid(ids, rows).sum()) / 3
+        direct = float(chain_local_grid(chain, ids + res.j0, rows + res.j0).sum()) / 3
         assert direct == pytest.approx(res.strip_energy, rel=1e-12)
 
     def test_relaxed_interface_state_fails_the_precondition(self, minimizer100):
@@ -130,79 +117,6 @@ class TestAverageDown:
             eps = 1.05 * m * H / (n - m) + 1e-9
             res = average_down(chain, m, eps)
             assert res.strip_energy <= res.input_energy + eps
-
-
-class TestCutAndExtend:
-    def test_exact_twin_is_left_untouched(self, wells):
-        # tail rebuild follows a different float path: rounding only
-        chain = twin_chain(8, wells)
-        res = cut_and_extend(chain, side="right")
-        assert res.energy_change == 0.0
-        assert np.abs(res.chain.u - chain.u).max() < 1e-14
-        assert np.array_equal(res.chain.theta, chain.theta)
-        (cut,) = res.cuts
-        assert (cut.side, cut.column, cut.well_id) == ("right", 7, 1)
-        assert cut.criterion < 1e-12
-
-        left = cut_and_extend(chain, side="left")
-        assert left.cuts[0].column == -7
-        assert left.cuts[0].well_id == 0
-        assert np.abs(left.chain.u - chain.u).max() < 1e-14
-
-    @pytest.mark.parametrize("relaxed", [False, True], ids=["exact_twin_8", "relaxed_100"])
-    @pytest.mark.parametrize("side", ["left", "right"])
-    def test_pick_does_not_depend_on_the_gradient_route(self, wells, minimizer100,
-                                                        relaxed, side):
-        # on the exact twin every candidate column sits on a well up to
-        # rounding (3.6e-15 to 4.6e-15 at n = 8, left side), and the lattice
-        # and stencil routes round differently: only the tie rule makes their
-        # picks agree, on the column nearest the boundary
-        chain = minimizer100 if relaxed else twin_chain(8, wells)
-        n = chain.n
-        stencil = np.empty((2 * n + 1, 2 * n + 1, 2, 2))
-        for k, W in stencil_grid(chain):
-            stencil[k] = W[..., 2::-2, :].swapaxes(-1, -2)  # [h+ | v+], as classify reads it
-        reach = math.ceil(n ** 0.4)
-        cols = (range(n - 1, n - 1 - reach, -1) if side == "right"
-                else range(-n + 1, -n + 1 + reach))
-        tol = gamma._cut_tie_tol(chain)
-        picks = [gamma._nearest_well_column([(r, grads[r + n]) for r in cols], wells, tol)
-                 for grads in (reconstruct(chain).gradients, stencil)]
-        assert picks[0][1:] == picks[1][1:]
-        assert picks[0][1] == cut_and_extend(chain, side=side).cuts[0].column
-        if not relaxed:
-            assert picks[0][1] == cols[0]
-
-    def test_relaxed_interface_tails_cut_cleanly(self, minimizer100):
-        n = minimizer100.n
-        res = cut_and_extend(minimizer100, side="both", alpha=0.4)
-        assert abs(res.energy_change) < 0.01
-        assert not check_admissible(reconstruct(res.chain))
-        sides = {c.side: c for c in res.cuts}
-        assert sides["left"].well_id == 0
-        assert sides["right"].well_id == 1
-        threshold = n ** (-0.1)
-        for cut in res.cuts:
-            assert n - abs(cut.column) <= math.ceil(n ** 0.4)
-            assert cut.criterion <= threshold
-        # untouched between the two cut columns
-        lo, hi = sides["left"].column, sides["right"].column
-        ids = np.arange(lo, hi + 1)
-        idx = minimizer100.geometry.atom_index(ids)
-        assert np.array_equal(res.chain.u[idx], minimizer100.u[idx])
-
-    def test_boundary_gradient_state_has_no_cut_column(self, wells, f_half):
-        # every column sits ~0.67 from both wells, above the 100^-0.1 bar
-        chain = affine_chain(100, wells, f_half)
-        with pytest.raises(RuntimeError, match="no column within"):
-            cut_and_extend(chain, side="right")
-
-    def test_parameter_validation(self, wells):
-        chain = twin_chain(6, wells)
-        with pytest.raises(ValueError, match="side"):
-            cut_and_extend(chain, side="up")
-        with pytest.raises(ValueError, match="alpha"):
-            cut_and_extend(chain, alpha=1.5)
 
 
 class TestLayerSpec:

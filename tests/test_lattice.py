@@ -12,7 +12,6 @@ from twinchain.lattice import (
     LatticeGeometry,
     affine_chain,
     check_admissible,
-    extract_chain,
     load_chain,
     piecewise_chain,
     reconstruct,
@@ -140,10 +139,15 @@ class TestReconstruct:
         assert np.abs(right - wells.QU1).max() < 1e-12
 
     def test_extract_inverts_reconstruct(self, rng):
+        # row j = 0 is the generating chain, and each column's step from row
+        # 0 to row 1 is its rotated tau
         chain = random_chain(rng, n=6, dtheta=0.05)
-        back = extract_chain(reconstruct(chain))
-        assert np.abs(back.u - chain.u).max() < 1e-12
-        assert np.abs(back.theta - chain.theta).max() < 1e-12
+        field = reconstruct(chain)
+        ids = chain.geometry.atom_ids()
+        row0 = field.positions[field.pos_index(ids, 0)]
+        row1 = field.positions[field.pos_index(ids, 1)]
+        assert np.abs(row0 - chain.u).max() < 1e-12
+        assert np.abs((row1 - row0) / chain.lam - chain.tau_vectors).max() < 1e-12
 
     def test_positions_indexing(self, wells):
         chain = affine_chain(5, wells, wells.U0)
