@@ -18,10 +18,10 @@ variables (du, per-column tau vectors, row index j) without materializing the
 lattice.  They agree to rounding and cross-validate each other.  Both feed
 their differences to one bracket kernel (`brackets`), and the chain-variable
 stencil (`slot_stencil`) is the one the Newton derivatives differentiate.
-`stencil_grid` walks that stencil over the whole site grid once, and
-`stencil_map` turns the walk into the site grid of `chain_energy` and of the
-well classification in `analysis.classify`: a column broadcast when every
-center is flat, a dense grid otherwise.
+`stencil_map` is the one walk of that stencil over a site grid: the whole
+grid of `chain_energy` and of the well classification in `analysis.classify`,
+and the translated windows of `window_sum`.  It decides once per grid: a
+column broadcast when every stencil slope is zero, a dense grid otherwise.
 """
 
 from __future__ import annotations
@@ -38,15 +38,12 @@ __all__ = [
     "EnergyBreakdown",
     "brackets",
     "density",
-    "affine_stencil",
     "slot_stencil",
-    "stencil_grid",
     "stencil_map",
     "broadcast_column",
     "sites_reaching",
     "chain_energy",
     "lattice_energy",
-    "chain_local_grid",
     "field_local_grid",
     "window_sum",
     "local_energy_threshold_census",
@@ -89,20 +86,13 @@ def density(vdiffs, hdiffs, wells):
     return float(out) if out.ndim == 0 else out
 
 
-def affine_stencil(chain: ChainState, ids):
+def slot_stencil(u, theta, lam, wells):
     """The stencil W = base + j * slope as (base, slope, t), each row-independent.
 
-    ids: chain indices of the summand centers (1D).  base and slope hold the
-    difference vectors [v+, v-, h+, h-], shape (len(ids), 4, 2); t holds the
-    extension vectors t = R(theta) tau of the stencil's slots (m = atom i-1,
-    c = atom i, p = atom i+1, in that order), shape (len(ids), 3, 2).
+    u (3, c, 2) and theta (3, c): the slot atoms m = i-1, c = i, p = i+1 of c
+    centers.  base and slope hold [v+, v-, h+, h-], shape (c, 4, 2); t holds
+    the slots' extension vectors t = R(theta) tau, shape (c, 3, 2).
     """
-    u, theta = chain.atoms_at(np.asarray(ids) + np.array([[-1], [0], [1]]))
-    return slot_stencil(u, theta, chain.lam, chain.wells)
-
-
-def slot_stencil(u, theta, lam, wells):
-    """`affine_stencil` from the slot atoms: u (3, m, 2) and theta (3, m), slots m, c, p."""
     u_m, u_c, u_p = u
     t_m, t_c, t_p = wells.tau_at(theta)
 
@@ -114,14 +104,6 @@ def slot_stencil(u, theta, lam, wells):
     base = np.stack([du_p + t_p, du_m - t_m, du_p, du_m], axis=1)
     slope = np.stack([dt_p, dt_m, dt_p, dt_m], axis=1)
     return base, slope, np.stack([t_m, t_c, t_p], axis=1)
-
-
-def chain_local_grid(chain: ChainState, ids, j_rows):
-    """Per-site densities evaluated in chain variables; shape (len(ids), len(j_rows))."""
-    base, slope, _ = affine_stencil(chain, ids)
-    j = np.asarray(j_rows, dtype=float)[None, :, None, None]
-    W = base[:, None] + j * slope[:, None]
-    return density(W[..., :2, :], W[..., 2:, :], chain.wells)
 
 
 def field_local_grid(field: LatticeField):
@@ -142,68 +124,53 @@ def field_local_grid(field: LatticeField):
 
 @dataclass(frozen=True, eq=False)
 class EnergyBreakdown:
-    """Per-site energies and their reductions.
+    """Per-site energies, their row sums and the total.
 
     local[k, l] is the density at chain index i = k - n, row j = l - n.
     For a chain whose centers are all flat (fixed tau, zero angles) it is a
     read-only broadcast of one density per column, O(n) in memory; otherwise
-    a dense grid.  total = lam^2 * sum(local); rescaled = total / lam.
+    a dense grid.  row_sums[l] sums row j = l - n over the columns;
+    total = lam^2 * sum(local); rescaled = total / lam.
     """
 
     local: np.ndarray
     row_sums: np.ndarray
-    col_sums: np.ndarray
     total: float
     rescaled: float
     n: int
     lam: float
     a: float
 
-    def local_at(self, i, j):
-        return self.local[i + self.n, j + self.n]
-
 
 def _breakdown(local, n, lam, a):
     # every sum is an fsum, the correctly rounded exact sum, so the order and
-    # grouping of its terms never shows.  Each row of a column broadcast (a
-    # fixed-tau chain at theta = 0) is summed in O(1): its sum width * x is one
-    # correctly rounded multiply, and its exact value splits into two floats
-    # for the total.  A dense grid goes site by site, one list at a time (a
-    # whole-grid tolist() would hold 32 bytes per site); a relaxed variable-tau
-    # grid has no constant row to shortcut
-    width = local.shape[1]
-    x = local[:, 0]
-    # fsum of exact zeros is +0.0 (the sum of a row of -0.0); adding fsum's
-    # own result for -0.0 keeps every other value as it is
-    with np.errstate(over="ignore"):
-        col_sums = width * x + math.fsum([-0.0])
-    flat = np.isfinite(col_sums) & (broadcast_column(local) is not None)
-    varying = np.flatnonzero(~flat)
-    for k in varying:
-        col_sums[k] = math.fsum(local[k].tolist())
-    if varying.size:
-        row_sums = np.array([math.fsum(col.tolist()) for col in local.T])
-    else:
-        row_sums = np.full(width, math.fsum(x.tolist()))
-    total = lam * lam * math.fsum(itertools.chain(
-        _exact_multiples(x[flat], width),
-        itertools.chain.from_iterable(local[k].tolist() for k in varying)))
-    return EnergyBreakdown(local=local, row_sums=row_sums, col_sums=col_sums,
-                           total=total, rescaled=total / lam, n=n, lam=lam, a=a)
+    # grouping of its terms never shows; a dense grid goes one list at a time
+    # (a whole-grid tolist() would hold 32 bytes per site)
+    x = broadcast_column(local)
+    row_sums = (np.array([math.fsum(col.tolist()) for col in local.T]) if x is None
+                else np.full(local.shape[1], math.fsum(x.tolist())))
+    total = lam * lam * _site_sum(local)
+    return EnergyBreakdown(local, row_sums, total, total / lam, n, lam, a)
 
 
-def _exact_multiples(x, width):
-    """Floats whose exact sum is sum(width * x), for finite x and width < 2^26.
+def _site_sum(local):
+    """fsum of every site of the grid, row by row.
 
-    Dekker's split x = hi + lo with hi the top 26 significand bits and lo the
-    remaining 27 (exact: masking, then a Sterbenz subtraction).  width * hi
-    and width * lo then need at most 52 and 53 bits, so both products are
-    exact, barring overflow.
+    A column broadcast whose width * x stays finite sums each row in O(1):
+    Dekker's split x = hi + lo, hi the top 26 significand bits and lo the
+    remaining 27 (exact: masking, then a Sterbenz subtraction), leaves
+    width * hi and width * lo at most 52 and 53 bits for width < 2^26, so
+    both products are exact and their sum is the row's exact sum.
     """
+    x = broadcast_column(local)
+    width = local.shape[1]
+    with np.errstate(over="ignore"):
+        if x is None or not np.isfinite(width * x).all():
+            return math.fsum(itertools.chain.from_iterable(row.tolist() for row in local))
     hi = (x.view(np.int64) & ~np.int64((1 << 27) - 1)).view(np.float64)
     lo = x - hi
     # a zero lo adds nothing, and leaving it out keeps the sign of a -0.0 total
-    return (width * hi).tolist() + (width * lo[lo != 0.0]).tolist()
+    return math.fsum((width * hi).tolist() + (width * lo[lo != 0.0]).tolist())
 
 
 # sites per stencil block: bounds the stencil and bracket temporaries
@@ -211,45 +178,31 @@ def _exact_multiples(x, width):
 _GRID_BLOCK = 1 << 15
 
 
-def stencil_grid(chain: ChainState):
-    """Walk the (2n+1)^2 site grid as (k, W): grid rows k = i + n, stencils W.
+def stencil_map(chain: ChainState, per_site, dtype=float, ids=None, rows=None):
+    """The grid of per_site(k, W) over centers ids and rows (both default -n..n).
 
-    W = [v+, v-, h+, h-] has shape (len(k), rows, 4, 2).  A center whose
-    stencil slope is exactly zero (fixed tau and theta = 0 on its three
-    columns) is the same on every row, so it comes once with rows = 1 and the
-    caller broadcasts it down the column; the other centers come with all
-    2n+1 rows, in blocks of about _GRID_BLOCK sites.
+    W = [v+, v-, h+, h-] holds the stencils of centers ids[k], shape (len(k),
+    rows, 4, 2); per_site returns one value per stencil, shape (len(k), rows).
+    An index past the chain reads the clamp.  If every slope is exactly zero
+    (fixed tau, theta = 0) per_site sees each center once (rows = 1) and the
+    grid is a read-only broadcast of one value per column (row stride 0, see
+    `broadcast_column`).  Otherwise it is dense, filled in _GRID_BLOCK blocks.
     """
-    ids = np.arange(-chain.n, chain.n + 1)
-    base, slope, _ = affine_stencil(chain, ids)
-    flat = ~slope.any(axis=(1, 2))
-    yield np.flatnonzero(flat), base[flat, None]
-    rest = np.flatnonzero(~flat)
-    j = ids.astype(float)[None, :, None, None]
-    step = max(1, _GRID_BLOCK // ids.size)
-    for k in range(0, rest.size, step):
-        blk = rest[k:k + step]
-        yield blk, base[blk, None] + j * slope[blk, None]
-
-
-def stencil_map(chain: ChainState, per_site, dtype=float):
-    """The (2n+1)^2 grid of per_site(k, W) over the blocks of `stencil_grid`.
-
-    per_site returns one value per stencil, shape (len(k), rows).  When every
-    center is flat the grid is a read-only broadcast of one value per column
-    (row stride 0, see `broadcast_column`), so it costs O(n); otherwise it is
-    a dense, writeable grid.
-    """
-    size = 2 * chain.n + 1
-    blocks = stencil_grid(chain)
-    k, W = next(blocks)
-    flat = per_site(k, W)
-    if k.size == size:
-        return np.broadcast_to(flat.astype(dtype, copy=False), (size, size))
-    grid = np.empty((size, size), dtype=dtype)
-    grid[k] = flat
-    for k, W in blocks:
-        grid[k] = per_site(k, W)
+    full = np.arange(-chain.n, chain.n + 1)
+    ids = full if ids is None else np.asarray(ids)
+    rows = full if rows is None else np.asarray(rows)
+    u, theta = chain.atoms_at(ids + np.array([[-1], [0], [1]]))
+    base, slope, _ = slot_stencil(u, theta, chain.lam, chain.wells)
+    k = np.arange(ids.size)
+    shape = (ids.size, rows.size)
+    if not slope.any():
+        return np.broadcast_to(per_site(k, base[:, None]).astype(dtype, copy=False), shape)
+    grid = np.empty(shape, dtype=dtype)
+    j = rows.astype(float)[None, :, None, None]
+    step = max(1, _GRID_BLOCK // rows.size)
+    for lo in range(0, ids.size, step):
+        blk = k[lo:lo + step]
+        grid[blk] = per_site(blk, base[blk, None] + j * slope[blk, None])
     return grid
 
 
@@ -270,11 +223,16 @@ def sites_reaching(local, level):
     return np.full(local.shape[1], np.count_nonzero(col >= level))
 
 
+def _chain_densities(chain: ChainState, ids=None, rows=None):
+    """`stencil_map` of the density: the chain-variable site grid."""
+    return stencil_map(
+        chain, lambda k, W: density(W[..., :2, :], W[..., 2:, :], chain.wells),
+        ids=ids, rows=rows)
+
+
 def chain_energy(chain: ChainState) -> EnergyBreakdown:
     """Total energy evaluated directly in chain variables, off `stencil_map`."""
-    local = stencil_map(
-        chain, lambda k, W: density(W[..., :2, :], W[..., 2:, :], chain.wells))
-    return _breakdown(local, chain.n, chain.lam, chain.wells.a)
+    return _breakdown(_chain_densities(chain), chain.n, chain.lam, chain.wells.a)
 
 
 def lattice_energy(field: LatticeField) -> EnergyBreakdown:
@@ -285,10 +243,8 @@ def lattice_energy(field: LatticeField) -> EnergyBreakdown:
 
 def window_sum(chain: ChainState, i_lo, i_hi, j_lo, j_hi, weight=1.0):
     """weight * sum of local densities over the index window (compensated)."""
-    ids = np.arange(i_lo, i_hi + 1)
-    rows = np.arange(j_lo, j_hi + 1)
-    local = chain_local_grid(chain, ids, rows)
-    return weight * math.fsum(local.ravel(order="C"))
+    local = _chain_densities(chain, np.arange(i_lo, i_hi + 1), np.arange(j_lo, j_hi + 1))
+    return weight * _site_sum(local)
 
 
 def default_jump_threshold(wells):

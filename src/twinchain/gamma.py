@@ -48,7 +48,10 @@ LAYER_KINDS = ("B_plus", "B_minus", "C")
 
 # clamp distance of a layer solve in units of its height, L = CLAMP_RATIO * n;
 # interface forces keep the far columns warm (averaged tail energy 2.6e-5 to
-# 8.9e-3 at this clamp), so estimates are compared at one fixed L/n
+# 8.9e-3 at this clamp), so estimates are compared at one fixed L/n.  L/n is the
+# convergence parameter of a family whose L/n = 1 layer C is the variable-tau
+# twin chain; layer C's E_inf (heights 40, 80, 160) is 28.4351114 at 12 (0.57 s
+# for heights 10..160, 2-core machine) and 28.4351047 at 24 (1.04 s)
 CLAMP_RATIO = 12
 
 

@@ -1,4 +1,5 @@
-"""Random admissible chains and Hessian layouts shared by the test modules.
+"""Random admissible chains, a site-grid oracle and Hessian layouts shared by
+the test modules.
 
 The solver's Hessian is block tridiagonal: diagonal blocks D (m, s, s) and
 superdiagonal blocks U (m - 1, s, s) over dofs padded to m * s.
@@ -9,6 +10,7 @@ input of `scipy.linalg.solveh_banded`, the reference solver.
 
 import numpy as np
 
+from twinchain.energy import density, slot_stencil
 from twinchain.lattice import affine_chain, check_admissible, reconstruct
 from twinchain.minimize import twin_chain
 from twinchain.wells import build_wells
@@ -45,6 +47,21 @@ def random_chain(rng, n=8, a=None, base="twin", du=0.05, dtheta=None, wells=None
         du *= 0.5
         dtheta *= 0.5
     raise RuntimeError("could not generate an admissible perturbation")
+
+
+def center_stencils(chain, ids):
+    """(base, slope, t) of `slot_stencil` at the centers ids (1D)."""
+    u, theta = chain.atoms_at(np.asarray(ids) + np.array([[-1], [0], [1]]))
+    return slot_stencil(u, theta, chain.lam, chain.wells)
+
+
+def chain_local_grid(chain, ids, j_rows):
+    """Per-site densities in chain variables, shape (len(ids), len(j_rows)):
+    the whole window in one piece, with no flat/dense split and no blocks."""
+    base, slope, _ = center_stencils(chain, ids)
+    j = np.asarray(j_rows, dtype=float)[None, :, None, None]
+    W = base[:, None] + j * slope[:, None]
+    return density(W[..., :2, :], W[..., 2:, :], chain.wells)
 
 
 def blocks_to_dense(D, U, ndof):

@@ -9,12 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twinchain.energy as energy_mod
-from chaingen import random_chain
+from chaingen import center_stencils, chain_local_grid, random_chain
 from twinchain.energy import (
     EnergyBreakdown,
-    affine_stencil,
     chain_energy,
-    chain_local_grid,
     default_jump_threshold,
     density,
     field_local_grid,
@@ -122,8 +120,7 @@ class TestDualRoute:
 
     def test_local_grids_agree_elementwise(self, rng):
         chain = random_chain(rng, n=6, dtheta=0.1)
-        ids = np.arange(-6, 7)
-        g1 = chain_local_grid(chain, ids, ids)
+        g1 = chain_energy(chain).local
         g2 = field_local_grid(reconstruct(chain))
         assert g1.shape == g2.shape == (13, 13)
         assert np.abs(g1 - g2).max() < 1e-10
@@ -139,10 +136,11 @@ class TestTwinEnergy:
     def test_energy_lives_on_interface_column(self, wells):
         bd = chain_energy(twin_chain(8, wells))
         n = bd.n
-        assert np.abs(bd.col_sums[:n]).max() < 1e-20
-        assert np.abs(bd.col_sums[n + 1:]).max() < 1e-20
+        col_sums = bd.local.sum(axis=1)
+        assert np.abs(col_sums[:n]).max() < 1e-20
+        assert np.abs(col_sums[n + 1:]).max() < 1e-20
         for j in (-8, -3, 0, 5, 8):
-            assert bd.local_at(0, j) == pytest.approx(36.3609, rel=1e-12)
+            assert bd.local[n, j + n] == pytest.approx(36.3609, rel=1e-12)
 
     def test_rescaled_total_frozen(self, wells):
         bd = chain_energy(twin_chain(8, wells))
@@ -157,18 +155,11 @@ class TestBreakdown:
         bd = chain_energy(chain)
         m = 2 * bd.n + 1
         assert bd.local.shape == (m, m)
-        assert bd.row_sums.shape == bd.col_sums.shape == (m,)
+        assert bd.row_sums.shape == (m,)
         raw = math.fsum(bd.local.ravel())
         assert math.fsum(bd.row_sums) == pytest.approx(raw, rel=1e-13)
-        assert math.fsum(bd.col_sums) == pytest.approx(raw, rel=1e-13)
         assert bd.total == pytest.approx(bd.lam ** 2 * raw, rel=1e-13)
         assert bd.rescaled == pytest.approx(bd.total / bd.lam, rel=1e-14)
-
-    def test_local_at_matches_storage(self, rng):
-        chain = random_chain(rng, n=6)
-        bd = chain_energy(chain)
-        assert bd.local_at(-6, 6) == bd.local[0, 12]
-        assert bd.local_at(0, 0) == bd.local[6, 6]
 
     def test_window_sum_partitions_total(self, wells, rng):
         chain = random_chain(rng, n=6)
@@ -182,10 +173,9 @@ class TestBreakdown:
 
 
 def _site_wise_sums(local, lam):
-    """The reference reduction: three fsum passes over every site."""
+    """The reference reduction: two fsum passes over every site."""
     row_sums = np.array([math.fsum(col.tolist()) for col in local.T])
-    col_sums = np.array([math.fsum(row.tolist()) for row in local])
-    return row_sums, col_sums, lam * lam * math.fsum(local.ravel().tolist())
+    return row_sums, lam * lam * math.fsum(local.ravel().tolist())
 
 
 def _constant_rows(rng, m):
@@ -243,32 +233,33 @@ class TestBreakdownSums:
     @staticmethod
     def _assert_bitwise(local, n, lam):
         bd = energy_mod._breakdown(local, n, lam, np.sqrt(2.0))
-        row_sums, col_sums, total = _site_wise_sums(local, lam)
+        row_sums, total = _site_wise_sums(local, lam)
         assert np.array_equal(bd.row_sums.view(np.int64), row_sums.view(np.int64))
-        assert np.array_equal(bd.col_sums.view(np.int64), col_sums.view(np.int64))
         assert bd.total.hex() == total.hex()
 
 
 class TestFlatColumns:
-    """chain_energy evaluates zero-slope centers once; the grid must not move."""
+    """stencil_map evaluates each center once when every slope is zero and fills
+    a dense grid otherwise, also when only some centers tilt; the grid must
+    not move."""
 
     @staticmethod
     def _flat_count(chain):
-        _, slope, _ = affine_stencil(chain, np.arange(-chain.n, chain.n + 1))
+        _, slope, _ = center_stencils(chain, np.arange(-chain.n, chain.n + 1))
         return int((~slope.any(axis=(1, 2))).sum())
 
     def _assert_matches_row_grid(self, chain, monkeypatch):
         n = chain.n
         ids = np.arange(-n, n + 1)
         ref = chain_local_grid(chain, ids, ids)
-        # 4 centers per block: the non-flat centers run in several ragged blocks
+        # 4 centers per block: a dense grid runs in several ragged blocks
         monkeypatch.setattr(energy_mod, "_GRID_BLOCK", 4 * ids.size)
         bd = chain_energy(chain)
+        all_flat = self._flat_count(chain) == ids.size
+        assert (energy_mod.broadcast_column(bd.local) is not None) == all_flat
         assert np.array_equal(bd.local, ref)
         want_rows = [math.fsum(ref[:, l]) for l in range(ids.size)]
-        want_cols = [math.fsum(ref[k]) for k in range(ids.size)]
         assert bd.row_sums.tolist() == want_rows
-        assert bd.col_sums.tolist() == want_cols
         assert bd.total == chain.lam ** 2 * math.fsum(ref.ravel())
 
     def test_fixed_tau_twin_is_all_flat(self, rng, monkeypatch):
@@ -316,9 +307,8 @@ class TestColumnBroadcast:
             ref = chain_local_grid(minimizer400, ids, ids[lo:lo + 128])
             assert np.array_equal(bd.local[:, lo:lo + 128].view(np.int64),
                                   ref.view(np.int64))
-        row_sums, col_sums, total = _site_wise_sums(np.array(bd.local), bd.lam)
+        row_sums, total = _site_wise_sums(np.array(bd.local), bd.lam)
         assert np.array_equal(bd.row_sums.view(np.int64), row_sums.view(np.int64))
-        assert np.array_equal(bd.col_sums.view(np.int64), col_sums.view(np.int64))
         assert bd.total.hex() == total.hex()
 
     def test_variable_tau_chain_stays_dense_and_writeable(self, rng):
@@ -414,8 +404,8 @@ class TestExport:
         local[4] = -0.0                     # all -0.0
         local[5, 4] = np.nan                # NaN in a mixed row
         local[6] = np.nan                   # constant NaN row
-        bd = EnergyBreakdown(local=local, row_sums=np.zeros(7), col_sums=np.zeros(7),
-                             total=0.125, rescaled=0.375, n=n, lam=1.0 / 3.0, a=np.sqrt(2.0))
+        bd = EnergyBreakdown(local=local, row_sums=np.zeros(7), total=0.125,
+                             rescaled=0.375, n=n, lam=1.0 / 3.0, a=np.sqrt(2.0))
         for header in ("twin run", None):
             save_breakdown(bd, tmp_path / "new.csv", header=header)
             save_per_value(bd, tmp_path / "old.csv", header=header)

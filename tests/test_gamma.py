@@ -1,21 +1,22 @@
 """Layer energies and vertical averaging."""
 
 import functools
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from chaingen import random_chain
-from twinchain import gamma, minimize
-from twinchain.energy import (chain_energy, chain_local_grid, field_local_grid,
-                              lattice_energy)
+from chaingen import chain_local_grid, random_chain
+from twinchain import energy, gamma, minimize
+from twinchain.energy import chain_energy, field_local_grid, lattice_energy, window_sum
 from twinchain.gamma import (CLAMP_RATIO, LayerSpec, _layer_problem, _solve_layer,
                              average_down, estimate_EK, estimate_layer,
                              save_layer_estimates, thin_strip_energy)
 from twinchain.lattice import (BoundaryClamp, ChainState, affine_chain,
                                check_admissible, reconstruct)
-from twinchain.minimize import MinimizeOptions, twin_chain
+from twinchain.minimize import (MinimizeOptions, newton_minimize, preoptimize_middle,
+                                twin_chain)
 from twinchain.wells import boundary_gradient, build_wells
 
 # frozen reference: rescaled energy of the relaxed n=100 interface state
@@ -45,9 +46,66 @@ class TestStripAndTranslation:
         j0 = 3
         ids = np.arange(-5, 6)
         rows = np.arange(-6, 3)
-        got = chain_local_grid(chain, ids + j0, rows + j0)
+        got = energy._chain_densities(chain, ids + j0, rows + j0)
         want = grid[np.ix_(ids + j0 + 8, rows + j0 + 8)]
         assert np.abs(got - want).max() < 1e-10
+
+
+def _oracle_window_sum(chain, i_lo, i_hi, j_lo, j_hi, weight=1.0):
+    """The former `window_sum`: one fsum over the whole window in one piece."""
+    local = chain_local_grid(chain, np.arange(i_lo, i_hi + 1), np.arange(j_lo, j_hi + 1))
+    return weight * math.fsum(local.ravel().tolist())
+
+
+def _oracle_strip(chain, m, j0):
+    n = chain.n
+    return _oracle_window_sum(chain, -n + j0, n + j0, j0 - m, j0 + m, weight=1.0 / m)
+
+
+class TestWindowsBitForBit:
+    """window_sum and thin_strip_energy read their windows off `stencil_map`;
+    each must keep the bits of the whole-window oracle on both of its paths."""
+
+    def test_relaxed_fixed_tau_twin_into_the_clamps(self, minimizer100):
+        chain, n = minimizer100, minimizer100.n
+        for m, j0 in ((10, 0), (10, 95), (10, -95), (30, 80), (n - 1, 1)):
+            # j0 near +-n puts columns and rows of the window past the chain
+            ids = np.arange(-n + j0, n + j0 + 1)
+            grid = energy._chain_densities(chain, ids, np.arange(j0 - m, j0 + m + 1))
+            assert energy.broadcast_column(grid) is not None
+            got = thin_strip_energy(chain, m, j0)
+            assert got.hex() == _oracle_strip(chain, m, j0).hex()
+
+    def test_variable_tau_chain_over_several_blocks(self, rng, wells):
+        n = 150
+        chain = random_chain(rng, n=n, dtheta=0.1 / n, wells=wells)
+        rows = np.arange(-n, n + 1)
+        # a default block holds fewer than half the centers: three or more blocks
+        assert 2 * (energy._GRID_BLOCK // rows.size) < rows.size
+        assert energy.broadcast_column(energy._chain_densities(chain, rows, rows)) is None
+        for window in ((-n, n, -n, n), (-n - 3, n - 40, -n + 7, n + 5), (0, 2 * n, -5, 5)):
+            got = window_sum(chain, *window, weight=0.25)
+            assert got.hex() == _oracle_window_sum(chain, *window, weight=0.25).hex()
+        for m, j0 in ((n, 0), (40, 90), (12, -130)):
+            assert thin_strip_energy(chain, m, j0).hex() == _oracle_strip(chain, m, j0).hex()
+
+    def test_few_rotated_columns(self, rng, wells, monkeypatch):
+        n = 8
+        chain = random_chain(rng, n=n, dtheta=0.0, wells=wells)
+        theta = chain.theta.copy()
+        theta[chain.geometry.atom_index([-5, 0, 3])] = (0.01, -0.02, 0.015)
+        chain = chain.with_arrays(theta=theta)
+        ids = np.arange(-n, n + 1)
+        assert energy.broadcast_column(energy._chain_densities(chain, ids, ids)) is None
+        # one center per block: the blocks cut between rotated and flat columns
+        monkeypatch.setattr(energy, "_GRID_BLOCK", 1)
+        for m in (1, 3, n):
+            for j0 in range(-n, n + 1):
+                got = thin_strip_energy(chain, m, j0)
+                assert got.hex() == _oracle_strip(chain, m, j0).hex()
+        # a window of flat columns only is a column broadcast again
+        assert energy.broadcast_column(
+            energy._chain_densities(chain, np.arange(6, 12), np.arange(-3, 4))) is not None
 
 
 class TestAverageDown:
@@ -175,6 +233,19 @@ class TestLayerEstimates:
         assert est.converged
         values = [e for _, e in est.n_sequence]
         assert values[0] > values[1] > values[2] > 0
+
+    def test_variable_tau_chain_is_layer_c_at_unit_clamp_ratio(self, wells):
+        # the chain at size n and layer C at L = n_v = n: the same free atoms
+        # and row window, and the layer's window centers +-(L + 1) touch only
+        # clamped atoms, so CLAMP_RATIO alone separates the two problems
+        n = 40
+        warm = preoptimize_middle(twin_chain(n, wells))
+        report = newton_minimize(warm, MinimizeOptions(variable_tau=True))
+        assert report.converged
+        chain = chain_energy(report.final_chain).rescaled
+        layer, _ = _solve_layer("C", wells.U0, wells.QU1, (0.0, 0.0), n, n, wells)
+        assert layer.converged
+        assert chain == pytest.approx(layer.energy_history[-1], rel=1e-13, abs=0.0)
 
     def test_mirrored_internal_layers_agree(self, wells):
         # the point reflection plus a translation by r maps C(A, B, r) onto

@@ -837,7 +837,7 @@ class TestConstructors:
         chain = twin_chain(8, wells, interface_column=2)
         assert check_admissible(reconstruct(chain)) == []
         bd = chain_energy(chain)
-        hot = np.nonzero(bd.col_sums > 1e-12)[0]
+        hot = np.nonzero(bd.local.sum(axis=1) > 1e-12)[0]
         assert list(hot) == [bd.n + 2]
 
     def test_twin_interface_bounds(self, wells):
