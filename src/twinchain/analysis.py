@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergyBreakdown, broadcast_column, sites_reaching, stencil_map
+from .energy import EnergyBreakdown, grid_lines, sites_reaching, stencil_map, uniform_columns
 from .lattice import ChainState
 from .wells import WellPair, dist_to_well
 
@@ -39,10 +39,9 @@ TIE_TOL = 1e-12
 class WellClassification:
     """Per-cell nearest well, and each column's largest distance to it.
 
-    well_id[k, l] (int8) labels the cell at chain index i = k - n, row
-    j = l - n with 0 or 1; an equidistant cell (within TIE_TOL) gets well 0.
-    For a chain whose centers are all flat it is a read-only broadcast of
-    one id per column; otherwise a dense grid.
+    well_id[k, l] (int8, laid out by `energy.stencil_map`) labels the cell at
+    chain index i = k - n, row j = l - n with 0 or 1; an equidistant cell
+    (within TIE_TOL) gets well 0.
     column_distance[k] is the largest orbit distance from a cell of column k
     to its labelled well.
     """
@@ -96,9 +95,7 @@ def interface_positions(cls: WellClassification, tol: float):
     if tol <= 0:
         raise ValueError("tol must be positive")
     n, ids = cls.n, cls.well_id
-    in_well = cls.column_distance <= tol
-    if broadcast_column(ids) is None:
-        in_well &= (ids == ids[:, :1]).all(axis=1)
+    in_well = (cls.column_distance <= tol) & uniform_columns(ids)
     runs = []  # (well, first_i, last_i)
     for k in np.flatnonzero(in_well).tolist():
         i, w = k - n, int(ids[k, 0])
@@ -241,29 +238,13 @@ def find_good_lines(bd: EnergyBreakdown, alpha: float = 0.4, delta: float = 0.1)
 
 
 def save_classification(cls: WellClassification, path, header=None):
-    """Integer matrix export of the per-cell well ids, written row by row.
-
-    A constant row is one of a few bodies, joined once per well id; a
-    column-broadcast grid has only such rows, so none is scanned.
-    """
-    width = 2 * cls.n + 1
-    ids = cls.well_id
-    flat = broadcast_column(ids) is not None
-    bodies = {}
+    """Integer matrix export of the per-cell well ids (`grid_lines`)."""
     with open(path, "w") as fh:
         if header:
             fh.write("# " + header + "\n")
         fh.write("# well-classification v1\n")
         fh.write(f"n={cls.n},lambda={'%.17g' % cls.lam}\n")
-        fh.write("i\\j," + ",".join(str(l - cls.n) for l in range(width)) + "\n")
-        for k, first in enumerate(ids[:, 0].tolist()):
-            if flat or (ids[k] == first).all():
-                body = bodies.get(first)
-                if body is None:
-                    body = bodies[first] = ",".join([str(first)] * width)
-            else:
-                body = ",".join(map(str, ids[k].tolist()))
-            fh.write(f"{k - cls.n},{body}\n")
+        fh.writelines(grid_lines(cls.well_id, cls.n, str))
 
 
 def save_profile(fit: DecayFit, path, header=None):

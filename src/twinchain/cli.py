@@ -248,7 +248,8 @@ def cmd_layers(cfg: ExperimentConfig) -> int:
     ]
     _write(cfg.out / "composition.txt", lines)
     # a failed height is nan, and its layer's value then comes from a lower height
-    failed = [f"{spec.kind} at n = {n_v}" for spec, est in (flat_entry, c, b_plus, b_minus)
+    failed = [f"{'flat C' if spec is flat else spec.kind} at n = {n_v}"
+              for spec, est in (flat_entry, c, b_plus, b_minus)
               for n_v, e in est.n_sequence if math.isnan(e)]
     if failed:
         print("layers has no converged solve for " + ", ".join(failed), file=sys.stderr)

@@ -22,6 +22,7 @@ stencil (`slot_stencil`) is the one the Newton derivatives differentiate.
 grid of `chain_energy` and of the well classification in `analysis.classify`,
 and the translated windows of `window_sum`.  It decides once per grid: a
 column broadcast when every stencil slope is zero, a dense grid otherwise.
+No other module reads that layout; they call this module's helpers for it.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +42,8 @@ __all__ = [
     "density",
     "slot_stencil",
     "stencil_map",
-    "broadcast_column",
+    "uniform_columns",
+    "grid_lines",
     "sites_reaching",
     "chain_energy",
     "lattice_energy",
@@ -124,33 +127,33 @@ def field_local_grid(field: LatticeField):
 
 @dataclass(frozen=True, eq=False)
 class EnergyBreakdown:
-    """Per-site energies, their row sums and the total.
+    """Per-site energies and the total; the row sums are built on first read.
 
     local[k, l] is the density at chain index i = k - n, row j = l - n.
     For a chain whose centers are all flat (fixed tau, zero angles) it is a
     read-only broadcast of one density per column, O(n) in memory; otherwise
-    a dense grid.  row_sums[l] sums row j = l - n over the columns;
-    total = lam^2 * sum(local); rescaled = total / lam.
+    a dense grid.  total = lam^2 * sum(local); rescaled = total / lam.
     """
 
     local: np.ndarray
-    row_sums: np.ndarray
     total: float
     rescaled: float
     n: int
     lam: float
     a: float
 
+    @cached_property
+    def row_sums(self):
+        """row_sums[l] = fsum of row j = l - n, built on first read (by `diagnose`)."""
+        x = broadcast_column(self.local)
+        if x is None:  # a list per row: a whole-grid tolist() holds 32 bytes per site
+            return np.array([math.fsum(col.tolist()) for col in self.local.T])
+        return np.full(self.local.shape[1], math.fsum(x.tolist()))
+
 
 def _breakdown(local, n, lam, a):
-    # every sum is an fsum, the correctly rounded exact sum, so the order and
-    # grouping of its terms never shows; a dense grid goes one list at a time
-    # (a whole-grid tolist() would hold 32 bytes per site)
-    x = broadcast_column(local)
-    row_sums = (np.array([math.fsum(col.tolist()) for col in local.T]) if x is None
-                else np.full(local.shape[1], math.fsum(x.tolist())))
     total = lam * lam * _site_sum(local)
-    return EnergyBreakdown(local, row_sums, total, total / lam, n, lam, a)
+    return EnergyBreakdown(local, total, total / lam, n, lam, a)
 
 
 def _site_sum(local):
@@ -211,11 +214,40 @@ def broadcast_column(grid):
     return grid[:, 0] if grid.strides[1] == 0 else None
 
 
+def uniform_columns(grid):
+    """Per chain column k, whether every site of grid[k] holds grid[k, 0]'s bits.
+
+    All True on a column broadcast; a dense grid is compared in _GRID_BLOCK
+    blocks, so no grid-sized temporary forms.  -0.0 next to +0.0 is not uniform.
+    """
+    if broadcast_column(grid) is not None:
+        return np.ones(grid.shape[0], dtype=bool)
+    bits = grid.view(f"u{grid.itemsize}")
+    step = max(1, _GRID_BLOCK // grid.shape[1])
+    return np.concatenate([(bits[lo:lo + step] == bits[lo:lo + step, :1]).all(axis=1)
+                           for lo in range(0, len(bits), step)])
+
+
+def grid_lines(grid, n, fmt):
+    """The text lines of a site grid: the `i\\j` header, then `i,cells` per column.
+
+    fmt formats one site value; a uniform column formats it once and repeats it.
+    """
+    width = grid.shape[1]
+    yield "i\\j," + ",".join(str(j - n) for j in range(width)) + "\n"
+    for k, (first, same) in enumerate(zip(grid[:, 0].tolist(), uniform_columns(grid).tolist())):
+        if same:
+            cell = fmt(first)
+            body = (cell + ",") * (width - 1) + cell
+        else:
+            body = ",".join(map(fmt, grid[k].tolist()))
+        yield f"{k - n},{body}\n"
+
+
 def sites_reaching(local, level):
     """Per row j, the number of sites with local >= level.
 
-    A column-broadcast grid is counted on one column, whose count every row
-    shares, so no (2n+1)^2 temporary forms.
+    A column broadcast counts one column, so no (2n+1)^2 temporary forms.
     """
     col = broadcast_column(local)
     if col is None:
@@ -271,12 +303,7 @@ def local_energy_threshold_census(bd: EnergyBreakdown, threshold) -> ThresholdCe
 
 
 def save_breakdown(bd: EnergyBreakdown, path, header=None):
-    """Delimited-text export: summary record, then the local(i, j) matrix.
-
-    Rows are written as they are formatted.  A row of a column-broadcast
-    grid formats its one cell once and repeats it; a dense grid's rows are
-    formatted cell by cell.
-    """
+    """Delimited-text export: summary record, then the local(i, j) matrix (`grid_lines`)."""
     g17 = "%.17g"
     with open(path, "w") as fh:
         if header:
@@ -284,13 +311,4 @@ def save_breakdown(bd: EnergyBreakdown, path, header=None):
         fh.write("# energy-breakdown v1\n")
         fh.write(f"n={bd.n},a={g17 % bd.a},lambda={g17 % bd.lam},"
                  f"total={g17 % bd.total},rescaled={g17 % bd.rescaled}\n")
-        width = bd.local.shape[1]
-        flat = broadcast_column(bd.local) is not None
-        fh.write("i\\j," + ",".join(str(j - bd.n) for j in range(width)) + "\n")
-        for k, first in enumerate(bd.local[:, 0].tolist()):
-            if flat:
-                cell = g17 % first
-                body = (cell + ",") * (width - 1) + cell
-            else:
-                body = ",".join(map(g17.__mod__, bd.local[k].tolist()))
-            fh.write(f"{k - bd.n},{body}\n")
+        fh.writelines(grid_lines(bd.local, bd.n, g17.__mod__))

@@ -404,8 +404,8 @@ class TestGoodLines:
             local[:, 0:5:2] = 0.5
             local[n, 1:5:2] = 100.0
         total = lam * lam * local.sum()
-        bd = EnergyBreakdown(local=local, row_sums=local.sum(axis=0), total=total,
-                             rescaled=total / lam, n=n, lam=lam, a=np.sqrt(2.0))
+        bd = EnergyBreakdown(local=local, total=total, rescaled=total / lam, n=n, lam=lam,
+                             a=np.sqrt(2.0))
         assert find_good_lines(bd) == GoodLineFailure(reason)
 
     def test_parameter_validation(self, wells):

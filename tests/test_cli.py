@@ -233,6 +233,22 @@ class TestNonConvergence:
             "layers has no converged solve for B_minus at n = 6"]
         assert (tmp_path / "composition.txt").is_file()
 
+    def test_failed_flat_layer_is_named_apart(self, monkeypatch, tmp_path, capsys):
+        # the flat U0|U0 layer and the internal U0|QU1 layer are both kind C;
+        # the failure line must say which one has no converged solve
+        solve = gamma._solve_layer
+
+        def failing(kind, V_left, V_right, r, L, n_v, wells, below=None):
+            if kind == "C" and np.array_equal(V_left, V_right) and n_v == 6:
+                return None, below
+            return solve(kind, V_left, V_right, r, L, n_v, wells, below)
+
+        monkeypatch.setattr(gamma, "_solve_layer", failing)
+        assert run("layers", "--quick", "--out", tmp_path) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "layers has no converged solve for flat C at n = 6"]
+        assert (tmp_path / "composition.txt").is_file()
+
     def test_start_at_the_gradient_stop_exits_1(self, tmp_path, capsys):
         # at a = 1.00001 the warm start already meets the gradient stop, so the
         # relaxed chain is its reference and every deviation is 0: no decay

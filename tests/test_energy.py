@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import twinchain.energy as energy_mod
 from chaingen import center_stencils, chain_local_grid, random_chain
+from twinchain.analysis import classify
 from twinchain.energy import (
     EnergyBreakdown,
     chain_energy,
@@ -230,12 +231,44 @@ class TestBreakdownSums:
         bd = chain_energy(minimizer100)
         self._assert_bitwise(bd.local, bd.n, bd.lam)
 
+    def test_row_sums_wait_for_their_first_read(self, rng):
+        bd = chain_energy(random_chain(rng, n=6, dtheta=0.1))
+        assert "row_sums" not in vars(bd)
+        row_sums, _ = _site_wise_sums(bd.local, bd.lam)
+        assert np.array_equal(bd.row_sums.view(np.int64), row_sums.view(np.int64))
+        assert vars(bd)["row_sums"] is bd.row_sums
+
     @staticmethod
     def _assert_bitwise(local, n, lam):
         bd = energy_mod._breakdown(local, n, lam, np.sqrt(2.0))
+        assert "row_sums" not in vars(bd)
         row_sums, total = _site_wise_sums(local, lam)
         assert np.array_equal(bd.row_sums.view(np.int64), row_sums.view(np.int64))
         assert bd.total.hex() == total.hex()
+
+
+class TestUniformColumns:
+    """uniform_columns: per chain column, whether every site holds its first bits."""
+
+    def test_broadcast_is_all_uniform(self, minimizer100, wells):
+        for grid in (chain_energy(minimizer100).local, classify(minimizer100, wells).well_id):
+            assert energy_mod.broadcast_column(grid) is not None
+            assert energy_mod.uniform_columns(grid).tolist() == [True] * grid.shape[0]
+
+    @pytest.mark.parametrize("dtype", [float, np.int8])
+    def test_dense_grid_marks_its_one_uniform_column(self, rng, monkeypatch, dtype):
+        grid = rng.integers(1, 100, size=(9, 9)).astype(dtype)
+        grid[:, 0] = 0  # every column differs from its first site
+        grid[4] = 7
+        # 2 columns per block: the comparison runs in several ragged blocks
+        monkeypatch.setattr(energy_mod, "_GRID_BLOCK", 2 * 9)
+        assert np.flatnonzero(energy_mod.uniform_columns(grid)).tolist() == [4]
+
+    def test_signed_zeros_are_not_uniform(self):
+        grid = np.zeros((3, 4))
+        grid[1, 2] = -0.0
+        grid[2] = -0.0
+        assert energy_mod.uniform_columns(grid).tolist() == [True, False, True]
 
 
 class TestFlatColumns:
@@ -404,8 +437,8 @@ class TestExport:
         local[4] = -0.0                     # all -0.0
         local[5, 4] = np.nan                # NaN in a mixed row
         local[6] = np.nan                   # constant NaN row
-        bd = EnergyBreakdown(local=local, row_sums=np.zeros(7), total=0.125,
-                             rescaled=0.375, n=n, lam=1.0 / 3.0, a=np.sqrt(2.0))
+        bd = EnergyBreakdown(local=local, total=0.125, rescaled=0.375, n=n, lam=1.0 / 3.0,
+                             a=np.sqrt(2.0))
         for header in ("twin run", None):
             save_breakdown(bd, tmp_path / "new.csv", header=header)
             save_per_value(bd, tmp_path / "old.csv", header=header)

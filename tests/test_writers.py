@@ -7,6 +7,7 @@ joined every row from its numpy values.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,8 +164,8 @@ def test_breakdown_signed_zeros(tmp_path, rng, view):
         local[3, 1::2] = 0.0
         local[4] = -0.0
         local[5] = col
-    bd = EnergyBreakdown(local=local, row_sums=np.zeros(7), total=-0.0,
-                         rescaled=0.375, n=3, lam=1.0 / 3.0, a=np.sqrt(2.0))
+    bd = EnergyBreakdown(local=local, total=-0.0, rescaled=0.375, n=3, lam=1.0 / 3.0,
+                         a=np.sqrt(2.0))
     assert_same_bytes(tmp_path, save_breakdown, bd)
 
 
@@ -175,3 +176,20 @@ def test_classification_one_mixed_row(tmp_path):
     well[4, 5:] = 1
     cls = WellClassification(well_id=well, column_distance=np.zeros(9), n=4, lam=0.25)
     assert_same_bytes(tmp_path, save_classification, cls)
+
+
+@pytest.mark.parametrize("writer, make", [
+    (save_breakdown, chain_energy),
+    (save_classification, lambda chain: classify(chain, build_wells(np.sqrt(2.0)))),
+], ids=["breakdown", "classification"])
+def test_grid_writer_memory_stays_below_a_body_per_column(tmp_path, minimizer400, writer, make):
+    # the 801 rows are written as they are formatted; keeping one formatted
+    # body per column would hold over 1 MiB (ids) and about 13 MiB (densities)
+    grid = make(minimizer400)
+    tracemalloc.start()
+    try:
+        writer(grid, tmp_path / "grid.csv", header="twin")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
