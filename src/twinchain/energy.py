@@ -18,11 +18,15 @@ variables (du, per-column tau vectors, row index j) without materializing the
 lattice.  They agree to rounding and cross-validate each other.  Both feed
 their differences to one bracket kernel (`brackets`), and the chain-variable
 stencil (`slot_stencil`) is the one the Newton derivatives differentiate.
-`stencil_map` is the one walk of that stencil over a site grid: the whole
-grid of `chain_energy` and of the well classification in `analysis.classify`,
-and the translated windows of `window_sum`.  It decides once per grid: a
-column broadcast when every stencil slope is zero, a dense grid otherwise.
-No other module reads that layout; they call this module's helpers for it.
+The stencil is affine in the row j, so a column's densities sum to a
+polynomial of degree <= 8 in j, which a 5-node Gauss rule (`row_rule`, one
+node when every slope is zero) sums exactly.  Every chain-variable total is
+that one sum (`rule_total`): `window_sum`, hence `chain_energy`'s total and
+`gamma`'s strips, and the Newton energy, so a solve's last energy is the
+total `chain_energy` reports.  `stencil_map` walks the stencil over the whole
+site grid for `chain_energy` and `analysis.classify`: a column broadcast when
+every slope is zero, a dense grid otherwise.  No other module reads that
+layout; they call this module's helpers for it.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ __all__ = [
     "slot_stencil",
     "stencil_map",
     "uniform_columns",
+    "row_rule",
+    "rule_total",
     "grid_lines",
     "sites_reaching",
     "chain_energy",
@@ -109,6 +115,34 @@ def slot_stencil(u, theta, lam, wells):
     return base, slope, np.stack([t_m, t_c, t_p], axis=1)
 
 
+# Gauss nodes per row rule: exact to degree 9 in j, above the degree 8 of the
+# density's row sums and of every row sum the Newton derivatives take
+_RULE_NODES = 5
+
+
+def row_rule(j_lo, j_hi, flat=False):
+    """Gauss nodes and weights of the uniform measure on the rows j_lo..j_hi.
+
+    Golub-Welsch on the recurrence of the discrete Chebyshev (Gram)
+    polynomials: alpha = (j_lo + j_hi)/2 and beta_k = k^2 (N^2 - k^2) /
+    (4 (4k^2 - 1)) for N rows.  The min(5, N) nodes sum every polynomial of
+    degree <= 9 in j exactly; with N <= 5 they are the rows themselves.
+    flat (every slope zero, so nothing depends on j): one node, weight N.
+    """
+    rows = j_hi - j_lo + 1
+    if flat:
+        return np.zeros(1), np.array([float(rows)])
+    k = np.arange(1.0, min(_RULE_NODES, rows))
+    off = np.sqrt(k * k * (rows * rows - k * k) / (4.0 * (4.0 * k * k - 1.0)))
+    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return 0.5 * (j_lo + j_hi) + nodes, rows * vectors[0] ** 2
+
+
+def rule_total(D, weights, scale):
+    """fsum over nodes k of scale * weights[k] * fsum(D[:, k]), D (centers, nodes)."""
+    return math.fsum(scale * w * math.fsum(D[:, k]) for k, w in enumerate(weights))
+
+
 def field_local_grid(field: LatticeField):
     """Per-site densities from reconstructed positions, i and j in [-n, n]."""
     n, lam = field.n, field.lam
@@ -132,7 +166,8 @@ class EnergyBreakdown:
     local[k, l] is the density at chain index i = k - n, row j = l - n.
     For a chain whose centers are all flat (fixed tau, zero angles) it is a
     read-only broadcast of one density per column, O(n) in memory; otherwise
-    a dense grid.  total = lam^2 * sum(local); rescaled = total / lam.
+    a dense grid.  total = lam^2 * the row rule's sum for `chain_energy`, within
+    a few ulp of the grid's sum, which `lattice_energy` takes; rescaled = total / lam.
     """
 
     local: np.ndarray
@@ -151,58 +186,36 @@ class EnergyBreakdown:
         return np.full(self.local.shape[1], math.fsum(x.tolist()))
 
 
-def _breakdown(local, n, lam, a):
-    total = lam * lam * _site_sum(local)
-    return EnergyBreakdown(local, total, total / lam, n, lam, a)
-
-
-def _site_sum(local):
-    """fsum of every site of the grid, row by row.
-
-    A column broadcast whose width * x stays finite sums each row in O(1):
-    Dekker's split x = hi + lo, hi the top 26 significand bits and lo the
-    remaining 27 (exact: masking, then a Sterbenz subtraction), leaves
-    width * hi and width * lo at most 52 and 53 bits for width < 2^26, so
-    both products are exact and their sum is the row's exact sum.
-    """
-    x = broadcast_column(local)
-    width = local.shape[1]
-    with np.errstate(over="ignore"):
-        if x is None or not np.isfinite(width * x).all():
-            return math.fsum(itertools.chain.from_iterable(row.tolist() for row in local))
-    hi = (x.view(np.int64) & ~np.int64((1 << 27) - 1)).view(np.float64)
-    lo = x - hi
-    # a zero lo adds nothing, and leaving it out keeps the sign of a -0.0 total
-    return math.fsum((width * hi).tolist() + (width * lo[lo != 0.0]).tolist())
-
-
 # sites per stencil block: bounds the stencil and bracket temporaries
 # (a few hundred bytes per site) while the output grids take a few bytes per site
 _GRID_BLOCK = 1 << 15
 
 
-def stencil_map(chain: ChainState, per_site, dtype=float, ids=None, rows=None):
-    """The grid of per_site(k, W) over centers ids and rows (both default -n..n).
-
-    W = [v+, v-, h+, h-] holds the stencils of centers ids[k], shape (len(k),
-    rows, 4, 2); per_site returns one value per stencil, shape (len(k), rows).
-    An index past the chain reads the clamp.  If every slope is exactly zero
-    (fixed tau, theta = 0) per_site sees each center once (rows = 1) and the
-    grid is a read-only broadcast of one value per column (row stride 0, see
-    `broadcast_column`).  Otherwise it is dense, filled in _GRID_BLOCK blocks.
-    """
-    full = np.arange(-chain.n, chain.n + 1)
-    ids = full if ids is None else np.asarray(ids)
-    rows = full if rows is None else np.asarray(rows)
+def _center_stencils(chain: ChainState, ids):
+    """`slot_stencil`'s (base, slope) at centers ids; past the chain, the clamp's."""
     u, theta = chain.atoms_at(ids + np.array([[-1], [0], [1]]))
-    base, slope, _ = slot_stencil(u, theta, chain.lam, chain.wells)
+    return slot_stencil(u, theta, chain.lam, chain.wells)[:2]
+
+
+def stencil_map(chain: ChainState, per_site, dtype=float):
+    """The grid of per_site(k, W) over the centers and rows -n..n.
+
+    W = [v+, v-, h+, h-] holds the stencils of centers k - n, shape (len(k),
+    rows, 4, 2); per_site returns one value per stencil, shape (len(k), rows).
+    If every slope is exactly zero (fixed tau, theta = 0) per_site sees each
+    center once (rows = 1) and the grid is a read-only broadcast of one value
+    per column (row stride 0, see `broadcast_column`).  Otherwise it is
+    dense, filled in _GRID_BLOCK blocks.
+    """
+    ids = np.arange(-chain.n, chain.n + 1)
+    base, slope = _center_stencils(chain, ids)
     k = np.arange(ids.size)
-    shape = (ids.size, rows.size)
+    shape = (ids.size, ids.size)
     if not slope.any():
         return np.broadcast_to(per_site(k, base[:, None]).astype(dtype, copy=False), shape)
     grid = np.empty(shape, dtype=dtype)
-    j = rows.astype(float)[None, :, None, None]
-    step = max(1, _GRID_BLOCK // rows.size)
+    j = ids.astype(float)[None, :, None, None]
+    step = max(1, _GRID_BLOCK // ids.size)
     for lo in range(0, ids.size, step):
         blk = k[lo:lo + step]
         grid[blk] = per_site(blk, base[blk, None] + j * slope[blk, None])
@@ -255,28 +268,32 @@ def sites_reaching(local, level):
     return np.full(local.shape[1], np.count_nonzero(col >= level))
 
 
-def _chain_densities(chain: ChainState, ids=None, rows=None):
-    """`stencil_map` of the density: the chain-variable site grid."""
-    return stencil_map(
-        chain, lambda k, W: density(W[..., :2, :], W[..., 2:, :], chain.wells),
-        ids=ids, rows=rows)
-
-
 def chain_energy(chain: ChainState) -> EnergyBreakdown:
-    """Total energy evaluated directly in chain variables, off `stencil_map`."""
-    return _breakdown(_chain_densities(chain), chain.n, chain.lam, chain.wells.a)
+    """Energy evaluated directly in chain variables: the site grid off
+    `stencil_map` and the total by the row rule (`window_sum`)."""
+    n, lam = chain.n, chain.lam
+    local = stencil_map(chain, lambda k, W: density(W[..., :2, :], W[..., 2:, :], chain.wells))
+    total = window_sum(chain, -n, n, -n, n, weight=lam ** 2)
+    return EnergyBreakdown(local, total, total / lam, n, lam, chain.wells.a)
 
 
 def lattice_energy(field: LatticeField) -> EnergyBreakdown:
-    """Total energy evaluated from the reconstructed 2D positions."""
-    local = field_local_grid(field)
-    return _breakdown(local, field.n, field.lam, field.chain.wells.a)
+    """Energy evaluated from the reconstructed 2D positions, every site in one fsum."""
+    local, lam = field_local_grid(field), field.lam
+    total = lam * lam * math.fsum(itertools.chain.from_iterable(row.tolist() for row in local))
+    return EnergyBreakdown(local, total, total / lam, field.n, lam, field.chain.wells.a)
 
 
 def window_sum(chain: ChainState, i_lo, i_hi, j_lo, j_hi, weight=1.0):
-    """weight * sum of local densities over the index window (compensated)."""
-    local = _chain_densities(chain, np.arange(i_lo, i_hi + 1), np.arange(j_lo, j_hi + 1))
-    return weight * _site_sum(local)
+    """weight * the density summed over centers i_lo..i_hi and rows j_lo..j_hi.
+
+    Past the chain the stencil reads the clamp.  `rule_total` sums the rule's
+    nodes, one when every slope is zero, as the Newton energy does: O(centers).
+    """
+    base, slope = _center_stencils(chain, np.arange(i_lo, i_hi + 1))
+    nodes, weights = row_rule(j_lo, j_hi, flat=not slope.any())
+    W = base[:, None] + nodes[:, None, None] * slope[:, None]
+    return rule_total(density(W[..., :2, :], W[..., 2:, :], chain.wells), weights, weight)
 
 
 def default_jump_threshold(wells):

@@ -31,11 +31,11 @@ product with kron(Z, Z), to the Hessian; no Jacobian is built per call.
 
 Since W is affine in the row j, every row sum above (the energy, dD/dz and
 the j-moments of d up to degree 2) is a polynomial of degree <= 8 in j.  A
-5-node Gauss rule for the uniform measure on the rows (`row_rule`) is exact
-to degree 9, so the stencil is evaluated at five nodes per center instead
-of on every row, and energy, gradient and Hessian cost O(n) for an n-row
-window.  Fixed tau with zero angles makes the sums constant in j: one node,
-weight N.  Each triangle determinant of the orientation check is quadratic
+5-node Gauss rule for the rows (`energy.row_rule`) is exact to degree 9, so
+the stencil is evaluated at five nodes per center, and energy, gradient and
+Hessian cost O(n) for an n-row window; fixed tau with zero slopes takes one
+node.  The energy is `energy.rule_total`, the sum of every chain-variable
+total.  Each triangle determinant of the orientation check is quadratic
 in j, so it is evaluated only at the end rows and next to its vertex.
 
 A problem evaluates each x once.  It keeps one record, of the last x it
@@ -67,14 +67,13 @@ factorizations.  Steps are Armijo-backtracked on the energy and rejected
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .energy import brackets, slot_stencil
+from .energy import brackets, row_rule, rule_total, slot_stencil
 from .lattice import (
     ORIENTATION_TOL,
     ChainState,
@@ -91,7 +90,6 @@ __all__ = [
     "laminate_chain",
     "preoptimize_middle",
     "newton_minimize",
-    "row_rule",
 ]
 
 # The eight inner terms are f_m = W_a . W_b over the stencil vectors W = [v+,
@@ -149,10 +147,6 @@ _PHI_T = _phi_table().reshape(32, 56)
 _PHI_T_FIXED = _PHI_T.reshape(32, 8, 7)[:8, :, :4].reshape(8, 32)
 _CURV_T = _curvature_table()
 _CURV_T_FIXED = np.ascontiguousarray(_CURV_T[:8, :16])
-
-# Gauss nodes per row rule: exact to degree 9 in j, above the degree 8 of every
-# row sum the solver takes
-_RULE_NODES = 5
 
 # Armijo constant and backtracking factor
 _ARMIJO_C = 1e-4
@@ -216,14 +210,10 @@ class ChainProblem:
         self.j_lo, self.j_hi = j_window if j_window is not None else (-n, n)
         self.scale = float(chain.lam ** 2 if scale is None else scale)
         self.centers = np.arange(self.i_lo, self.i_hi + 1)
-        # every row sum is a polynomial of degree <= 8 in j; fixed tau and
-        # identically zero angles make it constant, so row 0 carries them all
-        if not variable_tau and np.abs(chain.theta).max() == 0.0:
-            self.nodes = np.zeros(1)
-            self.weights = np.array([self.j_hi - self.j_lo + 1.0])
-        else:
-            self.nodes, self.weights = row_rule(self.j_lo, self.j_hi)
         self._slots = self._frozen_slots(self.centers)
+        # fixed tau keeps the template's slopes: all zero, one node carries every row
+        flat = not variable_tau and not self._stencil(self.pack(chain), self._slots)[1].any()
+        self.nodes, self.weights = row_rule(self.j_lo, self.j_hi, flat)
         # per center and stencil variable (ux, uy[, theta] slot by slot): the
         # global dof, or -1 for a clamped or frozen atom
         first = np.searchsorted(self.free_ids, self.centers + _SLOT).T[..., None] * self.nd
@@ -233,7 +223,7 @@ class ChainProblem:
         # every one: the derivative stages see only these, the energy all
         touched = (self._dofs >= 0).any(axis=1)
         self._touched = slice(None) if touched.all() else np.flatnonzero(touched)
-        self._index = None  # `_scatter`'s indices, keyed on `_touched`
+        self._index = None  # `_scatter`'s indices, built on first use
         # dz/dx from the stencil variables to the reduced ones, y_p = (u_p -
         # u_c)/lam, y_m = (u_m - u_c)/lam[, theta_m, theta_c, theta_p], and
         # kron(Z, Z), which takes a flat d2D/dz2 to the flat d2D/dx2
@@ -335,10 +325,8 @@ class ChainProblem:
     def _energy_stage(self, x):
         W, t = self._node_stencil(x)
         q, r, X, B1, B2 = brackets(W[..., :2, :], W[..., 2:, :], self.template.wells)
-        D = B1 * B2
-        energy = math.fsum(self.scale * w * math.fsum(D[:, k])
-                           for k, w in enumerate(self.weights))
-        return _Point(x, t, energy, (W, q, r, X), (B1, B2))
+        return _Point(x, t, rule_total(B1 * B2, self.weights, self.scale),
+                      (W, q, r, X), (B1, B2))
 
     def _gradient_stage(self, p):
         c = self._touched
@@ -376,9 +364,8 @@ class ChainProblem:
         p.blocks = D, U
 
     def _scatter(self):
-        """The `_Scatter` of the touched centers, built once per value of
-        `_touched`."""
-        if self._index is None or self._index.touched is not self._touched:
+        """The `_Scatter` of the touched centers, built on first use."""
+        if self._index is None:
             dofs = self._dofs[self._touched]
             keep = dofs >= 0
             s = max(min(3 * self.nd - 1, self.ndof - 1), 1)
@@ -386,7 +373,7 @@ class ChainProblem:
             row, col = dofs[:, :, None], dofs[:, None, :]
             upper = (row >= 0) & (col >= row)
             block = (col // s - row // s) * m * s * s + row * s + col % s
-            self._index = _Scatter(self._touched, dofs[keep], keep,
+            self._index = _Scatter(dofs[keep], keep,
                                    block[upper], upper.reshape(len(dofs), -1), s, m)
         return self._index
 
@@ -410,7 +397,6 @@ class ChainProblem:
 
 class _Scatter(NamedTuple):
     """Where the derivative stages put the touched centers' entries."""
-    touched: object         # the `_touched` it was built for
     grad_dofs: np.ndarray   # the gradient's dof of each kept entry
     grad_keep: np.ndarray   # mask of free entries over (centers, 3 nd)
     block: np.ndarray       # flat index into D, U of each kept Hessian entry
@@ -529,21 +515,6 @@ def _reduced_hessian(W, fk, d, B, G, t, nodes, weights):
         th = np.arange(4, 7)
         H[:, th, th] -= (G * t).sum(axis=-1)
     return H
-
-
-def row_rule(j_lo, j_hi):
-    """Gauss nodes and weights of the uniform measure on the rows j_lo..j_hi.
-
-    Golub-Welsch on the recurrence of the discrete Chebyshev (Gram)
-    polynomials: alpha = (j_lo + j_hi)/2 and beta_k = k^2 (N^2 - k^2) /
-    (4 (4k^2 - 1)) for N rows.  The min(5, N) nodes sum every polynomial of
-    degree <= 9 in j exactly; with N <= 5 they are the rows themselves.
-    """
-    rows = j_hi - j_lo + 1
-    k = np.arange(1.0, min(_RULE_NODES, rows))
-    off = np.sqrt(k * k * (rows * rows - k * k) / (4.0 * (4.0 * k * k - 1.0)))
-    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    return 0.5 * (j_lo + j_hi) + nodes, rows * vectors[0] ** 2
 
 
 def _cross_quadratic(p, q):

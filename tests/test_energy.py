@@ -23,7 +23,7 @@ from twinchain.energy import (
     window_sum,
 )
 from twinchain.lattice import affine_chain, reconstruct
-from twinchain.minimize import MinimizeOptions, newton_minimize, twin_chain
+from twinchain.minimize import MinimizeOptions, newton_minimize, preoptimize_middle, twin_chain
 from twinchain.wells import boundary_gradient, build_wells, dist_to_well
 
 
@@ -173,6 +173,19 @@ class TestBreakdown:
         assert left + right == pytest.approx(whole, rel=1e-12)
 
 
+class TestOneSum:
+    """Every chain-variable total is the row rule's sum (`rule_total`), so a
+    Newton solve's last energy is the total `chain_energy` reports."""
+
+    @pytest.mark.parametrize("variable_tau", [False, True], ids=["fixed-tau", "variable-tau"])
+    @pytest.mark.parametrize("n", [8, 40, 100])
+    def test_chain_energy_is_the_last_newton_energy(self, wells, n, variable_tau):
+        report = newton_minimize(preoptimize_middle(twin_chain(n, wells)),
+                                 MinimizeOptions(variable_tau=variable_tau))
+        assert report.converged
+        assert chain_energy(report.final_chain).total.hex() == report.energy_history[-1].hex()
+
+
 def _site_wise_sums(local, lam):
     """The reference reduction: two fsum passes over every site."""
     row_sums = np.array([math.fsum(col.tolist()) for col in local.T])
@@ -201,8 +214,8 @@ def _signed_zero_rows(rng, m):
 
 
 class TestBreakdownSums:
-    """_breakdown sums each row of a column broadcast in O(1) and a dense grid
-    site by site; every sum must keep its bits."""
+    """`EnergyBreakdown.row_sums` sums each row of a column broadcast in O(1)
+    and a dense grid site by site; every row sum must keep its bits."""
 
     @pytest.mark.parametrize("make", [
         _constant_rows, _mixed_rows, _signed_zero_rows,
@@ -240,11 +253,10 @@ class TestBreakdownSums:
 
     @staticmethod
     def _assert_bitwise(local, n, lam):
-        bd = energy_mod._breakdown(local, n, lam, np.sqrt(2.0))
+        bd = EnergyBreakdown(local, 0.0, 0.0, n, lam, np.sqrt(2.0))
         assert "row_sums" not in vars(bd)
-        row_sums, total = _site_wise_sums(local, lam)
+        row_sums, _ = _site_wise_sums(local, lam)
         assert np.array_equal(bd.row_sums.view(np.int64), row_sums.view(np.int64))
-        assert bd.total.hex() == total.hex()
 
 
 class TestUniformColumns:
@@ -293,7 +305,6 @@ class TestFlatColumns:
         assert np.array_equal(bd.local, ref)
         want_rows = [math.fsum(ref[:, l]) for l in range(ids.size)]
         assert bd.row_sums.tolist() == want_rows
-        assert bd.total == chain.lam ** 2 * math.fsum(ref.ravel())
 
     def test_fixed_tau_twin_is_all_flat(self, rng, monkeypatch):
         chain = random_chain(rng, n=8, dtheta=0.0)

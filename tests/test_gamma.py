@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from chaingen import chain_local_grid, random_chain
-from twinchain import energy, gamma, minimize
+from twinchain import gamma, minimize
 from twinchain.energy import chain_energy, field_local_grid, lattice_energy, window_sum
 from twinchain.gamma import (CLAMP_RATIO, LayerSpec, _layer_problem, _solve_layer,
                              average_down, estimate_EK, estimate_layer,
                              save_layer_estimates, thin_strip_energy)
-from twinchain.lattice import (BoundaryClamp, ChainState, affine_chain,
+from twinchain.lattice import (BoundaryClamp, ChainState, LatticeGeometry, affine_chain,
                                check_admissible, reconstruct)
 from twinchain.minimize import (MinimizeOptions, newton_minimize, preoptimize_middle,
                                 twin_chain)
@@ -39,73 +39,67 @@ class TestStripAndTranslation:
         bd = chain_energy(chain)
         assert thin_strip_energy(chain, 8) == pytest.approx(bd.rescaled, rel=1e-12)
 
-    def test_view_locals_match_the_field_route(self, rng, wells):
-        # independent oracle: site energies straight from reconstructed positions
-        chain = random_chain(rng, n=8, du=0.03, dtheta=0.02, wells=wells)
-        grid = field_local_grid(reconstruct(chain))
-        j0 = 3
-        ids = np.arange(-5, 6)
-        rows = np.arange(-6, 3)
-        got = energy._chain_densities(chain, ids + j0, rows + j0)
-        want = grid[np.ix_(ids + j0 + 8, rows + j0 + 8)]
-        assert np.abs(got - want).max() < 1e-10
+
+def _wide_field_grid(chain):
+    """The reconstructed field's site grid of chain embedded in a patch of
+    half-width N = 2n: grid[i + N, j + N] is the density at center i, row j,
+    the atoms past the chain at its clamp.  Halving every position and the
+    spacing is exact, so each site keeps the chain's differences over lam."""
+    geom = LatticeGeometry(n=2 * chain.n)
+    u, theta = chain.atoms_at(geom.atom_ids())
+    bc = BoundaryClamp.pieces(chain.bc.V_left, chain.bc.r_left / 2,
+                              chain.bc.V_right, chain.bc.r_right / 2)
+    wide = ChainState(geometry=geom, wells=chain.wells, bc=bc, u=u / 2, theta=theta)
+    return field_local_grid(reconstruct(wide))
 
 
-def _oracle_window_sum(chain, i_lo, i_hi, j_lo, j_hi, weight=1.0):
-    """The former `window_sum`: one fsum over the whole window in one piece."""
-    local = chain_local_grid(chain, np.arange(i_lo, i_hi + 1), np.arange(j_lo, j_hi + 1))
-    return weight * math.fsum(local.ravel().tolist())
+class TestWindowSum:
+    """window_sum sums each window's rows by the row rule; the field route of
+    the chain embedded at twice its width sums it site by site, the clamps
+    included where the window passes +-n.  Strips go through thin_strip_energy."""
 
+    @staticmethod
+    def _assert_matches_field(chain, windows=(), strips=()):
+        grid, N = _wide_field_grid(chain), 2 * chain.n
+        cases = [(window, 0.25, window_sum(chain, *window, weight=0.25)) for window in windows]
+        cases += [((-chain.n + j0, chain.n + j0, j0 - m, j0 + m), 1.0 / m,
+                   thin_strip_energy(chain, m, j0)) for m, j0 in strips]
+        for (i_lo, i_hi, j_lo, j_hi), weight, got in cases:
+            sites = grid[i_lo + N:i_hi + N + 1, j_lo + N:j_hi + N + 1]
+            want = weight * math.fsum(sites.ravel().tolist())
+            assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
 
-def _oracle_strip(chain, m, j0):
-    n = chain.n
-    return _oracle_window_sum(chain, -n + j0, n + j0, j0 - m, j0 + m, weight=1.0 / m)
+    @pytest.mark.parametrize("dtheta", [0.0, 0.02], ids=["fixed-tau", "variable-tau"])
+    def test_translated_window_matches_the_field_route(self, rng, wells, dtheta):
+        chain = random_chain(rng, n=8, du=0.03, dtheta=dtheta, wells=wells)
+        self._assert_matches_field(chain, windows=[(-2, 8, -3, 5)])
 
+    @pytest.mark.parametrize("dtheta", [0.0, None], ids=["fixed-tau", "variable-tau"])
+    def test_strips_into_the_clamps(self, rng, wells, dtheta):
+        # j0 near +-n puts columns and rows of the strip past the chain
+        n = 100
+        chain = random_chain(rng, n=n, dtheta=dtheta, wells=wells)
+        self._assert_matches_field(
+            chain, strips=[(10, 0), (10, 95), (10, -95), (30, 80), (n - 1, 1)])
 
-class TestWindowsBitForBit:
-    """window_sum and thin_strip_energy read their windows off `stencil_map`;
-    each must keep the bits of the whole-window oracle on both of its paths."""
-
-    def test_relaxed_fixed_tau_twin_into_the_clamps(self, minimizer100):
-        chain, n = minimizer100, minimizer100.n
-        for m, j0 in ((10, 0), (10, 95), (10, -95), (30, 80), (n - 1, 1)):
-            # j0 near +-n puts columns and rows of the window past the chain
-            ids = np.arange(-n + j0, n + j0 + 1)
-            grid = energy._chain_densities(chain, ids, np.arange(j0 - m, j0 + m + 1))
-            assert energy.broadcast_column(grid) is not None
-            got = thin_strip_energy(chain, m, j0)
-            assert got.hex() == _oracle_strip(chain, m, j0).hex()
-
-    def test_variable_tau_chain_over_several_blocks(self, rng, wells):
+    @pytest.mark.parametrize("dtheta", [0.0, 0.1 / 150], ids=["fixed-tau", "variable-tau"])
+    def test_windows_past_the_chain(self, rng, wells, dtheta):
         n = 150
-        chain = random_chain(rng, n=n, dtheta=0.1 / n, wells=wells)
-        rows = np.arange(-n, n + 1)
-        # a default block holds fewer than half the centers: three or more blocks
-        assert 2 * (energy._GRID_BLOCK // rows.size) < rows.size
-        assert energy.broadcast_column(energy._chain_densities(chain, rows, rows)) is None
-        for window in ((-n, n, -n, n), (-n - 3, n - 40, -n + 7, n + 5), (0, 2 * n, -5, 5)):
-            got = window_sum(chain, *window, weight=0.25)
-            assert got.hex() == _oracle_window_sum(chain, *window, weight=0.25).hex()
-        for m, j0 in ((n, 0), (40, 90), (12, -130)):
-            assert thin_strip_energy(chain, m, j0).hex() == _oracle_strip(chain, m, j0).hex()
+        chain = random_chain(rng, n=n, dtheta=dtheta, wells=wells)
+        self._assert_matches_field(
+            chain, windows=[(-n, n, -n, n), (-n - 3, n - 40, -n + 7, n + 5), (0, 2 * n, -5, 5)],
+            strips=[(n, 0), (40, 90), (12, -130)])
 
-    def test_few_rotated_columns(self, rng, wells, monkeypatch):
+    def test_few_rotated_columns(self, rng, wells):
+        # windows of flat columns only take one node, the others the rule
         n = 8
         chain = random_chain(rng, n=n, dtheta=0.0, wells=wells)
         theta = chain.theta.copy()
         theta[chain.geometry.atom_index([-5, 0, 3])] = (0.01, -0.02, 0.015)
         chain = chain.with_arrays(theta=theta)
-        ids = np.arange(-n, n + 1)
-        assert energy.broadcast_column(energy._chain_densities(chain, ids, ids)) is None
-        # one center per block: the blocks cut between rotated and flat columns
-        monkeypatch.setattr(energy, "_GRID_BLOCK", 1)
-        for m in (1, 3, n):
-            for j0 in range(-n, n + 1):
-                got = thin_strip_energy(chain, m, j0)
-                assert got.hex() == _oracle_strip(chain, m, j0).hex()
-        # a window of flat columns only is a column broadcast again
-        assert energy.broadcast_column(
-            energy._chain_densities(chain, np.arange(6, 12), np.arange(-3, 4))) is not None
+        self._assert_matches_field(
+            chain, windows=[(6, 11, -3, 3), (-n, n, -n, n)],
+            strips=[(m, j0) for m in (1, 3, n) for j0 in range(-n, n + 1)])
 
 
 class TestAverageDown:

@@ -14,7 +14,7 @@ import scipy.linalg
 import twinchain.energy as energy_mod
 import twinchain.minimize as minimize_mod
 from chaingen import blocks_to_dense, dense_to_band, random_chain
-from twinchain.energy import brackets, chain_energy, density
+from twinchain.energy import brackets, chain_energy, density, row_rule
 from twinchain.gamma import _layer_problem, _solve_layer
 from twinchain.lattice import ChainState, affine_chain, check_admissible, reconstruct
 from twinchain.minimize import (
@@ -31,7 +31,6 @@ from twinchain.minimize import (
     laminate_chain,
     newton_minimize,
     preoptimize_middle,
-    row_rule,
     twin_chain,
 )
 from twinchain.wells import boundary_gradient, build_wells
@@ -391,7 +390,7 @@ class TestTouchedCenters:
     def _check_against_every_center(problem, x):
         # the same problem with every center sent to the derivative stages
         full = copy.copy(problem)
-        full._touched, full._last = slice(None), None
+        full._touched, full._last, full._index = slice(None), None, None
         assert _same_bits(problem.energy(x), full.energy(x))
         assert _same_bits(problem.gradient(x), full.gradient(x))
         assert all(map(_same_bits, problem.hessian_banded(x), full.hessian_banded(x)))
@@ -422,7 +421,8 @@ class TestTouchedCenters:
 
     def test_scatter_index_is_built_once_per_touched_set(self, rng, wells):
         # one index serves every evaluation of a problem; a copy sent to
-        # every center builds its own and leaves the original's alone
+        # every center, its index reset, builds its own and leaves the
+        # original's alone
         F = boundary_gradient(wells, 0.5)
         chain, problem = _layer_problem("B_plus", F, wells.U0, (0.3, 0.0), 24, 4, wells)
         x = problem.pack(chain)
@@ -434,9 +434,9 @@ class TestTouchedCenters:
             problem.hessian_banded(x)
             assert problem._index is index
         full = copy.copy(problem)
-        full._touched, full._last = slice(None), None
+        full._touched, full._last, full._index = slice(None), None, None
         full.gradient(x)
-        assert full._index is not index and full._index.touched is full._touched
+        assert full._index is not index and len(full._index.upper) == problem.centers.size
         assert problem._index is index
 
 
@@ -485,6 +485,21 @@ class TestRowRule:
         nodes, weights = row_rule(j_lo, j_hi)
         assert np.allclose(nodes, np.arange(j_lo, j_hi + 1), rtol=0.0, atol=1e-12)
         assert np.allclose(weights, 1.0, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("j_lo, j_hi", [(0, 0), (-7, 12), (-100, 100)])
+    def test_flat_rule_is_one_node_of_every_row(self, j_lo, j_hi):
+        nodes, weights = row_rule(j_lo, j_hi, flat=True)
+        assert nodes.tolist() == [0.0]
+        assert weights.tolist() == [j_hi - j_lo + 1.0]
+
+    def test_problem_takes_one_node_only_on_a_flat_fixed_tau_stencil(self, wells):
+        flat = twin_chain(10, wells)
+        assert ChainProblem(flat).nodes.size == 1
+        assert ChainProblem(flat, variable_tau=True).nodes.size == 5
+        # one rotated column tilts the stencils of its three centers
+        theta = flat.theta.copy()
+        theta[flat.geometry.atom_index(3)] = 0.01
+        assert ChainProblem(flat.with_arrays(theta=theta)).nodes.size == 5
 
 
 def _admissibility_shape(shape, rng, wells):
