@@ -3,8 +3,7 @@
 
 Estimates the internal layer between the two wells at increasing heights,
 and the two boundary layers at a range of clamp offsets, writing one table.
-The offset sweep shows the boundary layers vanish at zero offset and decay
-like 1/n once the far clamp absorbs a nonzero offset elastically.
+The offset sweep shows the boundary layers vanish at zero offset.
 """
 
 import argparse

@@ -15,11 +15,10 @@ bit-identical files.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 # OpenBLAS takes ~70 ms to start a thread pool that these small products never
@@ -74,8 +73,9 @@ class ExperimentConfig:
 
 
 def _interface_column(cfg: ExperimentConfig, n: int) -> int:
-    """Volume fraction mapped to the kink column: lam=1/2 centres it."""
-    col = int(round((2.0 * cfg.lam - 1.0) * n))
+    """The kink column that leaves Q U1 (right of it) a share lam of the chain,
+    as in F = (1 - lam) U0 + lam Q U1: lam=1/2 centres it."""
+    col = int(round((1.0 - 2.0 * cfg.lam) * n))
     return max(-(n - 1), min(n - 1, col))
 
 
@@ -299,7 +299,8 @@ def _build_parser():
     shared.add_argument("--a", type=float, default=None,
                         help="primary stretch (default sqrt 2)")
     shared.add_argument("--lambda", dest="lam", type=float, default=None,
-                        help="volume fraction in (0, 1)")
+                        help="Q U1's volume fraction in (0, 1): "
+                             "F = (1 - lambda) U0 + lambda Q U1")
     shared.add_argument("--n", dest="n_list", metavar="N", type=int,
                         action="append", default=None,
                         help="chain half-width; repeatable")
@@ -311,8 +312,6 @@ def _build_parser():
     shared.add_argument("--svg", action="store_true", default=None)
     shared.add_argument("--out", type=Path, default=None,
                         help="output directory (default runs/)")
-    shared.add_argument("--config", type=Path, default=None,
-                        help="JSON file with the same keys; flags override")
 
     parser = argparse.ArgumentParser(
         prog="twinchain",
@@ -330,44 +329,16 @@ def _build_parser():
     return parser
 
 
-# config key -> (config field, accepted JSON types); "n" must list integers.
-# Booleans pass as numbers here but fail every numeric range check below.
-# Each flag's argparse dest is its config field
-_CONFIG_KEYS = {"a": ("a", (int, float)), "lambda": ("lam", (int, float)),
-                "n": ("n_list", list), "alpha": ("alpha", (int, float)),
-                "delta": ("delta", (int, float)), "variable_tau": ("variable_tau", bool),
-                "quick": ("quick", bool), "svg": ("svg", bool), "out": ("out", str)}
-
-
 def _resolve_config(args, parser) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    raw = {}
-    if args.config is not None:
-        try:
-            raw = json.loads(Path(args.config).read_text())
-        except (OSError, ValueError) as exc:
-            parser.error(f"cannot read config file: {exc}")
-        if not isinstance(raw, dict):
-            parser.error("config file must hold a JSON object")
-        unknown = set(raw) - set(_CONFIG_KEYS)
-        if unknown:
-            parser.error(f"unknown config keys: {sorted(unknown)}")
-        for key, value in raw.items():
-            name, types = _CONFIG_KEYS[key]
-            if not isinstance(value, types) or (
-                    name == "n_list" and not all(isinstance(v, int) for v in value)):
-                parser.error(f"config key {key!r} has the wrong JSON type: {value!r}")
-    fields = {_CONFIG_KEYS[key][0]: value for key, value in raw.items()}
-    for name, _ in _CONFIG_KEYS.values():  # flags override the config file
-        if getattr(args, name) is not None:
-            fields[name] = getattr(args, name)
-    if "n_list" in fields:
-        fields["n_list"] = tuple(fields["n_list"])
-    if "out" in fields:
-        fields["out"] = Path(fields["out"])
-    cfg = replace(cfg, **fields)
-    if cfg.quick and "n_list" not in fields:
-        cfg = replace(cfg, n_list=(8,))
+    # each field comes from the flag whose argparse dest is its name; a flag
+    # left out keeps the field's default
+    given = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+             if getattr(args, f.name) is not None}
+    if "n_list" in given:
+        given["n_list"] = tuple(given["n_list"])
+    elif given.get("quick"):
+        given["n_list"] = (8,)
+    cfg = ExperimentConfig(**given)
 
     try:
         build_wells(cfg.a)
@@ -375,8 +346,6 @@ def _resolve_config(args, parser) -> ExperimentConfig:
         parser.error(f"--a: {exc}")
     if not 0.0 < cfg.lam < 1.0:
         parser.error("--lambda must lie strictly inside (0, 1)")
-    if not cfg.n_list:
-        parser.error("at least one --n is required")
     if any(n < 8 for n in cfg.n_list):
         parser.error("--n must be at least 8 (per-side decay fits need room)")
     if not 0.0 < cfg.alpha < 1.0:

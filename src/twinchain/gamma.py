@@ -177,24 +177,24 @@ def _layer_problem(kind, V_left, V_right, r, L, n_v, wells):
         kind, V_left, V_right, r = "B_plus", V_right, V_left, -r
     bc = BoundaryClamp.pieces(V_left, (0.0, 0.0), V_right, r)
 
+    omega = (V_left - V_right) @ _E1
     if kind == "C":
         # split column: continuity V_left x = V_right x + r along e1 fixes it
-        omega = (V_left - V_right) @ _E1
         den = float(omega @ omega)
         c = float(r @ omega) / den if den > 1e-24 else 0.0
         m = int(np.clip(round(c), -L + 2, L - 2))
-        ramp = np.clip((ids - m) / max(L - m, 1), 0.0, 1.0)[:, None]
-        u = np.where((ids <= m)[:, None],
-                     x @ V_left.T,
-                     x @ V_right.T + m * omega + ramp * (r - m * omega))
         free = np.arange(-L + 1, L)
         i_window = (-L - 1, L + 1)
     else:
-        ramp = np.clip(ids / L, 0.0, 1.0)[:, None]
-        u = np.where((ids <= 0)[:, None], x @ V_left.T, x @ V_right.T + ramp * r)
+        m = 0  # B_plus splits at the centre column
         # atom -1 is free because the counted centre column reaches it
         free = np.concatenate([[-1], np.arange(1, L)])
         i_window = (0, L + 1)
+    # V_left up to column m, then V_right ramped from continuity at m to r
+    ramp = np.clip((ids - m) / max(L - m, 1), 0.0, 1.0)[:, None]
+    u = np.where((ids <= m)[:, None],
+                 x @ V_left.T,
+                 x @ V_right.T + m * omega + ramp * (r - m * omega))
 
     chain = ChainState(geometry=geom, wells=wells, bc=bc, u=u,
                        theta=np.zeros(geom.atom_count))
@@ -320,16 +320,13 @@ def save_layer_estimates(entries, path, header=None):
     lines = []
     if header:
         lines.append(f"# {header}")
-    lines.append("# layer-estimates v1")
-    lines.append("kind,V_left,V_right,r_star,n,estimate,stability_gap")
+    lines.append("# layer-estimates v2")
+    lines.append("kind,V_left,V_right,r_star,n,estimate")
     for spec, est in entries:
         flat_l = " ".join(f"{v:.17g}" for v in spec.V_left.ravel())
         flat_r = " ".join(f"{v:.17g}" for v in spec.V_right.ravel())
         flat_o = " ".join(f"{v:.17g}" for v in spec.r_star)
-        seq = [e for _, e in est.n_sequence if math.isfinite(e)]
-        gap = abs(seq[-1] - seq[-2]) if len(seq) >= 2 else math.nan
         for n_v, e in est.n_sequence:
-            lines.append(f"{spec.kind},{flat_l},{flat_r},{flat_o},{n_v},"
-                         f"{e:.17g},{gap:.17g}")
+            lines.append(f"{spec.kind},{flat_l},{flat_r},{flat_o},{n_v},{e:.17g}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

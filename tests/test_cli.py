@@ -88,7 +88,7 @@ class TestScan:
 
 class TestInterfacePosition:
     def test_fixed_tau_limit_does_not_depend_on_lambda(self):
-        # --lambda moves the kink to column (2 lambda - 1) n.  The limit E_inf
+        # --lambda moves the kink to column (1 - 2 lambda) n.  The limit E_inf
         # of E = E_inf + c/n + d/n^2, fitted through three sizes, is the
         # interface's energy: at lambda = 0.1 and 0.3 it lies 3.0e-5 and
         # 4.8e-6 off the centred one at n = 200/400/800 (7.7e-5 and 1.4e-5
@@ -110,6 +110,21 @@ class TestInterfacePosition:
         assert (large <= 5e-5).all()
         assert (large < small).all()
 
+    @pytest.mark.parametrize("lam", [0.1, 0.3, 0.5, 0.9])
+    def test_qu1_share_is_lambda(self, lam):
+        # as in F = (1 - lambda) U0 + lambda Q U1: of the 2n bonds between
+        # atoms -n and n (ghosts left out), those right of the kink take
+        # Q U1's first column
+        wells = cli.build_wells(np.sqrt(2.0))
+        for n in (8, 40, 101):
+            col = cli._interface_column(ExperimentConfig(lam=lam), n)
+            chain = cli.twin_chain(n, wells, interface_column=col)
+            inside = chain.u[np.abs(chain.geometry.atom_ids()) <= n]
+            h = np.diff(inside, axis=0) / chain.lam
+            on_qu1 = (np.linalg.norm(h - wells.QU1[:, 0], axis=1)
+                      < np.linalg.norm(h - wells.U0[:, 0], axis=1))
+            assert abs(on_qu1.mean() - lam) <= 1.0 / (2 * n), n
+
 
 class TestLayersAndDiagnose:
     def test_layers_quick(self, monkeypatch, tmp_path):
@@ -127,7 +142,7 @@ class TestLayersAndDiagnose:
         assert calls == [kind for kind in ("C", "B_plus", "C", "B_minus")
                          for _ in (4, 6)]
         table = (tmp_path / "layers.csv").read_text().splitlines()
-        assert table[1] == "# layer-estimates v1"
+        assert table[1] == "# layer-estimates v2"
         kinds = [row.split(",")[0] for row in table[3:]]
         assert kinds.count("C") == 4 and kinds.count("B_plus") == 2
         comp = dict(line.split("=", 1) for line in
@@ -444,47 +459,12 @@ class TestArguments:
         ("minimize", "--a", "1.0000000000001"),
         ("minimize", "--a", "1e-4"),
         ("minimize", "--a", "1e200"),
+        ("scan", "--config", "c.json"),
     ])
     def test_usage_errors_exit_2(self, argv, tmp_path):
         with pytest.raises(SystemExit) as err:
             run(*argv, "--out", tmp_path)
         assert err.value.code == 2
-
-    @pytest.mark.parametrize("text, named", [
-        ('{"n": []}', "--n"),
-        ('{"n": 5}', "'n'"),
-        ('{"n": ["x"]}', "'n'"),
-        ('{"quick": "no"}', "'quick'"),
-        ('{"a": "x"}', "'a'"),
-        ('{"a": 1e-4}', "--a"),
-        ('{"lambda": null}', "'lambda'"),
-        ("5", "JSON object"),
-    ], ids=["empty-n", "n-scalar", "n-strings", "quick-string", "a-string",
-            "a-not-rank-one", "lambda-null", "top-level-number"])
-    def test_malformed_config_values(self, tmp_path, capsys, text, named):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(text)
-        with pytest.raises(SystemExit) as err:
-            run("scan", "--config", cfg, "--out", tmp_path)
-        assert err.value.code == 2
-        assert named in capsys.readouterr().err
-
-    def test_unknown_config_key(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"m": 3}')
-        with pytest.raises(SystemExit) as err:
-            run("scan", "--config", cfg, "--out", tmp_path)
-        assert err.value.code == 2
-
-    def test_flags_override_config(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"lambda": 0.25, "n": [8], "quick": True}))
-        out = tmp_path / "run"
-        assert run("minimize", "--config", cfg, "--lambda", "0.5",
-                   "--out", out) == 0
-        head = (out / "report-n8.txt").read_text().splitlines()[0]
-        assert "lambda=0.5 " in head
-        assert "n=[8]" in head
 
     def test_quick_defaults_small_size(self):
         # config resolution is exercised through the header string

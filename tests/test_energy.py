@@ -19,6 +19,7 @@ from twinchain.energy import (
     field_local_grid,
     lattice_energy,
     local_energy_threshold_census,
+    rule_total,
     save_breakdown,
     window_sum,
 )
@@ -353,7 +354,15 @@ class TestColumnBroadcast:
                                   ref.view(np.int64))
         row_sums, total = _site_wise_sums(np.array(bd.local), bd.lam)
         assert np.array_equal(bd.row_sums.view(np.int64), row_sums.view(np.int64))
-        assert bd.total.hex() == total.hex()
+        # the flat row rule promises its one node's sum: lam^2 * 801 times the
+        # fsum of one density per column
+        assert bd.total.hex() == rule_total(bd.local[:, :1], [801.0], bd.lam ** 2).hex()
+        # against lam * lam * fsum(every site): the rule rounds the column's
+        # fsum, lam ** 2, its product with 801 and that with the column sum;
+        # the site-wise sum rounds its fsum, lam * lam and their product.  Seven
+        # roundings of at most 2^-53 relative each bound the gap by
+        # 7 * 2^-53 * total to first order
+        assert abs(bd.total - total) <= 7.5 * 2.0 ** -53 * total
 
     def test_variable_tau_chain_stays_dense_and_writeable(self, rng):
         bd = chain_energy(random_chain(rng, n=8, dtheta=0.1))

@@ -420,7 +420,7 @@ class TestExport:
                              header="sweep")
         lines = path.read_text().splitlines()
         assert lines[0] == "# sweep"
-        assert lines[1] == "# layer-estimates v1"
+        assert lines[1] == "# layer-estimates v2"
         assert lines[2].startswith("kind,")
         assert len(lines) == 5
         row = lines[3].split(",")
