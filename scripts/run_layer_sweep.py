@@ -7,10 +7,9 @@ The offset sweep shows the boundary layers vanish at zero offset.
 """
 
 import argparse
+import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from twinchain.gamma import (CLAMP_RATIO, LayerSpec, estimate_layer,
                              save_layer_estimates)
@@ -19,7 +18,7 @@ from twinchain.wells import boundary_gradient, build_wells
 
 def parse_args():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--a", type=float, default=np.sqrt(2.0))
+    p.add_argument("--a", type=float, default=math.sqrt(2.0))
     p.add_argument("--height", type=int, default=16,
                    help="largest window half-height")
     p.add_argument("--offsets", type=float, nargs="*", default=[0.0, 0.15, 0.3],

@@ -95,6 +95,10 @@ def density(vdiffs, hdiffs, wells):
     return float(out) if out.ndim == 0 else out
 
 
+# chain offsets of the stencil slots m, c, p (atoms i-1, i, i+1), on axis 0
+SLOT_OFFSETS = np.array([[-1], [0], [1]])
+
+
 def slot_stencil(u, theta, lam, wells):
     """The stencil W = base + j * slope as (base, slope, t), each row-independent.
 
@@ -193,7 +197,7 @@ _GRID_BLOCK = 1 << 15
 
 def _center_stencils(chain: ChainState, ids):
     """`slot_stencil`'s (base, slope) at centers ids; past the chain, the clamp's."""
-    u, theta = chain.atoms_at(ids + np.array([[-1], [0], [1]]))
+    u, theta = chain.atoms_at(ids + SLOT_OFFSETS)
     return slot_stencil(u, theta, chain.lam, chain.wells)[:2]
 
 

@@ -45,12 +45,9 @@ only Phi, d2D/dz2 and the blocks.  So a Newton iteration, whose accepted
 trial's energy, gradient and next Hessian share one x, builds the stencil
 and the brackets once.  A stage drops what no later stage reads.  Any
 other x, compared by value so that an x changed in place is never stale,
-replaces the record; the old one is released first.  Only the centers
-whose stencil holds a free atom reach the gradient and Hessian stages,
-while the energy still sums every center: the middle-atom warm start
-(`preoptimize_middle`) builds its derivatives on three centers.  Where
-those centers' entries land in the gradient and in the Hessian's blocks
-is indexed once per problem (`_scatter`).
+replaces the record; the old one is released first.  Where the centers'
+entries land in the gradient and in the Hessian's blocks is indexed once
+per problem (`_scatter`).
 
 Atoms couple only within distance 2 along the chain, so on the interleaved
 free variables (ux, uy[, theta]), nd per atom, the Hessian has 3*nd - 1
@@ -73,7 +70,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .energy import brackets, row_rule, rule_total, slot_stencil
+from .energy import SLOT_OFFSETS, brackets, row_rule, rule_total, slot_stencil
 from .lattice import (
     ORIENTATION_TOL,
     ChainState,
@@ -99,9 +96,6 @@ __all__ = [
 _PAIRS = [(0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (0, 3), (1, 2), (1, 3)]
 _E = np.eye(4)
 _KS = np.array([np.outer(_E[a], _E[b]) + np.outer(_E[b], _E[a]) for a, b in _PAIRS])
-
-# chain offsets of the stencil slots m, c, p (atoms i-1, i, i+1), on axis 0
-_SLOT = np.array([[-1], [0], [1]])
 
 # per-slot weights over the W vectors; rows are the slots m = atom i-1,
 # c = atom i, p = atom i+1: dW_a/dtheta_s = (_PI[s, a] + j _OMEGA[s, a]) t'_s
@@ -185,11 +179,10 @@ class ChainProblem:
     The window (i_lo..i_hi) x (j_lo..j_hi) selects which summands count;
     `scale` multiplies the raw density sum (lam^2 for physical chains, a row
     average like 1/n for rescaled layer problems).  Admissibility checks the
-    lattice triangles that touch a free atom, on the same stencil.  The
-    energy sums every center in the window; the gradient and the Hessian
-    take only the centers whose stencil holds a free atom (`_touched`), as
-    no other center depends on x.  A problem keeps the evaluation record of
-    the last x it was asked about (`_at`), so one problem serves one thread.
+    lattice triangles that touch a free atom, on the same stencil.  Energy,
+    gradient and Hessian all evaluate the window's centers.  A problem keeps
+    the evaluation record of the last x it was asked about (`_at`), so one
+    problem serves one thread.
     """
 
     def __init__(self, chain: ChainState, *, variable_tau=False, free_ids=None,
@@ -216,13 +209,9 @@ class ChainProblem:
         self.nodes, self.weights = row_rule(self.j_lo, self.j_hi, flat)
         # per center and stencil variable (ux, uy[, theta] slot by slot): the
         # global dof, or -1 for a clamped or frozen atom
-        first = np.searchsorted(self.free_ids, self.centers + _SLOT).T[..., None] * self.nd
+        first = np.searchsorted(self.free_ids, self.centers + SLOT_OFFSETS).T[..., None] * self.nd
         self._dofs = np.where(self._slots[1].T[..., None], first + np.arange(self.nd),
                               -1).reshape(self.centers.size, -1)
-        # the centers whose stencil holds a free dof, slice(None) when that is
-        # every one: the derivative stages see only these, the energy all
-        touched = (self._dofs >= 0).any(axis=1)
-        self._touched = slice(None) if touched.all() else np.flatnonzero(touched)
         self._index = None  # `_scatter`'s indices, built on first use
         # dz/dx from the stencil variables to the reduced ones, y_p = (u_p -
         # u_c)/lam, y_m = (u_m - u_c)/lam[, theta_m, theta_c, theta_p], and
@@ -238,7 +227,8 @@ class ChainProblem:
         # lattice cell (c, j) spans atoms c..c+2 in rows j, j+1: the stencil of
         # center c+1.  Only cells with a free atom can change during a solve
         mid = np.arange(-n - 1, n + 2)
-        self._adm_slots = self._frozen_slots(mid[np.isin(mid + _SLOT, self.free_ids).any(axis=0)])
+        self._adm_slots = self._frozen_slots(
+            mid[np.isin(mid + SLOT_OFFSETS, self.free_ids).any(axis=0)])
         self._adm_rows = (-n - 1, n)
         self._last = None  # the evaluation record of the last x (`_at`)
 
@@ -261,7 +251,7 @@ class ChainProblem:
 
     def _frozen_slots(self, centers):
         """Template (ux, uy, theta) at the slots of `centers`, the free mask, its rows of x."""
-        atoms = centers + _SLOT
+        atoms = centers + SLOT_OFFSETS
         u, theta = self.template.atoms_at(atoms)
         free = np.isin(atoms, self.free_ids)
         return np.dstack([u, theta]), free, np.searchsorted(self.free_ids, atoms[free])
@@ -329,10 +319,8 @@ class ChainProblem:
                       (W, q, r, X), (B1, B2))
 
     def _gradient_stage(self, p):
-        c = self._touched
-        W, q, r, X = (a[c] for a in p.inner)
-        B1, B2 = (b[c] for b in p.B)
-        t = p.t[c] if self.variable_tau else None
+        (W, q, r, X), (B1, B2) = p.inner, p.B
+        t = p.t if self.variable_tau else None
         fk, d = _bracket_parts(q, r, X, B1, B2, self.template.wells)
         gz, G = _reduced_gradient(W, d, t, self.nodes, self.weights)
         p.inner = p.B = None
@@ -364,9 +352,9 @@ class ChainProblem:
         p.blocks = D, U
 
     def _scatter(self):
-        """The `_Scatter` of the touched centers, built on first use."""
+        """The problem's `_Scatter`, built on first use."""
         if self._index is None:
-            dofs = self._dofs[self._touched]
+            dofs = self._dofs
             keep = dofs >= 0
             s = max(min(3 * self.nd - 1, self.ndof - 1), 1)
             m = -(-self.ndof // s)
@@ -396,7 +384,7 @@ class ChainProblem:
 
 
 class _Scatter(NamedTuple):
-    """Where the derivative stages put the touched centers' entries."""
+    """Where the derivative stages put the centers' entries."""
     grad_dofs: np.ndarray   # the gradient's dof of each kept entry
     grad_keep: np.ndarray   # mask of free entries over (centers, 3 nd)
     block: np.ndarray       # flat index into D, U of each kept Hessian entry
@@ -406,7 +394,7 @@ class _Scatter(NamedTuple):
 
 
 class _Slope(NamedTuple):
-    """What the gradient stage leaves for the Hessian stage, per touched center."""
+    """What the gradient stage leaves for the Hessian stage, per center."""
     W: np.ndarray    # the node stencil
     fk: np.ndarray   # f - alpha_k
     d: np.ndarray    # dD/df
@@ -419,9 +407,9 @@ class _Point:
     """One x and what a ChainProblem has evaluated there.
 
     Each stage sets to None what no later stage reads: the gradient stage
-    turns `inner` and `B` into `slope` on the touched centers only and keeps
-    `t` there (None with fixed tau), the Hessian stage drops `slope` and `t`,
-    so that x, energy, grad and blocks remain.
+    turns `inner` and `B` into `slope` and keeps `t` (None with fixed tau),
+    the Hessian stage drops `slope` and `t`, so that x, energy, grad and
+    blocks remain.
     """
     x: np.ndarray
     t: np.ndarray
@@ -696,8 +684,11 @@ def laminate_chain(n, wells: WellPair, lam_fraction: float,
 
 
 def preoptimize_middle(chain: ChainState) -> ChainState:
-    """Relax the middle atom with everything else frozen (2-dof Newton)."""
-    sub = ChainProblem(chain, variable_tau=False, free_ids=[0])
+    """Relax the middle atom with everything else frozen (2-dof Newton).
+
+    Its window is the three centers whose stencil holds atom 0; the others
+    add a constant to the energy."""
+    sub = ChainProblem(chain, free_ids=[0], i_window=(-1, 1))
     report = newton_minimize(chain, problem=sub)
     if not report.converged:
         warnings.warn(f"middle-atom preoptimization did not converge "

@@ -2,6 +2,10 @@
 
 import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -433,3 +437,12 @@ class TestExport:
         assert row[0] == "B_plus"
         assert row[3] == "0.25 0.10000000000000001"
         assert int(row[4]) == 4
+
+    def test_sweep_script_header_prints_the_stretch_as_a_float(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        out = tmp_path / "sweep.csv"
+        subprocess.run([sys.executable, str(root / "scripts" / "run_layer_sweep.py"),
+                        "--height", "4", "--offsets", "0", "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        assert out.read_text().splitlines()[0] == "# layer sweep a=1.4142135623730951 height=4"

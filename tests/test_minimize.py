@@ -5,6 +5,7 @@ scalar energy; the twin relaxation values are frozen from converged runs.
 """
 
 import copy
+import functools
 import tracemalloc
 
 import numpy as np
@@ -374,55 +375,50 @@ class TestEvaluationPlumbing:
 
 
 class TestTouchedCenters:
-    """The derivative stages take only the centers whose stencil holds a free atom."""
+    """The middle-atom warm start evaluates a window of three centers, those
+    whose stencil touches atom 0, and lands where the full-width problem does."""
 
     @staticmethod
     def _stage_centers(monkeypatch):
-        """The leading (center) axis length of each call of the two derivative kernels."""
-        seen = []
-        for name in ("_reduced_gradient", "_reduced_hessian"):
+        """The leading (center) axis length of each call of the two derivative
+        kernels and, apart, of the energy stage's `brackets`."""
+        seen, energy_seen = [], []
+        for name, log in (("_reduced_gradient", seen), ("_reduced_hessian", seen),
+                          ("brackets", energy_seen)):
             kernel = getattr(minimize_mod, name)
-            monkeypatch.setattr(minimize_mod, name, lambda *args, kernel=kernel, **kw:
-                                seen.append(len(args[0])) or kernel(*args, **kw))
-        return seen
-
-    @staticmethod
-    def _check_against_every_center(problem, x):
-        # the same problem with every center sent to the derivative stages
-        full = copy.copy(problem)
-        full._touched, full._last, full._index = slice(None), None, None
-        assert _same_bits(problem.energy(x), full.energy(x))
-        assert _same_bits(problem.gradient(x), full.gradient(x))
-        assert all(map(_same_bits, problem.hessian_banded(x), full.hessian_banded(x)))
+            monkeypatch.setattr(minimize_mod, name, lambda *args, kernel=kernel, log=log, **kw:
+                                log.append(len(args[0])) or kernel(*args, **kw))
+        return seen, energy_seen
 
     @pytest.mark.parametrize("n", [100, 400])
-    def test_middle_atom_problem_uses_three_centers(self, monkeypatch, rng, wells, n):
-        seen = self._stage_centers(monkeypatch)
+    def test_middle_atom_problem_uses_three_centers(self, monkeypatch, wells, n):
+        seen, energy_seen = self._stage_centers(monkeypatch)
         chain = twin_chain(n, wells)
         assert preoptimize_middle(chain) is not chain  # converged: a failure returns chain
         assert seen and set(seen) == {3}
-        problem = ChainProblem(chain, variable_tau=False, free_ids=[0])
-        assert list(problem.centers[problem._touched]) == [-1, 0, 1]
-        x = problem.pack(chain)
-        for point in (x, x + 1e-3 * rng.standard_normal(x.size)):
-            self._check_against_every_center(problem, point)
+        assert energy_seen and set(energy_seen) == {3}
 
-    def test_layer_problem_drops_its_outer_center(self, monkeypatch, rng, wells):
-        # a B_plus layer counts centers 0..L+1; the stencil of L+1 (atoms L,
-        # L+1, L+2) holds no free atom
-        F = boundary_gradient(wells, 0.5)
-        chain, problem = _layer_problem("B_plus", F, wells.U0, (0.3, 0.0), 24, 4, wells)
-        assert list(problem.centers[problem._touched]) == list(range(0, 25))
-        seen = self._stage_centers(monkeypatch)
-        x = problem.pack(chain)
-        x = x + 1e-3 * rng.standard_normal(x.size)
-        self._check_against_every_center(problem, x)
-        assert set(seen) == {25, 26}
+    @pytest.mark.parametrize("a", [np.sqrt(2.0), 2.0, 1.00001], ids=["sqrt2", "2", "1.00001"])
+    @pytest.mark.parametrize("n", [8, 100, 400])
+    @pytest.mark.parametrize("column", [0, 0.4], ids=["middle", "off_middle"])
+    def test_matches_the_full_width_problem(self, a, n, column):
+        # the other centers add a constant to E: the warm chain keeps its bits
+        chain = twin_chain(n, build_wells(a), interface_column=round(column * n))
+        full = newton_minimize(chain, problem=ChainProblem(chain, free_ids=[0]))
+        assert full.converged
+        warm = preoptimize_middle(chain)
+        assert _same_bits(warm.u, full.final_chain.u)
+        assert _same_bits(warm.theta, full.final_chain.theta)
 
-    def test_scatter_index_is_built_once_per_touched_set(self, rng, wells):
-        # one index serves every evaluation of a problem; a copy sent to
-        # every center, its index reset, builds its own and leaves the
-        # original's alone
+    def test_unconverged_warm_start_warns_and_returns_its_input(self, monkeypatch, wells):
+        monkeypatch.setattr(minimize_mod, "MinimizeOptions",
+                            functools.partial(MinimizeOptions, max_iters=0))
+        chain = twin_chain(40, wells)
+        with pytest.warns(UserWarning, match=r"did not converge \(max iterations\)"):
+            assert preoptimize_middle(chain) is chain
+
+    def test_scatter_index_is_built_once_per_problem(self, rng, wells):
+        # one index serves every evaluation of a problem
         F = boundary_gradient(wells, 0.5)
         chain, problem = _layer_problem("B_plus", F, wells.U0, (0.3, 0.0), 24, 4, wells)
         x = problem.pack(chain)
@@ -433,11 +429,6 @@ class TestTouchedCenters:
             problem.gradient(x)
             problem.hessian_banded(x)
             assert problem._index is index
-        full = copy.copy(problem)
-        full._touched, full._last, full._index = slice(None), None, None
-        full.gradient(x)
-        assert full._index is not index and len(full._index.upper) == problem.centers.size
-        assert problem._index is index
 
 
 def _per_row(problem):
