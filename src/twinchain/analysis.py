@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergyBreakdown, grid_lines, sites_reaching, stencil_map, uniform_columns
+from .energy import (EnergyBreakdown, _center_stencils, grid_lines, sites_reaching, stencil_map,
+                     uniform_columns)
 from .lattice import ChainState
 from .wells import WellPair, dist_to_well
 
@@ -69,7 +70,7 @@ def classify(chain: ChainState, wells: WellPair) -> WellClassification:
         column_distance[k] = np.where(pick1, d1, d0).max(axis=1)
         return pick1
 
-    well = stencil_map(chain, nearest, dtype=np.int8)
+    well = stencil_map(_center_stencils(chain, -chain.n, chain.n), nearest, dtype=np.int8)
     return WellClassification(well_id=well, column_distance=column_distance,
                               n=chain.n, lam=chain.lam)
 

@@ -359,7 +359,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     cfg = _resolve_config(args, parser)
-    cfg.out.mkdir(parents=True, exist_ok=True)
+    try:
+        cfg.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. --out names a file
+        parser.error(f"--out: {exc}")
     if args.command == "minimize":
         return cmd_minimize(cfg)
     if args.command == "scan":

@@ -21,18 +21,21 @@ stencil (`slot_stencil`) is the one the Newton derivatives differentiate.
 The stencil is affine in the row j, so a column's densities sum to a
 polynomial of degree <= 8 in j, which a 5-node Gauss rule (`row_rule`, one
 node when every slope is zero) sums exactly.  Every chain-variable total is
-that one sum (`rule_total`): `window_sum`, hence `chain_energy`'s total and
-`gamma`'s strips, and the Newton energy, so a solve's last energy is the
-total `chain_energy` reports.  `stencil_map` walks the stencil over the whole
-site grid for `chain_energy` and `analysis.classify`: a column broadcast when
-every slope is zero, a dense grid otherwise.  No other module reads that
-layout; they call this module's helpers for it.
+that one sum (`rule_total`): `chain_energy`'s total, `window_sum` (hence
+`gamma`'s strips) and the Newton energy, so a solve's last energy is the
+total `chain_energy` reports.  `chain_energy` builds the stencil of the
+centers -n..n once and sums it in O(n).  `stencil_map` walks a stencil over
+the whole site grid, for `EnergyBreakdown.local` on its first read and for
+`analysis.classify`: a column broadcast when every slope is zero, a dense
+grid otherwise.  No other module reads that layout; they call this module's
+helpers for it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -165,21 +168,31 @@ def field_local_grid(field: LatticeField):
 
 @dataclass(frozen=True, eq=False)
 class EnergyBreakdown:
-    """Per-site energies and the total; the row sums are built on first read.
+    """The total and the rescaled energy; the site grid and its row sums are
+    built on first read.
 
-    local[k, l] is the density at chain index i = k - n, row j = l - n.
-    For a chain whose centers are all flat (fixed tau, zero angles) it is a
-    read-only broadcast of one density per column, O(n) in memory; otherwise
-    a dense grid.  total = lam^2 * the row rule's sum for `chain_energy`, within
-    a few ulp of the grid's sum, which `lattice_energy` takes; rescaled = total / lam.
+    total = lam^2 * the row rule's sum for `chain_energy`, within a few ulp of
+    the grid's sum, which `lattice_energy` takes; rescaled = total / lam.
+    site_grid() builds `local`: `save_breakdown` and `diagnose` (through
+    `row_sums` and `sites_reaching`) read it; `scan` and the `layers`
+    reference read only the total, so they never build it.
     """
 
-    local: np.ndarray
+    site_grid: Callable[[], np.ndarray]
     total: float
     rescaled: float
     n: int
     lam: float
     a: float
+
+    @cached_property
+    def local(self):
+        """local[k, l] = the density at chain index i = k - n, row j = l - n.
+
+        A read-only broadcast of one density per column (O(n) memory) when
+        every center is flat (fixed tau, zero angles); otherwise a dense grid.
+        """
+        return self.site_grid()
 
     @cached_property
     def row_sums(self):
@@ -195,15 +208,16 @@ class EnergyBreakdown:
 _GRID_BLOCK = 1 << 15
 
 
-def _center_stencils(chain: ChainState, ids):
-    """`slot_stencil`'s (base, slope) at centers ids; past the chain, the clamp's."""
-    u, theta = chain.atoms_at(ids + SLOT_OFFSETS)
+def _center_stencils(chain: ChainState, i_lo, i_hi):
+    """`slot_stencil`'s (base, slope) at centers i_lo..i_hi; past the chain, the clamp's."""
+    u, theta = chain.atoms_at(np.arange(i_lo, i_hi + 1) + SLOT_OFFSETS)
     return slot_stencil(u, theta, chain.lam, chain.wells)[:2]
 
 
-def stencil_map(chain: ChainState, per_site, dtype=float):
-    """The grid of per_site(k, W) over the centers and rows -n..n.
+def stencil_map(stencil, per_site, dtype=float):
+    """The grid of per_site(k, W) over a stencil's centers and the rows -n..n.
 
+    stencil = (base, slope) of `_center_stencils` at the 2n+1 centers -n..n.
     W = [v+, v-, h+, h-] holds the stencils of centers k - n, shape (len(k),
     rows, 4, 2); per_site returns one value per stencil, shape (len(k), rows).
     If every slope is exactly zero (fixed tau, theta = 0) per_site sees each
@@ -211,16 +225,15 @@ def stencil_map(chain: ChainState, per_site, dtype=float):
     per column (row stride 0, see `broadcast_column`).  Otherwise it is
     dense, filled in _GRID_BLOCK blocks.
     """
-    ids = np.arange(-chain.n, chain.n + 1)
-    base, slope = _center_stencils(chain, ids)
-    k = np.arange(ids.size)
-    shape = (ids.size, ids.size)
+    base, slope = stencil
+    k = np.arange(len(base))
+    shape = (k.size, k.size)
     if not slope.any():
         return np.broadcast_to(per_site(k, base[:, None]).astype(dtype, copy=False), shape)
     grid = np.empty(shape, dtype=dtype)
-    j = ids.astype(float)[None, :, None, None]
-    step = max(1, _GRID_BLOCK // ids.size)
-    for lo in range(0, ids.size, step):
+    j = (k - k.size // 2).astype(float)[None, :, None, None]
+    step = max(1, _GRID_BLOCK // k.size)
+    for lo in range(0, k.size, step):
         blk = k[lo:lo + step]
         grid[blk] = per_site(blk, base[blk, None] + j * slope[blk, None])
     return grid
@@ -272,32 +285,45 @@ def sites_reaching(local, level):
     return np.full(local.shape[1], np.count_nonzero(col >= level))
 
 
+def _stencil_sum(stencil, j_lo, j_hi, weight, wells):
+    """weight * the density of stencil's centers summed over rows j_lo..j_hi.
+
+    `rule_total` sums the rule's nodes, one when every slope is zero, as the
+    Newton energy does: O(centers).
+    """
+    base, slope = stencil
+    nodes, weights = row_rule(j_lo, j_hi, flat=not slope.any())
+    W = base[:, None] + nodes[:, None, None] * slope[:, None]
+    return rule_total(density(W[..., :2, :], W[..., 2:, :], wells), weights, weight)
+
+
 def chain_energy(chain: ChainState) -> EnergyBreakdown:
-    """Energy evaluated directly in chain variables: the site grid off
-    `stencil_map` and the total by the row rule (`window_sum`)."""
-    n, lam = chain.n, chain.lam
-    local = stencil_map(chain, lambda k, W: density(W[..., :2, :], W[..., 2:, :], chain.wells))
-    total = window_sum(chain, -n, n, -n, n, weight=lam ** 2)
-    return EnergyBreakdown(local, total, total / lam, n, lam, chain.wells.a)
+    """Energy evaluated directly in chain variables, in O(n): one stencil over
+    the centers -n..n, its total by the row rule.  The site grid is
+    `stencil_map`'s walk over that stencil, run on the first read of `local`."""
+    n, lam, wells = chain.n, chain.lam, chain.wells
+    stencil = _center_stencils(chain, -n, n)
+    total = _stencil_sum(stencil, -n, n, lam ** 2, wells)
+
+    def site_grid():
+        return stencil_map(stencil, lambda k, W: density(W[..., :2, :], W[..., 2:, :], wells))
+
+    return EnergyBreakdown(site_grid, total, total / lam, n, lam, wells.a)
 
 
 def lattice_energy(field: LatticeField) -> EnergyBreakdown:
     """Energy evaluated from the reconstructed 2D positions, every site in one fsum."""
     local, lam = field_local_grid(field), field.lam
     total = lam * lam * math.fsum(itertools.chain.from_iterable(row.tolist() for row in local))
-    return EnergyBreakdown(local, total, total / lam, field.n, lam, field.chain.wells.a)
+    return EnergyBreakdown(lambda: local, total, total / lam, field.n, lam, field.chain.wells.a)
 
 
 def window_sum(chain: ChainState, i_lo, i_hi, j_lo, j_hi, weight=1.0):
     """weight * the density summed over centers i_lo..i_hi and rows j_lo..j_hi.
 
-    Past the chain the stencil reads the clamp.  `rule_total` sums the rule's
-    nodes, one when every slope is zero, as the Newton energy does: O(centers).
+    Past the chain the stencil reads the clamp; the row rule sums it in O(centers).
     """
-    base, slope = _center_stencils(chain, np.arange(i_lo, i_hi + 1))
-    nodes, weights = row_rule(j_lo, j_hi, flat=not slope.any())
-    W = base[:, None] + nodes[:, None, None] * slope[:, None]
-    return rule_total(density(W[..., :2, :], W[..., 2:, :], chain.wells), weights, weight)
+    return _stencil_sum(_center_stencils(chain, i_lo, i_hi), j_lo, j_hi, weight, chain.wells)
 
 
 def default_jump_threshold(wells):

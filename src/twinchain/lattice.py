@@ -339,6 +339,9 @@ def load_chain(path) -> ChainState:
                 raise ValueError(f"atom rows out of order at {fields[0]}")
             u[row] = (float(fields[1]), float(fields[2]))
             theta[row] = float(fields[3])
+        bad = ~(np.isfinite(u).all(axis=1) & np.isfinite(theta))
+        if bad.any():
+            raise ValueError(f"non-finite value in atom row {geom.atom_lo + int(bad.argmax())}")
         return ChainState(geometry=geom, wells=wells, bc=bc, u=u, theta=theta)
     except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad chain snapshot "

@@ -186,7 +186,7 @@ class TestColumnBroadcast:
         save_classification(dense, tmp_path / "dense.csv", header="twin")
         assert (tmp_path / "view.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
         bd = chain_energy(minimizer400)
-        dense_bd = dataclasses.replace(bd, local=np.array(bd.local))
+        dense_bd = dataclasses.replace(bd, site_grid=lambda: np.array(bd.local))
         for alpha, delta in ((0.4, 0.1), (0.2, 0.05), (0.9, 0.2)):
             assert (find_good_lines(bd, alpha=alpha, delta=delta)
                     == find_good_lines(dense_bd, alpha=alpha, delta=delta))
@@ -404,8 +404,8 @@ class TestGoodLines:
             local[:, 0:5:2] = 0.5
             local[n, 1:5:2] = 100.0
         total = lam * lam * local.sum()
-        bd = EnergyBreakdown(local=local, total=total, rescaled=total / lam, n=n, lam=lam,
-                             a=np.sqrt(2.0))
+        bd = EnergyBreakdown(site_grid=lambda: local, total=total, rescaled=total / lam, n=n,
+                             lam=lam, a=np.sqrt(2.0))
         assert find_good_lines(bd) == GoodLineFailure(reason)
 
     def test_parameter_validation(self, wells):

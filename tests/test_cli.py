@@ -415,8 +415,10 @@ class TestFitDecay:
         ("header-only", "header-only.txt"),
         ("head-without-a", "head-without-a.txt"),
         ("two-field-row", "two-field-row.txt"),
+        ("nan-atom", "non-finite value in atom row 0"),
+        ("inf-atom", "non-finite value in atom row 0"),
     ], ids=["missing-chain", "other-n", "short-window", "header-only",
-            "head-without-a", "two-field-row"])
+            "head-without-a", "two-field-row", "nan-atom", "inf-atom"])
     def test_input_errors_exit_2(self, quick_run, tmp_path, capsys, case, message):
         chain, lo, hi = quick_run / "chain-n8.txt", 2, 6
         reference = quick_run / "reference-n8.txt"
@@ -430,15 +432,20 @@ class TestFitDecay:
             lo, hi = 2, 4
         else:
             # malformed snapshots: no head record, a head record without the
-            # stretch, an atom row cut to two fields
+            # stretch, an atom row cut to two fields, atom 0's ux not finite
             if case == "header-only":
                 lines = lines[:1]
             elif case == "head-without-a":
                 head = json.loads(lines[1][2:])
                 del head["a"]
                 lines[1] = "# " + json.dumps(head)
-            else:
+            elif case == "two-field-row":
                 lines[5] = ",".join(lines[5].split(",")[:2])
+            else:
+                row = next(k for k, line in enumerate(lines) if line.startswith("0,"))
+                fields = lines[row].split(",")
+                fields[1] = case[:3]
+                lines[row] = ",".join(fields)
             chain = tmp_path / f"{case}.txt"
             chain.write_text("\n".join(lines) + "\n")
         code = run("fit-decay", "--chain", chain, "--reference", reference,
@@ -465,6 +472,17 @@ class TestArguments:
         with pytest.raises(SystemExit) as err:
             run(*argv, "--out", tmp_path)
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("below", ["", "runs"], ids=["the-file", "below-the-file"])
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, below):
+        taken = tmp_path / "taken.txt"
+        taken.write_text("kept\n")
+        with pytest.raises(SystemExit) as err:
+            run("scan", "--n", 8, "--out", taken / below)
+        assert err.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+        assert len(errors) == 1 and "--out" in errors[0] and str(taken) in errors[0]
+        assert taken.read_text() == "kept\n"
 
     def test_quick_defaults_small_size(self):
         # config resolution is exercised through the header string

@@ -254,7 +254,7 @@ class TestBreakdownSums:
 
     @staticmethod
     def _assert_bitwise(local, n, lam):
-        bd = EnergyBreakdown(local, 0.0, 0.0, n, lam, np.sqrt(2.0))
+        bd = EnergyBreakdown(lambda: local, 0.0, 0.0, n, lam, np.sqrt(2.0))
         assert "row_sums" not in vars(bd)
         row_sums, _ = _site_wise_sums(local, lam)
         assert np.array_equal(bd.row_sums.view(np.int64), row_sums.view(np.int64))
@@ -336,6 +336,7 @@ class TestColumnBroadcast:
         tracemalloc.start()
         try:
             bd = chain_energy(chain)
+            bd.local  # the grid is built on first read: measure it too
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -371,7 +372,7 @@ class TestColumnBroadcast:
 
     def test_readers_match_the_dense_copy(self, wells, minimizer100, tmp_path):
         bd = chain_energy(minimizer100)
-        dense = dataclasses.replace(bd, local=np.array(bd.local))
+        dense = dataclasses.replace(bd, site_grid=lambda: np.array(bd.local))
         assert energy_mod.broadcast_column(dense.local) is None
         for threshold in (default_jump_threshold(wells), 1e-3, 1.0, 1e3):
             assert (local_energy_threshold_census(bd, threshold)
@@ -379,6 +380,57 @@ class TestColumnBroadcast:
         save_breakdown(bd, tmp_path / "view.csv", header="twin")
         save_breakdown(dense, tmp_path / "dense.csv", header="twin")
         assert (tmp_path / "view.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
+
+
+class TestLazyGrid:
+    """chain_energy builds one stencil and takes only its total; the site grid
+    is `stencil_map`'s walk over that stencil, run on the first read of local."""
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls = []
+        real = getattr(energy_mod, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(energy_mod, name, counted)
+        return calls
+
+    def test_total_builds_one_stencil_and_no_grid(self, rng, monkeypatch):
+        stencils = self._count(monkeypatch, "slot_stencil")
+        walks = self._count(monkeypatch, "stencil_map")
+        bd = chain_energy(random_chain(rng, n=8, dtheta=0.1))
+        assert "local" not in vars(bd)
+        assert (len(stencils), len(walks)) == (1, 0)
+
+    def test_grid_is_walked_once(self, rng, monkeypatch):
+        walks = self._count(monkeypatch, "stencil_map")
+        bd = chain_energy(random_chain(rng, n=8, dtheta=0.1))
+        assert walks == []
+        first = bd.local
+        assert bd.local is first and vars(bd)["local"] is first
+        assert len(walks) == 1
+
+    @pytest.mark.parametrize("dtheta", [0.1, 0.0], ids=["variable-tau", "fixed-tau"])
+    def test_grid_matches_the_walk(self, rng, dtheta):
+        chain = random_chain(rng, n=8, dtheta=dtheta)
+        ids = np.arange(-chain.n, chain.n + 1)
+        walk = energy_mod.stencil_map(
+            energy_mod._center_stencils(chain, -chain.n, chain.n),
+            lambda k, W: density(W[..., :2, :], W[..., 2:, :], chain.wells))
+        local = chain_energy(chain).local
+        assert np.array_equal(local.view(np.int64), walk.view(np.int64))
+        assert np.array_equal(local, chain_local_grid(chain, ids, ids))
+        # a flat (fixed-tau) chain keeps its row-stride-0 broadcast
+        assert (local.strides[1] == 0) == (dtheta == 0.0)
+
+    def test_scan_walks_no_grid(self, monkeypatch, tmp_path):
+        from twinchain import cli
+        walks = self._count(monkeypatch, "stencil_map")
+        assert cli.main(["scan", "--variable-tau", "--n", "40", "--out", str(tmp_path)]) == 0
+        assert walks == []
 
 
 class TestCensus:
@@ -457,8 +509,8 @@ class TestExport:
         local[4] = -0.0                     # all -0.0
         local[5, 4] = np.nan                # NaN in a mixed row
         local[6] = np.nan                   # constant NaN row
-        bd = EnergyBreakdown(local=local, total=0.125, rescaled=0.375, n=n, lam=1.0 / 3.0,
-                             a=np.sqrt(2.0))
+        bd = EnergyBreakdown(site_grid=lambda: local, total=0.125, rescaled=0.375, n=n,
+                             lam=1.0 / 3.0, a=np.sqrt(2.0))
         for header in ("twin run", None):
             save_breakdown(bd, tmp_path / "new.csv", header=header)
             save_per_value(bd, tmp_path / "old.csv", header=header)

@@ -164,7 +164,7 @@ def test_breakdown_signed_zeros(tmp_path, rng, view):
         local[3, 1::2] = 0.0
         local[4] = -0.0
         local[5] = col
-    bd = EnergyBreakdown(local=local, total=-0.0, rescaled=0.375, n=3, lam=1.0 / 3.0,
+    bd = EnergyBreakdown(site_grid=lambda: local, total=-0.0, rescaled=0.375, n=3, lam=1.0 / 3.0,
                          a=np.sqrt(2.0))
     assert_same_bytes(tmp_path, save_breakdown, bd)
 
