@@ -295,33 +295,37 @@ def cmd_fit_decay(cfg: ExperimentConfig, chain_path, reference_path, lo, hi) -> 
 
 
 def _build_parser():
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--a", type=float, default=None,
-                        help="primary stretch (default sqrt 2)")
-    shared.add_argument("--lambda", dest="lam", type=float, default=None,
-                        help="Q U1's volume fraction in (0, 1): "
-                             "F = (1 - lambda) U0 + lambda Q U1")
-    shared.add_argument("--n", dest="n_list", metavar="N", type=int,
+    # each subcommand takes only the flags its cmd_* reads
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", type=Path, default=None,
+                     help="output directory (default runs/)")
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--a", type=float, default=None,
+                       help="primary stretch (default sqrt 2)")
+    model.add_argument("--lambda", dest="lam", type=float, default=None,
+                       help="Q U1's volume fraction in (0, 1): "
+                            "F = (1 - lambda) U0 + lambda Q U1")
+    chains = argparse.ArgumentParser(add_help=False)
+    chains.add_argument("--n", dest="n_list", metavar="N", type=int,
                         action="append", default=None,
                         help="chain half-width; repeatable")
-    shared.add_argument("--alpha", type=float, default=None)
-    shared.add_argument("--delta", type=float, default=None)
-    shared.add_argument("--variable-tau", action="store_true", default=None)
-    shared.add_argument("--quick", action="store_true", default=None,
-                        help="small sizes for smoke runs")
-    shared.add_argument("--svg", action="store_true", default=None)
-    shared.add_argument("--out", type=Path, default=None,
-                        help="output directory (default runs/)")
+    chains.add_argument("--variable-tau", action="store_true", default=None)
 
     parser = argparse.ArgumentParser(
         prog="twinchain",
         description="two-well chain experiments: relaxation, scaling, layers")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("minimize", parents=[shared])
-    sub.add_parser("scan", parents=[shared])
-    sub.add_parser("layers", parents=[shared])
-    sub.add_parser("diagnose", parents=[shared])
-    fit = sub.add_parser("fit-decay", parents=[shared])
+    relax = [model, chains, out]
+    sub.add_parser("minimize", parents=relax)
+    sub.add_parser("scan", parents=relax).add_argument(
+        "--svg", action="store_true", default=None)
+    sub.add_parser("layers", parents=[model, out]).add_argument(
+        "--quick", action="store_true", default=None,
+        help="small sizes for smoke runs")
+    diagnose = sub.add_parser("diagnose", parents=relax)
+    diagnose.add_argument("--alpha", type=float, default=None)
+    diagnose.add_argument("--delta", type=float, default=None)
+    fit = sub.add_parser("fit-decay", parents=[out])
     fit.add_argument("--chain", type=Path, required=True)
     fit.add_argument("--reference", type=Path, required=True)
     fit.add_argument("--lo", type=int, required=True)
@@ -331,13 +335,11 @@ def _build_parser():
 
 def _resolve_config(args, parser) -> ExperimentConfig:
     # each field comes from the flag whose argparse dest is its name; a flag
-    # left out keeps the field's default
+    # left out, or not taken by the subcommand, keeps the field's default
     given = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
-             if getattr(args, f.name) is not None}
+             if getattr(args, f.name, None) is not None}
     if "n_list" in given:
         given["n_list"] = tuple(given["n_list"])
-    elif given.get("quick"):
-        given["n_list"] = (8,)
     cfg = ExperimentConfig(**given)
 
     try:

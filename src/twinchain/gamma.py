@@ -246,8 +246,8 @@ def estimate_layer(spec: LayerSpec, wells: WellPair, *,
     sees the same L/n.  Each height starts from the last converged height
     below it, else (B kinds) from atom -1 on the counted side's map, else
     from the linear ramp, whichever is admissible first (`_solve_layer`).
-    Every solve stops by `newton_minimize`'s rule; a height whose solve
-    fails is recorded as nan and left out of the value.
+    Every solve stops by `newton_minimize`'s rule; a failed height is recorded
+    as nan and left out of the value, which is nan if no height converged.
     """
     if n_sequence is None:
         n_sequence = sorted(v for v in {max(4, spec.n // 4), max(6, spec.n // 2),
@@ -269,9 +269,7 @@ def estimate_layer(spec: LayerSpec, wells: WellPair, *,
         records.append((n_v, float(report.energy_history[-1]) if ok else math.nan))
 
     valid = [(n_v, e) for n_v, e in records if math.isfinite(e)]
-    if not valid:
-        raise RuntimeError("no height in the sequence produced a converged solve")
-    value = valid[-1][1]
+    value = valid[-1][1] if valid else math.nan
     converged = (len(valid) >= 2
                  and abs(valid[-1][1] - valid[-2][1])
                  <= 0.02 * max(abs(valid[-1][1]), 1e-9))

@@ -358,7 +358,7 @@ def test_criterion_09_layer_consistency(wells, minimizer100):
 
 def test_criterion_10_determinism(tmp_path):
     dirs = [tmp_path / "one", tmp_path / "two"]
-    codes = [cli_main(["minimize", "--quick", "--out", str(d)]) for d in dirs]
+    codes = [cli_main(["minimize", "--n", "8", "--out", str(d)]) for d in dirs]
     names = sorted(p.name for p in dirs[0].iterdir())
     same = all((dirs[0] / f).read_bytes() == (dirs[1] / f).read_bytes()
                for f in names)

@@ -1,11 +1,13 @@
 """End-to-end checks of the experiment driver."""
 
+import argparse
 import ast
 import functools
 import importlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -29,7 +31,7 @@ def run(*argv):
 def quick_run(tmp_path_factory):
     """One quick minimize run shared by the read-only assertions."""
     out = tmp_path_factory.mktemp("quick")
-    code = run("minimize", "--quick", "--out", out)
+    code = run("minimize", "--n", 8, "--out", out)
     assert code == 0
     return out
 
@@ -64,14 +66,14 @@ class TestMinimize:
         assert np.isfinite(chain.u).all()
 
     def test_deterministic_rerun(self, quick_run, tmp_path):
-        assert run("minimize", "--quick", "--out", tmp_path) == 0
+        assert run("minimize", "--n", 8, "--out", tmp_path) == 0
         for path in sorted(quick_run.iterdir()):
             assert (tmp_path / path.name).read_bytes() == path.read_bytes()
 
 
 class TestScan:
     def test_table_and_plot_data(self, tmp_path):
-        assert run("scan", "--quick", "--svg", "--out", tmp_path) == 0
+        assert run("scan", "--n", 8, "--svg", "--out", tmp_path) == 0
         lines = (tmp_path / "scan.csv").read_text().splitlines()
         assert lines[2] == "n,lambda_n,total_energy,rescaled_energy,iterations,converged"
         fields = lines[3].split(",")
@@ -163,7 +165,7 @@ class TestLayersAndDiagnose:
         assert float(comp["relative_gap"]) < 0.10
 
     def test_diagnose_quick(self, tmp_path):
-        assert run("diagnose", "--quick", "--out", tmp_path) == 0
+        assert run("diagnose", "--n", 8, "--out", tmp_path) == 0
         lines = (tmp_path / "diagnose.csv").read_text().splitlines()
         assert lines[2] == "n,threshold,sites_above,rows_above,j_minus,j_zero,j_plus,status"
         row = lines[3].split(",")
@@ -263,6 +265,29 @@ class TestNonConvergence:
         assert capsys.readouterr().err.splitlines() == [
             "layers has no converged solve for flat C at n = 6"]
         assert (tmp_path / "composition.txt").is_file()
+
+    def test_layer_failed_at_every_height_exits_1(self, monkeypatch, tmp_path, capsys):
+        # B_minus fails at both heights: its value is nan, and the run still
+        # writes both files and names each failed height
+        solve = gamma._solve_layer
+
+        def failing(kind, V_left, V_right, r, L, n_v, wells, below=None):
+            if kind == "B_minus":
+                return None, below
+            return solve(kind, V_left, V_right, r, L, n_v, wells, below)
+
+        monkeypatch.setattr(gamma, "_solve_layer", failing)
+        assert run("layers", "--quick", "--out", tmp_path) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "layers has no converged solve for B_minus at n = 4, B_minus at n = 6"]
+        table = (tmp_path / "layers.csv").read_text().splitlines()
+        assert [row.rsplit(",", 1)[1] for row in table
+                if row.startswith("B_minus,")] == ["nan", "nan"]
+        comp = dict(line.split("=", 1) for line in
+                    (tmp_path / "composition.txt").read_text().splitlines()
+                    if "=" in line and not line.startswith("#"))
+        assert [comp[k] for k in ("ek_first_ordering", "ek_second_ordering",
+                                  "ek_min")] == ["nan"] * 3
 
     def test_start_at_the_gradient_stop_exits_1(self, tmp_path, capsys):
         # at a = 1.00001 the warm start already meets the gradient stop, so the
@@ -454,14 +479,30 @@ class TestFitDecay:
         assert message in capsys.readouterr().err
 
 
+# the flags each subcommand takes: the ones its cmd_* reads
+_RELAX_FLAGS = {"--a", "--lambda", "--n", "--variable-tau", "--out"}
+SUBCOMMAND_FLAGS = {
+    "minimize": _RELAX_FLAGS,
+    "scan": _RELAX_FLAGS | {"--svg"},
+    "diagnose": _RELAX_FLAGS | {"--alpha", "--delta"},
+    "layers": {"--a", "--lambda", "--quick", "--out"},
+    "fit-decay": {"--chain", "--reference", "--lo", "--hi", "--out"},
+}
+VALUED_FLAGS = {"--a", "--lambda", "--n", "--alpha", "--delta"}
+# every subcommand once took all of these
+_FORMER_SHARED_FLAGS = VALUED_FLAGS | {"--variable-tau", "--quick", "--svg", "--out"}
+REMOVED_FLAGS = [(command, flag) for command, taken in SUBCOMMAND_FLAGS.items()
+                 for flag in sorted(_FORMER_SHARED_FLAGS - taken)]
+
+
 class TestArguments:
     @pytest.mark.parametrize("argv", [
         ("minimize", "--lambda", "2"),
         ("minimize", "--lambda", "0"),
         ("minimize", "--a", "1"),
         ("minimize", "--n", "4"),
-        ("scan", "--alpha", "1.5"),
-        ("scan", "--delta", "0.3"),
+        ("diagnose", "--alpha", "1.5"),
+        ("diagnose", "--delta", "0.3"),
         ("minimize", "--seed", "1"),
         ("minimize", "--a", "1.0000000000001"),
         ("minimize", "--a", "1e-4"),
@@ -472,6 +513,42 @@ class TestArguments:
         with pytest.raises(SystemExit) as err:
             run(*argv, "--out", tmp_path)
         assert err.value.code == 2
+
+    def test_subcommand_flags(self):
+        sub = next(action for action in cli._build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        flags = {command: {s for action in parser._actions
+                           for s in action.option_strings} - {"-h", "--help"}
+                 for command, parser in sub.choices.items()}
+        assert flags == SUBCOMMAND_FLAGS
+        assert sum(len(f) for f in flags.values()) == 27
+        assert len(REMOVED_FLAGS) == 49 - 27
+
+    @pytest.mark.parametrize("command, flag", REMOVED_FLAGS,
+                             ids=[f"{c}{f}" for c, f in REMOVED_FLAGS])
+    def test_flag_the_subcommand_does_not_read_exits_2(self, tmp_path, capsys,
+                                                       command, flag):
+        argv = [command, flag] + (["0.5"] if flag in VALUED_FLAGS else [])
+        if command == "fit-decay":
+            argv += ["--chain", "c.txt", "--reference", "r.txt", "--lo", 2, "--hi", 6]
+        with pytest.raises(SystemExit) as err:
+            run(*argv, "--out", tmp_path)
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_readme_command_lines_parse(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+        lines = [line for block in blocks
+                 for line in block.replace("\\\n", " ").splitlines()
+                 if line.startswith("twinchain ")]
+        assert len(lines) >= 8
+        parser = cli._build_parser()
+        for line in lines:
+            try:
+                parser.parse_args(shlex.split(line)[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {line}")
 
     @pytest.mark.parametrize("below", ["", "runs"], ids=["the-file", "below-the-file"])
     def test_out_naming_a_file_exits_2(self, tmp_path, capsys, below):

@@ -259,8 +259,9 @@ class TestLayerEstimates:
         spec = LayerSpec("C", wells.U0, wells.QU1, (0.0, 0.0), L=12, n=4)
         monkeypatch.setattr(minimize, "MinimizeOptions",
                             functools.partial(MinimizeOptions, max_iters=1))
-        with pytest.raises(RuntimeError, match="no height"):
-            estimate_layer(spec, wells, n_sequence=(4,))
+        est = estimate_layer(spec, wells, n_sequence=(4,))
+        assert math.isnan(est.value) and est.converged is False
+        assert est.n_sequence[0][0] == 4 and math.isnan(est.n_sequence[0][1])
 
     def test_one_solve_per_height_at_the_clamp_ratio(self, wells, f_half,
                                                      monkeypatch):
