@@ -38,17 +38,19 @@ TIE_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class WellClassification:
-    """Per-cell nearest well, and each column's largest distance to it.
+    """Per-cell nearest well, and each column's largest and mean square distance to it.
 
     well_id[k, l] (int8, laid out by `energy.stencil_map`) labels the cell at
     chain index i = k - n, row j = l - n with 0 or 1; an equidistant cell
     (within TIE_TOL) gets well 0.
     column_distance[k] is the largest orbit distance from a cell of column k
-    to its labelled well.
+    to its labelled well, and column_mean_sq[k] the mean of its square over
+    the column's cells.
     """
 
     well_id: np.ndarray
     column_distance: np.ndarray
+    column_mean_sq: np.ndarray
     n: int
     lam: float
 
@@ -61,18 +63,21 @@ def classify(chain: ChainState, wells: WellPair) -> WellClassification:
     depends on its own gradient only.
     """
     column_distance = np.empty(2 * chain.n + 1)
+    column_mean_sq = np.empty(2 * chain.n + 1)
 
     def nearest(k, W):
         grads = W[..., 2::-2, :].swapaxes(-1, -2)  # columns h+, v+
         d0, _ = dist_to_well(grads, wells.U0)
         d1, _ = dist_to_well(grads, wells.U1)
         pick1 = (np.abs(d0 - d1) > TIE_TOL) & (d1 < d0)
-        column_distance[k] = np.where(pick1, d1, d0).max(axis=1)
+        dist = np.where(pick1, d1, d0)
+        column_distance[k] = dist.max(axis=1)
+        column_mean_sq[k] = (dist * dist).mean(axis=1)
         return pick1
 
     well = stencil_map(_center_stencils(chain, -chain.n, chain.n), nearest, dtype=np.int8)
     return WellClassification(well_id=well, column_distance=column_distance,
-                              n=chain.n, lam=chain.lam)
+                              column_mean_sq=column_mean_sq, n=chain.n, lam=chain.lam)
 
 
 @dataclass(frozen=True)
@@ -187,9 +192,7 @@ def find_good_lines(bd: EnergyBreakdown, alpha: float = 0.4, delta: float = 0.1)
     """Pick rows j_minus < j_zero < j_plus that are quiet in two senses.
 
     A row j qualifies when its lam-weighted energy sum is <= n^-alpha and at
-    most n^alpha / delta of its sites reach n^-alpha.  The sites that reach
-    the wells' `default_jump_threshold` are not capped: every site of the
-    relaxed twins measured (n = 8 to 1000) reaches it.  The rows must be
+    most n^alpha / delta of its sites reach n^-alpha.  The rows must be
     equally spaced with j_minus in [-n, -n+2*delta*n], j_zero in
     [-delta*n, delta*n], j_plus mirrored.  Returns GoodLines, or a
     GoodLineFailure naming the binding condition.

@@ -4,7 +4,7 @@ Subcommands
     minimize   relax the kinked chain for each n and write full reports
     scan       tabulate total and rescaled energies across n
     layers     boundary/internal layer estimates and the K=3 composition
-    diagnose   threshold census and good-row selection on relaxed states
+    diagnose   off-well column counts and good-row selection on relaxed states
     fit-decay  exponential fit of the deviation between two snapshots
 
 Every output file embeds the resolved configuration, values are written
@@ -40,8 +40,7 @@ if _pin_blas:
 from .analysis import (GoodLines, classify, deviation_profile, find_good_lines,
                        fit_exponential, interface_positions,
                        save_classification, save_profile)
-from .energy import (chain_energy, default_jump_threshold,
-                     local_energy_threshold_census, save_breakdown)
+from .energy import chain_energy, save_breakdown
 from .gamma import (CLAMP_RATIO, LayerSpec, estimate_EK, estimate_layer,
                     save_layer_estimates)
 from .lattice import load_chain, save_chain
@@ -50,6 +49,8 @@ from .minimize import (MinimizeOptions, newton_minimize, preoptimize_middle,
 from .wells import boundary_gradient, build_wells
 
 G17 = "%.17g"
+# the column_distance levels above which `diagnose` counts a column off the wells
+OFF_WELL_TOLS = (1e-2, 1e-1)
 
 
 @dataclass(frozen=True)
@@ -259,20 +260,25 @@ def cmd_layers(cfg: ExperimentConfig) -> int:
 
 
 def cmd_diagnose(cfg: ExperimentConfig) -> int:
-    lines = [f"# {cfg.header()}", "# diagnose v1",
-             "n,threshold,sites_above,rows_above,j_minus,j_zero,j_plus,status"]
+    lines = [f"# {cfg.header()}", "# diagnose v2",
+             "n,off_well_columns_1e-2,off_well_columns_1e-1,n_mean_dist_sq,"
+             "j_minus,j_zero,j_plus,status"]
     runs = _map_runs(cfg, lambda n: _relax(cfg, n))
     for n, (wells, warm, report) in zip(cfg.n_list, runs):
-        bd = chain_energy(report.final_chain)
-        census = local_energy_threshold_census(bd, default_jump_threshold(wells))
-        found = find_good_lines(bd, alpha=cfg.alpha, delta=cfg.delta)
+        # the breakdown and its site grid are freed before classify builds its grid
+        found = find_good_lines(chain_energy(report.final_chain), alpha=cfg.alpha,
+                                delta=cfg.delta)
+        cls = classify(report.final_chain, wells)
+        off_well = ",".join(str(np.count_nonzero(cls.column_distance > tol))
+                            for tol in OFF_WELL_TOLS)
+        # every column holds 2n+1 cells: the mean over all cells is the mean of column means
+        n_mean_dist_sq = n * cls.column_mean_sq.mean()
         if isinstance(found, GoodLines):
             jm, j0, jp, status = found.j_minus, found.j_zero, found.j_plus, "ok"
         else:
             jm = j0 = jp = ""
             status = found.reason.replace(",", ";")
-        lines.append(f"{n},{G17 % census.threshold},{census.site_count},"
-                     f"{census.row_count},{jm},{j0},{jp},{status}")
+        lines.append(f"{n},{off_well},{G17 % n_mean_dist_sq},{jm},{j0},{jp},{status}")
     _write(cfg.out / "diagnose.csv", lines)
     return _exit_status("diagnose", cfg, runs)
 

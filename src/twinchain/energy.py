@@ -58,8 +58,6 @@ __all__ = [
     "lattice_energy",
     "field_local_grid",
     "window_sum",
-    "local_energy_threshold_census",
-    "default_jump_threshold",
     "save_breakdown",
 ]
 
@@ -173,7 +171,7 @@ class EnergyBreakdown:
 
     total = lam^2 * the row rule's sum for `chain_energy`, within a few ulp of
     the grid's sum, which `lattice_energy` takes; rescaled = total / lam.
-    site_grid() builds `local`: `save_breakdown` and `diagnose` (through
+    site_grid() builds `local`: `save_breakdown` and `find_good_lines` (through
     `row_sums` and `sites_reaching`) read it; `scan` and the `layers`
     reference read only the total, so they never build it.
     """
@@ -196,7 +194,7 @@ class EnergyBreakdown:
 
     @cached_property
     def row_sums(self):
-        """row_sums[l] = fsum of row j = l - n, built on first read (by `diagnose`)."""
+        """row_sums[l] = fsum of row j = l - n, built on first read (by `find_good_lines`)."""
         x = broadcast_column(self.local)
         if x is None:  # a list per row: a whole-grid tolist() holds 32 bytes per site
             return np.array([math.fsum(col.tolist()) for col in self.local.T])
@@ -324,29 +322,6 @@ def window_sum(chain: ChainState, i_lo, i_hi, j_lo, j_hi, weight=1.0):
     Past the chain the stencil reads the clamp; the row rule sums it in O(centers).
     """
     return _stencil_sum(_center_stencils(chain, i_lo, i_hi), j_lo, j_hi, weight, chain.wells)
-
-
-def default_jump_threshold(wells):
-    """Density level below which a site cannot host a jump between the wells."""
-    a2, b2 = wells.a ** 2, wells.b ** 2
-    return ((b2 - a2) / (100.0 * (a2 + b2))) ** 4
-
-
-@dataclass(frozen=True)
-class ThresholdCensus:
-    threshold: float
-    site_count: int
-    row_count: int
-
-
-def local_energy_threshold_census(bd: EnergyBreakdown, threshold) -> ThresholdCensus:
-    """Count sites with local >= threshold and rows whose lam-weighted sum reaches it."""
-    if threshold <= 0.0:
-        raise ValueError("threshold must be positive")
-    return ThresholdCensus(
-        threshold=float(threshold),
-        site_count=int(sites_reaching(bd.local, threshold).sum()),
-        row_count=int(np.count_nonzero(bd.lam * bd.row_sums >= threshold)))
 
 
 def save_breakdown(bd: EnergyBreakdown, path, header=None):

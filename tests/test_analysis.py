@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -101,32 +102,38 @@ class TestClassify:
         assert (cls.column_distance > 0.5).all()
 
     def test_distance_is_the_smaller_orbit_distance(self, wells, rng):
-        chain = random_chain(rng, n=6, dtheta=0.1)
-        field = reconstruct(chain)
-        cls = classify(chain, wells)
-        for i in (-3, 0, 4):
-            k = i + chain.n
-            nearer = []
-            for j in range(-chain.n, chain.n + 1):
-                g = field.gradients[field.grad_index(i, j)]
-                d0, _ = dist_to_well(g, wells.U0)
-                d1, _ = dist_to_well(g, wells.U1)
-                w = int(cls.well_id[k, j + chain.n])
-                assert (d0, d1)[w] <= (d1, d0)[w] + 1e-14
-                nearer.append(min(d0, d1))
-            assert cls.column_distance[k] == pytest.approx(max(nearer), abs=1e-14)
+        # variable tau takes classify's dense block path, fixed tau its column broadcast
+        for dtheta in (0.1, 0.0):
+            chain = random_chain(rng, n=6, dtheta=dtheta)
+            field = reconstruct(chain)
+            cls = classify(chain, wells)
+            assert (cls.well_id.strides[1] == 0) == (dtheta == 0.0)
+            for i in range(-chain.n, chain.n + 1):
+                k = i + chain.n
+                nearer, labelled = [], []
+                for j in range(-chain.n, chain.n + 1):
+                    g = field.gradients[field.grad_index(i, j)]
+                    d0, _ = dist_to_well(g, wells.U0)
+                    d1, _ = dist_to_well(g, wells.U1)
+                    w = int(cls.well_id[k, j + chain.n])
+                    assert (d0, d1)[w] <= (d1, d0)[w] + 1e-14
+                    nearer.append(min(d0, d1))
+                    labelled.append((d0, d1)[w])
+                assert cls.column_distance[k] == pytest.approx(max(nearer), abs=1e-14)
+                mean_sq = math.fsum(d * d for d in labelled) / len(labelled)
+                assert cls.column_mean_sq[k] == pytest.approx(mean_sq, rel=1e-13)
 
     def test_blocks_match_one_whole_array_pass(self, wells, rng, monkeypatch):
         chain = random_chain(rng, n=8, dtheta=0.1)
         whole = classify(chain, wells)
         assert [f.name for f in dataclasses.fields(whole)] == [
-            "well_id", "column_distance", "n", "lam"]
+            "well_id", "column_distance", "column_mean_sq", "n", "lam"]
         assert whole.well_id.dtype == np.int8
         assert 0 < whole.well_id.sum() < whole.well_id.size
         # 17 centers in blocks of 3: five full blocks and a ragged one of 2
         monkeypatch.setattr(energy_mod, "_GRID_BLOCK", 3 * 17)
         cls = classify(chain, wells)
-        for name in ("well_id", "column_distance"):
+        for name in ("well_id", "column_distance", "column_mean_sq"):
             assert getattr(cls, name).dtype == getattr(whole, name).dtype
             assert np.array_equal(getattr(cls, name), getattr(whole, name))
 
@@ -449,7 +456,7 @@ class TestExports:
         well[5, ::3] = 1
         well[8] = [1, 0, 1, 0, 0, 1, 1, 0, 1]
         cls = WellClassification(well_id=well, column_distance=np.zeros(9),
-                                 n=4, lam=0.25)
+                                 column_mean_sq=np.zeros(9), n=4, lam=0.25)
         for header in ("twin", None):
             save_classification(cls, tmp_path / "new.csv", header=header)
             save_per_value(cls, tmp_path / "old.csv", header=header)

@@ -167,19 +167,40 @@ class TestLayersAndDiagnose:
     def test_diagnose_quick(self, tmp_path):
         assert run("diagnose", "--n", 8, "--out", tmp_path) == 0
         lines = (tmp_path / "diagnose.csv").read_text().splitlines()
-        assert lines[2] == "n,threshold,sites_above,rows_above,j_minus,j_zero,j_plus,status"
+        assert lines[1] == "# diagnose v2"
+        assert lines[2] == ("n,off_well_columns_1e-2,off_well_columns_1e-1,n_mean_dist_sq,"
+                            "j_minus,j_zero,j_plus,status")
         row = lines[3].split(",")
         assert len(row) == 8
-        assert int(row[2]) > 0
+        assert (int(row[1]), int(row[2])) == (16, 2)
+
+    @staticmethod
+    def _rigidity(path):
+        """Per row of diagnose.csv: n -> (the two off-well counts, n * mean dist^2)."""
+        rows = [line.split(",") for line in path.read_text().splitlines()[3:]]
+        return {int(r[0]): ((int(r[1]), int(r[2])), float(r[3])) for r in rows}
 
     def test_diagnose_rows_pinned(self, tmp_path):
         assert run("diagnose", "--n", 40, "--n", 100, "--out", tmp_path) == 0
         lines = (tmp_path / "diagnose.csv").read_text().splitlines()
-        assert lines[3:] == [
-            "40,1.2960000000000001e-09,6561,81,,,,"
-            "no row in band 'minus' satisfies the row-sum bound",
-            "100,1.2960000000000001e-09,40401,201,-90,0,90,ok",
+        # the good-line cells are those of diagnose v1
+        assert [line.split(",", 4)[4] for line in lines[3:]] == [
+            ",,,no row in band 'minus' satisfies the row-sum bound",
+            "-90,0,90,ok",
         ]
+        rigidity = self._rigidity(tmp_path / "diagnose.csv")
+        assert [counts for counts, _ in rigidity.values()] == [(4, 2), (4, 2)]
+        assert rigidity[40][1] == pytest.approx(0.094638629238959909, rel=1e-12)
+        assert rigidity[100][1] == pytest.approx(0.095923789921539285, rel=1e-12)
+
+    def test_diagnose_rigidity_across_n(self, tmp_path):
+        # asymptotic piecewise rigidity: the off-well columns stay a fixed
+        # count, and the L^2 distance to the wells decays like n^(-1/2)
+        assert run("diagnose", "--n", 100, "--n", 200, "--n", 400, "--out", tmp_path) == 0
+        rigidity = self._rigidity(tmp_path / "diagnose.csv")
+        assert sorted(rigidity) == [100, 200, 400]
+        assert len({counts for counts, _ in rigidity.values()}) == 1
+        assert rigidity[400][1] == pytest.approx(rigidity[200][1], rel=1e-2)
 
 
 class TestLatticeOracle:

@@ -174,7 +174,8 @@ def test_classification_one_mixed_row(tmp_path):
     well[1] = 1
     well[6] = 1
     well[4, 5:] = 1
-    cls = WellClassification(well_id=well, column_distance=np.zeros(9), n=4, lam=0.25)
+    cls = WellClassification(well_id=well, column_distance=np.zeros(9),
+                             column_mean_sq=np.zeros(9), n=4, lam=0.25)
     assert_same_bytes(tmp_path, save_classification, cls)
 
 
