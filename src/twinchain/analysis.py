@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import (EnergyBreakdown, _center_stencils, grid_lines, sites_reaching, stencil_map,
+from .energy import (EnergyBreakdown, _center_stencils, sites_reaching, stencil_map,
                      uniform_columns)
 from .lattice import ChainState
 from .wells import WellPair, dist_to_well
@@ -242,13 +242,26 @@ def find_good_lines(bd: EnergyBreakdown, alpha: float = 0.4, delta: float = 0.1)
 
 
 def save_classification(cls: WellClassification, path, header=None):
-    """Integer matrix export of the per-cell well ids (`grid_lines`)."""
+    """Delimited export, well-classification v2: one row per chain column
+    i = -n..n holding the runs of equal well id down the column from j = -n,
+    each as id:count, joined by ';'."""
+    ids, n = cls.well_id, cls.n
+    width = ids.shape[1]
     with open(path, "w") as fh:
         if header:
             fh.write("# " + header + "\n")
-        fh.write("# well-classification v1\n")
-        fh.write(f"n={cls.n},lambda={'%.17g' % cls.lam}\n")
-        fh.writelines(grid_lines(cls.well_id, cls.n, str))
+        fh.write("# well-classification v2\n")
+        fh.write(f"n={n},lambda={'%.17g' % cls.lam}\n")
+        fh.write("i,runs\n")
+        for k, (first, same) in enumerate(zip(ids[:, 0].tolist(),
+                                               uniform_columns(ids).tolist())):
+            if same:
+                runs = f"{first}:{width}"
+            else:
+                col = ids[k]
+                cuts = [0, *(np.flatnonzero(col[1:] != col[:-1]) + 1).tolist(), width]
+                runs = ";".join(f"{col[lo]}:{hi - lo}" for lo, hi in zip(cuts, cuts[1:]))
+            fh.write(f"{k - n},{runs}\n")
 
 
 def save_profile(fit: DecayFit, path, header=None):

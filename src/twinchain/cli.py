@@ -7,9 +7,9 @@ Subcommands
     diagnose   off-well column counts and good-row selection on relaxed states
     fit-decay  exponential fit of the deviation between two snapshots
 
-Every output file embeds the resolved configuration, values are written
-with 17 significant digits, and identical configurations produce
-bit-identical files.
+Every output file embeds the resolved settings the command takes (fit-decay:
+those of its input snapshot), values are written with 17 significant digits,
+and identical configurations produce bit-identical files.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .analysis import (GoodLines, classify, deviation_profile, find_good_lines,
 from .energy import chain_energy, save_breakdown
 from .gamma import (CLAMP_RATIO, LayerSpec, estimate_EK, estimate_layer,
                     save_layer_estimates)
-from .lattice import load_chain, save_chain
+from .lattice import load_chain, save_chain, snapshot_config
 from .minimize import (MinimizeOptions, newton_minimize, preoptimize_middle,
                        twin_chain)
 from .wells import boundary_gradient, build_wells
@@ -65,12 +65,18 @@ class ExperimentConfig:
     svg: bool = False
     out: Path = Path("runs")
 
-    def header(self):
-        ns = " ".join(str(n) for n in self.n_list)
-        return (f"config a={G17 % self.a} lambda={G17 % self.lam} n=[{ns}] "
-                f"alpha={G17 % self.alpha} delta={G17 % self.delta} "
-                f"variable_tau={int(self.variable_tau)} "
-                f"quick={int(self.quick)}")
+    def header(self, settings):
+        """Line 1 of a command's files: `config`, then name=value for each
+        (name, field) pair of settings, the command's flags."""
+        def text(value):
+            if isinstance(value, bool):
+                return str(int(value))
+            if isinstance(value, tuple):
+                return "[" + " ".join(map(str, value)) + "]"
+            return G17 % value
+
+        return " ".join(["config", *(f"{name}={text(getattr(self, field))}"
+                                     for name, field in settings)])
 
 
 def _interface_column(cfg: ExperimentConfig, n: int) -> int:
@@ -147,8 +153,7 @@ def _exit_status(command, cfg: ExperimentConfig, runs) -> int:
 # subcommands
 
 
-def cmd_minimize(cfg: ExperimentConfig) -> int:
-    head = cfg.header()
+def cmd_minimize(cfg: ExperimentConfig, head) -> int:
     runs = _map_runs(cfg, lambda n: _relax(cfg, n))
     no_fit = []
     for n, (wells, warm, report) in zip(cfg.n_list, runs):
@@ -191,8 +196,7 @@ def cmd_minimize(cfg: ExperimentConfig) -> int:
     return status
 
 
-def cmd_scan(cfg: ExperimentConfig) -> int:
-    head = cfg.header()
+def cmd_scan(cfg: ExperimentConfig, head) -> int:
     rows = []
     runs = _map_runs(cfg, lambda n: _relax(cfg, n))
     for n, (wells, warm, report) in zip(cfg.n_list, runs):
@@ -216,8 +220,7 @@ def cmd_scan(cfg: ExperimentConfig) -> int:
     return _exit_status("scan", cfg, runs)
 
 
-def cmd_layers(cfg: ExperimentConfig) -> int:
-    head = cfg.header()
+def cmd_layers(cfg: ExperimentConfig, head) -> int:
     wells = build_wells(cfg.a)
     F = boundary_gradient(wells, cfg.lam)
     height = 6 if cfg.quick else 16
@@ -259,8 +262,8 @@ def cmd_layers(cfg: ExperimentConfig) -> int:
     return int(bool(failed) or not ref.converged)
 
 
-def cmd_diagnose(cfg: ExperimentConfig) -> int:
-    lines = [f"# {cfg.header()}", "# diagnose v2",
+def cmd_diagnose(cfg: ExperimentConfig, head) -> int:
+    lines = [f"# {head}", "# diagnose v2",
              "n,off_well_columns_1e-2,off_well_columns_1e-1,n_mean_dist_sq,"
              "j_minus,j_zero,j_plus,status"]
     runs = _map_runs(cfg, lambda n: _relax(cfg, n))
@@ -290,7 +293,7 @@ def cmd_fit_decay(cfg: ExperimentConfig, chain_path, reference_path, lo, hi) -> 
     except (OSError, ValueError) as exc:  # bad inputs are usage errors
         print(f"twinchain fit-decay: error: {exc}", file=sys.stderr)
         return 2
-    save_profile(fit, cfg.out / "fit-decay.csv", header=cfg.header())
+    save_profile(fit, cfg.out / "fit-decay.csv", header=snapshot_config(chain_path))
     print(f"rate={G17 % fit.rate} amplitude={G17 % fit.amplitude} "
           f"r_squared={G17 % fit.r_squared}")
     return 0
@@ -336,6 +339,12 @@ def _build_parser():
     fit.add_argument("--reference", type=Path, required=True)
     fit.add_argument("--lo", type=int, required=True)
     fit.add_argument("--hi", type=int, required=True)
+    # each command's files name the settings of its own flags
+    settings = {f.name for f in fields(ExperimentConfig)} - {"out"}
+    for command in sub.choices.values():
+        command.set_defaults(settings=[
+            (action.option_strings[0].lstrip("-").replace("-", "_"), action.dest)
+            for action in command._actions if action.dest in settings])
     return parser
 
 
@@ -371,14 +380,15 @@ def main(argv=None) -> int:
         cfg.out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # e.g. --out names a file
         parser.error(f"--out: {exc}")
+    head = cfg.header(args.settings)
     if args.command == "minimize":
-        return cmd_minimize(cfg)
+        return cmd_minimize(cfg, head)
     if args.command == "scan":
-        return cmd_scan(cfg)
+        return cmd_scan(cfg, head)
     if args.command == "layers":
-        return cmd_layers(cfg)
+        return cmd_layers(cfg, head)
     if args.command == "diagnose":
-        return cmd_diagnose(cfg)
+        return cmd_diagnose(cfg, head)
     return cmd_fit_decay(cfg, args.chain, args.reference, args.lo, args.hi)
 
 

@@ -1,4 +1,4 @@
-"""Two-well lattice energy: density, per-site grids, totals and diagnostics.
+"""Two-well lattice energy: density, per-site grids, column tables, totals and diagnostics.
 
 The density is a product of two bracket sums over all signed neighbor
 differences of a site.  With v_s = (u^{i,j+s} - u^{ij})/lam (s = +1, -1) and
@@ -24,8 +24,12 @@ node when every slope is zero) sums exactly.  Every chain-variable total is
 that one sum (`rule_total`): `chain_energy`'s total, `window_sum` (hence
 `gamma`'s strips) and the Newton energy, so a solve's last energy is the
 total `chain_energy` reports.  `chain_energy` builds the stencil of the
-centers -n..n once and sums it in O(n).  `stencil_map` walks a stencil over
-the whole site grid, for `EnergyBreakdown.local` on its first read and for
+centers -n..n once and sums it in O(n).  The same degree bound makes a
+column's densities at nine rows (`sample_rows`) determine every row, so
+`save_breakdown` writes one O(1) row per column: its raw sum and those nine
+values, taken from the stencil on the first read of
+`EnergyBreakdown.columns`.  `stencil_map` walks a stencil over the whole
+site grid, for `EnergyBreakdown.local` on its first read and for
 `analysis.classify`: a column broadcast when every slope is zero, a dense
 grid otherwise.  No other module reads that layout; they call this module's
 helpers for it.
@@ -52,7 +56,7 @@ __all__ = [
     "uniform_columns",
     "row_rule",
     "rule_total",
-    "grid_lines",
+    "sample_rows",
     "sites_reaching",
     "chain_energy",
     "lattice_energy",
@@ -164,16 +168,27 @@ def field_local_grid(field: LatticeField):
     return density(v, h, field.chain.wells)
 
 
+def sample_rows(n):
+    """The nine rows j_k = round(n (k - 4) / 4), k = 0..8, of the breakdown's columns.
+
+    Distinct for n >= 4, with -n, 0 and n among them.  A column's density is
+    a polynomial of degree <= 8 in j, so its values there determine every row.
+    """
+    return [round(n * (k - 4) / 4) for k in range(9)]
+
+
 @dataclass(frozen=True, eq=False)
 class EnergyBreakdown:
-    """The total and the rescaled energy; the site grid and its row sums are
-    built on first read.
+    """The total and the rescaled energy; the site grid, its row sums and the
+    column table are built on first read.
 
     total = lam^2 * the row rule's sum for `chain_energy`, within a few ulp of
     the grid's sum, which `lattice_energy` takes; rescaled = total / lam.
-    site_grid() builds `local`: `save_breakdown` and `find_good_lines` (through
-    `row_sums` and `sites_reaching`) read it; `scan` and the `layers`
-    reference read only the total, so they never build it.
+    site_grid() builds `local`: `find_good_lines` (through `row_sums` and
+    `sites_reaching`) reads it.  column_table() builds `columns`, which
+    `save_breakdown` writes; without one, `columns` is read off `local`.
+    `scan` and the `layers` reference read only the total, so they build
+    neither.
     """
 
     site_grid: Callable[[], np.ndarray]
@@ -182,6 +197,7 @@ class EnergyBreakdown:
     n: int
     lam: float
     a: float
+    column_table: Callable[[], tuple[np.ndarray, np.ndarray]] | None = None
 
     @cached_property
     def local(self):
@@ -199,6 +215,20 @@ class EnergyBreakdown:
         if x is None:  # a list per row: a whole-grid tolist() holds 32 bytes per site
             return np.array([math.fsum(col.tolist()) for col in self.local.T])
         return np.full(self.local.shape[1], math.fsum(x.tolist()))
+
+    @cached_property
+    def columns(self):
+        """(column_sum, samples) per chain column i = k - n, built on first read.
+
+        column_sum[k] is the raw density summed down column k, so lam^2 *
+        fsum(column_sum) is the total within a few ulp; samples[k, m] is the
+        density at row sample_rows(n)[m], the bits of local[k, j + n].
+        """
+        if self.column_table is not None:
+            return self.column_table()
+        local = self.local
+        sums = np.array([math.fsum(col.tolist()) for col in local])
+        return sums, local[:, np.add(sample_rows(self.n), self.n)]
 
 
 # sites per stencil block: bounds the stencil and bracket temporaries
@@ -256,22 +286,6 @@ def uniform_columns(grid):
                            for lo in range(0, len(bits), step)])
 
 
-def grid_lines(grid, n, fmt):
-    """The text lines of a site grid: the `i\\j` header, then `i,cells` per column.
-
-    fmt formats one site value; a uniform column formats it once and repeats it.
-    """
-    width = grid.shape[1]
-    yield "i\\j," + ",".join(str(j - n) for j in range(width)) + "\n"
-    for k, (first, same) in enumerate(zip(grid[:, 0].tolist(), uniform_columns(grid).tolist())):
-        if same:
-            cell = fmt(first)
-            body = (cell + ",") * (width - 1) + cell
-        else:
-            body = ",".join(map(fmt, grid[k].tolist()))
-        yield f"{k - n},{body}\n"
-
-
 def sites_reaching(local, level):
     """Per row j, the number of sites with local >= level.
 
@@ -283,34 +297,49 @@ def sites_reaching(local, level):
     return np.full(local.shape[1], np.count_nonzero(col >= level))
 
 
-def _stencil_sum(stencil, j_lo, j_hi, weight, wells):
-    """weight * the density of stencil's centers summed over rows j_lo..j_hi.
+def _node_densities(stencil, j_lo, j_hi, wells):
+    """The density of stencil's centers at the nodes of `row_rule` over rows
+    j_lo..j_hi, shape (centers, nodes), and the rule's weights.
 
-    `rule_total` sums the rule's nodes, one when every slope is zero, as the
-    Newton energy does: O(centers).
+    One node when every slope is zero, as in the Newton energy: O(centers).
     """
     base, slope = stencil
     nodes, weights = row_rule(j_lo, j_hi, flat=not slope.any())
     W = base[:, None] + nodes[:, None, None] * slope[:, None]
-    return rule_total(density(W[..., :2, :], W[..., 2:, :], wells), weights, weight)
+    return density(W[..., :2, :], W[..., 2:, :], wells), weights
 
 
 def chain_energy(chain: ChainState) -> EnergyBreakdown:
     """Energy evaluated directly in chain variables, in O(n): one stencil over
     the centers -n..n, its total by the row rule.  The site grid is
-    `stencil_map`'s walk over that stencil, run on the first read of `local`."""
+    `stencil_map`'s walk over that stencil, run on the first read of `local`;
+    the column table comes from the same stencil in O(n), on the first read
+    of `columns`."""
     n, lam, wells = chain.n, chain.lam, chain.wells
     stencil = _center_stencils(chain, -n, n)
-    total = _stencil_sum(stencil, -n, n, lam ** 2, wells)
+    D, weights = _node_densities(stencil, -n, n, wells)
+    total = rule_total(D, weights, lam ** 2)
 
     def site_grid():
         return stencil_map(stencil, lambda k, W: density(W[..., :2, :], W[..., 2:, :], wells))
 
-    return EnergyBreakdown(site_grid, total, total / lam, n, lam, wells.a)
+    def column_table():
+        # the rule's nodes sum each column: exact for its degree-8 polynomial
+        sums = np.array([math.fsum(row) for row in (D * weights).tolist()])
+        base, slope = stencil
+        if not slope.any():  # one node at j = 0: each column's one density
+            return sums, np.broadcast_to(D, (len(D), 9))
+        # the expression `stencil_map` evaluates at rows j, so local's bits
+        j = np.array(sample_rows(n), dtype=float)[None, :, None, None]
+        W = base[:, None] + j * slope[:, None]
+        return sums, density(W[..., :2, :], W[..., 2:, :], wells)
+
+    return EnergyBreakdown(site_grid, total, total / lam, n, lam, wells.a, column_table)
 
 
 def lattice_energy(field: LatticeField) -> EnergyBreakdown:
-    """Energy evaluated from the reconstructed 2D positions, every site in one fsum."""
+    """Energy evaluated from the reconstructed 2D positions, every site in one
+    fsum; the column table is read off the grid."""
     local, lam = field_local_grid(field), field.lam
     total = lam * lam * math.fsum(itertools.chain.from_iterable(row.tolist() for row in local))
     return EnergyBreakdown(lambda: local, total, total / lam, field.n, lam, field.chain.wells.a)
@@ -321,16 +350,32 @@ def window_sum(chain: ChainState, i_lo, i_hi, j_lo, j_hi, weight=1.0):
 
     Past the chain the stencil reads the clamp; the row rule sums it in O(centers).
     """
-    return _stencil_sum(_center_stencils(chain, i_lo, i_hi), j_lo, j_hi, weight, chain.wells)
+    return rule_total(*_node_densities(_center_stencils(chain, i_lo, i_hi), j_lo, j_hi,
+                                       chain.wells), weight)
 
 
 def save_breakdown(bd: EnergyBreakdown, path, header=None):
-    """Delimited-text export: summary record, then the local(i, j) matrix (`grid_lines`)."""
+    """Delimited-text export, energy-breakdown v2: the summary record, then
+    one row per chain column i = -n..n (`EnergyBreakdown.columns`).
+
+    A row holds i, the column's raw density sum and its density at the nine
+    rows of `sample_rows`, from which degree-8 interpolation rebuilds every
+    row.  A row whose nine values share their bits formats the value once.
+    """
     g17 = "%.17g"
+    sums, samples = bd.columns
     with open(path, "w") as fh:
         if header:
             fh.write("# " + header + "\n")
-        fh.write("# energy-breakdown v1\n")
+        fh.write("# energy-breakdown v2\n")
         fh.write(f"n={bd.n},a={g17 % bd.a},lambda={g17 % bd.lam},"
                  f"total={g17 % bd.total},rescaled={g17 % bd.rescaled}\n")
-        fh.writelines(grid_lines(bd.local, bd.n, g17.__mod__))
+        fh.write("i,column_sum," + ",".join(f"j={j}" for j in sample_rows(bd.n)) + "\n")
+        rows = zip(sums.tolist(), samples[:, 0].tolist(), uniform_columns(samples).tolist())
+        for k, (column_sum, first, same) in enumerate(rows):
+            if same:
+                cell = g17 % first
+                body = (cell + ",") * 8 + cell
+            else:
+                body = ",".join(map(g17.__mod__, samples[k].tolist()))
+            fh.write(f"{k - bd.n},{g17 % column_sum},{body}\n")

@@ -38,6 +38,7 @@ __all__ = [
     "check_admissible",
     "save_chain",
     "load_chain",
+    "snapshot_config",
 ]
 
 GHOST = 2
@@ -346,3 +347,11 @@ def load_chain(path) -> ChainState:
     except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad chain snapshot "
                          f"({type(exc).__name__}: {exc})") from exc
+
+
+def snapshot_config(path):
+    """The header string that `save_chain` stored in a snapshot's head record
+    as `config`, or None; read from a file that `load_chain` accepts."""
+    with open(path) as fh:
+        fh.readline()
+        return json.loads(fh.readline()[2:]).get("config")

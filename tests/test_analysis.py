@@ -424,34 +424,39 @@ class TestGoodLines:
 
 
 class TestExports:
-    def test_classification_matrix(self, wells, tmp_path):
+    def test_classification_runs(self, wells, tmp_path):
         cls = classify(twin_chain(6, wells), wells)
         path = tmp_path / "cls.csv"
         save_classification(cls, path, header="twin")
         lines = path.read_text().splitlines()
         assert lines[0] == "# twin"
-        assert lines[1] == "# well-classification v1"
-        assert len(lines) == 3 + 1 + 13
-        row0 = lines[4].split(",")
-        assert row0[0] == "-6" and set(row0[1:]) == {"0"}
+        assert lines[1] == "# well-classification v2"
+        assert lines[2] == "n=6,lambda=0.16666666666666666"
+        assert lines[3] == "i,runs"
+        assert lines[4:] == [f"{i},{int(i >= 0)}:13" for i in range(-6, 7)]
 
     def test_classification_matches_per_value_formatter(self, tmp_path):
         def save_per_value(cls, path, header=None):
-            # the former writer: one str(int(w)) per numpy value, joined at the end
+            # one run per change of well id, found value by value
             lines = []
             if header:
                 lines.append("# " + header)
-            lines.append("# well-classification v1")
+            lines.append("# well-classification v2")
             lines.append(f"n={cls.n},lambda={'%.17g' % cls.lam}")
-            lines.append("i\\j," + ",".join(str(l - cls.n) for l in range(2 * cls.n + 1)))
+            lines.append("i,runs")
             for k in range(2 * cls.n + 1):
-                row = cls.well_id[k]
-                lines.append(f"{k - cls.n}," + ",".join(str(int(w)) for w in row))
+                runs = []
+                for w in cls.well_id[k]:
+                    if runs and runs[-1][0] == int(w):
+                        runs[-1][1] += 1
+                    else:
+                        runs.append([int(w), 1])
+                lines.append(f"{k - cls.n}," + ";".join(f"{w}:{c}" for w, c in runs))
             with open(path, "w") as fh:
                 fh.write("\n".join(lines) + "\n")
 
         well = np.zeros((9, 9), dtype=np.int8)
-        well[1] = 1                              # constant rows of either well
+        well[1] = 1                              # uniform rows of either well
         well[3, 4:] = 1                          # mixed rows
         well[5, ::3] = 1
         well[8] = [1, 0, 1, 0, 0, 1, 1, 0, 1]
@@ -461,6 +466,8 @@ class TestExports:
             save_classification(cls, tmp_path / "new.csv", header=header)
             save_per_value(cls, tmp_path / "old.csv", header=header)
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert (tmp_path / "new.csv").read_text().splitlines()[-1] == (
+            "4,1:1;0:1;1:1;0:2;1:2;0:1;1:1")
 
     def test_profile_export(self, tmp_path):
         i = np.arange(0, 12, dtype=float)

@@ -59,6 +59,15 @@ class TestMinimize:
             else:
                 assert first.startswith("# config a="), path.name
 
+    def test_header_names_the_settings_of_the_flags(self, quick_run):
+        head = "config a=1.4142135623730951 lambda=0.5 n=[8] variable_tau=0"
+        for path in quick_run.iterdir():
+            lines = path.read_text().splitlines()
+            if path.name.startswith(("chain", "reference")):
+                assert json.loads(lines[1][2:])["config"] == head
+            else:
+                assert lines[0] == "# " + head, path.name
+
     def test_snapshot_roundtrip(self, quick_run):
         chain = load_chain(quick_run / "chain-n8.txt")
         ref = load_chain(quick_run / "reference-n8.txt")
@@ -454,6 +463,14 @@ class TestFitDecay:
         rate = float(stored.split(",")[0].split("=")[1])
         assert f"rate={rate:.17g}" in printed
 
+    def test_header_is_the_input_snapshot_config(self, tmp_path):
+        assert run("minimize", "--a", 2, "--n", 12, "--out", tmp_path / "run") == 0
+        assert run("fit-decay", "--chain", tmp_path / "run" / "chain-n12.txt",
+                   "--reference", tmp_path / "run" / "reference-n12.txt",
+                   "--lo", 2, "--hi", 10, "--out", tmp_path) == 0
+        first = (tmp_path / "fit-decay.csv").read_text().splitlines()[0]
+        assert first == "# config a=2 lambda=0.5 n=[12] variable_tau=0"
+
     @pytest.mark.parametrize("case, message", [
         ("missing-chain", "absent.txt"),
         ("other-n", "chains must share the same lattice geometry"),
@@ -544,6 +561,21 @@ class TestArguments:
         assert flags == SUBCOMMAND_FLAGS
         assert sum(len(f) for f in flags.values()) == 27
         assert len(REMOVED_FLAGS) == 49 - 27
+
+    @pytest.mark.parametrize("command, names", [
+        ("minimize", ["a", "lambda", "n", "variable_tau"]),
+        ("scan", ["a", "lambda", "n", "variable_tau", "svg"]),
+        ("diagnose", ["a", "lambda", "n", "variable_tau", "alpha", "delta"]),
+        ("layers", ["a", "lambda", "quick"]),
+        ("fit-decay", []),
+    ])
+    def test_header_names_the_subcommand_flags(self, command, names):
+        argv = [command] + (["--chain", "c", "--reference", "r", "--lo", "2", "--hi", "6"]
+                            if command == "fit-decay" else [])
+        args = cli._build_parser().parse_args(argv)
+        head = ExperimentConfig().header(args.settings)
+        assert head.startswith("config")
+        assert re.findall(r"(\w+)=", head) == names
 
     @pytest.mark.parametrize("command, flag", REMOVED_FLAGS,
                              ids=[f"{c}{f}" for c, f in REMOVED_FLAGS])

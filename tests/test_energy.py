@@ -370,8 +370,10 @@ class TestColumnBroadcast:
 
     def test_readers_match_the_dense_copy(self, minimizer100, tmp_path):
         bd = chain_energy(minimizer100)
-        dense = dataclasses.replace(bd, site_grid=lambda: np.array(bd.local))
-        assert energy_mod.broadcast_column(dense.local) is None
+        sums, samples = bd.columns
+        assert energy_mod.broadcast_column(samples) is not None
+        dense = dataclasses.replace(bd, column_table=lambda: (sums, np.array(samples)))
+        assert energy_mod.broadcast_column(dense.columns[1]) is None
         save_breakdown(bd, tmp_path / "view.csv", header="twin")
         save_breakdown(dense, tmp_path / "dense.csv", header="twin")
         assert (tmp_path / "view.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
@@ -427,6 +429,24 @@ class TestLazyGrid:
         assert cli.main(["scan", "--variable-tau", "--n", "40", "--out", str(tmp_path)]) == 0
         assert walks == []
 
+    def test_columns_wait_for_their_first_read_and_walk_no_grid(self, rng, monkeypatch):
+        stencils = self._count(monkeypatch, "slot_stencil")
+        walks = self._count(monkeypatch, "stencil_map")
+        bd = chain_energy(random_chain(rng, n=8, dtheta=0.1))
+        assert "columns" not in vars(bd)
+        first = bd.columns
+        assert bd.columns is first and vars(bd)["columns"] is first
+        assert "local" not in vars(bd)
+        assert (len(stencils), len(walks)) == (1, 0)
+
+    def test_minimize_walks_only_the_classification(self, monkeypatch, tmp_path):
+        # the breakdown comes from the stencil's columns; classify walks its grid
+        from twinchain import analysis, cli
+        walks = self._count(monkeypatch, "stencil_map")
+        monkeypatch.setattr(analysis, "stencil_map", energy_mod.stencil_map)
+        assert cli.main(["minimize", "--variable-tau", "--n", "8", "--out", str(tmp_path)]) == 0
+        assert len(walks) == 1
+
     def test_diagnose_walks_the_grid_and_classify_once_each(self, monkeypatch, tmp_path):
         from twinchain import analysis, cli
         walks = self._count(monkeypatch, "stencil_map")
@@ -434,6 +454,57 @@ class TestLazyGrid:
         monkeypatch.setattr(analysis, "stencil_map", energy_mod.stencil_map)
         assert cli.main(["diagnose", "--variable-tau", "--n", "8", "--out", str(tmp_path)]) == 0
         assert len(walks) == 2
+
+
+class TestColumnTable:
+    """The breakdown's column table: per column its raw sum and its density at
+    the nine rows of `sample_rows`, from the stencil in O(n)."""
+
+    @pytest.fixture(scope="class", params=[(n, vt) for vt in (False, True) for n in (40, 100)],
+                    ids=lambda p: f"n{p[0]}-{'variable' if p[1] else 'fixed'}-tau")
+    def relaxed(self, request):
+        from twinchain import cli
+        n, variable_tau = request.param
+        _, _, report = cli._relax(cli.ExperimentConfig(variable_tau=variable_tau), n)
+        assert report.converged
+        return report.final_chain
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 40, 101, 1000])
+    def test_sample_rows(self, n):
+        rows = energy_mod.sample_rows(n)
+        assert len(set(rows)) == 9 and rows == sorted(rows)
+        assert {-n, 0, n} <= set(rows)
+
+    def test_samples_are_the_grid_rows_bit_for_bit(self, relaxed):
+        bd = chain_energy(relaxed)
+        rows = np.add(energy_mod.sample_rows(bd.n), bd.n)
+        samples = bd.columns[1]
+        assert samples.shape == (2 * bd.n + 1, 9)
+        assert np.array_equal(samples.view(np.int64),
+                              np.ascontiguousarray(bd.local[:, rows]).view(np.int64))
+        # a flat stencil evaluates its density once per column
+        assert (samples.strides[1] == 0) == (not relaxed.theta.any())
+
+    def test_column_sums_match_the_grid_and_the_total(self, relaxed):
+        bd = chain_energy(relaxed)
+        sums = bd.columns[0]
+        site_sums = np.array([math.fsum(col.tolist()) for col in bd.local])
+        assert np.abs(sums - site_sums).max() <= 1e-12 * np.abs(site_sums).max()
+        assert (np.abs(sums - site_sums) <= 1e-12 * site_sums).all()
+        assert abs(bd.lam ** 2 * math.fsum(sums.tolist()) - bd.total) <= 4 * math.ulp(bd.total)
+
+    def test_matches_the_reconstructed_lattice(self, relaxed):
+        bd, oracle = chain_energy(relaxed), lattice_energy(reconstruct(relaxed))
+        for got, want in zip(bd.columns, oracle.columns):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_degree_8_interpolation_rebuilds_every_row(self, relaxed):
+        bd = chain_energy(relaxed)
+        x = np.array(energy_mod.sample_rows(bd.n)) / bd.n
+        coef = np.linalg.solve(np.vander(x, 9), bd.columns[1].T)
+        rebuilt = (np.vander(np.arange(-bd.n, bd.n + 1) / bd.n, 9) @ coef).T
+        local = np.asarray(bd.local)
+        assert (np.abs(rebuilt - local).max(axis=1) <= 1e-10 * local.max(axis=1)).all()
 
 
 class TestExport:
@@ -444,45 +515,53 @@ class TestExport:
         save_breakdown(bd, path, header="twin run")
         lines = path.read_text().splitlines()
         assert lines[0] == "# twin run"
-        assert lines[1] == "# energy-breakdown v1"
+        assert lines[1] == "# energy-breakdown v2"
         assert lines[2].startswith("n=6,")
-        assert len(lines) == 3 + 1 + 13  # headers, axis row, matrix rows
-        first = float(lines[4].split(",")[1])
-        assert first == bd.local[0, 0]  # %.17g round-trips exactly
+        assert lines[3] == "i,column_sum,j=-6,j=-4,j=-3,j=-2,j=0,j=2,j=3,j=4,j=6"
+        assert len(lines) == 4 + 13  # headers, then one row per column
+        first = lines[4].split(",")
+        assert first[0] == "-6" and len(first) == 11
+        # %.17g round-trips exactly
+        assert float(first[1]) == bd.columns[0][0]
+        assert float(first[2]) == bd.local[0, 0]
 
     def test_save_breakdown_matches_per_value_formatter(self, tmp_path, rng):
         def save_per_value(bd, path, header=None):
-            # the former writer: one "%.17g" per numpy value, joined at the end
+            # one "%.17g" per value, joined at the end
             g17 = "%.17g"
+            sums, samples = bd.columns
             lines = []
             if header:
                 lines.append("# " + header)
-            lines.append("# energy-breakdown v1")
+            lines.append("# energy-breakdown v2")
             lines.append(f"n={bd.n},a={g17 % bd.a},lambda={g17 % bd.lam},"
                          f"total={g17 % bd.total},rescaled={g17 % bd.rescaled}")
-            lines.append("i\\j," + ",".join(str(j - bd.n)
-                                            for j in range(bd.local.shape[1])))
-            for k in range(bd.local.shape[0]):
-                lines.append(f"{k - bd.n}," + ",".join(g17 % v for v in bd.local[k]))
+            lines.append("i,column_sum," + ",".join(
+                f"j={j}" for j in energy_mod.sample_rows(bd.n)))
+            for k in range(len(sums)):
+                lines.append(f"{k - bd.n}," + ",".join(
+                    g17 % v for v in [sums[k], *samples[k]]))
             with open(path, "w") as fh:
                 fh.write("\n".join(lines) + "\n")
 
         n = 3
-        local = rng.uniform(0.0, 2.0, size=(7, 7)) ** 9
-        local[0] = 1.5                      # constant row
-        local[2] = 0.0                      # all +0.0
-        local[3, ::2] = -0.0                # +0.0 mixed with -0.0
-        local[3, 1::2] = 0.0
-        local[4] = -0.0                     # all -0.0
-        local[5, 4] = np.nan                # NaN in a mixed row
-        local[6] = np.nan                   # constant NaN row
-        bd = EnergyBreakdown(site_grid=lambda: local, total=0.125, rescaled=0.375, n=n,
-                             lam=1.0 / 3.0, a=np.sqrt(2.0))
+        samples = rng.uniform(0.0, 2.0, size=(7, 9)) ** 9
+        samples[0] = 1.5                    # uniform row
+        samples[2] = 0.0                    # all +0.0
+        samples[3, ::2] = -0.0              # +0.0 mixed with -0.0
+        samples[3, 1::2] = 0.0
+        samples[4] = -0.0                   # all -0.0
+        samples[5, 4] = np.nan              # NaN in a mixed row
+        samples[6] = np.nan                 # uniform NaN row
+        sums = samples.sum(axis=1)
+        bd = EnergyBreakdown(site_grid=None, total=0.125, rescaled=0.375, n=n,
+                             lam=1.0 / 3.0, a=np.sqrt(2.0), column_table=lambda: (sums, samples))
         for header in ("twin run", None):
             save_breakdown(bd, tmp_path / "new.csv", header=header)
             save_per_value(bd, tmp_path / "old.csv", header=header)
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
         text = (tmp_path / "new.csv").read_text().splitlines()
         # without a header, row k = i + n is line 3 + k
-        assert text[6] == "0," + ",".join(["-0", "0"] * 3 + ["-0"])
-        assert text[7] == "1," + ",".join(["-0"] * 7)
+        assert text[6] == "0,0," + ",".join(["-0", "0"] * 4 + ["-0"])
+        assert text[7] == "1,0," + ",".join(["-0"] * 9)
+        assert text[9] == "3,nan," + ",".join(["nan"] * 9)
