@@ -39,15 +39,18 @@ total.  Each triangle determinant of the orientation check is quadratic
 in j, so it is evaluated only at the end rows and next to its vertex.
 
 A problem evaluates each x once.  It keeps one record, of the last x it
-was asked about: a copy of x, the node stencil W and t, the brackets and
-the energy.  A gradient at that x adds f_k, d and G; a Hessian there adds
-only Phi, d2D/dz2 and the blocks.  So a Newton iteration, whose accepted
-trial's energy, gradient and next Hessian share one x, builds the stencil
-and the brackets once.  A stage drops what no later stage reads.  Any
-other x, compared by value so that an x changed in place is never stale,
-replaces the record; the old one is released first.  Where the centers'
-entries land in the gradient and in the Hessian's blocks is indexed once
-per problem (`_scatter`).
+was asked about: a copy of x, one slot stencil over the window's centers
+and the admissibility check's (each a slice of it, or an index where the
+free atoms leave gaps), then the node stencil W and t that replace it,
+the brackets and the energy.  A gradient at that x adds f_k, d and G; a
+Hessian there adds only Phi, d2D/dz2 and the blocks.  So a Newton
+iteration, whose trial is checked for admissibility and then has its
+energy taken, and whose accepted trial's gradient and next Hessian share
+that x, builds the stencil and the brackets once.  A stage drops what no
+later stage reads.  Any other x, compared by value so that an x changed
+in place is never stale, replaces the record; the old one is released
+first.  Where the centers' entries land in the gradient and in the
+Hessian's blocks is indexed once per problem (`_scatter`).
 
 Atoms couple only within distance 2 along the chain, so on the interleaved
 free variables (ux, uy[, theta]), nd per atom, the Hessian has 3*nd - 1
@@ -56,10 +59,11 @@ each stencil's upper triangle is scattered straight into the diagonal
 blocks D and the superdiagonal blocks U.  Each Newton step solves (D, U) by
 block cyclic reduction with numpy's batched Cholesky, under the least
 Levenberg shift of the ladder 0, 1e-8, 1e-7, ..., 1e12 at which every pivot
-factors.  Positive definiteness is monotone in the shift, so after mu = 0
-fails a bisection over the ladder finds that shift in at most five more
-factorizations.  Steps are Armijo-backtracked on the energy and rejected
-(halved) whenever the trial configuration loses admissibility.
+factors.  A pivot that fails also yields a vector of negative curvature,
+and with it a shift below which every rung fails too (`_deficit`), so the
+rungs are probed upward past the certified ones.  Steps are
+Armijo-backtracked on the energy and rejected (halved) whenever the trial
+configuration loses admissibility.
 """
 
 from __future__ import annotations
@@ -171,6 +175,7 @@ class MinimizationReport:
     converged: bool
     admissibility_violations: int
     stop_reason: str
+    factorizations: int  # block Cholesky attempts, over every Newton step
 
 
 class ChainProblem:
@@ -203,14 +208,31 @@ class ChainProblem:
         self.j_lo, self.j_hi = j_window if j_window is not None else (-n, n)
         self.scale = float(chain.lam ** 2 if scale is None else scale)
         self.centers = np.arange(self.i_lo, self.i_hi + 1)
-        self._slots = self._frozen_slots(self.centers)
-        # fixed tau keeps the template's slopes: all zero, one node carries every row
-        flat = not variable_tau and not self._stencil(self.pack(chain), self._slots)[1].any()
+        # lattice cell (c, j) spans atoms c..c+2 in rows j, j+1: the stencil of
+        # center c+1.  Only cells with a free atom can change during a solve,
+        # and admissibility checks those.  One stencil spans both the window
+        # and these centers; `_window` and `_adm` are their places in it, the
+        # latter a slice unless the free atoms leave gaps
+        mid = np.arange(-n - 1, n + 2)
+        adm = mid[np.isin(mid + SLOT_OFFSETS, self.free_ids).any(axis=0)]
+        lo = min(self.i_lo, adm[0])
+        span = np.arange(lo, max(self.i_hi, adm[-1]) + 1)
+        self._slots = self._frozen_slots(span)
+        self._window = slice(self.i_lo - lo, self.i_hi - lo + 1)
+        adm = adm - lo
+        self._adm = slice(adm[0], adm[-1] + 1) if adm.size == adm[-1] - adm[0] + 1 else adm
+        self._adm_rows = (-n - 1, n)
+        # fixed tau keeps the template's slopes: all zero, one node carries
+        # every row.  The check seeds the record of the start x
+        self._last = None
+        flat = (not variable_tau
+                and not self._point(self.pack(chain)).stencil[1][self._window].any())
         self.nodes, self.weights = row_rule(self.j_lo, self.j_hi, flat)
         # per center and stencil variable (ux, uy[, theta] slot by slot): the
         # global dof, or -1 for a clamped or frozen atom
         first = np.searchsorted(self.free_ids, self.centers + SLOT_OFFSETS).T[..., None] * self.nd
-        self._dofs = np.where(self._slots[1].T[..., None], first + np.arange(self.nd),
+        free = self._slots[1][:, self._window]
+        self._dofs = np.where(free.T[..., None], first + np.arange(self.nd),
                               -1).reshape(self.centers.size, -1)
         self._index = None  # `_scatter`'s indices, built on first use
         # dz/dx from the stencil variables to the reduced ones, y_p = (u_p -
@@ -224,13 +246,6 @@ class ChainProblem:
             Z[4:, :, 2] = np.eye(3)
         self._z = Z.reshape(len(Z), -1)
         self._zz = np.kron(self._z, self._z)
-        # lattice cell (c, j) spans atoms c..c+2 in rows j, j+1: the stencil of
-        # center c+1.  Only cells with a free atom can change during a solve
-        mid = np.arange(-n - 1, n + 2)
-        self._adm_slots = self._frozen_slots(
-            mid[np.isin(mid + SLOT_OFFSETS, self.free_ids).any(axis=0)])
-        self._adm_rows = (-n - 1, n)
-        self._last = None  # the evaluation record of the last x (`_at`)
 
     # -- state plumbing ----------------------------------------------------
 
@@ -256,19 +271,14 @@ class ChainProblem:
         free = np.isin(atoms, self.free_ids)
         return np.dstack([u, theta]), free, np.searchsorted(self.free_ids, atoms[free])
 
-    def _stencil(self, x, slots):
+    def _stencil(self, x):
         """`slot_stencil` of the frozen slot atoms with the free ones at x; the
         free atoms are interior (`__init__`), so the frozen clamps stay valid."""
-        state, free, rows = slots
+        state, free, rows = self._slots
         state = state.copy()
         state[free, :self.nd] = np.reshape(x, (-1, self.nd))[rows]
         return slot_stencil(state[..., :2], state[..., 2], self.template.lam,
                             self.template.wells)
-
-    def _node_stencil(self, x):
-        """The stencil W on the row rule's nodes, (centers, nodes, 4, 2), and t."""
-        base, slope, t = self._stencil(x, self._slots)
-        return base[:, None] + self.nodes[:, None, None] * slope[:, None], t
 
     def admissible(self, x) -> bool:
         """Orientation of every lattice triangle that touches a free atom.
@@ -278,9 +288,11 @@ class ChainProblem:
         `lattice.check_admissible` in the same units.  v+ and h- are affine in
         j and t is not, so each determinant is a quadratic c0 + c1 j + c2 j^2
         whose minimum over the stored rows lies at an end row or at the floor
-        or ceiling of its vertex; only those rows are evaluated.
+        or ceiling of its vertex; only those rows are evaluated.  It reads the
+        record's stencil, which the energy at x then takes over.
         """
-        base, slope, t = self._stencil(x, self._adm_slots)
+        p = self._point(x)
+        base, slope, t = (a[self._adm] for a in p.stencil or self._stencil(p.x))
         # (constant, slope) pairs of each vector, stacked on a leading axis
         v = np.stack([base[:, 0], slope[:, 0]])
         h = np.stack([base[:, 3], slope[:, 3]])
@@ -299,24 +311,35 @@ class ChainProblem:
 
     # -- the evaluation record ----------------------------------------------
 
-    def _at(self, x, order):
-        """The record of x with its stages built through `order`: 0 the energy,
-        1 the gradient, 2 the Hessian blocks."""
+    def _point(self, x):
+        """The record of x; a new one holds only the stencil."""
         p = self._last
         if p is None or not np.array_equal(p.x, x):
             self._last = None  # release the old record before building the new one
-            p = self._last = self._energy_stage(np.array(x, dtype=float))
+            x = np.array(x, dtype=float)
+            p = self._last = _Point(x, self._stencil(x))
+        return p
+
+    def _at(self, x, order):
+        """The record of x with its stages built through `order`: 0 the energy,
+        1 the gradient, 2 the Hessian blocks."""
+        p = self._point(x)
+        if p.energy is None:
+            self._energy_stage(p)
         if order >= 1 and p.grad is None:
             self._gradient_stage(p)
         if order >= 2 and p.blocks is None:
             self._hessian_stage(p)
         return p
 
-    def _energy_stage(self, x):
-        W, t = self._node_stencil(x)
+    def _energy_stage(self, p):
+        # the window's stencil W on the row rule's nodes, (centers, nodes, 4, 2)
+        base, slope, p.t = (a[self._window] for a in p.stencil)
+        p.stencil = None
+        W = base[:, None] + self.nodes[:, None, None] * slope[:, None]
         q, r, X, B1, B2 = brackets(W[..., :2, :], W[..., 2:, :], self.template.wells)
-        return _Point(x, t, rule_total(B1 * B2, self.weights, self.scale),
-                      (W, q, r, X), (B1, B2))
+        p.inner, p.B = (W, q, r, X), (B1, B2)
+        p.energy = rule_total(B1 * B2, self.weights, self.scale)
 
     def _gradient_stage(self, p):
         (W, q, r, X), (B1, B2) = p.inner, p.B
@@ -406,16 +429,20 @@ class _Slope(NamedTuple):
 class _Point:
     """One x and what a ChainProblem has evaluated there.
 
-    Each stage sets to None what no later stage reads: the gradient stage
-    turns `inner` and `B` into `slope` and keeps `t` (None with fixed tau),
-    the Hessian stage drops `slope` and `t`, so that x, energy, grad and
-    blocks remain.
+    The stencil, over the window and the admissibility centers, is built
+    with the record, for `admissible` and the energy stage.  That stage
+    turns it into the window's `t`, `inner`, `B` and `energy`; a later check
+    builds the stencil anew.  Each later stage sets to None what no later
+    stage reads: the gradient stage turns `inner` and `B` into `slope` and
+    keeps `t` (None with fixed tau), the Hessian stage drops `slope` and `t`,
+    so that x, energy, grad and blocks remain.
     """
     x: np.ndarray
-    t: np.ndarray
-    energy: float
-    inner: tuple          # W, q, r, X: the stencil and the brackets' inner terms
-    B: tuple              # B1, B2
+    stencil: tuple        # base, slope, t of `ChainProblem._stencil`, until the energy
+    energy: float = None
+    t: np.ndarray = None
+    inner: tuple = None   # W, q, r, X: the node stencil and the brackets' inner terms
+    B: tuple = None       # B1, B2
     slope: _Slope = None
     grad: np.ndarray = None
     blocks: tuple = None  # D, U
@@ -516,21 +543,39 @@ def _quarter_turn(t):
     return t[..., ::-1] * (-1.0, 1.0)
 
 
+class _Indefinite(np.linalg.LinAlgError):
+    """A pivot of the block Cholesky failed.  `deficit` certifies more: the
+    matrix plus any multiple of I below deficit I is not positive definite
+    either (0 when no direction of negative curvature was certified)."""
+
+    def __init__(self, deficit):
+        super().__init__(f"not positive definite below a shift of {deficit:.3g}")
+        self.deficit = deficit
+
+
 def _block_cholesky_solve(D, U, b):
     """Solve the block tridiagonal SPD system (D, U) x = b by cyclic reduction.
 
     Each level eliminates the odd blocks: Cholesky of their pivots, which are
     Schur complements of the original matrix, then the Schur complement on
     the even blocks, which is block tridiagonal again with half as many
-    blocks.  `np.linalg.LinAlgError` is raised exactly when a pivot, hence
-    the matrix, is not positive definite.
+    blocks.  `_Indefinite`, a `np.linalg.LinAlgError`, is raised exactly when
+    a pivot, hence the matrix, is not positive definite.
     """
-    levels = []
+    matrix, levels = (D, U), []
+
+    def factor(pivots, at, blocks):
+        # Li = L^{-1} of each pivot, at blocks `at` of a level of `blocks` blocks
+        try:
+            return np.linalg.inv(np.linalg.cholesky(pivots))
+        except np.linalg.LinAlgError:
+            raise _Indefinite(_deficit(matrix, levels, pivots, at, blocks)) from None
+
     while len(D) > 1:
-        # Li = L^{-1} of each odd pivot; Zl, Zr its couplings to the left and
-        # right even neighbours and zb its right-hand side, each premultiplied
-        # by Li.  The last odd block lacks a right neighbour when len(D) is even
-        Li = np.linalg.inv(np.linalg.cholesky(D[1::2]))
+        # Zl, Zr: each odd pivot's couplings to the left and right even
+        # neighbours and zb its right-hand side, each premultiplied by Li.
+        # The last odd block lacks a right neighbour when len(D) is even
+        Li = factor(D[1::2], np.arange(1, len(D), 2), len(D))
         p, q = len(Li), (len(D) - 1) // 2
         Zl = Li @ U[0::2].swapaxes(1, 2)
         Zr = Li[:q] @ U[1::2]
@@ -543,12 +588,16 @@ def _block_cholesky_solve(D, U, b):
         b_even[1:q + 1] -= (ZrT @ zb[:q])[..., 0]
         levels.append((Li, Zl, Zr, zb))
         D, U, b = D_even, -(ZlT[:q] @ Zr), b_even
-    Li = np.linalg.inv(np.linalg.cholesky(D))
-    x = (Li.swapaxes(1, 2) @ (Li @ b[..., None]))[..., 0]
+    Li = factor(D, [0], 1)
+    return _back_substitute(levels, (Li.swapaxes(1, 2) @ (Li @ b[..., None]))[..., 0])
+
+
+def _back_substitute(levels, x, rhs=True):
+    """The blocks of every level from those of the last: x_odd = L^{-T} (zb -
+    Zl x_left - Zr x_right), with zb = 0 when not `rhs`."""
     for Li, Zl, Zr, zb in reversed(levels):
-        # back substitution: x_odd = L^{-T} (zb - Zl x_left - Zr x_right)
         p, q = len(Zl), len(Zr)
-        rest = zb - Zl @ x[:p, :, None]
+        rest = (zb if rhs else 0.0) - Zl @ x[:p, :, None]
         rest[:q] -= Zr @ x[1:q + 1, :, None]
         both = np.empty((len(x) + p, x.shape[1]))
         both[0::2] = x
@@ -557,39 +606,98 @@ def _block_cholesky_solve(D, U, b):
     return x
 
 
-def _levenberg_step(D, U, grad):
+def _band_product(D, U, v):
+    """(D, U) v for the block tridiagonal matrix and v in its blocks (m, s)."""
+    out = (D @ v[..., None])[..., 0]
+    out[:-1] += (U @ v[1:, :, None])[..., 0]
+    out[1:] += (v[:-1, None] @ U)[:, 0]
+    return out
+
+
+def _deficit(matrix, levels, pivots, at, blocks):
+    """A shift below which the block tridiagonal `matrix` M = (D, U) stays
+    indefinite, from the failed `pivots`, at blocks `at` of the level after
+    `levels`, which has `blocks` blocks.
+
+    Each pivot P is a diagonal block of the Schur complement S of M on that
+    level's blocks.  A unit w with rho = w^T P w < 0, put at P's block and
+    extended over the eliminated blocks by back substitution with zero
+    right-hand side, gives v with v^T M v = w^T S w = rho.  So v^T (M + mu I) v
+    < 0 for every mu < -rho / |v|^2.  rho is recomputed as v^T M v from M
+    itself, which leaves only its rounding, at most `err`; a tenth of the
+    shift is kept as margin and must cover it, else nothing is certified.
+    """
+    w = _lowest_direction(pivots)
+    rho = np.einsum("bi,bij,bj->b", w, pivots, w)
+    k = np.argmin(rho)
+    if not rho[k] < 0.0:
+        return 0.0
+    x = np.zeros((blocks, pivots.shape[-1]))
+    x[at[k]] = w[k]
+    v = _back_substitute(levels, x, rhs=False)
+    D, U = matrix
+    rho = float(np.sum(v * _band_product(D, U, v)))
+    # each entry of M v sums 3 s products, and rho sums the v.size entries
+    a = np.abs(v)
+    err = (v.size + 3 * v.shape[1] + 1) * np.finfo(float).eps * float(
+        np.sum(a * _band_product(np.abs(D), np.abs(U), a)))
+    if not rho + 10.0 * err < 0.0:
+        return 0.0
+    return -0.9 * rho / float(np.sum(v * v))
+
+
+def _lowest_direction(P):
+    """Per symmetric matrix of P (batch, s, s), a unit vector near the
+    eigenvector of its least eigenvalue: the dominant one of c I - P, c a
+    Gershgorin bound on the largest, by 30 squarings (power 2^30, which
+    separates eigenvalues of P that differ by 1e-8 c).  Each power is PSD,
+    so its column of largest diagonal is the direction."""
+    c = np.abs(P).sum(axis=-1).max(axis=-1)
+    A = c[:, None, None] * np.eye(P.shape[-1]) - P
+    for _ in range(30):
+        A = A @ A
+        A /= np.maximum(np.trace(A, axis1=1, axis2=2), np.finfo(float).tiny)[:, None, None]
+    k = np.argmax(np.diagonal(A, axis1=1, axis2=2), axis=-1)
+    w = A[np.arange(len(A)), :, k]
+    return w / np.maximum(np.linalg.norm(w, axis=-1), np.finfo(float).tiny)[:, None]
+
+
+class _Shifted(NamedTuple):
+    """A Levenberg step, the shift it was taken at and the factorizations
+    (block Cholesky attempts) that finding it took; step and shift are None
+    when no rung of `_SHIFTS` factors."""
+    step: np.ndarray
+    shift: float
+    factorizations: int
+
+
+def _levenberg_step(D, U, grad) -> _Shifted:
     """Newton step on the block tridiagonal Hessian H under the least shift mu
-    of the ladder `_SHIFTS` at which Cholesky succeeds; None if none does.
+    of the ladder `_SHIFTS` at which Cholesky succeeds.
 
     mu = 0 is tried first.  H + mu I is positive definite exactly when mu
-    exceeds -lambda_min(H), so success is monotone along the ladder, and a
-    bisection over the other rungs finds the first that succeeds: the shift
-    and the step of trying each rung in turn, in at most 6 attempts instead
-    of up to 22.
+    exceeds -lambda_min(H), so success is monotone along the ladder.  A
+    failure at mu certifies that every mu' < mu + deficit fails as well
+    (`_Indefinite`), so the rungs are probed upward, each skipping those that
+    the failures so far rule out: the first success is the shift and the
+    step of trying each rung in turn, bit for bit.  A failure that certifies
+    nothing (deficit 0) just moves to the next rung.
     """
     rhs = np.zeros(D.shape[:2])
     rhs.flat[:grad.size] = -grad
     eye = np.eye(D.shape[1])
-
-    def attempt(mu):
+    floor, tries = 0.0, 0  # every rung below floor fails
+    for mu in _SHIFTS:
+        if mu < floor:
+            continue
+        tries += 1
         try:
-            return _block_cholesky_solve(D + mu * eye, U, rhs).ravel()[:grad.size]
-        except np.linalg.LinAlgError:
-            return None
-
-    step = attempt(_SHIFTS[0])
-    if step is not None:
-        return step
-    # rung lo fails; rung hi succeeds with `step` (hi = len(_SHIFTS): none known)
-    lo, hi = 0, len(_SHIFTS)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        trial = attempt(_SHIFTS[mid])
-        if trial is None:
-            lo = mid
-        else:
-            hi, step = mid, trial
-    return step
+            step = _block_cholesky_solve(D + mu * eye, U, rhs).ravel()[:grad.size]
+        except _Indefinite as failed:
+            floor = mu + failed.deficit
+            continue
+        return _Shifted(step, mu, tries)
+    return _Shifted(None, None, tries)
 
 
 def _converged(grads, energies):
@@ -614,14 +722,15 @@ def newton_minimize(chain: ChainState, opts: MinimizeOptions = None, *,
     grad = problem.gradient(x)
     energies = [energy]
     grads = [np.abs(grad).max()]
-    violations = 0
+    violations = factorizations = 0
 
     reason = _converged(grads, energies)
     while reason is None:
         if len(energies) > opts.max_iters:
             reason = "max iterations"
             break
-        step = _levenberg_step(*problem.hessian_banded(x), grad)
+        step, _, tries = _levenberg_step(*problem.hessian_banded(x), grad)
+        factorizations += tries
         if step is None:
             reason = "regularization overflow"
             break
@@ -650,7 +759,8 @@ def newton_minimize(chain: ChainState, opts: MinimizeOptions = None, *,
         final_chain=problem.apply(x), iterations=len(energies) - 1,
         grad_norm_history=np.array(grads), energy_history=np.array(energies),
         converged=reason in ("gradient", "energy floor"),
-        admissibility_violations=violations, stop_reason=reason)
+        admissibility_violations=violations, stop_reason=reason,
+        factorizations=factorizations)
 
 
 def twin_chain(n, wells: WellPair, interface_column: int = 0) -> ChainState:

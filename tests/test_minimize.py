@@ -14,7 +14,7 @@ import scipy.linalg
 
 import twinchain.energy as energy_mod
 import twinchain.minimize as minimize_mod
-from chaingen import blocks_to_dense, dense_to_band, random_chain
+from chaingen import blocks_to_dense, center_stencils, dense_to_band, random_chain
 from twinchain.energy import brackets, chain_energy, density, row_rule
 from twinchain.gamma import _layer_problem, _solve_layer
 from twinchain.lattice import ChainState, affine_chain, check_admissible, reconstruct
@@ -101,7 +101,7 @@ class TestDerivatives:
             h = blocks_to_dense(D, U, x.size)
             shift = 1.0 + np.abs(h).max()
             rhs = np.linspace(-1.0, 1.0, x.size)
-            assert np.allclose(_levenberg_step(D + shift * np.eye(s), U, -rhs),
+            assert np.allclose(_levenberg_step(D + shift * np.eye(s), U, -rhs).step,
                                np.linalg.solve(h + shift * np.eye(x.size), rhs),
                                rtol=1e-10, atol=0.0)
 
@@ -326,6 +326,58 @@ class TestEvaluationPlumbing:
         assert all(calls == 0 for name, calls in evaluations if name != "energy")
         assert len(bracket_calls) == names.count("energy")
 
+    def test_newton_builds_one_stencil_per_point(self, monkeypatch, wells):
+        # a trial's admissibility check and its energy share one stencil, and
+        # the problem's flat check builds the record of the start x
+        chain = preoptimize_middle(twin_chain(100, wells))
+        built, read = [], []
+        stencil = ChainProblem._stencil
+
+        def counted(self, x):
+            built.append(1)
+            return stencil(self, x)
+        monkeypatch.setattr(ChainProblem, "_stencil", counted)
+        for name in ("admissible", "energy"):
+            method = getattr(ChainProblem, name)
+
+            def traced(self, x, method=method):
+                read.append(np.array(x).tobytes())
+                return method(self, x)
+            monkeypatch.setattr(ChainProblem, name, traced)
+        report = newton_minimize(chain)
+        assert report.converged
+        assert len(read) > 2 * report.iterations
+        assert len(built) == len(set(read))
+
+    def test_admissibility_centers_outside_the_window(self, wells):
+        # B_plus counts the centers 0..L + 1, and its free atom -1 adds the
+        # admissibility centers -2 and -1 left of them.  The record's stencil
+        # spans both; on three starts like those of `_solve_layer` (a shifted
+        # one, atom -1 on the right map, the ramp), its slice for those
+        # centers equals a stencil built for them alone, and so do the
+        # verdicts, which the lattice confirms
+        F = boundary_gradient(wells, 0.5)
+        L, n_v = 6, 3
+        chain, problem = _layer_problem("B_plus", F, wells.U0, (0.0, 0.0), L, n_v, wells)
+        assert problem.i_lo == 0 and problem._adm == slice(0, L + 3)
+        alone = ChainProblem(chain, variable_tau=True, free_ids=problem.free_ids,
+                             i_window=(-2, L), j_window=(-n_v, n_v), scale=1.0 / n_v)
+        ramp = problem.pack(chain)
+        shifted = ramp.copy()
+        shifted[:3] += (-0.28, -0.047, 0.046)  # flips cell -3 (see TestAdmissibility)
+        mapped = ramp.copy()
+        mapped[:2] = chain.bc.V_right @ (-1.0, 0.0)
+        verdicts = []
+        for x in (shifted, mapped, ramp):
+            ok = problem.admissible(x)
+            record = [a[problem._adm] for a in problem._point(x).stencil]
+            fresh = center_stencils(problem.apply(x), np.arange(-2, L + 1))
+            assert all(map(_same_bits, record, fresh))
+            assert ok == alone.admissible(x)
+            assert ok == (check_admissible(reconstruct(problem.apply(x))) == [])
+            verdicts.append(ok)
+        assert verdicts == [False, True, True]
+
     def test_gradient_and_hessian_share_memory(self, wells):
         # the largest problem of `twinchain layers` (C, L = 192, heights +-16):
         # a gradient and then the Hessian at its x peak within 1.1x of the
@@ -505,12 +557,16 @@ def _admissibility_shape(shape, rng, wells):
     if shape == "middle_atom":
         chain = twin_chain(8, wells)
         return chain, ChainProblem(chain, free_ids=[0])
+    if shape == "gapped":
+        # two runs of free atoms: the checked centers are not one slice
+        chain = twin_chain(8, wells)
+        return chain, ChainProblem(chain, variable_tau=True, free_ids=[-5, -4, 3, 4])
     return _layer_problem(shape, F, wells.U0, (0.1, -0.05), 6, 3, wells)
 
 
 class TestAdmissibility:
     @pytest.mark.parametrize("shape", ["fixed_tau", "variable_tau", "middle_atom",
-                                       "B_plus", "B_minus", "C"])
+                                       "gapped", "B_plus", "B_minus", "C"])
     def test_stencil_check_matches_the_lattice(self, rng, wells, shape):
         # oracle: the orientation check on the reconstructed lattice
         chain, problem = _admissibility_shape(shape, rng, wells)
@@ -614,7 +670,7 @@ class TestBandSolve:
         for _ in range(3):
             h = _random_spd_band(rng, bw, ndof, decades=6.0)
             rhs = rng.standard_normal(ndof)
-            x = _levenberg_step(*_dense_to_blocks(h, bw), -rhs)  # SPD: no shift
+            x = _levenberg_step(*_dense_to_blocks(h, bw), -rhs).step  # SPD: no shift
             assert np.linalg.norm(h @ x - rhs) <= 1e-12 * np.linalg.norm(h) * np.linalg.norm(x)
             ref = scipy.linalg.solveh_banded(dense_to_band(h, min(bw, ndof - 1)), rhs)
             assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -637,7 +693,7 @@ class TestBandSolve:
                     scipy.linalg.solveh_banded(dense_to_band(shifted, min(bw, ndof - 1)),
                                                rhs.ravel()[:ndof])
 
-    def test_levenberg_shift_matches_lapack(self, wells, monkeypatch):
+    def test_levenberg_shift_matches_lapack(self, wells):
         # the CLI's first Hessian at n = 100 (middle atom preoptimized) is
         # indefinite; the shift sequence 0, 1e-8, 1e-7, ... must stop at the
         # first mu at which LAPACK's banded Cholesky succeeds
@@ -660,60 +716,146 @@ class TestBandSolve:
             except np.linalg.LinAlgError:
                 pass
         assert mu == pytest.approx(100.0)
-        attempts = []
-        solve = minimize_mod._block_cholesky_solve
-
-        def counted(*args):
-            attempts.append(args)
-            return solve(*args)
-
-        monkeypatch.setattr(minimize_mod, "_block_cholesky_solve", counted)
-        step = _levenberg_step(D, U, grad)
-        # mu = 0 fails; the bisection then tries 1e2 (succeeds), 1e-4, 0.1, 1, 10
-        assert len(attempts) == 6
+        step, shift, factorizations = _levenberg_step(D, U, grad)
+        # mu = 0 fails and rules out the rungs below 9.3, 10 fails and rules
+        # out those below 22.7, and 100 succeeds
+        assert shift == mu
+        assert factorizations == 3
         assert np.linalg.norm(step - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    @pytest.mark.parametrize("n, first_mu, attempts", [(100, 1e2, 6), (400, 1e3, 5),
-                                                        (600, 1e3, 5)])
-    def test_bisected_shift_matches_the_linear_ladder(self, wells, monkeypatch, n,
-                                                      first_mu, attempts):
+    @staticmethod
+    def _ladder(D, U, grad):
+        """The shift, step and rung index of trying each rung in turn."""
+        rhs = np.zeros(D.shape[:2])
+        rhs.flat[:grad.size] = -grad
+        eye = np.eye(D.shape[1])
+        for k, mu in enumerate(minimize_mod._SHIFTS):
+            try:
+                return mu, _block_cholesky_solve(D + mu * eye, U, rhs).ravel()[:grad.size], k
+            except np.linalg.LinAlgError:
+                pass
+        return None, None, len(minimize_mod._SHIFTS)
+
+    @staticmethod
+    def _bisection_attempts(first):
+        """The factorizations that bisecting the ladder after mu = 0 fails
+        takes to find its first successful rung, `first`."""
+        if first == 0:
+            return 1
+        lo, hi, attempts = 0, len(minimize_mod._SHIFTS), 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            attempts += 1
+            lo, hi = (lo, mid) if mid >= first else (mid, hi)
+        return attempts
+
+    def _traced_search(self, monkeypatch, D, U, grad):
+        """`_levenberg_step` with each attempt recorded as (shift, deficit):
+        the failure's certified `_Indefinite.deficit`, or None on success."""
+        eye = np.eye(D.shape[1])
+        tried = []
+        solve = minimize_mod._block_cholesky_solve
+
+        def traced(Dmu, *args):
+            # the rungs are probed upward; on a large diagonal the least ones
+            # may round to the same matrix, which is then one attempt
+            after = tried[-1][0] if tried else -1.0
+            shift = min(s for s in minimize_mod._SHIFTS
+                        if s > after and np.array_equal(Dmu, D + s * eye))
+            try:
+                out = solve(Dmu, *args)
+            except np.linalg.LinAlgError as failed:
+                tried.append((shift, failed.deficit))
+                raise
+            tried.append((shift, None))
+            return out
+
+        monkeypatch.setattr(minimize_mod, "_block_cholesky_solve", traced)
+        return _levenberg_step(D, U, grad), tried
+
+    @pytest.mark.parametrize("n, first_mu, attempts", [(100, 1e2, 3), (400, 1e3, 4),
+                                                        (600, 1e3, 2)],
+                             ids=["100", "400", "600"])
+    def test_certified_shift_matches_the_linear_ladder(self, wells, monkeypatch, n,
+                                                       first_mu, attempts):
         # the first Hessian of the fixed-tau twin is indefinite (lambda_min
-        # about -0.81 n); trying the rungs in turn and bisecting them must
-        # pick one shift and return one step, bit for bit
+        # about -0.81 n); trying the rungs in turn and skipping the certified
+        # ones must pick one shift and return one step, bit for bit
         chain = preoptimize_middle(twin_chain(n, wells))
         problem = ChainProblem(chain)
         x = problem.pack(chain)
         D, U = problem.hessian_banded(x)
         grad = problem.gradient(x)
-        rhs = np.zeros(D.shape[:2])
-        rhs.flat[:grad.size] = -grad
-        eye = np.eye(D.shape[1])
-        for mu in minimize_mod._SHIFTS:
-            try:
-                ref = _block_cholesky_solve(D + mu * eye, U, rhs).ravel()[:grad.size]
-                break
-            except np.linalg.LinAlgError:
-                pass
+        mu, ref, _ = self._ladder(D, U, grad)
         assert mu == pytest.approx(first_mu)
-        tried = []
-        solve = minimize_mod._block_cholesky_solve
-
-        def counted(Dmu, *args):
-            shift, = [s for s in minimize_mod._SHIFTS if np.array_equal(Dmu, D + s * eye)]
-            try:
-                out = solve(Dmu, *args)
-            except np.linalg.LinAlgError:
-                tried.append((shift, False))
-                raise
-            tried.append((shift, True))
-            return out
-
-        monkeypatch.setattr(minimize_mod, "_block_cholesky_solve", counted)
-        step = _levenberg_step(D, U, grad)
-        assert len(tried) == attempts
-        assert min(s for s, ok in tried if ok) == mu
-        assert all(s < mu for s, ok in tried if not ok)
+        (step, shift, factorizations), tried = self._traced_search(monkeypatch, D, U, grad)
+        assert factorizations == len(tried) == attempts
+        assert min(s for s, deficit in tried if deficit is None) == mu == shift
+        assert all(s < mu for s, deficit in tried if deficit is not None)
         assert _same_bits(step, ref)
+
+    @staticmethod
+    def _upper_band(D, U, ndof):
+        """The LAPACK upper band, s superdiagonals, of the first ndof dofs of
+        the block tridiagonal (D, U) whose blocks of s dofs hold a band of
+        s superdiagonals, as the Hessian's and `_dense_to_blocks`' do."""
+        m, s = D.shape[:2]
+        r = np.arange(ndof)
+        ab = np.zeros((s + 1, ndof))
+        for d in range(min(s, ndof - 1) + 1):
+            row, col = r[:ndof - d], r[d:]
+            i, a, b = row // s, row % s, col % s
+            same = col // s == i
+            ab[s - d, d:] = np.where(same, D[i, a, b], U[np.minimum(i, m - 2), a, b])
+        return ab
+
+    @staticmethod
+    def _twin_hessian(a, n):
+        chain = preoptimize_middle(twin_chain(n, build_wells(a)))
+        problem = ChainProblem(chain)
+        x = problem.pack(chain)
+        return (*problem.hessian_banded(x), problem.gradient(x))
+
+    @staticmethod
+    def _indefinite_band(bw, ndof, low, seed):
+        """A random band with min(bw, ndof - 1) superdiagonals and least
+        eigenvalue `low`, in blocks, with a random gradient."""
+        rng = np.random.default_rng(seed)
+        h = _random_spd_band(rng, bw, ndof, decades=rng.uniform(0.0, 6.0))
+        h -= (np.linalg.eigvalsh(h)[0] - low) * np.eye(ndof)
+        return (*_dense_to_blocks(h, bw), rng.standard_normal(ndof))
+
+    # the twin's first Hessians, and random bands whose least eigenvalue
+    # spans the ladder, rungs included
+    SOUNDNESS_CASES = (
+        [pytest.param("twin", (np.sqrt(2.0), n), id=f"twin-sqrt2-{n}")
+         for n in (100, 200, 400, 600, 1000)]
+        + [pytest.param("twin", (a, 200), id=f"twin-{a}-200") for a in (2.0, 1.1)]
+        + [pytest.param("band", (bw, ndof, -10.0 ** e, 100 * bw + k),
+                        id=f"band-{bw}-{ndof}-1e{e:+g}")
+           for bw, ndof in ((1, 40), (5, 93), (8, 200))
+           for k, e in enumerate((-9, -5, -3, -1, 0, 0.5, 2, 3.7, 6, 10))])
+
+    @pytest.mark.parametrize("kind, args", SOUNDNESS_CASES)
+    def test_carried_floor_is_sound(self, monkeypatch, kind, args):
+        # a failure's floor never rules out a rung at which H + mu I is
+        # positive definite (by the least eigenvalue of the banded matrix);
+        # the step is the ladder's, bit for bit, in no more factorizations
+        # than bisecting the ladder took
+        D, U, grad = (self._twin_hessian if kind == "twin" else self._indefinite_band)(*args)
+        ab = self._upper_band(D, U, grad.size)
+        low = scipy.linalg.eigvals_banded(ab, select="i", select_range=(0, 0))[0]
+        mu, ref, first = self._ladder(D, U, grad)
+        (step, shift, factorizations), tried = self._traced_search(monkeypatch, D, U, grad)
+        # up to the eigensolver's rounding: eps |H|_inf times a modest factor
+        rows = np.abs(D).sum(axis=2)
+        rows[:-1] += np.abs(U).sum(axis=2)
+        rows[1:] += np.abs(U).sum(axis=1)
+        top = -low + 1e-13 * rows.max()
+        floors = [s + deficit for s, deficit in tried if deficit]
+        assert all(floor <= top for floor in floors)
+        assert shift == mu and _same_bits(step, ref)
+        assert factorizations == len(tried) <= self._bisection_attempts(first)
 
 
 class TestNewton:
@@ -744,6 +886,20 @@ class TestNewton:
         final = report.final_chain
         problem = ChainProblem(final)
         assert np.abs(problem.gradient(problem.pack(final))).max() < 1e-8
+
+    def test_report_counts_the_factorizations(self, wells, monkeypatch):
+        # each step factors once, except the first: the twin's start is a
+        # saddle, and its shift takes 3 (TestBandSolve)
+        chain = preoptimize_middle(twin_chain(100, wells))
+        calls = []
+        solve = minimize_mod._block_cholesky_solve
+
+        def counted(*args):
+            calls.append(1)
+            return solve(*args)
+        monkeypatch.setattr(minimize_mod, "_block_cholesky_solve", counted)
+        report = newton_minimize(chain)
+        assert report.factorizations == len(calls) == report.iterations + 2
 
     def test_report_histories_align(self, wells):
         report = newton_minimize(twin_chain(8, wells))
