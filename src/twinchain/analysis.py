@@ -1,9 +1,9 @@
 """Well classification, interface detection, and decay diagnostics.
 
-Everything here reduces chains or their energy breakdowns to the quantities
-one actually looks at: which well each cell sits in, where the phase
-interfaces are, how fast a perturbation decays along the chain, and which
-horizontal rows are quiet enough to section the strip.
+Everything here reduces chains to the quantities one actually looks at:
+which well each cell sits in, where the phase interfaces are, how fast a
+perturbation decays along the chain, and which horizontal rows are quiet
+enough to section the strip.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import (EnergyBreakdown, _center_stencils, sites_reaching, stencil_map,
-                     uniform_columns)
+from .energy import _center_stencils, row_reduction, stencil_map, uniform_columns
 from .lattice import ChainState
 from .wells import WellPair, dist_to_well
 
@@ -75,7 +74,7 @@ def classify(chain: ChainState, wells: WellPair) -> WellClassification:
         column_mean_sq[k] = (dist * dist).mean(axis=1)
         return pick1
 
-    well = stencil_map(_center_stencils(chain, -chain.n, chain.n), nearest, dtype=np.int8)
+    well = stencil_map(_center_stencils(chain, -chain.n, chain.n), nearest)
     return WellClassification(well_id=well, column_distance=column_distance,
                               column_mean_sq=column_mean_sq, n=chain.n, lam=chain.lam)
 
@@ -188,24 +187,25 @@ class GoodLineFailure:
     reason: str
 
 
-def find_good_lines(bd: EnergyBreakdown, alpha: float = 0.4, delta: float = 0.1):
+def find_good_lines(chain: ChainState, alpha: float = 0.4, delta: float = 0.1):
     """Pick rows j_minus < j_zero < j_plus that are quiet in two senses.
 
     A row j qualifies when its lam-weighted energy sum is <= n^-alpha and at
-    most n^alpha / delta of its sites reach n^-alpha.  The rows must be
-    equally spaced with j_minus in [-n, -n+2*delta*n], j_zero in
-    [-delta*n, delta*n], j_plus mirrored.  Returns GoodLines, or a
+    most n^alpha / delta of its sites reach n^-alpha (both per row from one
+    `energy.row_reduction`).  The rows must be equally spaced with j_minus
+    in [-n, -n+2*delta*n], j_zero in [-delta*n, delta*n], j_plus mirrored.  Returns GoodLines, or a
     GoodLineFailure naming the binding condition.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if not 0.0 < delta < 0.25:
         raise ValueError("delta must lie in (0, 1/4)")
-    n = bd.n
+    n = chain.n
     sum_cap = float(n) ** (-alpha)
     soft_cap = float(n) ** alpha / delta
-    sum_ok = bd.lam * bd.row_sums <= sum_cap
-    soft_ok = sites_reaching(bd.local, sum_cap) <= soft_cap
+    row_sums, reaching = row_reduction(chain, sum_cap)
+    sum_ok = chain.lam * row_sums <= sum_cap
+    soft_ok = reaching <= soft_cap
     ok = sum_ok & soft_ok
 
     wide = int(math.floor(2 * delta * n))

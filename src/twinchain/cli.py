@@ -268,9 +268,7 @@ def cmd_diagnose(cfg: ExperimentConfig, head) -> int:
              "j_minus,j_zero,j_plus,status"]
     runs = _map_runs(cfg, lambda n: _relax(cfg, n))
     for n, (wells, warm, report) in zip(cfg.n_list, runs):
-        # the breakdown and its site grid are freed before classify builds its grid
-        found = find_good_lines(chain_energy(report.final_chain), alpha=cfg.alpha,
-                                delta=cfg.delta)
+        found = find_good_lines(report.final_chain, alpha=cfg.alpha, delta=cfg.delta)
         cls = classify(report.final_chain, wells)
         off_well = ",".join(str(np.count_nonzero(cls.column_distance > tol))
                             for tol in OFF_WELL_TOLS)

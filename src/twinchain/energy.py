@@ -1,4 +1,4 @@
-"""Two-well lattice energy: density, per-site grids, column tables, totals and diagnostics.
+"""Two-well lattice energy: density, stencil walks, column tables, totals and diagnostics.
 
 The density is a product of two bracket sums over all signed neighbor
 differences of a site.  With v_s = (u^{i,j+s} - u^{ij})/lam (s = +1, -1) and
@@ -28,11 +28,13 @@ centers -n..n once and sums it in O(n).  The same degree bound makes a
 column's densities at nine rows (`sample_rows`) determine every row, so
 `save_breakdown` writes one O(1) row per column: its raw sum and those nine
 values, taken from the stencil on the first read of
-`EnergyBreakdown.columns`.  `stencil_map` walks a stencil over the whole
-site grid, for `EnergyBreakdown.local` on its first read and for
-`analysis.classify`: a column broadcast when every slope is zero, a dense
-grid otherwise.  No other module reads that layout; they call this module's
-helpers for it.
+`EnergyBreakdown.columns`.  No float site grid is built: `row_reduction`
+takes each row's fsum and its count of sites at or above a level (for
+`analysis.find_good_lines`) from one density per column when every slope
+is zero, and otherwise in blocks of whole rows.  `stencil_map` walks a
+stencil over the whole site grid into int8 values, for `analysis.classify`:
+a column broadcast when every slope is zero, a dense grid otherwise.  No
+other module reads that layout; they call this module's helpers for it.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ __all__ = [
     "row_rule",
     "rule_total",
     "sample_rows",
-    "sites_reaching",
+    "row_reduction",
     "chain_energy",
     "lattice_energy",
     "field_local_grid",
@@ -179,42 +181,20 @@ def sample_rows(n):
 
 @dataclass(frozen=True, eq=False)
 class EnergyBreakdown:
-    """The total and the rescaled energy; the site grid, its row sums and the
-    column table are built on first read.
+    """The total and the rescaled energy; the column table is built on first read.
 
     total = lam^2 * the row rule's sum for `chain_energy`, within a few ulp of
     the grid's sum, which `lattice_energy` takes; rescaled = total / lam.
-    site_grid() builds `local`: `find_good_lines` (through `row_sums` and
-    `sites_reaching`) reads it.  column_table() builds `columns`, which
-    `save_breakdown` writes; without one, `columns` is read off `local`.
-    `scan` and the `layers` reference read only the total, so they build
-    neither.
+    column_table() builds `columns`, which `save_breakdown` writes; `scan`
+    and the `layers` reference read only the total, so they never build it.
     """
 
-    site_grid: Callable[[], np.ndarray]
     total: float
     rescaled: float
     n: int
     lam: float
     a: float
-    column_table: Callable[[], tuple[np.ndarray, np.ndarray]] | None = None
-
-    @cached_property
-    def local(self):
-        """local[k, l] = the density at chain index i = k - n, row j = l - n.
-
-        A read-only broadcast of one density per column (O(n) memory) when
-        every center is flat (fixed tau, zero angles); otherwise a dense grid.
-        """
-        return self.site_grid()
-
-    @cached_property
-    def row_sums(self):
-        """row_sums[l] = fsum of row j = l - n, built on first read (by `find_good_lines`)."""
-        x = broadcast_column(self.local)
-        if x is None:  # a list per row: a whole-grid tolist() holds 32 bytes per site
-            return np.array([math.fsum(col.tolist()) for col in self.local.T])
-        return np.full(self.local.shape[1], math.fsum(x.tolist()))
+    column_table: Callable[[], tuple[np.ndarray, np.ndarray]]
 
     @cached_property
     def columns(self):
@@ -222,18 +202,15 @@ class EnergyBreakdown:
 
         column_sum[k] is the raw density summed down column k, so lam^2 *
         fsum(column_sum) is the total within a few ulp; samples[k, m] is the
-        density at row sample_rows(n)[m], the bits of local[k, j + n].
+        density at row sample_rows(n)[m].
         """
-        if self.column_table is not None:
-            return self.column_table()
-        local = self.local
-        sums = np.array([math.fsum(col.tolist()) for col in local])
-        return sums, local[:, np.add(sample_rows(self.n), self.n)]
+        return self.column_table()
 
 
-# sites per stencil block: bounds the stencil and bracket temporaries
-# (a few hundred bytes per site) while the output grids take a few bytes per site
-_GRID_BLOCK = 1 << 15
+# sites per stencil block, but at least one whole row or column: bounds the
+# stencil and bracket temporaries (a few hundred bytes per site) to under
+# 1 MiB a block up to n = 1000, and to O(n) past it
+_GRID_BLOCK = 1 << 11
 
 
 def _center_stencils(chain: ChainState, i_lo, i_hi):
@@ -242,8 +219,8 @@ def _center_stencils(chain: ChainState, i_lo, i_hi):
     return slot_stencil(u, theta, chain.lam, chain.wells)[:2]
 
 
-def stencil_map(stencil, per_site, dtype=float):
-    """The grid of per_site(k, W) over a stencil's centers and the rows -n..n.
+def stencil_map(stencil, per_site):
+    """The int8 grid of per_site(k, W) over a stencil's centers and the rows -n..n.
 
     stencil = (base, slope) of `_center_stencils` at the 2n+1 centers -n..n.
     W = [v+, v-, h+, h-] holds the stencils of centers k - n, shape (len(k),
@@ -257,14 +234,39 @@ def stencil_map(stencil, per_site, dtype=float):
     k = np.arange(len(base))
     shape = (k.size, k.size)
     if not slope.any():
-        return np.broadcast_to(per_site(k, base[:, None]).astype(dtype, copy=False), shape)
-    grid = np.empty(shape, dtype=dtype)
+        return np.broadcast_to(per_site(k, base[:, None]).astype(np.int8, copy=False), shape)
+    grid = np.empty(shape, dtype=np.int8)
     j = (k - k.size // 2).astype(float)[None, :, None, None]
     step = max(1, _GRID_BLOCK // k.size)
     for lo in range(0, k.size, step):
         blk = k[lo:lo + step]
         grid[blk] = per_site(blk, base[blk, None] + j * slope[blk, None])
     return grid
+
+
+def row_reduction(chain: ChainState, level):
+    """Per row j = l - n of the site grid: the fsum of its 2n+1 densities and
+    the number of them >= level, as two arrays of length 2n+1.
+
+    A flat stencil (every slope zero) has one density per column on every
+    row, so one column gives every row.  Otherwise the rows are walked in
+    blocks of whole rows of about _GRID_BLOCK sites; no grid forms.
+    """
+    n, wells = chain.n, chain.wells
+    base, slope = _center_stencils(chain, -n, n)
+    m = 2 * n + 1
+    if not slope.any():
+        col = density(base[:, :2], base[:, 2:], wells)
+        return np.full(m, math.fsum(col.tolist())), np.full(m, np.count_nonzero(col >= level))
+    sums, counts = np.empty(m), np.empty(m, dtype=int)
+    j = np.arange(-n, n + 1, dtype=float)[:, None, None, None]
+    step = max(1, _GRID_BLOCK // m)
+    for lo in range(0, m, step):
+        W = base + j[lo:lo + step] * slope
+        rows = density(W[..., :2, :], W[..., 2:, :], wells)
+        sums[lo:lo + step] = [math.fsum(row) for row in rows.tolist()]
+        counts[lo:lo + step] = np.count_nonzero(rows >= level, axis=1)
+    return sums, counts
 
 
 def broadcast_column(grid):
@@ -286,17 +288,6 @@ def uniform_columns(grid):
                            for lo in range(0, len(bits), step)])
 
 
-def sites_reaching(local, level):
-    """Per row j, the number of sites with local >= level.
-
-    A column broadcast counts one column, so no (2n+1)^2 temporary forms.
-    """
-    col = broadcast_column(local)
-    if col is None:
-        return np.count_nonzero(local >= level, axis=0)
-    return np.full(local.shape[1], np.count_nonzero(col >= level))
-
-
 def _node_densities(stencil, j_lo, j_hi, wells):
     """The density of stencil's centers at the nodes of `row_rule` over rows
     j_lo..j_hi, shape (centers, nodes), and the rule's weights.
@@ -311,17 +302,12 @@ def _node_densities(stencil, j_lo, j_hi, wells):
 
 def chain_energy(chain: ChainState) -> EnergyBreakdown:
     """Energy evaluated directly in chain variables, in O(n): one stencil over
-    the centers -n..n, its total by the row rule.  The site grid is
-    `stencil_map`'s walk over that stencil, run on the first read of `local`;
-    the column table comes from the same stencil in O(n), on the first read
-    of `columns`."""
+    the centers -n..n, its total by the row rule.  The column table comes
+    from the same stencil in O(n), on the first read of `columns`."""
     n, lam, wells = chain.n, chain.lam, chain.wells
     stencil = _center_stencils(chain, -n, n)
     D, weights = _node_densities(stencil, -n, n, wells)
     total = rule_total(D, weights, lam ** 2)
-
-    def site_grid():
-        return stencil_map(stencil, lambda k, W: density(W[..., :2, :], W[..., 2:, :], wells))
 
     def column_table():
         # the rule's nodes sum each column: exact for its degree-8 polynomial
@@ -329,20 +315,25 @@ def chain_energy(chain: ChainState) -> EnergyBreakdown:
         base, slope = stencil
         if not slope.any():  # one node at j = 0: each column's one density
             return sums, np.broadcast_to(D, (len(D), 9))
-        # the expression `stencil_map` evaluates at rows j, so local's bits
+        # the expression `row_reduction` evaluates at rows j, so the site grid's bits
         j = np.array(sample_rows(n), dtype=float)[None, :, None, None]
         W = base[:, None] + j * slope[:, None]
         return sums, density(W[..., :2, :], W[..., 2:, :], wells)
 
-    return EnergyBreakdown(site_grid, total, total / lam, n, lam, wells.a, column_table)
+    return EnergyBreakdown(total, total / lam, n, lam, wells.a, column_table)
 
 
 def lattice_energy(field: LatticeField) -> EnergyBreakdown:
     """Energy evaluated from the reconstructed 2D positions, every site in one
     fsum; the column table is read off the grid."""
-    local, lam = field_local_grid(field), field.lam
+    local, lam, n = field_local_grid(field), field.lam, field.n
     total = lam * lam * math.fsum(itertools.chain.from_iterable(row.tolist() for row in local))
-    return EnergyBreakdown(lambda: local, total, total / lam, field.n, lam, field.chain.wells.a)
+
+    def column_table():
+        sums = np.array([math.fsum(col.tolist()) for col in local])
+        return sums, local[:, np.add(sample_rows(n), n)]
+
+    return EnergyBreakdown(total, total / lam, n, lam, field.chain.wells.a, column_table)
 
 
 def window_sum(chain: ChainState, i_lo, i_hi, j_lo, j_hi, weight=1.0):

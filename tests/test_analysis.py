@@ -4,12 +4,14 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import twinchain.analysis as analysis_mod
 import twinchain.energy as energy_mod
-from chaingen import random_chain
+from chaingen import chain_local_grid, random_chain
 from twinchain.analysis import (
     TIE_TOL,
     GoodLineFailure,
@@ -24,7 +26,6 @@ from twinchain.analysis import (
     save_classification,
     save_profile,
 )
-from twinchain.energy import EnergyBreakdown, chain_energy
 from twinchain.lattice import (
     BoundaryClamp,
     ChainState,
@@ -73,6 +74,18 @@ def lattice_wells(chain, wells):
     d1, _ = dist_to_well(grads, wells.U1)
     pick1 = (np.abs(d0 - d1) > TIE_TOL) & (d1 < d0)
     return pick1, np.where(pick1, d1, d0)
+
+
+def rows_of(local, level):
+    """Per row of a site grid local[k, l]: its fsum and its count of sites >= level."""
+    return (np.array([math.fsum(col) for col in local.T.tolist()]),
+            np.count_nonzero(local >= level, axis=0))
+
+
+def grid_row_reduction(chain, level):
+    """`energy.row_reduction` read off the tests' own site grid."""
+    ids = np.arange(-chain.n, chain.n + 1)
+    return rows_of(chain_local_grid(chain, ids, ids), level)
 
 
 @pytest.fixture(scope="module")
@@ -183,7 +196,7 @@ class TestColumnBroadcast:
         cls = classify(relaxed_variable_tau40, wells)
         assert cls.well_id.flags.writeable and cls.well_id.strides[1] != 0
 
-    def test_readers_match_the_dense_copy(self, wells, minimizer400, tmp_path):
+    def test_readers_match_the_dense_copy(self, wells, minimizer400, tmp_path, monkeypatch):
         cls = classify(minimizer400, wells)
         dense = dataclasses.replace(cls, well_id=np.array(cls.well_id))
         assert dense.well_id.strides[1] != 0
@@ -192,11 +205,11 @@ class TestColumnBroadcast:
         save_classification(cls, tmp_path / "view.csv", header="twin")
         save_classification(dense, tmp_path / "dense.csv", header="twin")
         assert (tmp_path / "view.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
-        bd = chain_energy(minimizer400)
-        dense_bd = dataclasses.replace(bd, site_grid=lambda: np.array(bd.local))
-        for alpha, delta in ((0.4, 0.1), (0.2, 0.05), (0.9, 0.2)):
-            assert (find_good_lines(bd, alpha=alpha, delta=delta)
-                    == find_good_lines(dense_bd, alpha=alpha, delta=delta))
+        # the good lines of the flat path against those of the dense site grid
+        settings = ((0.4, 0.1), (0.2, 0.05), (0.9, 0.2))
+        picks = [find_good_lines(minimizer400, alpha=a, delta=d) for a, d in settings]
+        monkeypatch.setattr(analysis_mod, "row_reduction", grid_row_reduction)
+        assert [find_good_lines(minimizer400, alpha=a, delta=d) for a, d in settings] == picks
 
 
 class TestInterfaces:
@@ -367,36 +380,37 @@ class TestFitExponential:
 
 class TestGoodLines:
     def test_quiet_state_returns_centered_triple(self, wells):
-        bd = chain_energy(affine_chain(8, wells, wells.U0))
-        out = find_good_lines(bd)
+        chain = affine_chain(8, wells, wells.U0)
+        out = find_good_lines(chain)
         assert isinstance(out, GoodLines)
         assert (out.j_minus, out.j_zero, out.j_plus) == (-7, 0, 7)
-        assert out == find_good_lines(bd)  # deterministic
+        assert out == find_good_lines(chain)  # deterministic
 
     def test_hot_rows_fail_with_row_sum_reason(self, wells):
         # every row crosses the twin interface, so every row sum is large
-        out = find_good_lines(chain_energy(twin_chain(8, wells)))
+        out = find_good_lines(twin_chain(8, wells))
         assert isinstance(out, GoodLineFailure)
         assert "row-sum" in out.reason
 
     def test_minimizer_passes_without_jump_cap(self, wells, minimizer100):
-        bd = chain_energy(minimizer100)
-        out = find_good_lines(bd)
+        out = find_good_lines(minimizer100)
         assert isinstance(out, GoodLines)
         assert out.j_plus - out.j_zero == out.j_zero - out.j_minus
         n, alpha, delta = 100, 0.4, 0.1
         assert -n <= out.j_minus <= -n + 2 * delta * n
         assert -delta * n <= out.j_zero <= delta * n
+        ids = np.arange(-n, n + 1)
+        local = chain_local_grid(minimizer100, ids, ids)
         for j in (out.j_minus, out.j_zero, out.j_plus):
-            assert bd.lam * bd.row_sums[j + n] <= n ** -alpha
-            assert (bd.local[:, j + n] >= n ** -alpha).sum() <= n ** alpha / delta
+            assert minimizer100.lam * math.fsum(local[:, j + n]) <= n ** -alpha
+            assert (local[:, j + n] >= n ** -alpha).sum() <= n ** alpha / delta
 
     @pytest.mark.parametrize("case, reason", [
         ("spread", "no row in band 'minus' satisfies the spread-count bound"),
         ("no-triple", "no equally spaced triple across the bands"),
         ("combined", "no row in band 'minus' satisfies the combined conditions"),
     ])
-    def test_failure_reasons(self, case, reason):
+    def test_failure_reasons(self, monkeypatch, case, reason):
         # n = 20 and the default alpha, delta: the bands are j in [-20, -16],
         # [-2, 2] and [16, 20].  A row is quiet when lam * its sum <= 20^-0.4
         # (0.30) and at most 20^0.4 / 0.1 (33.1) of its 41 sites reach 0.30
@@ -410,17 +424,17 @@ class TestGoodLines:
         else:  # minus rows alternate spread-only and row-sum-only failures
             local[:, 0:5:2] = 0.5
             local[n, 1:5:2] = 100.0
-        total = lam * lam * local.sum()
-        bd = EnergyBreakdown(site_grid=lambda: local, total=total, rescaled=total / lam, n=n,
-                             lam=lam, a=np.sqrt(2.0))
-        assert find_good_lines(bd) == GoodLineFailure(reason)
+        # a stand-in chain: find_good_lines reads its n and lam, and the rows from local
+        monkeypatch.setattr(analysis_mod, "row_reduction",
+                            lambda chain, level: rows_of(local, level))
+        assert find_good_lines(SimpleNamespace(n=n, lam=lam)) == GoodLineFailure(reason)
 
     def test_parameter_validation(self, wells):
-        bd = chain_energy(affine_chain(6, wells, wells.U0))
+        chain = affine_chain(6, wells, wells.U0)
         with pytest.raises(ValueError):
-            find_good_lines(bd, alpha=1.5)
+            find_good_lines(chain, alpha=1.5)
         with pytest.raises(ValueError):
-            find_good_lines(bd, delta=0.3)
+            find_good_lines(chain, delta=0.3)
 
 
 class TestExports:

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import twinchain.energy as energy_mod
 from chaingen import center_stencils, chain_local_grid, random_chain
-from twinchain.analysis import classify
+from twinchain.analysis import classify, find_good_lines
 from twinchain.energy import (
     EnergyBreakdown,
     chain_energy,
@@ -120,7 +121,8 @@ class TestDualRoute:
 
     def test_local_grids_agree_elementwise(self, rng):
         chain = random_chain(rng, n=6, dtheta=0.1)
-        g1 = chain_energy(chain).local
+        ids = np.arange(-6, 7)
+        g1 = chain_local_grid(chain, ids, ids)
         g2 = field_local_grid(reconstruct(chain))
         assert g1.shape == g2.shape == (13, 13)
         assert np.abs(g1 - g2).max() < 1e-10
@@ -134,13 +136,15 @@ class TestTwinEnergy:
         assert density(v, h, wells) == pytest.approx(36.3609, rel=1e-12)
 
     def test_energy_lives_on_interface_column(self, wells):
-        bd = chain_energy(twin_chain(8, wells))
-        n = bd.n
-        col_sums = bd.local.sum(axis=1)
-        assert np.abs(col_sums[:n]).max() < 1e-20
-        assert np.abs(col_sums[n + 1:]).max() < 1e-20
+        chain = twin_chain(8, wells)
+        n = chain.n
+        ids = np.arange(-n, n + 1)
+        local = chain_local_grid(chain, ids, ids)
+        for col_sums in (local.sum(axis=1), chain_energy(chain).columns[0]):
+            assert np.abs(col_sums[:n]).max() < 1e-20
+            assert np.abs(col_sums[n + 1:]).max() < 1e-20
         for j in (-8, -3, 0, 5, 8):
-            assert bd.local[n, j + n] == pytest.approx(36.3609, rel=1e-12)
+            assert local[n, j + n] == pytest.approx(36.3609, rel=1e-12)
 
     def test_rescaled_total_frozen(self, wells):
         bd = chain_energy(twin_chain(8, wells))
@@ -154,10 +158,13 @@ class TestBreakdown:
         chain = random_chain(rng, n=6)
         bd = chain_energy(chain)
         m = 2 * bd.n + 1
-        assert bd.local.shape == (m, m)
-        assert bd.row_sums.shape == (m,)
-        raw = math.fsum(bd.local.ravel())
-        assert math.fsum(bd.row_sums) == pytest.approx(raw, rel=1e-13)
+        ids = np.arange(-bd.n, bd.n + 1)
+        row_sums, _ = energy_mod.row_reduction(chain, 1.0)
+        assert row_sums.shape == (m,)
+        assert bd.columns[0].shape == (m,) and bd.columns[1].shape == (m, 9)
+        raw = math.fsum(chain_local_grid(chain, ids, ids).ravel())
+        assert math.fsum(row_sums) == pytest.approx(raw, rel=1e-13)
+        assert math.fsum(bd.columns[0]) == pytest.approx(raw, rel=1e-13)
         assert bd.total == pytest.approx(bd.lam ** 2 * raw, rel=1e-13)
         assert bd.rescaled == pytest.approx(bd.total / bd.lam, rel=1e-14)
 
@@ -191,6 +198,42 @@ def _site_wise_sums(local, lam):
     return row_sums, lam * lam * math.fsum(local.ravel().tolist())
 
 
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _count(monkeypatch, name):
+    """The calls of energy_mod.name from here on, one list entry each."""
+    calls = []
+    real = getattr(energy_mod, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(energy_mod, name, counted)
+    return calls
+
+
+def _three_rotated_columns(rng):
+    """A fixed-tau chain whose columns -5, 0 and 3 turn, tilting 9 of its 17 centers."""
+    chain = random_chain(rng, n=8, dtheta=0.0)
+    theta = chain.theta.copy()
+    theta[chain.geometry.atom_index([-5, 0, 3])] = (0.01, -0.02, 0.015)
+    return chain.with_arrays(theta=theta)
+
+
+def _signed_zero_chain(wells, tilt=0.0):
+    """The n = 8 twin with -0.0 for every zero coordinate and angle; tilt
+    turns column 3, so its three centers leave the flat path."""
+    chain = twin_chain(8, wells)
+    theta = np.full_like(chain.theta, -0.0)
+    if tilt:
+        theta[chain.geometry.atom_index(3)] = tilt
+    return chain.with_arrays(u=np.where(chain.u == 0.0, -0.0, chain.u), theta=theta)
+
+
 def _constant_rows(rng, m):
     # both signs and 36 decades, so the rows' products round and cancel
     x = rng.standard_normal(m) * 10.0 ** rng.uniform(-30.0, 6.0, m)
@@ -213,56 +256,61 @@ def _signed_zero_rows(rng, m):
 
 
 class TestBreakdownSums:
-    """`EnergyBreakdown.row_sums` sums each row of a column broadcast in O(1)
-    and a dense grid site by site; every row sum must keep its bits."""
+    """`row_reduction` sums each row of a flat stencil from one density per
+    column and walks any other stencil row by row; every row sum must keep
+    its bits.  A synthetic grid local[k, l] goes in through a stencil whose
+    v+ carries (k, j) and a density that looks that site up."""
 
     @pytest.mark.parametrize("make", [
         _constant_rows, _mixed_rows, _signed_zero_rows,
         lambda rng, m: np.full((m, m), -0.0),
         lambda rng, m: np.full((m, m), 1.0 / 3.0),
     ], ids=["constant", "mixed", "signed-zeros", "all-negative-zero", "one-third"])
-    def test_matches_site_wise_fsum_bit_for_bit(self, rng, make):
+    def test_matches_site_wise_fsum_bit_for_bit(self, rng, monkeypatch, make):
         n = 6
-        lam = 1.0 / n
         for _ in range(20):
-            self._assert_bitwise(make(rng, 2 * n + 1), n, lam)
+            self._assert_bitwise(monkeypatch, make(rng, 2 * n + 1), flat=False)
 
     @pytest.mark.parametrize("zeros", [False, True], ids=["mixed-decades", "signed-zeros"])
-    def test_column_broadcast_matches_site_wise_fsum_bit_for_bit(self, rng, zeros):
+    def test_column_broadcast_matches_site_wise_fsum_bit_for_bit(self, rng, monkeypatch, zeros):
         n = 6
         m = 2 * n + 1
         for _ in range(20):
             col = _constant_rows(rng, m)[:, 0]
             if zeros:
                 col[[0, 3]], col[5] = -0.0, 0.0
-            local = np.broadcast_to(col[:, None], (m, m))
-            assert energy_mod.broadcast_column(local) is not None
-            self._assert_bitwise(local, n, 1.0 / n)
+            self._assert_bitwise(monkeypatch, np.broadcast_to(col[:, None], (m, m)), flat=True)
 
     def test_relaxed_twin(self, minimizer100):
-        bd = chain_energy(minimizer100)
-        self._assert_bitwise(bd.local, bd.n, bd.lam)
-
-    def test_row_sums_wait_for_their_first_read(self, rng):
-        bd = chain_energy(random_chain(rng, n=6, dtheta=0.1))
-        assert "row_sums" not in vars(bd)
-        row_sums, _ = _site_wise_sums(bd.local, bd.lam)
-        assert np.array_equal(bd.row_sums.view(np.int64), row_sums.view(np.int64))
-        assert vars(bd)["row_sums"] is bd.row_sums
+        n = minimizer100.n
+        ids = np.arange(-n, n + 1)
+        local = chain_local_grid(minimizer100, ids, ids)
+        level = n ** -0.4
+        sums, counts = energy_mod.row_reduction(minimizer100, level)
+        assert _same_bits(sums, _site_wise_sums(local, minimizer100.lam)[0])
+        assert counts.tolist() == np.count_nonzero(local >= level, axis=0).tolist()
 
     @staticmethod
-    def _assert_bitwise(local, n, lam):
-        bd = EnergyBreakdown(lambda: local, 0.0, 0.0, n, lam, np.sqrt(2.0))
-        assert "row_sums" not in vars(bd)
-        row_sums, _ = _site_wise_sums(local, lam)
-        assert np.array_equal(bd.row_sums.view(np.int64), row_sums.view(np.int64))
+    def _assert_bitwise(monkeypatch, local, flat):
+        m = len(local)
+        n = m // 2
+        base, slope = np.zeros((m, 4, 2)), np.zeros((m, 4, 2))
+        base[:, 0, 0] = np.arange(m)  # v+ = (k, j) at center k - n on row j
+        slope[:, 0, 1] = 0.0 if flat else 1.0
+        monkeypatch.setattr(energy_mod, "_center_stencils", lambda chain, lo, hi: (base, slope))
+        monkeypatch.setattr(energy_mod, "density", lambda v, h, wells: local[
+            v[..., 0, 0].astype(int), v[..., 0, 1].astype(int) + n])
+        level = float(np.median(local))
+        sums, counts = energy_mod.row_reduction(SimpleNamespace(n=n, wells=None), level)
+        assert _same_bits(sums, _site_wise_sums(local, 1.0)[0])
+        assert counts.tolist() == np.count_nonzero(local >= level, axis=0).tolist()
 
 
 class TestUniformColumns:
     """uniform_columns: per chain column, whether every site holds its first bits."""
 
     def test_broadcast_is_all_uniform(self, minimizer100, wells):
-        for grid in (chain_energy(minimizer100).local, classify(minimizer100, wells).well_id):
+        for grid in (chain_energy(minimizer100).columns[1], classify(minimizer100, wells).well_id):
             assert energy_mod.broadcast_column(grid) is not None
             assert energy_mod.uniform_columns(grid).tolist() == [True] * grid.shape[0]
 
@@ -283,9 +331,9 @@ class TestUniformColumns:
 
 
 class TestFlatColumns:
-    """stencil_map evaluates each center once when every slope is zero and fills
-    a dense grid otherwise, also when only some centers tilt; the grid must
-    not move."""
+    """row_reduction evaluates each center once when every slope is zero and
+    walks the rows in blocks otherwise, also when only some centers tilt; the
+    row sums and counts must not move."""
 
     @staticmethod
     def _flat_count(chain):
@@ -296,14 +344,15 @@ class TestFlatColumns:
         n = chain.n
         ids = np.arange(-n, n + 1)
         ref = chain_local_grid(chain, ids, ids)
-        # 4 centers per block: a dense grid runs in several ragged blocks
+        level = float(np.median(ref))
+        # 4 rows per block: the walk runs in several ragged blocks
         monkeypatch.setattr(energy_mod, "_GRID_BLOCK", 4 * ids.size)
-        bd = chain_energy(chain)
+        evaluations = _count(monkeypatch, "density")
+        sums, counts = energy_mod.row_reduction(chain, level)
         all_flat = self._flat_count(chain) == ids.size
-        assert (energy_mod.broadcast_column(bd.local) is not None) == all_flat
-        assert np.array_equal(bd.local, ref)
-        want_rows = [math.fsum(ref[:, l]) for l in range(ids.size)]
-        assert bd.row_sums.tolist() == want_rows
+        assert len(evaluations) == (1 if all_flat else -(-ids.size // 4))
+        assert _same_bits(sums, [math.fsum(ref[:, l]) for l in range(ids.size)])
+        assert counts.tolist() == np.count_nonzero(ref >= level, axis=0).tolist()
 
     def test_fixed_tau_twin_is_all_flat(self, rng, monkeypatch):
         chain = random_chain(rng, n=8, dtheta=0.0)
@@ -311,10 +360,7 @@ class TestFlatColumns:
         self._assert_matches_row_grid(chain, monkeypatch)
 
     def test_three_rotated_columns_mix_both_paths(self, rng, monkeypatch):
-        chain = random_chain(rng, n=8, dtheta=0.0)
-        theta = chain.theta.copy()
-        theta[chain.geometry.atom_index([-5, 0, 3])] = (0.01, -0.02, 0.015)
-        chain = chain.with_arrays(theta=theta)
+        chain = _three_rotated_columns(rng)
         # each rotated column tilts the stencils of its three centers
         assert self._flat_count(chain) == 17 - 9
         self._assert_matches_row_grid(chain, monkeypatch)
@@ -326,6 +372,39 @@ class TestFlatColumns:
         self._assert_matches_row_grid(report.final_chain, monkeypatch)
 
 
+class TestRowReduction:
+    """`row_reduction` against the tests' own grid: per row the fsum of its
+    densities and the count of them >= level, bit for bit, with no grid."""
+
+    @pytest.mark.parametrize("kind", ["fixed-tau", "variable-tau", "three-rotated",
+                                      "signed-zeros", "signed-zeros-tilted"])
+    def test_matches_chain_local_grid_bit_for_bit(self, rng, wells, kind):
+        chain = {"fixed-tau": lambda: random_chain(rng, n=8, dtheta=0.0),
+                 "variable-tau": lambda: random_chain(rng, n=8, dtheta=0.1),
+                 "three-rotated": lambda: _three_rotated_columns(rng),
+                 "signed-zeros": lambda: _signed_zero_chain(wells),
+                 "signed-zeros-tilted": lambda: _signed_zero_chain(wells, tilt=0.01)}[kind]()
+        ids = np.arange(-chain.n, chain.n + 1)
+        local = chain_local_grid(chain, ids, ids)
+        row_sums, _ = _site_wise_sums(local, chain.lam)
+        for level in (0.0, chain.n ** -0.4, float(np.median(local)), np.inf):
+            sums, counts = energy_mod.row_reduction(chain, level)
+            assert _same_bits(sums, row_sums)
+            assert counts.tolist() == np.count_nonzero(local >= level, axis=0).tolist()
+
+    def test_find_good_lines_forms_no_grid(self, rng):
+        n = 300
+        chain = random_chain(rng, n=n)  # random angles: the stencil tilts
+        assert center_stencils(chain, np.arange(-n, n + 1))[1].any()
+        tracemalloc.start()
+        try:
+            find_good_lines(chain)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (2 * n + 1) ** 2 * 8 / 4  # a quarter of one float64 site grid
+
+
 class TestColumnBroadcast:
     """An all-flat chain keeps one density per column, with the same values and bits."""
 
@@ -333,29 +412,29 @@ class TestColumnBroadcast:
         chain = twin_chain(1000, wells)
         tracemalloc.start()
         try:
-            bd = chain_energy(chain)
-            bd.local  # the grid is built on first read: measure it too
+            chain_energy(chain).columns
+            sums, _ = energy_mod.row_reduction(chain, 1000 ** -0.4)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2**20  # a dense grid alone would take 30.6 MiB
-        assert bd.local.shape == (2001, 2001) and bd.local.strides[1] == 0
-        with pytest.raises(ValueError):
-            bd.local[0, 0] = 1.0
+        assert (sums == sums[0]).all()
 
     def test_relaxed_twin_matches_site_grid(self, minimizer400):
         bd = chain_energy(minimizer400)
-        assert energy_mod.broadcast_column(bd.local) is not None
         ids = np.arange(-bd.n, bd.n + 1)
-        for lo in range(0, ids.size, 128):  # bounded chain_local_grid temporaries
-            ref = chain_local_grid(minimizer400, ids, ids[lo:lo + 128])
-            assert np.array_equal(bd.local[:, lo:lo + 128].view(np.int64),
-                                  ref.view(np.int64))
-        row_sums, total = _site_wise_sums(np.array(bd.local), bd.lam)
-        assert np.array_equal(bd.row_sums.view(np.int64), row_sums.view(np.int64))
+        local = np.concatenate([chain_local_grid(minimizer400, ids, ids[lo:lo + 128])
+                                for lo in range(0, ids.size, 128)],  # bounded temporaries
+                               axis=1)
+        assert energy_mod.uniform_columns(local).all()
+        level = bd.n ** -0.4
+        sums, counts = energy_mod.row_reduction(minimizer400, level)
+        row_sums, total = _site_wise_sums(local, bd.lam)
+        assert _same_bits(sums, row_sums)
+        assert counts.tolist() == np.count_nonzero(local >= level, axis=0).tolist()
         # the flat row rule promises its one node's sum: lam^2 * 801 times the
         # fsum of one density per column
-        assert bd.total.hex() == rule_total(bd.local[:, :1], [801.0], bd.lam ** 2).hex()
+        assert bd.total.hex() == rule_total(local[:, :1], [801.0], bd.lam ** 2).hex()
         # against lam * lam * fsum(every site): the rule rounds the column's
         # fsum, lam ** 2, its product with 801 and that with the column sum;
         # the site-wise sum rounds its fsum, lam * lam and their product.  Seven
@@ -364,9 +443,11 @@ class TestColumnBroadcast:
         assert abs(bd.total - total) <= 7.5 * 2.0 ** -53 * total
 
     def test_variable_tau_chain_stays_dense_and_writeable(self, rng):
-        bd = chain_energy(random_chain(rng, n=8, dtheta=0.1))
-        assert energy_mod.broadcast_column(bd.local) is None
-        assert bd.local.flags.writeable
+        chain = random_chain(rng, n=8, dtheta=0.1)
+        samples = chain_energy(chain).columns[1]
+        assert energy_mod.broadcast_column(samples) is None and samples.flags.writeable
+        sums, _ = energy_mod.row_reduction(chain, 1.0)
+        assert len(set(sums.tolist())) > 1
 
     def test_readers_match_the_dense_copy(self, minimizer100, tmp_path):
         bd = chain_energy(minimizer100)
@@ -380,80 +461,67 @@ class TestColumnBroadcast:
 
 
 class TestLazyGrid:
-    """chain_energy builds one stencil and takes only its total; the site grid
-    is `stencil_map`'s walk over that stencil, run on the first read of local."""
-
-    @staticmethod
-    def _count(monkeypatch, name):
-        calls = []
-        real = getattr(energy_mod, name)
-
-        def counted(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(energy_mod, name, counted)
-        return calls
+    """chain_energy builds one stencil and takes only its total; the column
+    table waits for its first read, and `stencil_map` walks a site grid for
+    `classify` alone."""
 
     def test_total_builds_one_stencil_and_no_grid(self, rng, monkeypatch):
-        stencils = self._count(monkeypatch, "slot_stencil")
-        walks = self._count(monkeypatch, "stencil_map")
-        bd = chain_energy(random_chain(rng, n=8, dtheta=0.1))
-        assert "local" not in vars(bd)
+        stencils = _count(monkeypatch, "slot_stencil")
+        walks = _count(monkeypatch, "stencil_map")
+        chain_energy(random_chain(rng, n=8, dtheta=0.1))
         assert (len(stencils), len(walks)) == (1, 0)
-
-    def test_grid_is_walked_once(self, rng, monkeypatch):
-        walks = self._count(monkeypatch, "stencil_map")
-        bd = chain_energy(random_chain(rng, n=8, dtheta=0.1))
-        assert walks == []
-        first = bd.local
-        assert bd.local is first and vars(bd)["local"] is first
-        assert len(walks) == 1
 
     @pytest.mark.parametrize("dtheta", [0.1, 0.0], ids=["variable-tau", "fixed-tau"])
     def test_grid_matches_the_walk(self, rng, dtheta):
+        # an int8 grid of the sites that reach a level: its column counts are
+        # row_reduction's
         chain = random_chain(rng, n=8, dtheta=dtheta)
         ids = np.arange(-chain.n, chain.n + 1)
+        local = chain_local_grid(chain, ids, ids)
+        level = float(np.median(local))
         walk = energy_mod.stencil_map(
             energy_mod._center_stencils(chain, -chain.n, chain.n),
-            lambda k, W: density(W[..., :2, :], W[..., 2:, :], chain.wells))
-        local = chain_energy(chain).local
-        assert np.array_equal(local.view(np.int64), walk.view(np.int64))
-        assert np.array_equal(local, chain_local_grid(chain, ids, ids))
+            lambda k, W: density(W[..., :2, :], W[..., 2:, :], chain.wells) >= level)
+        assert walk.dtype == np.int8
+        assert np.array_equal(walk, local >= level)
+        assert walk.sum(axis=0).tolist() == energy_mod.row_reduction(chain, level)[1].tolist()
         # a flat (fixed-tau) chain keeps its row-stride-0 broadcast
-        assert (local.strides[1] == 0) == (dtheta == 0.0)
+        assert (walk.strides[1] == 0) == (dtheta == 0.0)
 
     def test_scan_walks_no_grid(self, monkeypatch, tmp_path):
         from twinchain import cli
-        walks = self._count(monkeypatch, "stencil_map")
+        walks = _count(monkeypatch, "stencil_map")
         assert cli.main(["scan", "--variable-tau", "--n", "40", "--out", str(tmp_path)]) == 0
         assert walks == []
 
     def test_columns_wait_for_their_first_read_and_walk_no_grid(self, rng, monkeypatch):
-        stencils = self._count(monkeypatch, "slot_stencil")
-        walks = self._count(monkeypatch, "stencil_map")
+        stencils = _count(monkeypatch, "slot_stencil")
+        walks = _count(monkeypatch, "stencil_map")
         bd = chain_energy(random_chain(rng, n=8, dtheta=0.1))
         assert "columns" not in vars(bd)
         first = bd.columns
         assert bd.columns is first and vars(bd)["columns"] is first
-        assert "local" not in vars(bd)
         assert (len(stencils), len(walks)) == (1, 0)
 
     def test_minimize_walks_only_the_classification(self, monkeypatch, tmp_path):
         # the breakdown comes from the stencil's columns; classify walks its grid
         from twinchain import analysis, cli
-        walks = self._count(monkeypatch, "stencil_map")
+        walks = _count(monkeypatch, "stencil_map")
         monkeypatch.setattr(analysis, "stencil_map", energy_mod.stencil_map)
         assert cli.main(["minimize", "--variable-tau", "--n", "8", "--out", str(tmp_path)]) == 0
         assert len(walks) == 1
 
-    def test_diagnose_walks_the_grid_and_classify_once_each(self, monkeypatch, tmp_path):
+    def test_diagnose_walks_only_the_classification(self, monkeypatch, tmp_path):
+        # the good lines come from row_reduction; classify walks its grid once per n
         from twinchain import analysis, cli
-        walks = self._count(monkeypatch, "stencil_map")
+        walks = _count(monkeypatch, "stencil_map")
         # classify calls its module's own binding: count it with the same list
         monkeypatch.setattr(analysis, "stencil_map", energy_mod.stencil_map)
-        assert cli.main(["diagnose", "--variable-tau", "--n", "8", "--out", str(tmp_path)]) == 0
-        assert len(walks) == 2
+        energies = []
+        monkeypatch.setattr(cli, "chain_energy", energies.append)
+        assert cli.main(["diagnose", "--variable-tau", "--n", "8", "--n", "12",
+                         "--out", str(tmp_path)]) == 0
+        assert (len(walks), energies) == (2, [])
 
 
 class TestColumnTable:
@@ -477,18 +545,19 @@ class TestColumnTable:
 
     def test_samples_are_the_grid_rows_bit_for_bit(self, relaxed):
         bd = chain_energy(relaxed)
-        rows = np.add(energy_mod.sample_rows(bd.n), bd.n)
+        ids = np.arange(-bd.n, bd.n + 1)
         samples = bd.columns[1]
         assert samples.shape == (2 * bd.n + 1, 9)
-        assert np.array_equal(samples.view(np.int64),
-                              np.ascontiguousarray(bd.local[:, rows]).view(np.int64))
+        assert _same_bits(samples, chain_local_grid(relaxed, ids, energy_mod.sample_rows(bd.n)))
         # a flat stencil evaluates its density once per column
         assert (samples.strides[1] == 0) == (not relaxed.theta.any())
 
     def test_column_sums_match_the_grid_and_the_total(self, relaxed):
         bd = chain_energy(relaxed)
+        ids = np.arange(-bd.n, bd.n + 1)
         sums = bd.columns[0]
-        site_sums = np.array([math.fsum(col.tolist()) for col in bd.local])
+        site_sums = np.array([math.fsum(col.tolist())
+                              for col in chain_local_grid(relaxed, ids, ids)])
         assert np.abs(sums - site_sums).max() <= 1e-12 * np.abs(site_sums).max()
         assert (np.abs(sums - site_sums) <= 1e-12 * site_sums).all()
         assert abs(bd.lam ** 2 * math.fsum(sums.tolist()) - bd.total) <= 4 * math.ulp(bd.total)
@@ -502,8 +571,9 @@ class TestColumnTable:
         bd = chain_energy(relaxed)
         x = np.array(energy_mod.sample_rows(bd.n)) / bd.n
         coef = np.linalg.solve(np.vander(x, 9), bd.columns[1].T)
-        rebuilt = (np.vander(np.arange(-bd.n, bd.n + 1) / bd.n, 9) @ coef).T
-        local = np.asarray(bd.local)
+        ids = np.arange(-bd.n, bd.n + 1)
+        rebuilt = (np.vander(ids / bd.n, 9) @ coef).T
+        local = chain_local_grid(relaxed, ids, ids)
         assert (np.abs(rebuilt - local).max(axis=1) <= 1e-10 * local.max(axis=1)).all()
 
 
@@ -523,7 +593,7 @@ class TestExport:
         assert first[0] == "-6" and len(first) == 11
         # %.17g round-trips exactly
         assert float(first[1]) == bd.columns[0][0]
-        assert float(first[2]) == bd.local[0, 0]
+        assert float(first[2]) == chain_local_grid(chain, [-6], [-6])[0, 0]
 
     def test_save_breakdown_matches_per_value_formatter(self, tmp_path, rng):
         def save_per_value(bd, path, header=None):
@@ -554,7 +624,7 @@ class TestExport:
         samples[5, 4] = np.nan              # NaN in a mixed row
         samples[6] = np.nan                 # uniform NaN row
         sums = samples.sum(axis=1)
-        bd = EnergyBreakdown(site_grid=None, total=0.125, rescaled=0.375, n=n,
+        bd = EnergyBreakdown(total=0.125, rescaled=0.375, n=n,
                              lam=1.0 / 3.0, a=np.sqrt(2.0), column_table=lambda: (sums, samples))
         for header in ("twin run", None):
             save_breakdown(bd, tmp_path / "new.csv", header=header)

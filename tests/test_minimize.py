@@ -14,7 +14,8 @@ import scipy.linalg
 
 import twinchain.energy as energy_mod
 import twinchain.minimize as minimize_mod
-from chaingen import blocks_to_dense, center_stencils, dense_to_band, random_chain
+from chaingen import (blocks_to_dense, center_stencils, chain_local_grid, dense_to_band,
+                      random_chain)
 from twinchain.energy import brackets, chain_energy, density, row_rule
 from twinchain.gamma import _layer_problem, _solve_layer
 from twinchain.lattice import ChainState, affine_chain, check_admissible, reconstruct
@@ -998,9 +999,9 @@ class TestConstructors:
     def test_twin_interface_can_shift(self, wells):
         chain = twin_chain(8, wells, interface_column=2)
         assert check_admissible(reconstruct(chain)) == []
-        bd = chain_energy(chain)
-        hot = np.nonzero(bd.local.sum(axis=1) > 1e-12)[0]
-        assert list(hot) == [bd.n + 2]
+        ids = np.arange(-chain.n, chain.n + 1)
+        hot = np.nonzero(chain_local_grid(chain, ids, ids).sum(axis=1) > 1e-12)[0]
+        assert list(hot) == [chain.n + 2]
 
     def test_twin_interface_bounds(self, wells):
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chaingen import random_chain
+from chaingen import chain_local_grid, random_chain
 from twinchain.analysis import (
     WellClassification,
     classify,
@@ -107,14 +107,14 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def assert_breakdown_reads_back(tmp_path, bd):
+def assert_breakdown_reads_back(tmp_path, bd, chain):
     """Every value of the file round-trips to the bits of `bd.columns`, and the
-    nine samples are the site grid's rows of `sample_rows`."""
+    nine samples are the chain's site grid rows of `sample_rows`."""
     save_breakdown(bd, tmp_path / "bd.csv")
     n, sums, samples = read_breakdown(tmp_path / "bd.csv")
     assert n == bd.n
     assert same_bits(sums, bd.columns[0]) and same_bits(samples, bd.columns[1])
-    assert same_bits(samples, bd.local[:, np.add(sample_rows(n), n)])
+    assert same_bits(samples, chain_local_grid(chain, np.arange(-n, n + 1), sample_rows(n)))
 
 
 def assert_classification_reads_back(tmp_path, cls):
@@ -146,7 +146,7 @@ def _outputs(chain, reference, wells, window):
 
 def assert_outputs(tmp_path, outputs):
     (_, bd), (_, cls), *rest = outputs
-    assert_breakdown_reads_back(tmp_path, bd)
+    assert_breakdown_reads_back(tmp_path, bd, chain=rest[0][1])
     assert_classification_reads_back(tmp_path, cls)
     assert {w for w, _ in rest} == set(OLD)
     for writer, obj in rest:
@@ -157,7 +157,6 @@ def test_fixed_tau_twin_column_view(tmp_path, wells):
     warm = preoptimize_middle(twin_chain(12, wells))
     chain = newton_minimize(warm).final_chain
     outputs = _outputs(chain, warm, wells, (2, 10))
-    assert broadcast_column(outputs[0][1].local) is not None
     assert broadcast_column(outputs[0][1].columns[1]) is not None
     assert broadcast_column(outputs[1][1].well_id) is not None
     assert_outputs(tmp_path, outputs)
@@ -166,7 +165,6 @@ def test_fixed_tau_twin_column_view(tmp_path, wells):
 def test_variable_tau_dense_grid(tmp_path, rng, wells):
     chain = random_chain(rng, n=8, dtheta=0.05, wells=wells)
     outputs = _outputs(chain, twin_chain(8, wells), wells, (-6, 6))
-    assert broadcast_column(outputs[0][1].local) is None
     assert broadcast_column(outputs[0][1].columns[1]) is None
     assert broadcast_column(outputs[1][1].well_id) is None
     assert_outputs(tmp_path, outputs)
@@ -189,8 +187,8 @@ def test_breakdown_signed_zeros(tmp_path, rng, view):
         samples[4] = -0.0
         samples[5] = col[:, None].repeat(2, axis=1).ravel()[:9]
     sums = np.array([0.0, -0.0, 1.0, 2.0 ** -1074, 3.5, -0.0, 0.0])
-    bd = EnergyBreakdown(site_grid=None, total=-0.0, rescaled=0.375, n=3, lam=1.0 / 3.0,
-                         a=np.sqrt(2.0), column_table=lambda: (sums, samples))
+    bd = EnergyBreakdown(total=-0.0, rescaled=0.375, n=3, lam=1.0 / 3.0, a=np.sqrt(2.0),
+                         column_table=lambda: (sums, samples))
     save_breakdown(bd, tmp_path / "bd.csv")
     _, got_sums, got = read_breakdown(tmp_path / "bd.csv")
     assert same_bits(got_sums, sums) and same_bits(got, samples)
