@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import _center_stencils, row_reduction, stencil_map, uniform_columns
+from .energy import column_blocks, row_reduction
 from .lattice import ChainState
 from .wells import WellPair, dist_to_well
 
@@ -37,17 +37,18 @@ TIE_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class WellClassification:
-    """Per-cell nearest well, and each column's largest and mean square distance to it.
+    """Per-column nearest-well runs, and each column's largest and mean square
+    distance to its cells' wells.
 
-    well_id[k, l] (int8, laid out by `energy.stencil_map`) labels the cell at
-    chain index i = k - n, row j = l - n with 0 or 1; an equidistant cell
-    (within TIE_TOL) gets well 0.
+    runs[k] holds the cells of chain column i = k - n as (well id, count)
+    runs down the column from row j = -n, the counts summing to 2n+1; an
+    equidistant cell (within TIE_TOL) gets well 0.
     column_distance[k] is the largest orbit distance from a cell of column k
     to its labelled well, and column_mean_sq[k] the mean of its square over
     the column's cells.
     """
 
-    well_id: np.ndarray
+    runs: tuple
     column_distance: np.ndarray
     column_mean_sq: np.ndarray
     n: int
@@ -58,25 +59,44 @@ def classify(chain: ChainState, wells: WellPair) -> WellClassification:
     """Assign every gradient cell to its nearest energy well.
 
     The cell gradient at (i, j) is [h+ | v+] of the stencil centered at
-    atom i on row j, read off `stencil_map` block by block; each cell
-    depends on its own gradient only.
+    atom i on row j, read off `energy.column_blocks` block by block; each
+    cell depends on its own gradient only.  A block of one row (a flat
+    stencil) gives each column one run of 2n+1.
     """
-    column_distance = np.empty(2 * chain.n + 1)
-    column_mean_sq = np.empty(2 * chain.n + 1)
-
-    def nearest(k, W):
+    m = 2 * chain.n + 1
+    column_distance = np.empty(m)
+    column_mean_sq = np.empty(m)
+    runs = []
+    for cols, W in column_blocks(chain):
         grads = W[..., 2::-2, :].swapaxes(-1, -2)  # columns h+, v+
         d0, _ = dist_to_well(grads, wells.U0)
         d1, _ = dist_to_well(grads, wells.U1)
         pick1 = (np.abs(d0 - d1) > TIE_TOL) & (d1 < d0)
         dist = np.where(pick1, d1, d0)
-        column_distance[k] = dist.max(axis=1)
-        column_mean_sq[k] = (dist * dist).mean(axis=1)
-        return pick1
-
-    well = stencil_map(_center_stencils(chain, -chain.n, chain.n), nearest)
-    return WellClassification(well_id=well, column_distance=column_distance,
+        column_distance[cols] = dist.max(axis=1)
+        column_mean_sq[cols] = (dist * dist).mean(axis=1)
+        runs.extend(_column_runs(pick1.view(np.int8), m))
+    return WellClassification(runs=tuple(runs), column_distance=column_distance,
                               column_mean_sq=column_mean_sq, n=chain.n, lam=chain.lam)
+
+
+def _column_runs(ids, m):
+    """Per row of the 0/1 ids (columns, rows), its (id, count) runs down m cells.
+
+    A uniform row, such as the one row of a flat block, is one run from two
+    shared tuples, with no numpy call; a mixed row is cut where its id changes.
+    """
+    whole = (((0, m),), ((1, m),))
+    rows = ids.shape[1]
+    runs = []
+    for k, ones in enumerate(ids.sum(axis=1).tolist()):
+        if ones in (0, rows):
+            runs.append(whole[ones > 0])
+            continue
+        col = ids[k]
+        cuts = [0, *(np.flatnonzero(col[1:] != col[:-1]) + 1).tolist(), m]
+        runs.append(tuple((int(col[lo]), hi - lo) for lo, hi in zip(cuts, cuts[1:])))
+    return runs
 
 
 @dataclass(frozen=True)
@@ -92,18 +112,18 @@ class InterfaceRecord:
 def interface_positions(cls: WellClassification, tol: float):
     """Interfaces as gaps between maximal runs of single-well columns.
 
-    A column counts as "in" a well when every cell in it carries that well id
-    with distance <= tol; anything else is layer material.  Cell i spans
+    A column counts as "in" a well when it is one run of that well id with
+    distance <= tol; anything else is layer material.  Cell i spans
     [i, i+1] in atom units, so the interface coordinate is the midpoint of
     the touching interval ends; width reports the layer columns in the gap.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    n, ids = cls.n, cls.well_id
-    in_well = (cls.column_distance <= tol) & uniform_columns(ids)
+    n = cls.n
+    one_run = np.array([len(col) == 1 for col in cls.runs], dtype=bool)
     runs = []  # (well, first_i, last_i)
-    for k in np.flatnonzero(in_well).tolist():
-        i, w = k - n, int(ids[k, 0])
+    for k in np.flatnonzero((cls.column_distance <= tol) & one_run).tolist():
+        i, w = k - n, cls.runs[k][0][0]
         if runs and runs[-1][0] == w and runs[-1][2] == i - 1:
             runs[-1][2] = i
         else:
@@ -245,23 +265,17 @@ def save_classification(cls: WellClassification, path, header=None):
     """Delimited export, well-classification v2: one row per chain column
     i = -n..n holding the runs of equal well id down the column from j = -n,
     each as id:count, joined by ';'."""
-    ids, n = cls.well_id, cls.n
-    width = ids.shape[1]
     with open(path, "w") as fh:
         if header:
             fh.write("# " + header + "\n")
         fh.write("# well-classification v2\n")
-        fh.write(f"n={n},lambda={'%.17g' % cls.lam}\n")
+        fh.write(f"n={cls.n},lambda={'%.17g' % cls.lam}\n")
         fh.write("i,runs\n")
-        for k, (first, same) in enumerate(zip(ids[:, 0].tolist(),
-                                               uniform_columns(ids).tolist())):
-            if same:
-                runs = f"{first}:{width}"
-            else:
-                col = ids[k]
-                cuts = [0, *(np.flatnonzero(col[1:] != col[:-1]) + 1).tolist(), width]
-                runs = ";".join(f"{col[lo]}:{hi - lo}" for lo, hi in zip(cuts, cuts[1:]))
-            fh.write(f"{k - n},{runs}\n")
+        text = {}  # each distinct column's runs are formatted once
+        for i, col in enumerate(cls.runs, -cls.n):
+            if col not in text:
+                text[col] = ";".join(f"{w}:{count}" for w, count in col)
+            fh.write(f"{i},{text[col]}\n")
 
 
 def save_profile(fit: DecayFit, path, header=None):

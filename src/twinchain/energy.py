@@ -28,13 +28,13 @@ centers -n..n once and sums it in O(n).  The same degree bound makes a
 column's densities at nine rows (`sample_rows`) determine every row, so
 `save_breakdown` writes one O(1) row per column: its raw sum and those nine
 values, taken from the stencil on the first read of
-`EnergyBreakdown.columns`.  No float site grid is built: `row_reduction`
+`EnergyBreakdown.columns`.  No site grid is built: `row_reduction`
 takes each row's fsum and its count of sites at or above a level (for
 `analysis.find_good_lines`) from one density per column when every slope
-is zero, and otherwise in blocks of whole rows.  `stencil_map` walks a
-stencil over the whole site grid into int8 values, for `analysis.classify`:
-a column broadcast when every slope is zero, a dense grid otherwise.  No
-other module reads that layout; they call this module's helpers for it.
+is zero, and otherwise in blocks of whole rows.  `column_blocks` yields
+the stencil over every site in blocks of whole columns (one block of one
+row when every slope is zero), for `analysis.classify`, which keeps only
+per-column results.  No other module reads the stencil layout.
 """
 
 from __future__ import annotations
@@ -54,8 +54,7 @@ __all__ = [
     "brackets",
     "density",
     "slot_stencil",
-    "stencil_map",
-    "uniform_columns",
+    "column_blocks",
     "row_rule",
     "rule_total",
     "sample_rows",
@@ -219,29 +218,25 @@ def _center_stencils(chain: ChainState, i_lo, i_hi):
     return slot_stencil(u, theta, chain.lam, chain.wells)[:2]
 
 
-def stencil_map(stencil, per_site):
-    """The int8 grid of per_site(k, W) over a stencil's centers and the rows -n..n.
+def column_blocks(chain: ChainState):
+    """The stencil W = [v+, v-, h+, h-] of the centers -n..n on the rows -n..n,
+    yielded as (cols, W) in blocks of whole columns: cols a slice of the
+    column indices k (center k - n), W of shape (columns, rows, 4, 2).
 
-    stencil = (base, slope) of `_center_stencils` at the 2n+1 centers -n..n.
-    W = [v+, v-, h+, h-] holds the stencils of centers k - n, shape (len(k),
-    rows, 4, 2); per_site returns one value per stencil, shape (len(k), rows).
-    If every slope is exactly zero (fixed tau, theta = 0) per_site sees each
-    center once (rows = 1) and the grid is a read-only broadcast of one value
-    per column (row stride 0, see `broadcast_column`).  Otherwise it is
-    dense, filled in _GRID_BLOCK blocks.
+    A flat stencil (every slope exactly zero: fixed tau, theta = 0) is the
+    same on every row, so one block holds every column with rows = 1.
+    Otherwise the blocks hold about _GRID_BLOCK sites each.
     """
-    base, slope = stencil
-    k = np.arange(len(base))
-    shape = (k.size, k.size)
+    n = chain.n
+    base, slope = _center_stencils(chain, -n, n)
     if not slope.any():
-        return np.broadcast_to(per_site(k, base[:, None]).astype(np.int8, copy=False), shape)
-    grid = np.empty(shape, dtype=np.int8)
-    j = (k - k.size // 2).astype(float)[None, :, None, None]
-    step = max(1, _GRID_BLOCK // k.size)
-    for lo in range(0, k.size, step):
-        blk = k[lo:lo + step]
-        grid[blk] = per_site(blk, base[blk, None] + j * slope[blk, None])
-    return grid
+        yield slice(None), base[:, None]
+        return
+    j = np.arange(-n, n + 1, dtype=float)[None, :, None, None]
+    step = max(1, _GRID_BLOCK // len(base))
+    for lo in range(0, len(base), step):
+        cols = slice(lo, lo + step)
+        yield cols, base[cols, None] + j * slope[cols, None]
 
 
 def row_reduction(chain: ChainState, level):
@@ -267,25 +262,6 @@ def row_reduction(chain: ChainState, level):
         sums[lo:lo + step] = [math.fsum(row) for row in rows.tolist()]
         counts[lo:lo + step] = np.count_nonzero(rows >= level, axis=1)
     return sums, counts
-
-
-def broadcast_column(grid):
-    """grid[:, 0] when every row of grid repeats one value (row stride 0), else None."""
-    return grid[:, 0] if grid.strides[1] == 0 else None
-
-
-def uniform_columns(grid):
-    """Per chain column k, whether every site of grid[k] holds grid[k, 0]'s bits.
-
-    All True on a column broadcast; a dense grid is compared in _GRID_BLOCK
-    blocks, so no grid-sized temporary forms.  -0.0 next to +0.0 is not uniform.
-    """
-    if broadcast_column(grid) is not None:
-        return np.ones(grid.shape[0], dtype=bool)
-    bits = grid.view(f"u{grid.itemsize}")
-    step = max(1, _GRID_BLOCK // grid.shape[1])
-    return np.concatenate([(bits[lo:lo + step] == bits[lo:lo + step, :1]).all(axis=1)
-                           for lo in range(0, len(bits), step)])
 
 
 def _node_densities(stencil, j_lo, j_hi, wells):
@@ -362,7 +338,9 @@ def save_breakdown(bd: EnergyBreakdown, path, header=None):
         fh.write(f"n={bd.n},a={g17 % bd.a},lambda={g17 % bd.lam},"
                  f"total={g17 % bd.total},rescaled={g17 % bd.rescaled}\n")
         fh.write("i,column_sum," + ",".join(f"j={j}" for j in sample_rows(bd.n)) + "\n")
-        rows = zip(sums.tolist(), samples[:, 0].tolist(), uniform_columns(samples).tolist())
+        bits = samples.view(np.uint64)  # -0.0 next to +0.0 is not one value
+        uniform = (bits == bits[:, :1]).all(axis=1)
+        rows = zip(sums.tolist(), samples[:, 0].tolist(), uniform.tolist())
         for k, (column_sum, first, same) in enumerate(rows):
             if same:
                 cell = g17 % first

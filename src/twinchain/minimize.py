@@ -713,10 +713,14 @@ def _converged(grads, energies):
 def newton_minimize(chain: ChainState, opts: MinimizeOptions = None, *,
                     problem: ChainProblem = None) -> MinimizationReport:
     """Levenberg-damped Newton with Armijo backtracking and admissibility rejection,
-    converged when `_converged` names a stop reason."""
-    opts = opts or MinimizeOptions()
+    converged when `_converged` names a stop reason.  A given problem fixes the
+    variables, and opts, if also given, must agree with its variable_tau."""
     if problem is None:
+        opts = opts or MinimizeOptions()
         problem = ChainProblem(chain, variable_tau=opts.variable_tau)
+    opts = opts or MinimizeOptions(variable_tau=problem.variable_tau)
+    if opts.variable_tau != problem.variable_tau:
+        raise ValueError(f"opts.variable_tau={opts.variable_tau} contradicts the problem's")
     x = problem.pack(chain)
     energy = problem.energy(x)
     grad = problem.gradient(x)

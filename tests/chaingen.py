@@ -1,5 +1,5 @@
-"""Random admissible chains, a site-grid oracle and Hessian layouts shared by
-the test modules.
+"""Random admissible chains, site-grid and nearest-well oracles and Hessian
+layouts shared by the test modules.
 
 The solver's Hessian is block tridiagonal: diagonal blocks D (m, s, s) and
 superdiagonal blocks U (m - 1, s, s) over dofs padded to m * s.
@@ -10,10 +10,11 @@ input of `scipy.linalg.solveh_banded`, the reference solver.
 
 import numpy as np
 
+from twinchain.analysis import TIE_TOL
 from twinchain.energy import density, slot_stencil
 from twinchain.lattice import affine_chain, check_admissible, reconstruct
 from twinchain.minimize import twin_chain
-from twinchain.wells import build_wells
+from twinchain.wells import build_wells, dist_to_well
 
 
 def random_chain(rng, n=8, a=None, base="twin", du=0.05, dtheta=None, wells=None):
@@ -47,6 +48,16 @@ def random_chain(rng, n=8, a=None, base="twin", du=0.05, dtheta=None, wells=None
         du *= 0.5
         dtheta *= 0.5
     raise RuntimeError("could not generate an admissible perturbation")
+
+
+def lattice_wells(chain, wells):
+    """Oracle: (pick1, distance) of every cell gradient that the reconstructed
+    lattice forms by differencing positions, with ties sent to well 0."""
+    grads = reconstruct(chain).gradients
+    d0, _ = dist_to_well(grads, wells.U0)
+    d1, _ = dist_to_well(grads, wells.U1)
+    pick1 = (np.abs(d0 - d1) > TIE_TOL) & (d1 < d0)
+    return pick1, np.where(pick1, d1, d0)
 
 
 def center_stencils(chain, ids):

@@ -11,7 +11,7 @@ import pytest
 
 import twinchain.analysis as analysis_mod
 import twinchain.energy as energy_mod
-from chaingen import chain_local_grid, random_chain
+from chaingen import chain_local_grid, lattice_wells, random_chain
 from twinchain.analysis import (
     TIE_TOL,
     GoodLineFailure,
@@ -66,14 +66,20 @@ def pattern_chain(labels, wells, n):
                       theta=np.zeros(geom.atom_count))
 
 
-def lattice_wells(chain, wells):
-    """Oracle: (pick1, distance) of every cell gradient that the reconstructed
-    lattice forms by differencing positions, with ties sent to well 0."""
-    grads = reconstruct(chain).gradients
-    d0, _ = dist_to_well(grads, wells.U0)
-    d1, _ = dist_to_well(grads, wells.U1)
-    pick1 = (np.abs(d0 - d1) > TIE_TOL) & (d1 < d0)
-    return pick1, np.where(pick1, d1, d0)
+def decode(cls):
+    """The (2n+1, 2n+1) well-id grid that cls.runs encodes, ids[i + n, j + n]."""
+    ids = [[w for w, count in col for _ in range(count)] for col in cls.runs]
+    return np.array(ids, dtype=np.int8)
+
+
+def mixed_chain(wells, rng, n=8):
+    """The midpoint of the wells with angles jittered by 0.01: cells there
+    change well down a column, so several columns hold more than one run."""
+    mid = affine_chain(n, wells, 0.5 * (wells.U0 + wells.QU1))
+    free = np.abs(mid.geometry.atom_ids()) < n
+    theta = mid.theta.copy()
+    theta[free] += 0.01 * rng.standard_normal(free.sum())
+    return mid.with_arrays(theta=theta)
 
 
 def rows_of(local, level):
@@ -98,9 +104,8 @@ def relaxed_variable_tau40(wells):
 class TestClassify:
     def test_twin_split(self, wells):
         cls = classify(twin_chain(8, wells), wells)
-        assert cls.well_id.shape == (17, 17) and cls.column_distance.shape == (17,)
-        assert (cls.well_id[:8] == 0).all()
-        assert (cls.well_id[8:] == 1).all()
+        assert len(cls.runs) == 17 and cls.column_distance.shape == (17,)
+        assert cls.runs == ((((0, 17),),) * 8 + (((1, 17),),) * 9)
         assert (cls.column_distance < 1e-12).all()
 
     def test_midpoint_gradient_ties(self, wells):
@@ -111,16 +116,16 @@ class TestClassify:
         d1, _ = dist_to_well(grads, wells.U1)
         assert (np.abs(d0 - d1) <= TIE_TOL).all()
         cls = classify(chain, wells)
-        assert (cls.well_id == 0).all()
+        assert cls.runs == (((0, 13),),) * 13
         assert (cls.column_distance > 0.5).all()
 
     def test_distance_is_the_smaller_orbit_distance(self, wells, rng):
-        # variable tau takes classify's dense block path, fixed tau its column broadcast
+        # variable tau takes classify's column blocks, fixed tau its one flat block
         for dtheta in (0.1, 0.0):
             chain = random_chain(rng, n=6, dtheta=dtheta)
             field = reconstruct(chain)
             cls = classify(chain, wells)
-            assert (cls.well_id.strides[1] == 0) == (dtheta == 0.0)
+            ids = decode(cls)
             for i in range(-chain.n, chain.n + 1):
                 k = i + chain.n
                 nearer, labelled = [], []
@@ -128,7 +133,7 @@ class TestClassify:
                     g = field.gradients[field.grad_index(i, j)]
                     d0, _ = dist_to_well(g, wells.U0)
                     d1, _ = dist_to_well(g, wells.U1)
-                    w = int(cls.well_id[k, j + chain.n])
+                    w = int(ids[k, j + chain.n])
                     assert (d0, d1)[w] <= (d1, d0)[w] + 1e-14
                     nearer.append(min(d0, d1))
                     labelled.append((d0, d1)[w])
@@ -137,47 +142,74 @@ class TestClassify:
                 assert cls.column_mean_sq[k] == pytest.approx(mean_sq, rel=1e-13)
 
     def test_blocks_match_one_whole_array_pass(self, wells, rng, monkeypatch):
-        chain = random_chain(rng, n=8, dtheta=0.1)
-        whole = classify(chain, wells)
-        assert [f.name for f in dataclasses.fields(whole)] == [
-            "well_id", "column_distance", "column_mean_sq", "n", "lam"]
-        assert whole.well_id.dtype == np.int8
-        assert 0 < whole.well_id.sum() < whole.well_id.size
-        # 17 centers in blocks of 3: five full blocks and a ragged one of 2
-        monkeypatch.setattr(energy_mod, "_GRID_BLOCK", 3 * 17)
-        cls = classify(chain, wells)
-        for name in ("well_id", "column_distance", "column_mean_sq"):
-            assert getattr(cls, name).dtype == getattr(whole, name).dtype
-            assert np.array_equal(getattr(cls, name), getattr(whole, name))
+        # a random-theta chain, and one whose columns change well down the column
+        for chain in (random_chain(rng, n=8, dtheta=0.1), mixed_chain(wells, rng)):
+            monkeypatch.setattr(energy_mod, "_GRID_BLOCK", 1 << 11)
+            whole = classify(chain, wells)
+            assert [f.name for f in dataclasses.fields(whole)] == [
+                "runs", "column_distance", "column_mean_sq", "n", "lam"]
+            assert 0 < decode(whole).sum() < 17 * 17
+            # 17 centers in blocks of 1, 3 (five full blocks and a ragged one
+            # of 2) and 16, and in one block of all 17
+            for columns in (1, 3, 16, 17):
+                monkeypatch.setattr(energy_mod, "_GRID_BLOCK", columns * 17)
+                cls = classify(chain, wells)
+                assert cls.runs == whole.runs
+                for name in ("column_distance", "column_mean_sq"):
+                    assert np.array_equal(getattr(cls, name).view(np.int64),
+                                          getattr(whole, name).view(np.int64))
+        assert any(len(col) > 1 for col in whole.runs)
 
     @pytest.mark.parametrize("case", ["relaxed-twin", "random-theta",
-                                      "relaxed-variable-tau"])
+                                      "relaxed-variable-tau", "mixed"])
     def test_stencil_matches_reconstructed_lattice(self, wells, rng, case,
                                                    minimizer100, request):
-        if case == "relaxed-twin":  # every center flat: broadcast path
+        if case == "relaxed-twin":  # every center flat: one block of one row
             chain = minimizer100
-        elif case == "random-theta":  # no flat center: block path
+        elif case == "random-theta":  # no flat center: column blocks
             chain = random_chain(rng, n=8, dtheta=0.1)
+        elif case == "mixed":  # columns of several runs
+            chain = mixed_chain(wells, rng)
         else:
             chain = request.getfixturevalue("relaxed_variable_tau40")
         pick1, dist = lattice_wells(chain, wells)
         cls = classify(chain, wells)
-        assert np.array_equal(cls.well_id, pick1)
+        assert np.array_equal(decode(cls), pick1)
         assert np.abs(cls.column_distance - dist.max(axis=1)).max() <= 1e-12
 
     def test_peak_memory_stays_near_the_output(self, wells, minimizer400):
-        # the output is one byte per cell and one float per column: 0.6 MiB
+        # the output is a few runs and two floats per column
         tracemalloc.start()
         try:
             classify(minimizer400, wells)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * 2**20
+        assert peak <= 2**20
+
+    def test_random_theta_peak_memory_is_o_of_n(self, wells, rng):
+        # every column tilts, so classify walks column blocks; one byte per
+        # site would take 1.38 MiB.  classify reads no admissibility, so the
+        # angles take dtheta = 0.1 with no check of the reconstructed lattice
+        n = 600
+        twin = twin_chain(n, wells)
+        free = np.abs(twin.geometry.atom_ids()) < n
+        theta = twin.theta.copy()
+        theta[free] += 0.1 * rng.standard_normal(free.sum())
+        chain = twin.with_arrays(theta=theta)
+        tracemalloc.start()
+        try:
+            cls = classify(chain, wells)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+        assert all(sum(count for _, count in col) == 2 * n + 1 for col in cls.runs)
 
 
 class TestColumnBroadcast:
-    """An all-flat chain keeps one well id per column; readers see the same grid."""
+    """An all-flat chain is classified once per column, one run each; readers
+    see the same runs as those found cell by cell."""
 
     def test_flat_twin_keeps_one_id_per_column(self, wells):
         chain = twin_chain(1000, wells)
@@ -187,19 +219,15 @@ class TestColumnBroadcast:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * 2**20  # a dense grid alone would take 3.8 MiB
-        assert cls.well_id.shape == (2001, 2001) and cls.well_id.strides[1] == 0
-        with pytest.raises(ValueError):
-            cls.well_id[0, 0] = 1
-
-    def test_block_path_stays_dense_and_writeable(self, wells, relaxed_variable_tau40):
-        cls = classify(relaxed_variable_tau40, wells)
-        assert cls.well_id.flags.writeable and cls.well_id.strides[1] != 0
+        assert peak <= 2**20  # one byte per site alone would take 3.8 MiB
+        assert cls.runs == ((((0, 2001),),) * 1000 + (((1, 2001),),) * 1001)
 
     def test_readers_match_the_dense_copy(self, wells, minimizer400, tmp_path, monkeypatch):
+        # the flat block's shared runs against those found down each column
         cls = classify(minimizer400, wells)
-        dense = dataclasses.replace(cls, well_id=np.array(cls.well_id))
-        assert dense.well_id.strides[1] != 0
+        ids = decode(cls)
+        dense = dataclasses.replace(cls, runs=tuple(analysis_mod._column_runs(ids, ids.shape[1])))
+        assert dense.runs == cls.runs
         for tol in (1e-12, 1e-6, 1e-2):
             assert interface_positions(cls, tol) == interface_positions(dense, tol)
         save_classification(cls, tmp_path / "view.csv", header="twin")
@@ -299,10 +327,10 @@ class TestInterfaces:
         cls = classify(twin_chain(8, wells), wells)
         dist = cls.column_distance.copy()
         dist[4] = np.nan  # column i = -4 splits the left run
-        ids = cls.well_id.copy()
-        ids[12, 3] = 0  # one cell of column i = 4 on the other well
+        runs = list(cls.runs)
+        runs[12] = ((1, 3), (0, 1), (1, 13))  # one cell of column i = 4 on the other well
         recs = interface_positions(
-            dataclasses.replace(cls, well_id=ids, column_distance=dist), 1e-6)
+            dataclasses.replace(cls, runs=tuple(runs), column_distance=dist), 1e-6)
         assert [(r.left_well, r.right_well, r.width_in_atoms) for r in recs] == [
             (0, 0, 1), (0, 1, 0), (1, 1, 1)]
 
@@ -450,7 +478,7 @@ class TestExports:
         assert lines[4:] == [f"{i},{int(i >= 0)}:13" for i in range(-6, 7)]
 
     def test_classification_matches_per_value_formatter(self, tmp_path):
-        def save_per_value(cls, path, header=None):
+        def save_per_value(well, cls, path, header=None):
             # one run per change of well id, found value by value
             lines = []
             if header:
@@ -460,7 +488,7 @@ class TestExports:
             lines.append("i,runs")
             for k in range(2 * cls.n + 1):
                 runs = []
-                for w in cls.well_id[k]:
+                for w in well[k]:
                     if runs and runs[-1][0] == int(w):
                         runs[-1][1] += 1
                     else:
@@ -474,11 +502,13 @@ class TestExports:
         well[3, 4:] = 1                          # mixed rows
         well[5, ::3] = 1
         well[8] = [1, 0, 1, 0, 0, 1, 1, 0, 1]
-        cls = WellClassification(well_id=well, column_distance=np.zeros(9),
-                                 column_mean_sq=np.zeros(9), n=4, lam=0.25)
+        # classify's runs of a block, from its ids
+        cls = WellClassification(runs=tuple(analysis_mod._column_runs(well, 9)),
+                                 column_distance=np.zeros(9), column_mean_sq=np.zeros(9),
+                                 n=4, lam=0.25)
         for header in ("twin", None):
             save_classification(cls, tmp_path / "new.csv", header=header)
-            save_per_value(cls, tmp_path / "old.csv", header=header)
+            save_per_value(well, cls, tmp_path / "old.csv", header=header)
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
         assert (tmp_path / "new.csv").read_text().splitlines()[-1] == (
             "4,1:1;0:1;1:1;0:2;1:2;0:1;1:1")

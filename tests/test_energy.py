@@ -307,27 +307,28 @@ class TestBreakdownSums:
 
 
 class TestUniformColumns:
-    """uniform_columns: per chain column, whether every site holds its first bits."""
+    """save_breakdown formats a row once when its nine samples share their bits."""
 
-    def test_broadcast_is_all_uniform(self, minimizer100, wells):
-        for grid in (chain_energy(minimizer100).columns[1], classify(minimizer100, wells).well_id):
-            assert energy_mod.broadcast_column(grid) is not None
-            assert energy_mod.uniform_columns(grid).tolist() == [True] * grid.shape[0]
+    def test_broadcast_is_all_uniform(self, minimizer100, wells, tmp_path):
+        # a flat chain: one density per column, and one run per classified column
+        bd = chain_energy(minimizer100)
+        assert bd.columns[1].strides[1] == 0
+        save_breakdown(bd, tmp_path / "bd.csv")
+        for line in (tmp_path / "bd.csv").read_text().splitlines()[3:]:
+            assert len(set(line.split(",")[2:])) == 1
+        assert all(len(col) == 1 for col in classify(minimizer100, wells).runs)
 
-    @pytest.mark.parametrize("dtype", [float, np.int8])
-    def test_dense_grid_marks_its_one_uniform_column(self, rng, monkeypatch, dtype):
-        grid = rng.integers(1, 100, size=(9, 9)).astype(dtype)
-        grid[:, 0] = 0  # every column differs from its first site
-        grid[4] = 7
-        # 2 columns per block: the comparison runs in several ragged blocks
-        monkeypatch.setattr(energy_mod, "_GRID_BLOCK", 2 * 9)
-        assert np.flatnonzero(energy_mod.uniform_columns(grid)).tolist() == [4]
-
-    def test_signed_zeros_are_not_uniform(self):
-        grid = np.zeros((3, 4))
-        grid[1, 2] = -0.0
-        grid[2] = -0.0
-        assert energy_mod.uniform_columns(grid).tolist() == [True, False, True]
+    def test_signed_zeros_are_not_uniform(self, tmp_path):
+        samples = np.zeros((3, 9))
+        samples[1, 2] = -0.0
+        samples[2] = -0.0
+        bd = EnergyBreakdown(total=0.0, rescaled=0.0, n=1, lam=1.0, a=np.sqrt(2.0),
+                             column_table=lambda: (np.zeros(3), samples))
+        save_breakdown(bd, tmp_path / "bd.csv")
+        rows = (tmp_path / "bd.csv").read_text().splitlines()[3:]
+        assert rows == ["-1,0," + ",".join(["0"] * 9),
+                        "0,0,0,0,-0," + ",".join(["0"] * 6),
+                        "1,0," + ",".join(["-0"] * 9)]
 
 
 class TestFlatColumns:
@@ -426,7 +427,7 @@ class TestColumnBroadcast:
         local = np.concatenate([chain_local_grid(minimizer400, ids, ids[lo:lo + 128])
                                 for lo in range(0, ids.size, 128)],  # bounded temporaries
                                axis=1)
-        assert energy_mod.uniform_columns(local).all()
+        assert (local == local[:, :1]).all()
         level = bd.n ** -0.4
         sums, counts = energy_mod.row_reduction(minimizer400, level)
         row_sums, total = _site_wise_sums(local, bd.lam)
@@ -445,16 +446,16 @@ class TestColumnBroadcast:
     def test_variable_tau_chain_stays_dense_and_writeable(self, rng):
         chain = random_chain(rng, n=8, dtheta=0.1)
         samples = chain_energy(chain).columns[1]
-        assert energy_mod.broadcast_column(samples) is None and samples.flags.writeable
+        assert samples.strides[1] != 0 and samples.flags.writeable
         sums, _ = energy_mod.row_reduction(chain, 1.0)
         assert len(set(sums.tolist())) > 1
 
     def test_readers_match_the_dense_copy(self, minimizer100, tmp_path):
         bd = chain_energy(minimizer100)
         sums, samples = bd.columns
-        assert energy_mod.broadcast_column(samples) is not None
+        assert samples.strides[1] == 0
         dense = dataclasses.replace(bd, column_table=lambda: (sums, np.array(samples)))
-        assert energy_mod.broadcast_column(dense.columns[1]) is None
+        assert dense.columns[1].strides[1] != 0
         save_breakdown(bd, tmp_path / "view.csv", header="twin")
         save_breakdown(dense, tmp_path / "dense.csv", header="twin")
         assert (tmp_path / "view.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
@@ -462,41 +463,43 @@ class TestColumnBroadcast:
 
 class TestLazyGrid:
     """chain_energy builds one stencil and takes only its total; the column
-    table waits for its first read, and `stencil_map` walks a site grid for
-    `classify` alone."""
+    table waits for its first read, and `column_blocks` walks the sites'
+    stencils for `classify` alone."""
 
     def test_total_builds_one_stencil_and_no_grid(self, rng, monkeypatch):
         stencils = _count(monkeypatch, "slot_stencil")
-        walks = _count(monkeypatch, "stencil_map")
+        walks = _count(monkeypatch, "column_blocks")
         chain_energy(random_chain(rng, n=8, dtheta=0.1))
         assert (len(stencils), len(walks)) == (1, 0)
 
     @pytest.mark.parametrize("dtheta", [0.1, 0.0], ids=["variable-tau", "fixed-tau"])
-    def test_grid_matches_the_walk(self, rng, dtheta):
-        # an int8 grid of the sites that reach a level: its column counts are
-        # row_reduction's
+    def test_grid_matches_the_walk(self, rng, monkeypatch, dtheta):
+        # the densities of the walk's blocks are the site grid, bit for bit;
+        # a flat (fixed-tau) chain is one block of one row
         chain = random_chain(rng, n=8, dtheta=dtheta)
         ids = np.arange(-chain.n, chain.n + 1)
         local = chain_local_grid(chain, ids, ids)
-        level = float(np.median(local))
-        walk = energy_mod.stencil_map(
-            energy_mod._center_stencils(chain, -chain.n, chain.n),
-            lambda k, W: density(W[..., :2, :], W[..., 2:, :], chain.wells) >= level)
-        assert walk.dtype == np.int8
-        assert np.array_equal(walk, local >= level)
-        assert walk.sum(axis=0).tolist() == energy_mod.row_reduction(chain, level)[1].tolist()
-        # a flat (fixed-tau) chain keeps its row-stride-0 broadcast
-        assert (walk.strides[1] == 0) == (dtheta == 0.0)
+        # 3 columns per block: the walk runs in several ragged blocks
+        monkeypatch.setattr(energy_mod, "_GRID_BLOCK", 3 * ids.size)
+        blocks = [(cols, density(W[..., :2, :], W[..., 2:, :], chain.wells))
+                  for cols, W in energy_mod.column_blocks(chain)]
+        if dtheta == 0.0:
+            assert [(cols, D.shape) for cols, D in blocks] == [(slice(None), (17, 1))]
+            blocks = [(cols, np.broadcast_to(D, local.shape)) for cols, D in blocks]
+        else:
+            assert [cols.start for cols, _ in blocks] == list(range(0, 17, 3))
+        walk = np.concatenate([D for _, D in blocks])
+        assert np.array_equal(walk.view(np.int64), local.view(np.int64))
 
     def test_scan_walks_no_grid(self, monkeypatch, tmp_path):
         from twinchain import cli
-        walks = _count(monkeypatch, "stencil_map")
+        walks = _count(monkeypatch, "column_blocks")
         assert cli.main(["scan", "--variable-tau", "--n", "40", "--out", str(tmp_path)]) == 0
         assert walks == []
 
     def test_columns_wait_for_their_first_read_and_walk_no_grid(self, rng, monkeypatch):
         stencils = _count(monkeypatch, "slot_stencil")
-        walks = _count(monkeypatch, "stencil_map")
+        walks = _count(monkeypatch, "column_blocks")
         bd = chain_energy(random_chain(rng, n=8, dtheta=0.1))
         assert "columns" not in vars(bd)
         first = bd.columns
@@ -504,19 +507,19 @@ class TestLazyGrid:
         assert (len(stencils), len(walks)) == (1, 0)
 
     def test_minimize_walks_only_the_classification(self, monkeypatch, tmp_path):
-        # the breakdown comes from the stencil's columns; classify walks its grid
+        # the breakdown comes from the stencil's columns; classify walks the sites
         from twinchain import analysis, cli
-        walks = _count(monkeypatch, "stencil_map")
-        monkeypatch.setattr(analysis, "stencil_map", energy_mod.stencil_map)
+        walks = _count(monkeypatch, "column_blocks")
+        monkeypatch.setattr(analysis, "column_blocks", energy_mod.column_blocks)
         assert cli.main(["minimize", "--variable-tau", "--n", "8", "--out", str(tmp_path)]) == 0
         assert len(walks) == 1
 
     def test_diagnose_walks_only_the_classification(self, monkeypatch, tmp_path):
-        # the good lines come from row_reduction; classify walks its grid once per n
+        # the good lines come from row_reduction; classify walks the sites once per n
         from twinchain import analysis, cli
-        walks = _count(monkeypatch, "stencil_map")
+        walks = _count(monkeypatch, "column_blocks")
         # classify calls its module's own binding: count it with the same list
-        monkeypatch.setattr(analysis, "stencil_map", energy_mod.stencil_map)
+        monkeypatch.setattr(analysis, "column_blocks", energy_mod.column_blocks)
         energies = []
         monkeypatch.setattr(cli, "chain_energy", energies.append)
         assert cli.main(["diagnose", "--variable-tau", "--n", "8", "--n", "12",

@@ -6,6 +6,7 @@ scalar energy; the twin relaxation values are frozen from converged runs.
 
 import copy
 import functools
+import math
 import tracemalloc
 
 import numpy as np
@@ -922,6 +923,51 @@ class TestNewton:
         assert not report.converged
         assert report.stop_reason == "max iterations"
         assert report.iterations == 1
+
+    @pytest.mark.parametrize("variable_tau", [False, True], ids=["fixed-tau", "variable-tau"])
+    def test_opts_that_contradict_the_problem_raise(self, wells, variable_tau):
+        chain = twin_chain(20, wells)
+        problem = ChainProblem(chain, variable_tau=variable_tau)
+        with pytest.raises(ValueError, match="variable_tau"):
+            newton_minimize(chain, MinimizeOptions(variable_tau=not variable_tau),
+                            problem=problem)
+        # agreeing options are read: here their iteration cap
+        report = newton_minimize(chain, MinimizeOptions(variable_tau=variable_tau,
+                                                        max_iters=1), problem=problem)
+        assert report.stop_reason == "max iterations"
+        # the problem alone sets the variables: with variable tau the angles move
+        theta = newton_minimize(chain, problem=problem).final_chain.theta
+        assert (np.abs(theta).max() > 1e-3) == variable_tau
+
+
+class TestDecayRates:
+    """Small displacements of an affine chain at a well obey the linear
+    recurrence sum_d A_d u_{i+d} = 0, d = -2..2, with A_d the middle atom's
+    2x2 Hessian blocks at fixed tau.  Its decaying roots z give the boundary
+    layer's rates -ln|z| = ln(5 + 2 sqrt 6) and 2 ln(2 + sqrt 3) at every
+    stretch and at both wells; the other four roots lie on |z| = 1."""
+
+    RATES = np.array([math.log(5 + 2 * math.sqrt(6)), 2 * math.log(2 + math.sqrt(3))])
+
+    @pytest.mark.parametrize("a", [1.01, 1.1, math.sqrt(2.0), 2.0])
+    @pytest.mark.parametrize("well", ["U0", "QU1"])
+    def test_rates_are_lattice_constants(self, a, well):
+        wells = build_wells(a)
+        n = 12
+        chain = affine_chain(n, wells, getattr(wells, well))
+        problem = ChainProblem(chain)
+        x = problem.pack(chain)
+        H = blocks_to_dense(*problem.hessian_banded(x), x.size)
+        mid = 2 * (n - 1)  # the first dof of atom 0 among the free atoms -n+1..n-1
+        A = [H[mid:mid + 2, mid + 2 * d:mid + 2 * d + 2] for d in range(-2, 3)]
+        # companion matrix of the state (u_{i-2}, ..., u_{i+1}) -> (u_{i-1}, ..., u_{i+2})
+        C = np.zeros((8, 8))
+        C[:6, 2:] = np.eye(6)
+        C[6:] = -np.linalg.solve(A[4], np.hstack(A[:4]))
+        rates = np.sort(-np.log(np.abs(np.linalg.eigvals(C))))
+        assert np.abs(rates[6:] - self.RATES).max() <= 1e-12
+        assert np.abs(rates[:2] + self.RATES[::-1]).max() <= 1e-12
+        assert np.abs(rates[2:6]).max() <= 1e-6
 
 
 class TestStoppingRule:

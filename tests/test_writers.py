@@ -16,9 +16,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chaingen import chain_local_grid, random_chain
+from chaingen import chain_local_grid, lattice_wells, random_chain
 from twinchain.analysis import (
     WellClassification,
+    _column_runs,
     classify,
     deviation_profile,
     fit_exponential,
@@ -26,8 +27,7 @@ from twinchain.analysis import (
     save_profile,
 )
 from twinchain.cli import ExperimentConfig, _relax
-from twinchain.energy import (EnergyBreakdown, broadcast_column, chain_energy, sample_rows,
-                              save_breakdown)
+from twinchain.energy import EnergyBreakdown, chain_energy, sample_rows, save_breakdown
 from twinchain.lattice import affine_chain, check_admissible, reconstruct, save_chain
 from twinchain.minimize import newton_minimize, preoptimize_middle, twin_chain
 from twinchain.wells import build_wells
@@ -88,18 +88,22 @@ def read_breakdown(path):
 
 
 def read_classification(path):
-    """The well-id grid that a well-classification v2 file without a header encodes."""
+    """The well-id grid that a well-classification v2 file without a header
+    encodes, and its runs per column."""
     lines = path.read_text().splitlines()
     assert lines[0] == "# well-classification v2"
     assert lines[2] == "i,runs"
     n = int(lines[1].split(",")[0].removeprefix("n="))
-    grid = []
+    grid, runs = [], []
     for i, line in zip(range(-n, n + 1), lines[3:], strict=True):
-        label, runs = line.split(",")
+        label, text = line.split(",")
         assert int(label) == i
-        grid.append([int(w) for run in runs.split(";")
-                     for w, count in [run.split(":")] for _ in range(int(count))])
-    return np.array(grid, dtype=np.int8)
+        col = tuple((int(w), int(count)) for w, count in (run.split(":") for run in text.split(";")))
+        assert all(count > 0 for _, count in col) and sum(c for _, c in col) == 2 * n + 1
+        assert all(a[0] != b[0] for a, b in zip(col, col[1:]))  # maximal runs
+        grid.append([w for w, count in col for _ in range(count)])
+        runs.append(col)
+    return np.array(grid, dtype=np.int8), tuple(runs)
 
 
 def same_bits(a, b):
@@ -117,9 +121,11 @@ def assert_breakdown_reads_back(tmp_path, bd, chain):
     assert same_bits(samples, chain_local_grid(chain, np.arange(-n, n + 1), sample_rows(n)))
 
 
-def assert_classification_reads_back(tmp_path, cls):
+def assert_classification_reads_back(tmp_path, cls, ids):
+    """The file decodes to cls.runs and to the well-id grid ids."""
     save_classification(cls, tmp_path / "cls.csv")
-    assert np.array_equal(read_classification(tmp_path / "cls.csv"), cls.well_id)
+    grid, runs = read_classification(tmp_path / "cls.csv")
+    assert runs == cls.runs and np.array_equal(grid, ids)
 
 
 def assert_same_bytes(tmp_path, writer, obj):
@@ -144,10 +150,10 @@ def _outputs(chain, reference, wells, window):
             (save_profile, fit_exponential(deviation_profile(chain, reference), window))]
 
 
-def assert_outputs(tmp_path, outputs):
+def assert_outputs(tmp_path, outputs, wells):
     (_, bd), (_, cls), *rest = outputs
     assert_breakdown_reads_back(tmp_path, bd, chain=rest[0][1])
-    assert_classification_reads_back(tmp_path, cls)
+    assert_classification_reads_back(tmp_path, cls, lattice_wells(rest[0][1], wells)[0])
     assert {w for w, _ in rest} == set(OLD)
     for writer, obj in rest:
         assert_same_bytes(tmp_path, writer, obj)
@@ -157,17 +163,16 @@ def test_fixed_tau_twin_column_view(tmp_path, wells):
     warm = preoptimize_middle(twin_chain(12, wells))
     chain = newton_minimize(warm).final_chain
     outputs = _outputs(chain, warm, wells, (2, 10))
-    assert broadcast_column(outputs[0][1].columns[1]) is not None
-    assert broadcast_column(outputs[1][1].well_id) is not None
-    assert_outputs(tmp_path, outputs)
+    assert outputs[0][1].columns[1].strides[1] == 0
+    assert all(len(col) == 1 for col in outputs[1][1].runs)
+    assert_outputs(tmp_path, outputs, wells)
 
 
 def test_variable_tau_dense_grid(tmp_path, rng, wells):
     chain = random_chain(rng, n=8, dtheta=0.05, wells=wells)
     outputs = _outputs(chain, twin_chain(8, wells), wells, (-6, 6))
-    assert broadcast_column(outputs[0][1].columns[1]) is None
-    assert broadcast_column(outputs[1][1].well_id) is None
-    assert_outputs(tmp_path, outputs)
+    assert outputs[0][1].columns[1].strides[1] != 0
+    assert_outputs(tmp_path, outputs, wells)
 
 
 @pytest.mark.parametrize("view", ["dense", "column"])
@@ -177,7 +182,7 @@ def test_breakdown_signed_zeros(tmp_path, rng, view):
     col = np.array([1.5, 0.0, -0.0, 0.25, 0.0, -0.0, 2.0 ** -60])
     if view == "column":
         samples = np.broadcast_to(col[:, None], (7, 9))
-        assert broadcast_column(samples) is not None
+        assert samples.strides[1] == 0
     else:
         samples = rng.uniform(0.0, 2.0, size=(7, 9)) ** 9
         samples[0] = 1.5
@@ -202,9 +207,9 @@ def test_classification_one_mixed_row(tmp_path):
     well[1] = 1
     well[6] = 1
     well[4, 5:] = 1
-    cls = WellClassification(well_id=well, column_distance=np.zeros(9),
+    cls = WellClassification(runs=tuple(_column_runs(well, 9)), column_distance=np.zeros(9),
                              column_mean_sq=np.zeros(9), n=4, lam=0.25)
-    assert_classification_reads_back(tmp_path, cls)
+    assert_classification_reads_back(tmp_path, cls, well)
     save_classification(cls, tmp_path / "cls.csv", header="twin")
     assert (tmp_path / "cls.csv").read_text().splitlines() == [
         "# twin", "# well-classification v2", "n=4,lambda=0.25", "i,runs",
@@ -222,8 +227,8 @@ def test_classification_runs_of_a_random_variable_tau_chain(tmp_path, rng, wells
     chain = mid.with_arrays(theta=theta)
     assert not check_admissible(reconstruct(chain))
     cls = classify(chain, wells)
-    assert 0 < sum((row != row[0]).any() for row in cls.well_id) < 17
-    assert_classification_reads_back(tmp_path, cls)
+    assert 0 < sum(len(col) > 1 for col in cls.runs) < 17
+    assert_classification_reads_back(tmp_path, cls, lattice_wells(chain, wells)[0])
 
 
 @pytest.mark.parametrize("writer, make", [
@@ -232,7 +237,7 @@ def test_classification_runs_of_a_random_variable_tau_chain(tmp_path, rng, wells
 ], ids=["breakdown", "classification"])
 def test_grid_writer_memory_stays_below_a_body_per_column(tmp_path, minimizer400, writer, make):
     # the 801 rows are written as they are formatted, from the breakdown's
-    # O(n) column table or one id column at a time: no grid-sized copy forms
+    # O(n) column table or the classification's runs: no grid-sized copy forms
     grid = make(minimizer400)
     tracemalloc.start()
     try:
